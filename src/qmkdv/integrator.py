@@ -25,6 +25,7 @@ from .model import CoefficientSpec, hamiltonian, mass, nonlinearity_full
 from .spectral_core import (
     GridSpec,
     SpectralField,
+    _multipliers,
     enforce_real_zero_mean,
     norm,
     synthesize,
@@ -100,9 +101,13 @@ def initial_field(cfg: SimConfig) -> SpectralField:
     elif init.kind == "snapshot":
         from .spectral_core import load_snapshot
 
-        f, _ = load_snapshot(init.path)
+        f, coeff_id = load_snapshot(init.path)
         if f.grid != cfg.grid:
             raise ValueError("snapshot grid does not match configured grid")
+        if coeff_id != cfg.coeff.identifier():
+            raise ValueError(
+                f"snapshot coefficients {coeff_id!r} do not match configured {cfg.coeff.identifier()!r}"
+            )
     else:
         raise ValueError(f"unknown initial-data kind {init.kind!r}")
     return enforce_real_zero_mean(f)
@@ -129,8 +134,7 @@ def lawson_step(
     pad: int = 3,
 ) -> SpectralField:
     """One integrating-factor RK4 step of length dt."""
-    g = phi.grid
-    lam = 1j * g.xi**3
+    lam = _multipliers(phi.grid.n, phi.grid.box_length, pad)[2]
     e_full = np.exp(lam * dt)
     e_half = np.exp(lam * (0.5 * dt))
     y = phi.coeffs
@@ -221,13 +225,16 @@ def run(cfg: SimConfig, observer=None) -> tuple[SimState, list[dict]]:
 
     `observer(phi, record)`, when given, is called at every monitor time and
     may extend the record dict in place (diagnostics, snapshot writing).
-    Records are also emitted at t=0 and t_end; monitor times outside
-    (0, t_end] are ignored.
+    The run starts at the initial field's time t0 (0, or a snapshot's time).
+    Records are also emitted at t0 and t_end; monitor times outside
+    (t0, t_end] are ignored.
     """
     phi0 = initial_field(cfg)
+    if not phi0.time < cfg.t_end:
+        raise ValueError(f"initial time {phi0.time} is not before t_end {cfg.t_end}")
     dt0 = cfg.dt_init if cfg.dt_init is not None else default_dt_init(phi0, cfg.coeff)
     state = SimState(phi=phi0, dt=max(dt0, DT_FLOOR))
-    stops = sorted({float(t) for t in cfg.monitor_times if 0.0 < t <= cfg.t_end} | {cfg.t_end})
+    stops = sorted({float(t) for t in cfg.monitor_times if phi0.time < t <= cfg.t_end} | {cfg.t_end})
 
     records = []
 

@@ -29,6 +29,7 @@ from . import littlewood_paley as lp
 from .spectral_core import (
     GridSpec,
     SpectralField,
+    _multipliers,
     derivative,
     padded_values,
     synthesize,
@@ -140,14 +141,17 @@ class BootstrapConstants:
 # ---------------------------------------------------------------------------
 
 
-def _fine_grid(grid: GridSpec, pad: int) -> GridSpec:
-    return GridSpec(pad * grid.n, grid.box_length)
+def _fine_derivative_values(grid: GridSpec, pad: int, w_values: np.ndarray) -> np.ndarray:
+    """d_x of samples on the pad-refined grid, computed spectrally there.
 
-
-def _fine_derivative_values(fine: GridSpec, w_values: np.ndarray) -> np.ndarray:
-    """d_x of fine-grid samples, computed spectrally on the fine grid."""
-    f = transform(fine, w_values)
-    return synthesize(derivative(f, 1))
+    This is synthesize(derivative(transform(fine, w), 1)) on the fine grid
+    with its two parity signs cancelled, which leaves the value bits as they
+    are.
+    """
+    m = pad * grid.n
+    scale = grid.box_length / (2.0 * np.pi * m)
+    ixi_fine = _multipliers(grid.n, grid.box_length, pad)[1]
+    return np.fft.ifft(scale * np.fft.fft(w_values) * ixi_fine) * (m * grid.dxi)
 
 
 def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> SpectralField:
@@ -159,13 +163,14 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -
     doubling in the test-suite).  The outer d_x acts after truncation, so the
     zero mode of the output vanishes exactly.
     """
-    fine = _fine_grid(phi.grid, pad)
+    ixi = _multipliers(phi.grid.n, phi.grid.box_length, pad)[0]
     u = padded_values(phi, pad)
-    ux = padded_values(derivative(phi, 1), pad)
+    ux = padded_values(phi.with_coeffs(phi.coeffs * ixi), pad)
     cu = spec.c_of(u)
-    inner = _fine_derivative_values(fine, cu * ux)
+    inner = _fine_derivative_values(phi.grid, pad, cu * ux)
     flux = u**3 + cu * inner
-    return derivative(transform_from_padded(phi.grid, flux, phi.time), 1)
+    out = transform_from_padded(phi.grid, flux, phi.time)
+    return out.with_coeffs(out.coeffs * ixi)
 
 
 def nonlinearity_split(
@@ -177,7 +182,6 @@ def nonlinearity_split(
     N4 = alpha3 d_x( phi^2 d_x(phi phi_x) + phi d_x(phi^2 phi_x) )
     N5plus = N_full - N3 - N4   (so the decomposition is exact by construction)
     """
-    fine = _fine_grid(phi.grid, pad)
     u = padded_values(phi, pad)
     ux = padded_values(derivative(phi, 1), pad)
     uxx = padded_values(derivative(phi, 2), pad)
@@ -188,8 +192,8 @@ def nonlinearity_split(
     if spec.alpha3 == 0.0:
         n4 = phi.with_coeffs(np.zeros_like(phi.coeffs))
     else:
-        v1x = _fine_derivative_values(fine, u * ux)
-        v2x = _fine_derivative_values(fine, u**2 * ux)
+        v1x = _fine_derivative_values(phi.grid, pad, u * ux)
+        v2x = _fine_derivative_values(phi.grid, pad, u**2 * ux)
         flux4 = spec.alpha3 * (u**2 * v1x + u * v2x)
         n4 = derivative(transform_from_padded(phi.grid, flux4, phi.time), 1)
 
@@ -206,11 +210,10 @@ def quintic_remainder_display(phi: SpectralField, spec: CoefficientSpec, pad: in
     with q = (1/2) c''(0) phi^2; used as a low-resolution consistency check
     against the subtraction route.
     """
-    fine = _fine_grid(phi.grid, pad)
     u = padded_values(phi, pad)
     ux = padded_values(derivative(phi, 1), pad)
     q = 0.5 * spec.c_doubleprime0() * u**2
-    inner = _fine_derivative_values(fine, q * ux)
+    inner = _fine_derivative_values(phi.grid, pad, q * ux)
     return derivative(transform_from_padded(phi.grid, q * inner, phi.time), 1)
 
 
@@ -415,12 +418,11 @@ def weighted_derivative(phi: SpectralField, spec: CoefficientSpec, k: int, pad: 
     """k-th weighted derivative (c1(phi) d_x)^k phi on the padded grid."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    fine = _fine_grid(phi.grid, pad)
     u = padded_values(phi, pad)
     c1 = spec.c1_of(u)
     w = u
     for _ in range(k):
-        w = c1 * _fine_derivative_values(fine, w)
+        w = c1 * _fine_derivative_values(phi.grid, pad, w)
     return transform_from_padded(phi.grid, w, phi.time)
 
 

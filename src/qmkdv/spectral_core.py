@@ -17,11 +17,14 @@ concentrated inside the box; Parseval reads
 Coefficients are stored in FFT order (j = 0..n/2-1, -n/2..-1).  Relative to
 numpy's transforms the centered grid contributes a phase (-1)^j, which by
 evenness of n equals (-1)^k for the raw array index k, so analysis/synthesis
-reduce to one FFT plus a parity sign and a scale.
+reduce to one FFT plus a parity sign and a scale.  The parity is applied by
+negating the odd entries of a copy, not by multiplying with a sign array;
+`GridSpec.parity` remains as the explicit form of the same sign.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -100,6 +103,23 @@ class GridSpec:
         return np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
 
 
+@functools.lru_cache(maxsize=4)
+def _multipliers(n: int, box_length: float, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i*xi on the n-point grid, i*xi on its pad-refined grid, i*xi^3 on the
+    n-point grid), read-only.
+
+    Memoized for the time-stepping hot path only (the nonlinearity and the
+    Lawson step), which evaluates them thousands of times on one grid.
+    GridSpec's own properties stay uncached: a cache there would also keep
+    the large one-shot grids of the quadrature studies alive.
+    """
+    xi = GridSpec(n, box_length).xi
+    out = (1j * xi, 1j * GridSpec(pad * n, box_length).xi, 1j * xi**3)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Immutable value: coefficients (FFT order) on a grid at time `time`."""
@@ -119,19 +139,27 @@ def field_from_coefficients(grid: GridSpec, coeffs: np.ndarray, time: float = 0.
     return SpectralField(grid, c, time)
 
 
+def _alternate_signs(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` times (-1)^k: the odd entries negated, no sign array built."""
+    out = a.copy()
+    odd = out[1::2]
+    np.negative(odd, out=odd)
+    return out
+
+
 def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
     """Analyze physical samples on the centered grid into coefficients."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (grid.n,):
         raise GridMismatch(f"expected {grid.n} samples, got shape {u.shape}")
     scale = grid.box_length / (2.0 * np.pi * grid.n)
-    return SpectralField(grid, grid.parity * scale * np.fft.fft(u), time)
+    return SpectralField(grid, _alternate_signs(scale * np.fft.fft(u)), time)
 
 
 def synthesize(f: SpectralField) -> np.ndarray:
     """Evaluate the field at the grid points (complex samples)."""
     g = f.grid
-    return np.fft.ifft(g.parity * f.coeffs) * (g.n * g.dxi)
+    return np.fft.ifft(_alternate_signs(f.coeffs)) * (g.n * g.dxi)
 
 
 def values(f: SpectralField) -> np.ndarray:
@@ -225,8 +253,7 @@ def padded_values(f: SpectralField, pad_factor: int) -> np.ndarray:
         raise ValueError("pad_factor must be >= 1")
     g = f.grid
     m = pad_factor * g.n
-    parity = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    return np.fft.ifft(parity * _padded_coeffs(f, m)) * (m * g.dxi)
+    return np.fft.ifft(_alternate_signs(_padded_coeffs(f, m))) * (m * g.dxi)
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:
@@ -234,14 +261,12 @@ def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> S
     m = w.shape[0]
     if m % grid.n != 0:
         raise GridMismatch("padded length must be a multiple of grid.n")
-    parity = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
     scale = grid.box_length / (2.0 * np.pi * m)
-    chat = parity * scale * np.fft.fft(np.asarray(w, dtype=np.complex128))
+    chat = np.fft.fft(np.asarray(w, dtype=np.complex128))
     n = grid.n
-    out = np.empty(n, dtype=np.complex128)
-    out[: n // 2] = chat[: n // 2]
-    out[n // 2 :] = chat[m - n // 2 :]
-    return SpectralField(grid, out, time)
+    # m - n is even, so every kept entry keeps the parity of its index
+    kept = np.concatenate((chat[: n // 2], chat[m - n // 2 :]))
+    return SpectralField(grid, _alternate_signs(scale * kept), time)
 
 
 def pointwise_product(f: SpectralField, g: SpectralField, pad_factor: int = 3) -> SpectralField:
@@ -327,7 +352,10 @@ def load_snapshot(path) -> tuple[SpectralField, str]:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"not a QMKDV1 snapshot: magic {magic!r}")
-        n, box_length, time, id_len = struct.unpack("<IddI", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError("snapshot truncated")
+        n, box_length, time, id_len = struct.unpack("<IddI", header)
         ident = fh.read(id_len).decode("utf-8")
         raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
     if raw.size != 2 * n:

@@ -9,6 +9,7 @@ the exact Airy propagator).
 import numpy as np
 import pytest
 
+from qmkdv import integrator
 from qmkdv.integrator import (
     DT_FLOOR,
     InitialSpec,
@@ -73,7 +74,7 @@ class TestInitialData:
     def test_snapshot_roundtrip(self, grid, tmp_path):
         f = random_real_field(grid, 5)
         path = tmp_path / "state.bin"
-        save_snapshot(path, f, "test")
+        save_snapshot(path, f, LINEAR.identifier())
         cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)))
         phi = initial_field(cfg)
         assert np.max(np.abs(phi.coeffs - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
@@ -84,6 +85,13 @@ class TestInitialData:
         save_snapshot(path, f, "test")
         cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)))
         with pytest.raises(ValueError, match="grid"):
+            initial_field(cfg)
+
+    def test_snapshot_coefficient_mismatch(self, grid, tmp_path):
+        path = tmp_path / "state.bin"
+        save_snapshot(path, random_real_field(grid, 5), CUBIC.identifier())
+        cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)))
+        with pytest.raises(ValueError, match="coefficients"):
             initial_field(cfg)
 
     def test_unknown_kind(self, grid):
@@ -206,6 +214,28 @@ class TestAdaptiveStep:
         assert out.phi.time == pytest.approx(1e-4)
         assert out.dt >= 1e-2  # the cap must not erode the controller's dt
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dt, rejects", [(1e-4, False), (5.0, True)])
+    def test_twelve_nonlinearity_calls_per_attempt(self, grid, monkeypatch, dt, rejects):
+        # three Lawson steps (one full, two halves) of four stages each; the
+        # benchmark's traced run checks the same law from outside
+        calls = {"lawson": 0, "rhs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(integrator, "lawson_step", counted("lawson", integrator.lawson_step))
+        monkeypatch.setattr(integrator, "nonlinearity_full", counted("rhs", integrator.nonlinearity_full))
+        phi = initial_field(small_config(grid, initial=InitialSpec("gaussian", 0.3)))
+        out = step(SimState(phi=phi, dt=dt), small_config(grid, coeff=CUBIC, eps_tol=1e-8))
+        attempted = out.steps + out.rejected
+        assert (out.rejected > 0) == rejects
+        assert calls == {"lawson": 3 * attempted, "rhs": 12 * attempted}
+
     def test_accepted_step_is_projected(self, grid):
         cfg = small_config(grid, coeff=CUBIC, eps_tol=1e-8)
         phi = initial_field(small_config(grid, initial=InitialSpec("gaussian", 0.3)))
@@ -241,6 +271,33 @@ class TestRun:
         _, records = run(cfg, observer)
         assert seen == [0.0, 0.2, 0.4]
         assert all("linf" in r for r in records)
+
+    def test_resume_from_snapshot_starts_at_its_time(self, grid, tmp_path):
+        cfg = small_config(grid, t_end=1.0, monitor_times=(0.5,), eps_tol=1e-7)
+        fresh, _ = run(cfg)
+        phi0 = initial_field(cfg)
+        path = tmp_path / "state.bin"
+        save_snapshot(path, phi0.with_coeffs(phi0.coeffs, time=5.0), LINEAR.identifier())
+        resumed = small_config(
+            grid,
+            initial=InitialSpec(kind="snapshot", path=str(path)),
+            t_end=6.0,
+            monitor_times=(1.0, 2.0, 5.5),
+            eps_tol=1e-7,
+        )
+        state, records = run(resumed)
+        assert [r["t"] for r in records] == [5.0, 5.5, 6.0]
+        # the flow is autonomous: [5, 6] from the snapshot is [0, 1] from t=0
+        scale = np.max(np.abs(fresh.phi.coeffs))
+        assert np.max(np.abs(state.phi.coeffs - fresh.phi.coeffs)) <= 1e-6 * scale
+
+    def test_snapshot_at_or_after_t_end_rejected(self, grid, tmp_path):
+        path = tmp_path / "state.bin"
+        phi = random_real_field(grid, 5)
+        save_snapshot(path, phi.with_coeffs(phi.coeffs, time=5.0), LINEAR.identifier())
+        cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)), t_end=4.0)
+        with pytest.raises(ValueError, match="t_end"):
+            run(cfg)
 
     def test_short_run_conserves_invariants(self):
         grid = GridSpec(n=256, box_length=50.0)

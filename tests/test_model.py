@@ -41,8 +41,10 @@ from qmkdv.spectral_core import (
     antiderivative,
     derivative,
     norm,
+    padded_values,
     synthesize,
     transform,
+    transform_from_padded,
 )
 
 from conftest import gaussian_field, random_real_field
@@ -556,3 +558,74 @@ class TestConservedFunctionals:
     def test_hamiltonian_of_zero_field(self, grid):
         zero = transform(grid, np.zeros(grid.n))
         assert hamiltonian(zero, FAMILIES[1]) == 0.0
+
+
+# Unfused reference for the hot path: the composition the pseudo-spectral
+# core is built from, with the (-1)^k parity applied as explicit products
+# with GridSpec.parity and every derivative taken on a freshly built grid.
+
+
+def _ref_transform(grid, u):
+    scale = grid.box_length / (2.0 * np.pi * grid.n)
+    return grid.parity * scale * np.fft.fft(np.asarray(u, dtype=np.complex128))
+
+
+def _ref_derivative(grid, coeffs):
+    return coeffs * (1j * grid.xi) ** 1
+
+
+def _ref_synthesize(grid, coeffs):
+    return np.fft.ifft(grid.parity * coeffs) * (grid.n * grid.dxi)
+
+
+def _ref_padded_values(grid, coeffs, pad):
+    fine = GridSpec(pad * grid.n, grid.box_length)
+    n = grid.n
+    padded = np.zeros(fine.n, dtype=np.complex128)
+    padded[: n // 2] = coeffs[: n // 2]
+    padded[fine.n - n // 2 :] = coeffs[n // 2 :]
+    return _ref_synthesize(fine, padded)
+
+
+def _ref_transform_from_padded(grid, w):
+    m = w.shape[0]
+    chat = _ref_transform(GridSpec(m, grid.box_length), w)
+    n = grid.n
+    return np.concatenate((chat[: n // 2], chat[m - n // 2 :]))
+
+
+def _ref_nonlinearity_full(phi, spec, pad):
+    g = phi.grid
+    fine = GridSpec(pad * g.n, g.box_length)
+    u = _ref_padded_values(g, phi.coeffs, pad)
+    ux = _ref_padded_values(g, _ref_derivative(g, phi.coeffs), pad)
+    cu = spec.c_of(u)
+    inner = _ref_synthesize(fine, _ref_derivative(fine, _ref_transform(fine, cu * ux)))
+    flux = u**3 + cu * inner
+    return _ref_derivative(g, _ref_transform_from_padded(g, flux))
+
+
+class TestHotPathMatchesUnfusedReference:
+    """The sign-flip transforms and the memoized multipliers compute the same
+    bits as the unfused composition with explicit parity products."""
+
+    @pytest.mark.parametrize("seed", [61, 62])
+    def test_transform_and_synthesize(self, grid, seed):
+        phi = random_real_field(grid, seed)
+        u = _ref_synthesize(grid, phi.coeffs)
+        assert np.array_equal(synthesize(phi), u)
+        assert np.array_equal(transform(grid, u).coeffs, _ref_transform(grid, u))
+
+    @pytest.mark.parametrize("pad", [2, 3, 4])
+    def test_padded_transforms(self, grid, pad):
+        phi = random_real_field(grid, 63 + pad)
+        w = _ref_padded_values(grid, phi.coeffs, pad)
+        assert np.array_equal(padded_values(phi, pad), w)
+        w = w**2
+        assert np.array_equal(transform_from_padded(grid, w).coeffs, _ref_transform_from_padded(grid, w))
+
+    @pytest.mark.parametrize("pad", [2, 3, 4])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_nonlinearity_full(self, grid, spec, pad):
+        phi = moderate_field(grid, 70 + pad)
+        assert np.array_equal(nonlinearity_full(phi, spec, pad).coeffs, _ref_nonlinearity_full(phi, spec, pad))

@@ -54,6 +54,12 @@ class TestGridSpec:
         assert np.all(grid.parity[::2] == 1.0)
         assert np.all(grid.parity[1::2] == -1.0)
 
+    def test_xi_and_parity_are_plain_properties(self):
+        # uncached, so one-shot grids are freed; the benchmark's tracer also
+        # re-wraps them through .fget
+        for attr in ("xi", "parity"):
+            assert type(vars(GridSpec)[attr]) is property
+
     @pytest.mark.parametrize("n", [15, 14, 0, -4])
     def test_bad_n_rejected(self, n):
         with pytest.raises(ValueError):
@@ -360,5 +366,12 @@ class TestSnapshotFormat:
         save_snapshot(path, random_real_field(grid, 33), "x")
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 16])
+        with pytest.raises(ValueError, match="truncated"):
+            load_snapshot(path)
+
+    def test_truncated_header_is_detected(self, tmp_path, grid):
+        path = tmp_path / "state.bin"
+        save_snapshot(path, random_real_field(grid, 34), "x")
+        path.write_bytes(path.read_bytes()[:16])  # magic and 10 of 24 header bytes
         with pytest.raises(ValueError, match="truncated"):
             load_snapshot(path)
