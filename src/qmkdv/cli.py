@@ -77,6 +77,31 @@ class CheckFailure(RuntimeError):
     """A named check ran and exceeded its tolerance; maps to exit code 1."""
 
 
+def _false_gates(node, path: str = "") -> list:
+    """Dotted paths of every ``*_ok`` or ``ok`` flag that is False in a report."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = ((str(i), v) for i, v in enumerate(node))
+    else:
+        return []
+    failed = []
+    for key, value in items:
+        where = f"{path}.{key}" if path else key
+        if value is False and (key.endswith("_ok") or key == "ok"):
+            failed.append(where)
+        else:
+            failed += _false_gates(value, where)
+    return failed
+
+
+def _raise_on_false_gates(report: dict) -> None:
+    """Turn a written report with any false gate into exit code 1."""
+    failed = _false_gates(report)
+    if failed:
+        raise CheckFailure(f"{report['study']} gates failed: {', '.join(failed)}")
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -764,6 +789,7 @@ def cmd_resonance(args, cfg: dict, outdir: Path) -> int:
         }
     report = {"study": "resonance", "metadata": meta, "summary": summary}
     write_json(outdir / "resonance_report.json", report)
+    _raise_on_false_gates(report)
     return 0
 
 
@@ -823,6 +849,7 @@ def cmd_oscillatory(args, cfg: dict, outdir: Path) -> int:
         },
     }
     write_json(outdir / "oscillatory_report.json", report)
+    _raise_on_false_gates(report)
     return 0
 
 

@@ -243,33 +243,65 @@ def s_infty_separable(axes, coeffs, factors) -> float:
     equals s_infty_norm of the densely assembled SymbolGrid to round-off,
     but the y-lattice can be made far larger than a dense 3D array allows.
     Supports one to three axes.
+
+    Input contract: the coefficients and every factor row are real, and each
+    row is even or odd in xi (to 1e-12 of its peak after the transform), so
+    its inverse transform is real or purely imaginary.  A term with k odd
+    rows then carries the phase i^k; all terms must share it up to a sign,
+    which is folded into the real coefficient, and the contraction runs in
+    real arithmetic.  The resulting kernel K satisfies |K(-y)| = |K(y)|, so
+    only the lead-axis rows 0..n/2 are summed, rows 1..n/2-1 with weight 2.
+    ValueError is raised when the contract does not hold.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    coeffs = np.asarray(coeffs)
+    if np.iscomplexobj(coeffs) and np.any(coeffs.imag):
+        raise ValueError("s_infty_separable needs real coefficients")
+    coeffs = coeffs.real.astype(np.float64)
+    d = len(axes)
+    if not 1 <= d <= 3:
+        raise ValueError("s_infty_separable supports 1 to 3 axes")
+    odd = np.zeros(coeffs.size, dtype=np.int64)
     ft = []
     for ax, rows in zip(axes, factors):
-        rows = np.asarray(rows, dtype=np.complex128)
+        rows = np.asarray(rows)
+        if np.iscomplexobj(rows) and np.any(rows.imag):
+            raise ValueError("s_infty_separable needs real axis factors")
+        rows = np.asarray(rows.real, dtype=np.float64)
         edge = np.max(np.abs(rows[:, [ax.n // 2, ax.n // 2 - 1]]))
         peak = np.max(np.abs(rows))
         if peak > 0.0 and edge > 1e-14 * peak:
             raise UnresolvedSymbol(
                 f"axis factor boundary defect {edge / peak:.2e} exceeds 1e-14; enlarge the grid"
             )
-        ft.append(np.fft.ifft(rows * ax.parity[None, :], axis=1) * (ax.n * ax.dxi * ax.dx))
-    d = len(ft)
+        t = np.fft.ifft(rows * ax.parity[None, :], axis=1) * (ax.n * ax.dxi * ax.dx)
+        tol = 1e-12 * np.max(np.abs(t), axis=1)
+        imaginary = np.max(np.abs(t.imag), axis=1) > tol
+        if np.any(imaginary & (np.max(np.abs(t.real), axis=1) > tol)):
+            raise ValueError("axis factor rows must be even or odd in xi")
+        odd += imaginary
+        ft.append(np.where(imaginary[:, None], t.imag, t.real))
+    shift = odd - odd[0]
+    if np.any(shift % 2):
+        raise ValueError("terms differ in phase by +-i; split them into separate sums")
+    coeffs *= np.where(shift % 4 == 0, 1.0, -1.0)
+
+    half = ft[0].shape[1] // 2
+    weights = np.full(half + 1, 2.0)
+    weights[[0, half]] = 1.0
+    lead = (ft[0][:, : half + 1] * coeffs[:, None] * weights).T
     if d == 1:
-        return float(np.sum(np.abs(coeffs @ ft[0])))
-    if d == 2:
-        return float(np.sum(np.abs((ft[0] * coeffs[:, None]).T @ ft[1])))
-    if d != 3:
-        raise ValueError("s_infty_separable supports 1 to 3 axes")
-    a, b, c = ft
-    pair = (b[:, :, None] * c[:, None, :]).reshape(b.shape[0], -1)
-    lead = (a * coeffs[:, None]).T  # (n1, m)
-    total = 0.0
+        pair = np.ones((coeffs.size, 1))
+    elif d == 2:
+        pair = ft[1]
+    else:
+        pair = (ft[1][:, :, None] * ft[2][:, None, :]).reshape(coeffs.size, -1)
     slab = max(1, (1 << 23) // pair.shape[1])
-    for i0 in range(0, lead.shape[0], slab):
-        block = lead[i0 : i0 + slab] @ pair
-        total += float(np.sum(np.abs(block)))
+    buf = np.empty((min(slab, half + 1), pair.shape[1]))
+    total = 0.0
+    for i0 in range(0, half + 1, slab):
+        block = buf[: min(slab, half + 1 - i0)]
+        np.matmul(lead[i0 : i0 + slab], pair, out=block)
+        total += float(np.sum(np.abs(block, out=block)))
     return total
 
 

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmkdv import model
 from qmkdv.littlewood_paley import (
+    SUPPORT_EDGE,
     DegenerateInput,
     SymbolGrid,
     UnresolvedSymbol,
@@ -256,6 +258,72 @@ class TestSInftyNorm:
             [rows(axes[0], (2, 1)), rows(axes[1], (0, 1)), rows(axes[2], (0, 0))],
         )
         assert sep == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["T1", "dT1"])
+    @pytest.mark.parametrize("js", [(0, 0, 0), (1, 0, 0)])
+    def test_dyadic_cells_match_dense(self, js, which):
+        """The model's cell sums equal the dense transform of the assembled symbol.
+
+        Both symbols have rows of mixed parity (T1 folds a -1 phase into its
+        cross terms, dT1 has one odd row per term), and (1,0,0) has unequal
+        axes, so this checks the half-lattice weights and the sign fold.
+        """
+        alpha2 = 1.0
+        symbol = model.symbol_t1 if which == "T1" else model.symbol_t1_d1
+        extents = tuple(8.0 * SUPPORT_EDGE * 2.0**j for j in js)
+        sg = SymbolGrid.from_function(
+            lambda e1, e2, e3: symbol(e1, e2, e3, alpha2)
+            * psi_k(e1, js[0])
+            * psi_k(e2, js[1])
+            * psi_k(e3, js[2]),
+            extents,
+            48,
+        )
+        dense = s_infty_norm(sg)
+        assert model._dyadic_s_infty(js, alpha2, which, 48) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_separable_low_dimensions_match_dense(self, d):
+        w = lambda u: np.exp(-u * u)
+        if d == 1:
+            fn, powers = (lambda x: (1.5 * x**2 - x**2) * w(x)), [(2, 2)]
+        else:
+            fn, powers = (lambda x, y: (1.5 * x**2 - x * y) * w(x) * w(y)), [(2, 1), (0, 1)]
+        sg = SymbolGrid.from_function(fn, (16.0,) * d, 64)
+        rows = lambda ax, ps: np.array([ax.xi**p * w(ax.xi) for p in ps])
+        coeffs = [1.5, -1.0]
+        factors = [rows(ax, ps) for ax, ps in zip(sg.axes, powers)]
+        assert s_infty_separable(sg.axes, coeffs, factors) == pytest.approx(
+            s_infty_norm(sg), rel=1e-12
+        )
+
+    def _bump_axis(self):
+        return SymbolGrid.from_function(lambda u: bump(u), (6.4,), 64).axes[0]
+
+    def test_separable_rejects_complex_input(self):
+        ax = self._bump_axis()
+        rows = np.array([bump(ax.xi)])
+        with pytest.raises(ValueError, match="real coefficients"):
+            s_infty_separable([ax], [1.0 + 0.5j], [rows])
+        with pytest.raises(ValueError, match="real axis factors"):
+            s_infty_separable([ax], [1.0], [rows * (1.0 + 0.5j)])
+
+    def test_separable_rejects_row_without_parity(self):
+        ax = self._bump_axis()
+        rows = np.array([bump(ax.xi - 0.5)])
+        with pytest.raises(ValueError, match="even or odd"):
+            s_infty_separable([ax], [1.0], [rows])
+
+    def test_separable_rejects_mixed_phase_terms(self):
+        # a T1 term (three even rows) beside a dT1 term (one odd row)
+        ax = self._bump_axis()
+        even, odd = bump(ax.xi), ax.xi * bump(ax.xi)
+        with pytest.raises(ValueError, match="phase"):
+            s_infty_separable(
+                [ax, ax, ax],
+                [1.0, 1.0],
+                [np.array([even, odd]), np.array([even, even]), np.array([even, even])],
+            )
 
     def test_separable_axis_count_enforced(self):
         ax = SymbolGrid.from_function(lambda u: bump(u), (6.4,), 64).axes[0]
