@@ -7,6 +7,11 @@ seed, version) and is byte-identical across repeated invocations with the
 same config and seed: floats are written with ``repr`` (shortest roundtrip),
 JSON keys are sorted, and no timestamps or machine identifiers appear.
 
+Each study is declared once (:func:`_study`): a body that only computes,
+its config keys with their defaults, its report file, its fixed grid where
+it has one, and whether a false gate sets the exit code.  One driver builds
+the shared objects, writes the report and applies the exit-code rule.
+
 Exit codes: 0 all checks passed, 1 a check failed or a study raised a
 numerical error, 2 configuration/usage error.
 """
@@ -18,7 +23,9 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +42,6 @@ from .diagnostics import (
     sharp_decay_product,
     theta_accumulate,
     theta_coefficient,
-    z_norm,
 )
 from .integrator import InitialSpec, SimConfig, run
 from .model import (
@@ -50,6 +56,7 @@ from .model import (
 )
 from .oscillatory import (
     gaussian_two_pi_selftest,
+    local_phase_residual,
     nonresonant_decay_study,
     resonant_drift_measurement,
     stationary_phase_drift,
@@ -59,14 +66,13 @@ from .rng import SplitMix64
 from .spectral_core import (
     GridSpec,
     derivative,
+    free_evolve,
     norm,
     profile_from_solution,
     save_snapshot,
     synthesize,
     transform,
 )
-
-STUDIES = ("identities", "simulate", "decay", "scattering", "resonance", "oscillatory")
 
 
 class ConfigError(ValueError):
@@ -78,28 +84,22 @@ class CheckFailure(RuntimeError):
 
 
 def _false_gates(node, path: str = "") -> list:
-    """Dotted paths of every ``*_ok`` or ``ok`` flag that is False in a report."""
+    """Dotted paths of every ``*_ok``, ``ok`` or ``passed`` flag that is False
+    in a report.  A list entry that has a ``name`` is addressed by it."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
-        items = ((str(i), v) for i, v in enumerate(node))
+        items = ((str(v.get("name", i) if isinstance(v, dict) else i), v) for i, v in enumerate(node))
     else:
         return []
     failed = []
     for key, value in items:
         where = f"{path}.{key}" if path else key
-        if value is False and (key.endswith("_ok") or key == "ok"):
+        if value is False and (key.endswith("_ok") or key in ("ok", "passed")):
             failed.append(where)
         else:
             failed += _false_gates(value, where)
     return failed
-
-
-def _raise_on_false_gates(report: dict) -> None:
-    """Turn a written report with any false gate into exit code 1."""
-    failed = _false_gates(report)
-    if failed:
-        raise CheckFailure(f"{report['study']} gates failed: {', '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,50 +111,6 @@ def _float_list(text: str) -> tuple:
         return tuple(float(x) for x in text.split(","))
     except ValueError as e:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from e
-
-
-_KEY_PARSERS = {
-    "study.kind": str,
-    "grid.n": int,
-    "grid.box_length": float,
-    "coeff.family": str,
-    "coeff.a": float,
-    "coeff.b": float,
-    "coeff.c": float,
-    "initial.amplitude": float,
-    "initial.width": float,
-    "initial.modulation": float,
-    "initial.snapshot": str,
-    "run.t_end": float,
-    "run.eps_tol": float,
-    "run.dt_init": float,
-    "run.monitor_count": int,
-    "constants.delta": float,
-    "constants.p1": float,
-    "constants.gamma_l": float,
-    "constants.gamma_h": float,
-    "constants.s": float,
-    "constants.decay_exponent": float,
-    "identities.samples": int,
-    "decay.t_min": float,
-    "decay.t_max": float,
-    "decay.samples": int,
-    "decay.fit_t_min": float,
-    "decay.linear_n": int,
-    "decay.linear_box": float,
-    "decay.linear_width": float,
-    "scattering.target_frequencies": _float_list,
-    "scattering.fit_t_min": float,
-    "scattering.samples": int,
-    "resonance.j_min": int,
-    "resonance.j_max": int,
-    "resonance.n_axis": int,
-    "oscillatory.b_values": _float_list,
-    "oscillatory.t_min": float,
-    "oscillatory.t_max": float,
-    "oscillatory.samples": int,
-    "fault.bump_stretch": float,
-}
 
 
 def parse_config(path: str) -> dict:
@@ -182,53 +138,6 @@ def parse_config(path: str) -> dict:
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from e
     return out
-
-
-def _grid(cfg: dict, default_n: int, default_box: float) -> GridSpec:
-    try:
-        return GridSpec(n=cfg.get("grid.n", default_n), box_length=cfg.get("grid.box_length", default_box))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _coeff(cfg: dict, default_family: str = "cubic_poly", default_a: float = 1.0,
-           default_b: float = 1.0, default_c: float = 0.0) -> CoefficientSpec:
-    try:
-        return CoefficientSpec(
-            family=cfg.get("coeff.family", default_family),
-            a=cfg.get("coeff.a", default_a),
-            b=cfg.get("coeff.b", default_b),
-            c=cfg.get("coeff.c", default_c),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _constants(cfg: dict) -> BootstrapConstants:
-    delta = cfg.get("constants.delta", 1e-3)
-    try:
-        return BootstrapConstants(
-            delta=delta,
-            p0=delta / 10.0,
-            p1=cfg.get("constants.p1", 1e-3),
-            gamma_l=cfg.get("constants.gamma_l", 0.0),
-            gamma_h=cfg.get("constants.gamma_h", 2.5),
-            s=cfg.get("constants.s", 12.0),
-            decay_exponent=cfg.get("constants.decay_exponent", 0.48),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _initial(cfg: dict, default_amp: float, default_width: float) -> InitialSpec:
-    if "initial.snapshot" in cfg:
-        return InitialSpec(kind="snapshot", path=cfg["initial.snapshot"])
-    return InitialSpec(
-        kind="gaussian",
-        amplitude=cfg.get("initial.amplitude", default_amp),
-        width=cfg.get("initial.width", default_width),
-        modulation=cfg.get("initial.modulation", 0.0),
-    )
 
 
 def _metadata(grid: GridSpec, coeff: CoefficientSpec, bc: BootstrapConstants, seed: int) -> dict:
@@ -306,27 +215,156 @@ def _uniform_array(rng: SplitMix64, count: int, lo: float, hi: float) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# identities
+# Study declarations and the driver
 # ---------------------------------------------------------------------------
 
-def cmd_identities(args, cfg: dict, outdir: Path) -> int:
-    samples = cfg.get("identities.samples", 10000)
-    stretch = cfg.get("fault.bump_stretch", 1.0)
-    coeff = _coeff(cfg)
-    bc = _constants(cfg)
-    alpha2 = coeff.alpha2
-    rng = SplitMix64(args.seed)
+@dataclass
+class _Context:
+    """What a study body sees: its config with every default filled in, the
+    objects the driver built from it, and where to write."""
+
+    args: argparse.Namespace
+    cfg: dict
+    outdir: Path
+    grid: GridSpec
+    coeff: CoefficientSpec
+    bc: BootstrapConstants
+    meta: dict
+
+    def csv(self, name: str, header: list, rows: list) -> None:
+        write_csv(self.outdir / name, self.meta, header, rows)
+
+    def sim(self, monitor_times: tuple, pad: int = 3) -> SimConfig:
+        """The integrator run the config describes, ending at ``run.t_end``."""
+        cfg = self.cfg
+        if "initial.snapshot" in cfg:
+            initial = InitialSpec(kind="snapshot", path=cfg["initial.snapshot"])
+        else:
+            initial = InitialSpec(
+                amplitude=cfg["initial.amplitude"],
+                width=cfg["initial.width"],
+                modulation=cfg["initial.modulation"],
+            )
+        try:
+            return SimConfig(
+                grid=self.grid,
+                coeff=self.coeff,
+                initial=initial,
+                t_end=cfg["run.t_end"],
+                eps_tol=cfg["run.eps_tol"],
+                dt_init=cfg.get("run.dt_init"),
+                monitor_times=monitor_times,
+                linear_only=self.args.linear_only,
+                pad=pad,
+            )
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+
+
+@dataclass(frozen=True)
+class _Study:
+    """A study's declaration; see :func:`_study`."""
+
+    body: Callable[[_Context], dict]
+    report: str
+    defaults: dict
+    grid: tuple | None = None
+    gated: bool = True
+
+
+_STUDIES: dict = {}
+
+_COMMON_DEFAULTS = {
+    "coeff.family": "cubic_poly",
+    "coeff.a": 1.0,
+    "coeff.b": 1.0,
+    "coeff.c": 0.0,
+    "constants.delta": 1e-3,
+    "constants.p1": 1e-3,
+    "constants.gamma_l": 0.0,
+    "constants.gamma_h": 2.5,
+    "constants.s": 12.0,
+    "constants.decay_exponent": 0.48,
+}
+
+# the frequency-side studies record this placeholder grid in their metadata
+_DESK_GRID = (16, 2.0 * math.pi)
+
+
+def _integrator_defaults(n: int, box: float, amplitude: float, width: float, t_end: float, eps_tol: float) -> dict:
+    return {
+        "grid.n": n,
+        "grid.box_length": box,
+        "initial.amplitude": amplitude,
+        "initial.width": width,
+        "initial.modulation": 0.0,
+        "run.t_end": t_end,
+        "run.eps_tol": eps_tol,
+    }
+
+
+def _study(name: str, report: str, defaults: dict, grid: tuple | None = None, gated: bool = True):
+    """Declare a study: its body returns the report entries past ``study`` and
+    ``metadata``.  Each config key's default is stated here and nowhere else."""
+
+    def register(body):
+        _STUDIES[name] = _Study(body, report, {**_COMMON_DEFAULTS, **defaults}, grid, gated)
+        return body
+
+    return register
+
+
+def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
+    """Build the shared objects, run the body, write its report, gate the exit code."""
+    cfg = {**study.defaults, **cfg}
+    try:
+        n, box = study.grid or (cfg["grid.n"], cfg["grid.box_length"])
+        grid = GridSpec(n=n, box_length=box)
+        coeff = CoefficientSpec(
+            family=cfg["coeff.family"], a=cfg["coeff.a"], b=cfg["coeff.b"], c=cfg["coeff.c"]
+        )
+        delta = cfg["constants.delta"]
+        bc = BootstrapConstants(
+            delta=delta,
+            p0=delta / 10.0,
+            p1=cfg["constants.p1"],
+            gamma_l=cfg["constants.gamma_l"],
+            gamma_h=cfg["constants.gamma_h"],
+            s=cfg["constants.s"],
+            decay_exponent=cfg["constants.decay_exponent"],
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    ctx = _Context(args, cfg, outdir, grid, coeff, bc, _metadata(grid, coeff, bc, args.seed))
+    entries = study.body(ctx)  # may add to ctx.meta
+    report = {"study": args.study, "metadata": ctx.meta, **entries}
+    write_json(outdir / study.report, report)
+    failed = _false_gates(report) if study.gated else []
+    if failed:
+        raise CheckFailure(f"{args.study} gates failed: {', '.join(failed)}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# The studies, in the order the CLI lists them
+# ---------------------------------------------------------------------------
+
+@_study(
+    "identities",
+    "identities.json",
+    {"identities.samples": 10000, "fault.bump_stretch": 1.0},
+    grid=(512, 60.0),
+)
+def _identities(ctx: _Context) -> dict:
+    samples = ctx.cfg["identities.samples"]
+    stretch = ctx.cfg["fault.bump_stretch"]
+    alpha2 = ctx.coeff.alpha2
+    rng = SplitMix64(ctx.args.seed)
     checks = []
 
     def record(name: str, max_error: float, tolerance: float):
-        checks.append(
-            {
-                "name": name,
-                "max_error": float(max_error),
-                "tolerance": float(tolerance),
-                "passed": bool(max_error <= tolerance),
-            }
-        )
+        checks.append({"name": name, "max_error": float(max_error), "tolerance": float(tolerance),
+                       "passed": bool(max_error <= tolerance)})
 
     # cubic phase: factored product form against the expanded cubic differences
     xi = _uniform_array(rng, samples, -20.0, 20.0)
@@ -365,16 +403,11 @@ def cmd_identities(args, cfg: dict, outdir: Path) -> int:
         for (p1, p2) in rs.space_time:
             phase_err = max(phase_err, abs(phase_phi(x, p1, p2)) / max(1.0, abs(x) ** 3))
         q1, q2 = rs.space_only
-        phase_err = max(
-            phase_err,
-            abs(phase_phi(x, q1, q2) - 8.0 * x**3 / 9.0) / max(1.0, abs(x) ** 3),
-        )
+        phase_err = max(phase_err, abs(phase_phi(x, q1, q2) - 8.0 * x**3 / 9.0) / max(1.0, abs(x) ** 3))
     record("resonance_gradients", grad_err, 1e-12)
     record("resonance_phase_values", phase_err, 1e-12)
 
     # exactness of the local quadratic-plus-cubic factorization of the phase
-    from .oscillatory import local_phase_residual
-
     res_err = 0.0
     for _ in range(2000):
         x = rng.uniform(-5.0, 5.0)
@@ -407,7 +440,7 @@ def cmd_identities(args, cfg: dict, outdir: Path) -> int:
     record("lp_partition", np.max(np.abs(total - 1.0)), 1e-12)
 
     # scaling-field commutators on a localized test field
-    g = GridSpec(512, 60.0)
+    g = ctx.grid
     u = np.exp(-(g.x**2))
     f = transform(g, u)
 
@@ -428,67 +461,40 @@ def cmd_identities(args, cfg: dict, outdir: Path) -> int:
     cube_xx = np.real(synthesize(derivative(transform(g, u**3), 2)))
     lhs_c = np.real(synthesize(term1)) - g.x * cube_xx
     rhs_c = 3.0 * u**2 * ux
-    cc = float(
-        np.sqrt(np.sum(np.abs(lhs_c - rhs_c) ** 2)) / np.sqrt(np.sum(np.abs(rhs_c) ** 2))
-    )
+    cc = float(np.sqrt(np.sum(np.abs(lhs_c - rhs_c) ** 2)) / np.sqrt(np.sum(np.abs(rhs_c) ** 2)))
     record("commutator_s_dx", c1, 1e-8)
     record("commutator_s_dx3", c3, 1e-8)
     record("commutator_cubic", cc, 1e-8)
 
     checks.sort(key=lambda c: c["name"])
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "study": "identities",
-        "metadata": _metadata(GridSpec(512, 60.0), coeff, bc, args.seed),
+    return {
         "samples": int(samples),
         "checks": checks,
-        "passed": passed,
+        "passed": all(c["passed"] for c in checks),
     }
-    write_json(outdir / "identities.json", report)
-    if not passed:
-        names = ", ".join(c["name"] for c in checks if not c["passed"])
-        raise CheckFailure(f"identity checks failed: {names}")
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# simulate
-# ---------------------------------------------------------------------------
-
-def cmd_simulate(args, cfg: dict, outdir: Path) -> int:
-    grid = _grid(cfg, 256, 50.0)
-    coeff = _coeff(cfg)
-    bc = _constants(cfg)
-    t_end = cfg.get("run.t_end", 200.0)
-    count = cfg.get("run.monitor_count", 40)
-    monitor_times = tuple(t_end * (i + 1) / count for i in range(count))
-    try:
-        sim = SimConfig(
-            grid=grid,
-            coeff=coeff,
-            initial=_initial(cfg, 0.01, 1.0),
-            t_end=t_end,
-            eps_tol=cfg.get("run.eps_tol", 3e-8),
-            dt_init=cfg.get("run.dt_init"),
-            monitor_times=monitor_times,
-            linear_only=args.linear_only,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+@_study(
+    "simulate",
+    "report.json",
+    {**_integrator_defaults(n=256, box=50.0, amplitude=0.01, width=1.0, t_end=200.0, eps_tol=3e-8),
+     "run.monitor_count": 40},
+)
+def _simulate(ctx: _Context) -> dict:
+    t_end = ctx.cfg["run.t_end"]
+    count = ctx.cfg["run.monitor_count"]
+    sim = ctx.sim(tuple(t_end * (i + 1) / count for i in range(count)))
 
     def observer(phi, rec):
         rec["linf"] = norm(phi, "Linf")
 
     state, records = run(sim, observer=observer)
-    meta = _metadata(grid, coeff, bc, args.seed)
     header = ["t", "mass", "l2", "hamiltonian", "linf"]
-    rows = [[r[k] for k in header] for r in records]
-    write_csv(outdir / "monitor.csv", meta, header, rows)
+    ctx.csv("monitor.csv", header, [[r[k] for k in header] for r in records])
+    save_snapshot(ctx.outdir / "final_state.bin", state.phi, ctx.coeff.identifier())
 
     m0, l0, h0 = records[0]["mass"], records[0]["l2"], records[0]["hamiltonian"]
-    report = {
-        "study": "simulate",
-        "metadata": meta,
+    return {
         "steps": state.steps,
         "rejected_steps": state.rejected,
         "final_dt": state.dt,
@@ -496,62 +502,50 @@ def cmd_simulate(args, cfg: dict, outdir: Path) -> int:
         "l2_drift_rel": max(abs(r["l2"] - l0) for r in records) / l0,
         "hamiltonian_drift_rel": max(abs(r["hamiltonian"] - h0) for r in records) / abs(h0),
     }
-    write_json(outdir / "report.json", report)
-    save_snapshot(outdir / "final_state.bin", state.phi, coeff.identifier())
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# decay
-# ---------------------------------------------------------------------------
-
-def cmd_decay(args, cfg: dict, outdir: Path) -> int:
-    grid = _grid(cfg, 6144, 4500.0)
-    coeff = _coeff(cfg)
-    bc = _constants(cfg)
-    meta = _metadata(grid, coeff, bc, args.seed)
-    t_min = cfg.get("decay.t_min", 20.0)
-    t_max = cfg.get("decay.t_max", 500.0)
-    n_samples = cfg.get("decay.samples", 25)
+# Ungated: a run too short to decide its asymptotic slopes (as the
+# benchmark's decay workload is) would otherwise always exit 1.
+@_study(
+    "decay",
+    "decay_report.json",
+    {
+        **_integrator_defaults(n=6144, box=4500.0, amplitude=0.02, width=3.0, t_end=500.0, eps_tol=1e-9),
+        "decay.t_min": 20.0,
+        "decay.t_max": 500.0,
+        "decay.samples": 25,
+        "decay.fit_t_min": 50.0,
+        "decay.linear_n": 16384,
+        "decay.linear_box": 12000.0,
+        "decay.linear_width": 1.5,
+    },
+    gated=False,
+)
+def _decay(ctx: _Context) -> dict:
+    cfg, bc = ctx.cfg, ctx.bc
+    t_min, t_max = cfg["decay.t_min"], cfg["decay.t_max"]
 
     # Free Airy evolution of a fixed Gaussian on its own wide box (exact
     # propagator, no stepping).  The plain sup norm decays at t^{-1/3}; for
     # one derivative the sup is weighted by (1+|x|/t^{1/3})^{-1/4}, which
     # cancels the |x|^{1/4} growth of the stationary-phase tail so that the
     # weighted sup decays at the interior rate t^{-2/3}.
-    lin_grid = GridSpec(cfg.get("decay.linear_n", 16384), cfg.get("decay.linear_box", 12000.0))
-    lin_width = cfg.get("decay.linear_width", 1.5)
-    h = transform(lin_grid, np.exp(-((lin_grid.x / lin_width) ** 2)))
-    times = [float(t) for t in np.exp(np.linspace(math.log(t_min), math.log(t_max), n_samples))]
+    lin_grid = GridSpec(cfg["decay.linear_n"], cfg["decay.linear_box"])
+    h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
+    times = np.exp(np.linspace(math.log(t_min), math.log(t_max), cfg["decay.samples"]))
     rows = []
-    from .spectral_core import free_evolve
-
-    for t in times:
+    for t in map(float, times):
         phi_t = free_evolve(h, t)
         dx_vals = np.abs(synthesize(derivative(phi_t, 1)))
         weight = (1.0 + np.abs(lin_grid.x) * t ** (-1.0 / 3.0)) ** (-0.25)
-        rows.append(
-            [
-                t,
-                norm(phi_t, "Linf"),
-                float(np.max(dx_vals * weight)),
-                dispersive_ratio(h, t, 0.0),
-                dispersive_ratio(h, t, 1.0),
-            ]
-        )
-    write_csv(
-        outdir / "linear_decay.csv",
-        meta,
-        ["t", "linf", "weighted_linf_dx", "ratio_beta0", "ratio_beta1"],
-        rows,
-    )
+        rows.append([t, norm(phi_t, "Linf"), float(np.max(dx_vals * weight)),
+                     dispersive_ratio(h, t, 0.0), dispersive_ratio(h, t, 1.0)])
+    ctx.csv("linear_decay.csv", ["t", "linf", "weighted_linf_dx", "ratio_beta0", "ratio_beta1"], rows)
     slope0, err0 = decay_fit([(r[0], r[1]) for r in rows], (t_min, t_max))
     slope1, err1 = decay_fit([(r[0], r[2]) for r in rows], (t_min, t_max))
     r0 = [r[3] for r in rows]
     r1 = [r[4] for r in rows]
     report = {
-        "study": "decay",
-        "metadata": meta,
         "linear": {
             "linf_slope": slope0,
             "linf_slope_stderr": err0,
@@ -564,128 +558,93 @@ def cmd_decay(args, cfg: dict, outdir: Path) -> int:
             "ratios_ok": bool(max(r0) / min(r0) <= 2.0 and max(r1) / min(r1) <= 2.0),
         },
     }
+    if ctx.args.linear_only:
+        return report
 
-    if not args.linear_only:
-        t_end = cfg.get("run.t_end", 500.0)
-        fit_min = cfg.get("decay.fit_t_min", 50.0)
-        monitor_times = tuple(
-            float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40))
-        )
-        try:
-            sim = SimConfig(
-                grid=grid,
-                coeff=coeff,
-                initial=_initial(cfg, 0.02, 3.0),
-                t_end=t_end,
-                eps_tol=cfg.get("run.eps_tol", 1e-9),
-                dt_init=cfg.get("run.dt_init"),
-                monitor_times=monitor_times,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+    t_end = cfg["run.t_end"]
+    sim = ctx.sim(tuple(float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40))))
 
-        def observer(phi, rec):
-            t = phi.time
-            rec["linf_dx"] = norm(derivative(phi, 1), "Linf")
-            rec["linf_dxx"] = norm(derivative(phi, 2), "Linf")
-            rec["sharp_product"] = sharp_decay_product(phi)
-            rec["z_norm"] = z_norm(phi, bc)
-            eb = energy(phi, t, coeff, bc)
-            rec["energy_total"] = eb.total
-            rec["h_mass_fraction"] = eb.h_mass_fraction
+    def observer(phi, rec):
+        rec["linf_dx"] = norm(derivative(phi, 1), "Linf")
+        rec["linf_dxx"] = norm(derivative(phi, 2), "Linf")
+        rec["sharp_product"] = sharp_decay_product(phi)
+        eb = energy(phi, phi.time, ctx.coeff, bc)
+        rec["z_norm"] = eb.z_norm
+        rec["energy_total"] = eb.total
+        rec["h_mass_fraction"] = eb.h_mass_fraction
 
-        state, records = run(sim, observer=observer)
-        header = [
-            "t",
-            "mass",
-            "l2",
-            "hamiltonian",
-            "linf_dx",
-            "linf_dxx",
-            "sharp_product",
-            "z_norm",
-            "energy_total",
-            "h_mass_fraction",
-        ]
-        write_csv(outdir / "decay_monitor.csv", meta, header, [[r[k] for k in header] for r in records])
+    state, records = run(sim, observer=observer)
+    header = ["t", "mass", "l2", "hamiltonian", "linf_dx", "linf_dxx", "sharp_product", "z_norm",
+              "energy_total", "h_mass_fraction"]
+    ctx.csv("decay_monitor.csv", header, [[r[k] for k in header] for r in records])
 
-        window = (fit_min, t_end)
-        sdx, sdx_err = decay_fit([(r["t"], r["linf_dx"]) for r in records if r["t"] > 0], window)
-        sdxx, sdxx_err = decay_fit([(r["t"], r["linf_dxx"]) for r in records if r["t"] > 0], window)
-        sprod, sprod_err = decay_fit([(r["t"], r["sharp_product"]) for r in records if r["t"] > 0], window)
-        e_ratio = [r["energy_total"] * (1.0 + r["t"]) ** (-2.0 * bc.p0) for r in records]
-        z_vals = [r["z_norm"] for r in records]
-        report["nonlinear"] = {
-            "steps": state.steps,
-            "rejected_steps": state.rejected,
-            "linf_dx_slope": sdx,
-            "linf_dx_slope_stderr": sdx_err,
-            "linf_dxx_slope": sdxx,
-            "linf_dxx_slope_stderr": sdxx_err,
-            "sharp_product_slope": sprod,
-            "sharp_product_slope_stderr": sprod_err,
-            "energy_ratio_max": max(e_ratio) / e_ratio[0],
-            "energy_ratio_min": min(e_ratio) / e_ratio[0],
-            "z_ratio_max": max(z_vals) / z_vals[0],
-            "z_ratio_min": min(z_vals) / z_vals[0],
-            "h_mass_fraction_min": min(r["h_mass_fraction"] for r in records),
-            "linf_dx_slope_ok": bool(abs(sdx + 0.5) <= 0.07),
-            "linf_dxx_slope_ok": bool(abs(sdxx + 0.5) <= 0.07),
-            "sharp_product_slope_ok": bool(abs(sprod + 1.0) <= 0.15),
-            "bounded_ok": bool(
-                max(e_ratio) / e_ratio[0] <= 4.0
-                and min(e_ratio) / e_ratio[0] >= 0.25
-                and max(z_vals) / z_vals[0] <= 4.0
-                and min(z_vals) / z_vals[0] >= 0.25
-            ),
-        }
+    def slope(key):
+        return decay_fit([(r["t"], r[key]) for r in records if r["t"] > 0], (cfg["decay.fit_t_min"], t_end))
 
-    write_json(outdir / "decay_report.json", report)
-    return 0
+    sdx, sdx_err = slope("linf_dx")
+    sdxx, sdxx_err = slope("linf_dxx")
+    sprod, sprod_err = slope("sharp_product")
+    e_ratio = [r["energy_total"] * (1.0 + r["t"]) ** (-2.0 * bc.p0) for r in records]
+    z_vals = [r["z_norm"] for r in records]
+    report["nonlinear"] = {
+        "steps": state.steps,
+        "rejected_steps": state.rejected,
+        "linf_dx_slope": sdx,
+        "linf_dx_slope_stderr": sdx_err,
+        "linf_dxx_slope": sdxx,
+        "linf_dxx_slope_stderr": sdxx_err,
+        "sharp_product_slope": sprod,
+        "sharp_product_slope_stderr": sprod_err,
+        "energy_ratio_max": max(e_ratio) / e_ratio[0],
+        "energy_ratio_min": min(e_ratio) / e_ratio[0],
+        "z_ratio_max": max(z_vals) / z_vals[0],
+        "z_ratio_min": min(z_vals) / z_vals[0],
+        "h_mass_fraction_min": min(r["h_mass_fraction"] for r in records),
+        "linf_dx_slope_ok": bool(abs(sdx + 0.5) <= 0.07),
+        "linf_dxx_slope_ok": bool(abs(sdxx + 0.5) <= 0.07),
+        "sharp_product_slope_ok": bool(abs(sprod + 1.0) <= 0.15),
+        "bounded_ok": bool(
+            max(e_ratio) / e_ratio[0] <= 4.0
+            and min(e_ratio) / e_ratio[0] >= 0.25
+            and max(z_vals) / z_vals[0] <= 4.0
+            and min(z_vals) / z_vals[0] >= 0.25
+        ),
+    }
+    return report
 
 
-# ---------------------------------------------------------------------------
-# scattering
-# ---------------------------------------------------------------------------
-
-def cmd_scattering(args, cfg: dict, outdir: Path) -> int:
-    grid = _grid(cfg, 8192, 6000.0)
-    coeff = _coeff(cfg, default_family="linear", default_a=1.0, default_b=0.0)
-    bc = _constants(cfg)
-    meta = _metadata(grid, coeff, bc, args.seed)
-    t_end = cfg.get("run.t_end", 128.0)
-    n_samples = cfg.get("scattering.samples", 121)
-    fit_t_min = cfg.get("scattering.fit_t_min", 16.0)
-    targets = cfg.get("scattering.target_frequencies", (1.0, 1.0011, 1.0021))
-
+# Ungated until its variant match is settled (no variant matches at the
+# defaults, see ROADMAP direction 5).
+@_study(
+    "scattering",
+    "scattering_report.json",
+    {
+        **_integrator_defaults(n=8192, box=6000.0, amplitude=0.35, width=2.0, t_end=128.0, eps_tol=1e-8),
+        "coeff.family": "linear",
+        "coeff.b": 0.0,
+        "scattering.target_frequencies": (1.0, 1.0011, 1.0021),
+        "scattering.fit_t_min": 16.0,
+        "scattering.samples": 121,
+    },
+    gated=False,
+)
+def _scattering(ctx: _Context) -> dict:
+    cfg, grid, coeff = ctx.cfg, ctx.grid, ctx.coeff
+    t_end = cfg["run.t_end"]
+    fit_t_min = cfg["scattering.fit_t_min"]
     try:
-        probe = ScatteringProbe.from_grid(grid, targets, coeff.alpha2)
+        probe = ScatteringProbe.from_grid(grid, cfg["scattering.target_frequencies"], coeff.alpha2)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
     dyadics = {float(2**k) for k in range(int(math.log2(t_end)) + 1) if 2**k <= t_end}
     geom = {
         float(t)
-        for t in np.exp(np.linspace(0.0, math.log(t_end), n_samples))[1:-1]
+        for t in np.exp(np.linspace(0.0, math.log(t_end), cfg["scattering.samples"]))[1:-1]
     }
-    monitor_times = tuple(sorted(dyadics | geom | {1.0, float(t_end)}))
-
-    try:
-        sim = SimConfig(
-            grid=grid,
-            coeff=coeff,
-            initial=_initial(cfg, 0.35, 2.0),
-            t_end=t_end,
-            eps_tol=cfg.get("run.eps_tol", 1e-8),
-            dt_init=cfg.get("run.dt_init"),
-            monitor_times=monitor_times,
-            linear_only=args.linear_only,
-            # for the purely cubic linear-family nonlinearity a padding
-            # factor of 2 already dealiases the products exactly
-            pad=2 if coeff.family == "linear" else 3,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    # for the purely cubic linear-family nonlinearity a padding factor of 2
+    # already dealiases the products exactly
+    sim = ctx.sim(tuple(sorted(dyadics | geom | {1.0, float(t_end)})), pad=2 if coeff.family == "linear" else 3)
 
     def observer(phi, rec):
         t = phi.time
@@ -705,76 +664,58 @@ def cmd_scattering(args, cfg: dict, outdir: Path) -> int:
     rows = []
     for m, t in enumerate(probe.times):
         row = [t]
-        for i in range(len(probe.frequencies)):
-            row += [
-                abs(probe.h_history[m][i]),
-                float(np.angle(probe.h_history[m][i])),
-                probe.theta["A"][m][i],
-                probe.theta["B"][m][i],
-            ]
+        for i, hh in enumerate(probe.h_history[m]):
+            row += [abs(hh), float(np.angle(hh)), probe.theta["A"][m][i], probe.theta["B"][m][i]]
         rows.append(row)
-    write_csv(outdir / "theta.csv", meta, header, rows)
+    ctx.csv("theta.csv", header, rows)
 
     reports = scattering_monitor(probe, fit_t_min=fit_t_min)
     matched = [v for v in VARIANTS if all(r["matched"] for r in reports if r["variant"] == v)]
+    frequencies = [float(x) for x in probe.frequencies]
     drift_rows = resonant_drift_measurement(
-        [float(x) for x in probe.frequencies],
+        frequencies,
+        grid,
         alpha2=coeff.alpha2,
-        amplitude=cfg.get("initial.amplitude", 0.35),
-        width=cfg.get("initial.width", 2.0),
-        grid=grid,
+        amplitude=cfg["initial.amplitude"],
+        width=cfg["initial.width"],
     )
     window_floor = min(
-        float(np.min(frequency_window(t, probe.frequencies, bc))) for t in (fit_t_min, t_end)
+        float(np.min(frequency_window(t, probe.frequencies, ctx.bc))) for t in (fit_t_min, t_end)
     )
-    report = {
-        "study": "scattering",
-        "metadata": meta,
-        "probe_frequencies": [float(x) for x in probe.frequencies],
+    return {
+        "probe_frequencies": frequencies,
         "window_floor": window_floor,
         "per_variant": reports,
         "matched_variant": matched[0] if len(matched) == 1 else "none",
         "variant_coefficients": {
-            v: [theta_coefficient(float(x), coeff.alpha2, v) for x in probe.frequencies]
-            for v in VARIANTS
+            v: [theta_coefficient(x, coeff.alpha2, v) for x in frequencies] for v in VARIANTS
         },
         "frozen_profile_drift": drift_rows,
-        "stationary_phase_drift": [
-            stationary_phase_drift(float(x), coeff.alpha2) for x in probe.frequencies
-        ],
+        "stationary_phase_drift": [stationary_phase_drift(x, coeff.alpha2) for x in frequencies],
     }
-    write_json(outdir / "scattering_report.json", report)
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# resonance
-# ---------------------------------------------------------------------------
-
-def cmd_resonance(args, cfg: dict, outdir: Path) -> int:
-    coeff = _coeff(cfg)
-    bc = _constants(cfg)
-    j_min = cfg.get("resonance.j_min", -4)
-    j_max = cfg.get("resonance.j_max", 4)
-    n_axis = cfg.get("resonance.n_axis", 384)
+@_study(
+    "resonance",
+    "resonance_report.json",
+    {"resonance.j_min": -4, "resonance.j_max": 4, "resonance.n_axis": 384},
+    grid=_DESK_GRID,
+)
+def _resonance(ctx: _Context) -> dict:
+    j_min, j_max = ctx.cfg["resonance.j_min"], ctx.cfg["resonance.j_max"]
+    n_axis = ctx.cfg["resonance.n_axis"]
     if j_min > j_max:
         raise ConfigError("resonance.j_min must be <= resonance.j_max")
     tasks = [(which, j) for which in ("T1", "dT1") for j in range(j_min, j_max + 1)]
 
     def evaluate(task):
         which, j = task
-        rep = dyadic_symbol_bound(j, j, j, coeff.alpha2, which=which, n_axis=n_axis, refine=True)
+        rep = dyadic_symbol_bound(j, j, j, ctx.coeff.alpha2, which=which, n_axis=n_axis, refine=True)
         return [which, j, rep["ratio"], rep["refined_ratio"], rep["rel_change"]]
 
-    rows = _map(evaluate, tasks, args.threads)
-    meta = _metadata(GridSpec(16, 2.0 * math.pi), coeff, bc, args.seed)
-    meta["n_axis"] = n_axis
-    write_csv(
-        outdir / "resonance.csv",
-        meta,
-        ["which", "j1", "ratio", "refined_ratio", "rel_change"],
-        rows,
-    )
+    rows = _map(evaluate, tasks, ctx.args.threads)
+    ctx.meta["n_axis"] = n_axis
+    ctx.csv("resonance.csv", ["which", "j1", "ratio", "refined_ratio", "rel_change"], rows)
     summary = {}
     for which in ("T1", "dT1"):
         vals = [r[2] for r in rows if r[0] == which]
@@ -787,48 +728,39 @@ def cmd_resonance(args, cfg: dict, outdir: Path) -> int:
             "spread_ok": bool(max(vals) / min(vals) <= 10.0),
             "doubling_ok": bool(max(changes) <= 0.02),
         }
-    report = {"study": "resonance", "metadata": meta, "summary": summary}
-    write_json(outdir / "resonance_report.json", report)
-    _raise_on_false_gates(report)
-    return 0
+    return {"summary": summary}
 
 
-# ---------------------------------------------------------------------------
-# oscillatory
-# ---------------------------------------------------------------------------
-
-def cmd_oscillatory(args, cfg: dict, outdir: Path) -> int:
-    coeff = _coeff(cfg)
-    bc = _constants(cfg)
-    meta = _metadata(GridSpec(16, 2.0 * math.pi), coeff, bc, args.seed)
-    b_values = cfg.get("oscillatory.b_values", (8.0, 16.0, 32.0, 64.0, 128.0))
-    t_min = cfg.get("oscillatory.t_min", 3.0)
-    t_max = cfg.get("oscillatory.t_max", 96.0)
-    n_t = cfg.get("oscillatory.samples", 45)
-
-    results = _map(two_pi_identity, b_values, args.threads)
-    rows = [[r.parameter, r.value.real, r.value.imag, r.error] for r in results]
-    write_csv(outdir / "two_pi.csv", meta, ["parameter", "value_re", "value_im", "error"], rows)
+@_study(
+    "oscillatory",
+    "oscillatory_report.json",
+    {
+        "oscillatory.b_values": (8.0, 16.0, 32.0, 64.0, 128.0),
+        "oscillatory.t_min": 3.0,
+        "oscillatory.t_max": 96.0,
+        "oscillatory.samples": 45,
+    },
+    grid=_DESK_GRID,
+)
+def _oscillatory(ctx: _Context) -> dict:
+    t_min, t_max = ctx.cfg["oscillatory.t_min"], ctx.cfg["oscillatory.t_max"]
+    alpha2 = ctx.coeff.alpha2
+    results = _map(two_pi_identity, ctx.cfg["oscillatory.b_values"], ctx.args.threads)
+    columns = ["parameter", "value_re", "value_im", "error"]
+    ctx.csv("two_pi.csv", columns, [[r.parameter, r.value.real, r.value.imag, r.error] for r in results])
 
     self_tests = [gaussian_two_pi_selftest(b) for b in (8.0, 16.0)]
 
     def t_grid(lo, hi):
-        return [float(t) for t in np.exp(np.linspace(math.log(lo), math.log(hi), n_t))]
+        return [float(t) for t in np.exp(np.linspace(math.log(lo), math.log(hi), ctx.cfg["oscillatory.samples"]))]
 
-    separated = nonresonant_decay_study(t_grid(t_min, t_max), region="separated", alpha2=coeff.alpha2)
-    resonant = nonresonant_decay_study(t_grid(t_min, 3.0 * t_max), region="resonant", alpha2=coeff.alpha2)
+    separated = nonresonant_decay_study(t_grid(t_min, t_max), region="separated", alpha2=alpha2)
+    resonant = nonresonant_decay_study(t_grid(t_min, 3.0 * t_max), region="resonant", alpha2=alpha2)
     for name, study in (("separated", separated), ("resonant", resonant)):
-        write_csv(
-            outdir / f"{name}.csv",
-            meta,
-            ["parameter", "value_re", "value_im", "error"],
-            [[t, v, 0.0, 0.0] for t, v in study["series"]],
-        )
+        ctx.csv(f"{name}.csv", columns, [[t, v, 0.0, 0.0] for t, v in study["series"]])
 
     weighted = [r.error * math.sqrt(r.parameter) for r in results]
-    report = {
-        "study": "oscillatory",
-        "metadata": meta,
+    return {
         "two_pi": {
             "b_values": [r.parameter for r in results],
             "errors": [r.error for r in results],
@@ -848,23 +780,27 @@ def cmd_oscillatory(args, cfg: dict, outdir: Path) -> int:
             "resonant_ok": bool(resonant["slope"] >= -0.7),
         },
     }
-    write_json(outdir / "oscillatory_report.json", report)
-    _raise_on_false_gates(report)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "identities": cmd_identities,
-    "simulate": cmd_simulate,
-    "decay": cmd_decay,
-    "scattering": cmd_scattering,
-    "resonance": cmd_resonance,
-    "oscillatory": cmd_oscillatory,
-}
+STUDIES = tuple(_STUDIES)
+
+
+def _key_parsers() -> dict:
+    """Each config key's parser: the type of its default, the same in every study."""
+    parsers = {"study.kind": str, "initial.snapshot": str, "run.dt_init": float}
+    for study in _STUDIES.values():
+        for key, default in study.defaults.items():
+            parser = _float_list if isinstance(default, tuple) else type(default)
+            if parsers.setdefault(key, parser) is not parser:
+                raise TypeError(f"config key {key!r} has defaults of different types")
+    return parsers
+
+
+_KEY_PARSERS = _key_parsers()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -892,7 +828,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is for study {kind!r}, invoked as {args.study!r}")
         outdir = Path(args.out) if args.out else Path("qmkdv_out") / args.study
         outdir.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[args.study](args, cfg, outdir)
+        return _run_study(_STUDIES[args.study], args, cfg, outdir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

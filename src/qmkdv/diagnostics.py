@@ -33,18 +33,16 @@ from .model import BootstrapConstants, CoefficientSpec, hamiltonian, nonlinearit
 from .littlewood_paley import _smooth_step
 from .spectral_core import (
     GridSpec,
-    NonZeroMean,
     SpectralField,
+    _require_zero_mean,
     antiderivative,
     derivative,
     fractional_abs_derivative,
     free_evolve,
     mass_fraction_inside,
     norm,
-    padded_values,
     profile_from_solution,
     synthesize,
-    transform,
     xi_derivative_coefficients,
     xi_l2_norm,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "scattering_monitor",
     "decay_fit",
     "dispersive_ratio",
-    "weighted_norm_equivalence",
     "sharp_decay_product",
 ]
 
@@ -106,12 +103,6 @@ class EnergyBreakdown:
         )
 
 
-def _require_zero_mean(phi: SpectralField) -> None:
-    scale = float(np.max(np.abs(phi.coeffs)))
-    if np.abs(phi.coeffs[0]) > 1e-10 * max(1.0, scale):
-        raise NonZeroMean(f"zero mode {phi.coeffs[0]:.3e} is not zero")
-
-
 def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) -> float:
     """sup_xi (|xi|^{gamma_l} + |xi|^{gamma_h}) |phihat(xi)|."""
     axi = np.abs(phi.grid.xi)
@@ -126,9 +117,12 @@ def scaling_field_spectral(phi: SpectralField, t: float, spec: CoefficientSpec, 
     At t=0 this reduces to F[x d_x phi] = -d_xi(xi phihat).
     """
     _require_zero_mean(phi)
+    return _scaling_field(phi, t, spec, pad, xi_derivative_coefficients(profile_from_solution(phi, t)))
+
+
+def _scaling_field(phi: SpectralField, t: float, spec: CoefficientSpec, pad: int, dh: np.ndarray) -> SpectralField:
+    """S phi given dh, the xi-derivative of the profile at time t."""
     g = phi.grid
-    h = profile_from_solution(phi, t)
-    dh = xi_derivative_coefficients(h)
     out = -np.exp(1j * t * g.xi**3) * g.xi * dh - phi.coeffs
     if t != 0.0:
         out = out - 3.0 * t * nonlinearity_full(phi, spec, pad).coeffs
@@ -143,12 +137,10 @@ def energy(
     pad: int = 3,
 ) -> EnergyBreakdown:
     """The six-summand energy, Z-norm and Hamiltonian at one time."""
-    _require_zero_mean(phi)
+    e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
     h = profile_from_solution(phi, t)
     dh = xi_derivative_coefficients(h)
-    s_phi = scaling_field_spectral(phi, t, spec, pad)
-
-    e1 = norm(antiderivative(phi), "L2") ** 2
+    s_phi = _scaling_field(phi, t, spec, pad, dh)
     e2 = norm(phi, "Hs", s=bc.s) ** 2
     e3 = norm(antiderivative(s_phi), "L2") ** 2
     e4 = norm(s_phi, "L2") ** 2
@@ -380,34 +372,8 @@ def dispersive_ratio(h: SpectralField, t: float, beta: float, n: int = 0) -> flo
 
 
 # ---------------------------------------------------------------------------
-# Weighted-derivative norm equivalence and the sharp-decay product
+# The sharp-decay product
 # ---------------------------------------------------------------------------
-
-
-def weighted_norm_equivalence(
-    phi: SpectralField, spec: CoefficientSpec, k: int, pad: int = 3
-) -> tuple[float, float]:
-    """Compare ||phi||_{L2} + ||phi_k (c1 d_x)^k phi||_{L2} with ||phi||_{H^k}.
-
-    phi_k = c1(phi)^{-(k-1)/3}.  Returns the two mutual ratios sorted
-    ascending; in the smallness regime (||phi||_{W^{2,inf}} <= 0.1) both are
-    expected inside [1/2, 2].
-    """
-    if not 1 <= k <= 4:
-        raise ValueError("k must lie in 1..4")
-    g = phi.grid
-    fine = GridSpec(pad * g.n, g.box_length)
-    u = np.real(padded_values(phi, pad))
-    c1 = spec.c1_of(u)
-    w = u.astype(np.complex128)
-    for _ in range(k):
-        w = c1 * synthesize(derivative(transform(fine, w), 1))
-    weight = c1 ** (-(k - 1) / 3.0)
-    weighted = float(np.sqrt(fine.dx * np.sum(np.abs(weight * w) ** 2)))
-    a = norm(phi, "L2") + weighted
-    hk = norm(phi, "Hs", s=float(k))
-    r = a / hk
-    return (min(r, 1.0 / r), max(r, 1.0 / r))
 
 
 def sharp_decay_product(phi: SpectralField) -> float:

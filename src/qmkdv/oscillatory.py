@@ -90,7 +90,7 @@ def _two_pi_value(B: float, n: int) -> complex:
     return complex(du * np.sum(lp.bump(u / B**2) * psicheck))
 
 
-def two_pi_identity(B: float, n: int | None = None) -> OscillatoryResult:
+def two_pi_identity(B: float) -> OscillatoryResult:
     """Quadratic-phase mass identity with a resolution-doubling gate.
 
     The grid keeps at least 32 points per oscillation of psicheck (whose
@@ -101,10 +101,9 @@ def two_pi_identity(B: float, n: int | None = None) -> OscillatoryResult:
     """
     if B < 4.0:
         raise ValueError("B must be >= 4")
-    if n is None:
-        u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25
-        per_unit = 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi)  # 32 points per oscillation
-        n = int(2 ** math.ceil(math.log2(u_extent * per_unit)))
+    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25
+    per_unit = 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi)  # 32 points per oscillation
+    n = int(2 ** math.ceil(math.log2(u_extent * per_unit)))
     value = _two_pi_value(B, n)
     refined = _two_pi_value(B, 2 * n)
     reference = 2.0 * math.pi
@@ -125,7 +124,7 @@ def two_pi_identity(B: float, n: int | None = None) -> OscillatoryResult:
     )
 
 
-def gaussian_two_pi_selftest(B: float, n: int | None = None) -> OscillatoryResult:
+def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
     """Same pipeline with a Gaussian cutoff, checked against the closed form.
 
     iint e^{-i x1 x2} e^{-x1^2/B^2} e^{-x2^2/B^2} dx1 dx2
@@ -135,8 +134,7 @@ def gaussian_two_pi_selftest(B: float, n: int | None = None) -> OscillatoryResul
     if B < 4.0:
         raise ValueError("B must be >= 4")
     half_width = 8.0 * B  # e^{-64}: far below double precision
-    if n is None:
-        n = int(2 ** math.ceil(math.log2(40.7 * B**2)))
+    n = int(2 ** math.ceil(math.log2(40.7 * B**2)))
     # inner integral over x1, evaluated spectrally on the dual grid
     grid = GridSpec(n=n, box_length=2.0 * half_width)
     g = field_from_coefficients(grid, np.exp(-grid.xi**2 / B**2).astype(np.complex128))
@@ -199,16 +197,6 @@ def _band(center: float, width: float):
     return f
 
 
-def _sym_band(center: float, width: float):
-    """Hermitian-symmetric real band: bumps at +-center."""
-
-    def f(eta):
-        eta = np.asarray(eta)
-        return lp.bump((eta - center) / width) + lp.bump((eta + center) / width)
-
-    return f
-
-
 SEPARATED_REGION = {
     # disjoint bands placed so that on the whole support xi - eta2 >= 0.16
     # and eta1 - eta3 >= 0.17: the first-argument phase gradient
@@ -243,20 +231,10 @@ def _profile_from_spec(spec):
     kind, center, width = spec
     if kind == "band":
         return _band(center, width)
-    if kind == "sym_band":
-        return _sym_band(center, width)
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
-def nonresonant_decay_study(
-    t_list,
-    region: str = "separated",
-    alpha2: float = 1.0,
-    n: int | None = None,
-    box: float | None = None,
-    envelope_bin: int = 3,
-    window: tuple[float, float] | None = None,
-) -> dict:
+def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1.0) -> dict:
     """Fitted envelope decay of |I(t)| for a named interaction region.
 
     region "separated": disjoint bands on which the phase gradient in the
@@ -264,9 +242,9 @@ def nonresonant_decay_study(
     everywhere; fast decay).  region "resonant": bands overlapping the
     stationary set at small output frequency (decay saturates around
     t^{-2/3}).  The envelope takes the maximum of |I| over the sampled
-    output frequencies and over bins of `envelope_bin` consecutive times,
-    then fits a log-log slope over the region's fit window (overridable).
-    Lattice parameters default to the per-region calibrated values.
+    output frequencies and over bins of three consecutive times,
+    then fits a log-log slope over the region's fit window (all of the
+    envelope when the region has none), on the region's calibrated lattice.
     """
     from .diagnostics import InsufficientData, decay_fit
 
@@ -274,10 +252,8 @@ def nonresonant_decay_study(
     if len(t_list) < 8:
         raise InsufficientData("need at least 8 times")
     spec = {"separated": SEPARATED_REGION, "resonant": RESONANT_REGION}[region]
-    n = spec["n"] if n is None else n
-    box = spec["box"] if box is None else box
-    window = spec["window"] if window is None else window
-    grid = GridSpec(n=n, box_length=box)
+    window = spec["window"]
+    grid = GridSpec(n=spec["n"], box_length=spec["box"])
     h1 = _profile_from_spec(spec["h1"])
     h2 = _profile_from_spec(spec["h2"])
     h3 = _profile_from_spec(spec["h3"])
@@ -287,9 +263,9 @@ def nonresonant_decay_study(
         mags = np.maximum(mags, np.abs(vals))
     # envelope: max over bins of consecutive samples, at the geometric mean t
     env = []
-    for i in range(0, len(t_list) - envelope_bin + 1, envelope_bin):
-        ts = t_list[i : i + envelope_bin]
-        vs = mags[i : i + envelope_bin]
+    for i in range(0, len(t_list) - 2, 3):
+        ts = t_list[i : i + 3]
+        vs = mags[i : i + 3]
         env.append((math.exp(np.mean(np.log(ts))), float(np.max(vs))))
     if window is None:
         window = (env[0][0], env[-1][0])
@@ -323,13 +299,7 @@ def stationary_phase_drift(xi: float, alpha2: float) -> float:
 
 
 def resonant_drift_measurement(
-    targets,
-    alpha2: float = 1.0,
-    amplitude: float = 0.35,
-    width: float = 2.0,
-    grid: GridSpec | None = None,
-    t_window: tuple | None = None,
-    samples: int = 96,
+    targets, grid: GridSpec, alpha2: float = 1.0, amplitude: float = 0.35, width: float = 2.0
 ) -> list[dict]:
     """Measured drift coefficient from a frozen profile, by FFT.
 
@@ -339,27 +309,24 @@ def resonant_drift_measurement(
         I(t; xi) = -e^{-i t xi^3} F[N3(e^{-t d_x^3} h)](xi) ,
 
     so t * Re[I / (i |hhat|^2 hhat)] converges to the drift coefficient as t
-    grows (relative error O(1/t)); averaging over a time window suppresses
-    the oscillatory contribution of the space-only stationary point.
+    grows (relative error O(1/t)); averaging over 96 times of a
+    window suppresses the oscillatory contribution of the space-only
+    stationary point.
 
     The window must stay clear of periodic wrap-around: the Airy group
     velocity is 3 eta^2, so radiation carried by the profile (|eta| up to
-    about 2 for the default width) re-enters after t ~ box_length/24.  When
-    ``t_window`` is None it is derived from the box as (box/54, box/18),
-    balancing the O(1/t) systematic error against wrap contamination.
+    about 2 for the default width) re-enters after t ~ box_length/24.  The
+    window is (box/54, box/18), balancing the O(1/t) systematic error
+    against wrap contamination.
     """
     if alpha2 < 0:
         raise ValueError("alpha2 must be nonnegative")
-    if grid is None:
-        grid = GridSpec(n=4096, box_length=1600.0)
-    if t_window is None:
-        t_window = (grid.box_length / 54.0, grid.box_length / 18.0)
     spec = CoefficientSpec(family="linear", a=math.sqrt(alpha2))
     u = amplitude * np.exp(-((grid.x / width) ** 2))
     h = transform(grid, u)
     idx = [int(round(x / grid.dxi)) for x in targets]
-    ts = np.linspace(t_window[0], t_window[1], samples)
-    acc = np.zeros((len(idx), samples))
+    ts = np.linspace(grid.box_length / 54.0, grid.box_length / 18.0, 96)
+    acc = np.zeros((len(idx), ts.size))
     for s, t in enumerate(ts):
         phi = free_evolve(h, float(t))
         n3, _, _ = nonlinearity_split(phi, spec)

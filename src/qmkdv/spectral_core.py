@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,11 +184,17 @@ def fractional_abs_derivative(f: SpectralField, beta: float) -> SpectralField:
 MEAN_TOLERANCE = 1e-10
 
 
-def antiderivative(f: SpectralField) -> SpectralField:
-    """Inverse of `derivative(.., 1)` on zero-mean fields: division by i*xi."""
+def _require_zero_mean(f: SpectralField) -> None:
+    """Raise NonZeroMean unless the zero mode is below MEAN_TOLERANCE of the
+    largest coefficient (or of 1, if that is larger)."""
     scale = np.max(np.abs(f.coeffs))
     if np.abs(f.coeffs[0]) > MEAN_TOLERANCE * max(1.0, scale):
         raise NonZeroMean(f"zero mode {f.coeffs[0]:.3e} exceeds tolerance")
+
+
+def antiderivative(f: SpectralField) -> SpectralField:
+    """Inverse of `derivative(.., 1)` on zero-mean fields: division by i*xi."""
+    _require_zero_mean(f)
     xi = f.grid.xi.astype(np.complex128)
     xi[0] = 1.0  # avoid 0/0; the zero mode is forced to zero below
     out = f.coeffs / (1j * xi)
