@@ -51,6 +51,7 @@ from .model import (
     grad_phase_phi,
     phase_phi,
     resonance_points,
+    scaling_field_direct,
     symbol_t1,
     symbol_t2,
 )
@@ -444,14 +445,12 @@ def _identities(ctx: _Context) -> dict:
     u = np.exp(-(g.x**2))
     f = transform(g, u)
 
-    def s_apply(field):
-        return transform(g, g.x * np.real(synthesize(derivative(field, 1))))
-
-    lhs1 = s_apply(derivative(f, 1)).coeffs - derivative(s_apply(f), 1).coeffs
+    s_f = scaling_field_direct(f, 0.0, ctx.coeff)
+    lhs1 = scaling_field_direct(derivative(f, 1), 0.0, ctx.coeff).coeffs - derivative(s_f, 1).coeffs
     rhs1 = -derivative(f, 1).coeffs
     c1 = norm(f.with_coeffs(lhs1 - rhs1), "L2") / norm(f.with_coeffs(rhs1), "L2")
 
-    lhs3 = s_apply(derivative(f, 3)).coeffs - derivative(s_apply(f), 3).coeffs
+    lhs3 = scaling_field_direct(derivative(f, 3), 0.0, ctx.coeff).coeffs - derivative(s_f, 3).coeffs
     rhs3 = -3.0 * derivative(f, 3).coeffs
     c3 = norm(f.with_coeffs(lhs3 - rhs3), "L2") / norm(f.with_coeffs(rhs3), "L2")
 
@@ -530,7 +529,10 @@ def _decay(ctx: _Context) -> dict:
     # one derivative the sup is weighted by (1+|x|/t^{1/3})^{-1/4}, which
     # cancels the |x|^{1/4} growth of the stationary-phase tail so that the
     # weighted sup decays at the interior rate t^{-2/3}.
-    lin_grid = GridSpec(cfg["decay.linear_n"], cfg["decay.linear_box"])
+    try:
+        lin_grid = GridSpec(cfg["decay.linear_n"], cfg["decay.linear_box"])
+    except ValueError as e:
+        raise ConfigError(f"decay.linear_n/linear_box: {e}") from e
     h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
     times = np.exp(np.linspace(math.log(t_min), math.log(t_max), cfg["decay.samples"]))
     rows = []
@@ -614,7 +616,7 @@ def _decay(ctx: _Context) -> dict:
 
 
 # Ungated until its variant match is settled (no variant matches at the
-# defaults, see ROADMAP direction 5).
+# defaults, see ROADMAP direction 4).
 @_study(
     "scattering",
     "scattering_report.json",
@@ -745,7 +747,10 @@ def _resonance(ctx: _Context) -> dict:
 def _oscillatory(ctx: _Context) -> dict:
     t_min, t_max = ctx.cfg["oscillatory.t_min"], ctx.cfg["oscillatory.t_max"]
     alpha2 = ctx.coeff.alpha2
-    results = _map(two_pi_identity, ctx.cfg["oscillatory.b_values"], ctx.args.threads)
+    b_values = ctx.cfg["oscillatory.b_values"]
+    if min(b_values) < 4.0:
+        raise ConfigError(f"oscillatory.b_values must all be >= 4, got {b_values}")
+    results = _map(two_pi_identity, b_values, ctx.args.threads)
     columns = ["parameter", "value_re", "value_im", "error"]
     ctx.csv("two_pi.csv", columns, [[r.parameter, r.value.real, r.value.imag, r.error] for r in results])
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BootstrapConstants, CoefficientSpec, hamiltonian, nonlinearity_full
+from .model import BootstrapConstants, CoefficientSpec, nonlinearity_full
 from .littlewood_paley import _smooth_step
 from .spectral_core import (
     GridSpec,
@@ -88,19 +88,7 @@ class EnergyBreakdown:
     dxi_profile_sq: float
     total: float
     z_norm: float
-    hamiltonian: float
-    t: float
     h_mass_fraction: float
-
-    def summands(self) -> tuple:
-        return (
-            self.antiderivative_sq,
-            self.sobolev_sq,
-            self.scaling_antiderivative_sq,
-            self.scaling_sq,
-            self.xi_dxi_profile_sq,
-            self.dxi_profile_sq,
-        )
 
 
 def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) -> float:
@@ -136,7 +124,7 @@ def energy(
     bc: BootstrapConstants = BootstrapConstants(),
     pad: int = 3,
 ) -> EnergyBreakdown:
-    """The six-summand energy, Z-norm and Hamiltonian at one time."""
+    """The six-summand energy and the Z-norm at one time."""
     e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
     h = profile_from_solution(phi, t)
     dh = xi_derivative_coefficients(h)
@@ -155,8 +143,6 @@ def energy(
         dxi_profile_sq=e6,
         total=e1 + e2 + e3 + e4 + e5 + e6,
         z_norm=z_norm(phi, bc),
-        hamiltonian=hamiltonian(phi, spec, pad),
-        t=t,
         h_mass_fraction=mass_fraction_inside(h),
     )
 

@@ -38,9 +38,10 @@ __all__ = [
     "SimConfig",
     "SimState",
     "initial_field",
+    "default_dt_init",
     "lawson_step",
     "step",
-    "fixed_step_run",
+    "monitor_record",
     "run",
 ]
 
@@ -194,21 +195,6 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
             )
         rejected += 1
         dt = dt_try * factor
-
-
-def fixed_step_run(
-    phi0: SpectralField,
-    spec: CoefficientSpec,
-    dt: float,
-    n_steps: int,
-    linear_only: bool = False,
-    pad: int = 3,
-) -> SpectralField:
-    """n_steps equal Lawson steps without error control (order studies)."""
-    phi = phi0
-    for _ in range(n_steps):
-        phi = enforce_real_zero_mean(lawson_step(phi, spec, dt, linear_only, pad))
-    return phi
 
 
 def monitor_record(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> dict:

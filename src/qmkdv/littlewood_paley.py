@@ -15,33 +15,27 @@ The multiplier norm used for symbol estimates is
 
 computed by tensor trapezoid sums on grids whose extent covers the symbol's
 support with margin (symbols are always compactly cut off before this norm
-is taken).
+is taken).  The symbols met here are short sums of tensor products of
+per-axis factors, so the inverse transform is contracted one axis at a time
+(:func:`s_infty_separable`) and never assembled as a dense 3D array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral_core import GridSpec, SpectralField, synthesize, xi_l2_norm, xi_derivative_coefficients
 
 __all__ = [
-    "PLATEAU_EDGE",
-    "SUPPORT_EDGE",
     "UnresolvedSymbol",
     "DegenerateInput",
     "bump",
     "psi_k",
     "psi_le",
-    "psi_ge",
     "psi_tilde",
     "project",
-    "band_l2_norm",
     "b_norm",
-    "SymbolGrid",
-    "s_infty_norm",
-    "s_infty_with_refinement",
+    "s_infty_separable",
     "interpolation_ratio",
 ]
 
@@ -83,11 +77,6 @@ def psi_le(xi, k: int, psi=bump):
     return psi(np.asarray(xi) / 2.0**k)
 
 
-def psi_ge(xi, k: int, psi=bump):
-    """High-pass cutoff 1 - psi(xi/2^{k-1}) (sum of psi_j for j >= k)."""
-    return 1.0 - psi(np.asarray(xi) / 2.0 ** (k - 1))
-
-
 def psi_tilde(xi, k: int, psi=bump):
     """Fattened annulus psi_{k-1} + psi_k + psi_{k+1}; equals 1 on supp psi_k."""
     return psi(np.asarray(xi) / 2.0 ** (k + 1)) - psi(np.asarray(xi) / 2.0 ** (k - 2))
@@ -96,7 +85,6 @@ def psi_tilde(xi, k: int, psi=bump):
 _SELECTORS = {
     "k": psi_k,
     "le": psi_le,
-    "ge": psi_ge,
     "tilde": psi_tilde,
 }
 
@@ -104,26 +92,13 @@ _SELECTORS = {
 def project(f: SpectralField, selector: str, k: int) -> SpectralField:
     """Fourier multiplier projection.
 
-    selector: "k" (P_k), "le" (P_{<=k}), "ge" (P_{>=k}), "tilde" (~P_k).
+    selector: "k" (P_k), "le" (P_{<=k}), "tilde" (~P_k).
     """
     try:
         window = _SELECTORS[selector]
     except KeyError:
         raise ValueError(f"unknown selector {selector!r}") from None
     return f.with_coeffs(f.coeffs * window(f.grid.xi, k))
-
-
-def band_l2_norm(k: int, num_nodes: int) -> float:
-    """Trapezoid value of ||psi_k||_{L^2(dxi)} with an explicit node count.
-
-    Nodes cover the band's support [-8/5 2^k, 8/5 2^k]; letting callers vary
-    num_nodes with k makes the 2^{k/2} scaling law a genuine quadrature
-    statement rather than an artifact of affinely reused nodes.
-    """
-    edge = SUPPORT_EDGE * 2.0**k
-    xs = np.linspace(-edge, edge, num_nodes)
-    vals = psi_k(xs, k) ** 2
-    return float(np.sqrt(np.trapezoid(vals, xs)))
 
 
 def _feasible_bands(grid: GridSpec) -> range:
@@ -153,84 +128,8 @@ def b_norm(f: SpectralField, a: float, b: float, tail: float = 1e-14) -> float:
 
 
 # ---------------------------------------------------------------------------
-# S_infty multiplier norm on sampled symbols
+# S_infty multiplier norm of separable symbols
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolGrid:
-    """Symbol samples on a tensor grid of frequencies (FFT order per axis)."""
-
-    axes: tuple[GridSpec, ...]
-    values: np.ndarray
-
-    @classmethod
-    def from_function(cls, fn, xi_extents, n_axis) -> "SymbolGrid":
-        """Sample fn on a tensor grid; xi_extents are full per-axis widths."""
-        xi_extents = np.atleast_1d(np.asarray(xi_extents, dtype=np.float64))
-        d = xi_extents.size
-        if isinstance(n_axis, int):
-            n_axis = (n_axis,) * d
-        # GridSpec with box_length Y makes grid.xi cover [-pi n/Y, pi n/Y);
-        # choose Y so that the xi samples span the requested extent.
-        axes = tuple(
-            GridSpec(n=int(n), box_length=2.0 * np.pi * n / extent)
-            for n, extent in zip(n_axis, xi_extents)
-        )
-        mesh = np.meshgrid(*(ax.xi for ax in axes), indexing="ij", sparse=True)
-        vals = np.asarray(fn(*mesh), dtype=np.complex128)
-        return cls(axes=axes, values=np.broadcast_to(vals, tuple(ax.n for ax in axes)).copy())
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
-
-
-def _boundary_defect(sg: SymbolGrid) -> float:
-    peak = float(np.max(np.abs(sg.values)))
-    if peak == 0.0:
-        return 0.0
-    worst = 0.0
-    for axis, ax in enumerate(sg.axes):
-        sl = [slice(None)] * sg.dimension
-        sl[axis] = ax.n // 2  # the most negative represented frequency
-        worst = max(worst, float(np.max(np.abs(sg.values[tuple(sl)]))))
-        sl[axis] = ax.n // 2 - 1  # the most positive one
-        worst = max(worst, float(np.max(np.abs(sg.values[tuple(sl)]))))
-    return worst / peak
-
-
-def s_infty_norm(sg: SymbolGrid) -> float:
-    """L^1 norm of the inverse transform of the sampled symbol."""
-    if _boundary_defect(sg) > 1e-14:
-        raise UnresolvedSymbol(
-            f"symbol boundary defect {_boundary_defect(sg):.2e} exceeds 1e-14; enlarge the grid"
-        )
-    vals = sg.values
-    d = sg.dimension
-    for axis, ax in enumerate(sg.axes):
-        shape = [1] * d
-        shape[axis] = ax.n
-        vals = vals * ax.parity.reshape(shape)
-    inv = np.fft.ifftn(vals)
-    scale = 1.0
-    dy = 1.0
-    for ax in sg.axes:
-        scale *= ax.n * ax.dxi
-        dy *= ax.dx
-    return float(np.sum(np.abs(inv)) * scale * dy)
-
-
-def s_infty_with_refinement(fn, xi_extents, n_axis) -> dict:
-    """S_infty value plus a doubling-stability report {value, refined_value, rel_change}."""
-    coarse = s_infty_norm(SymbolGrid.from_function(fn, xi_extents, n_axis))
-    if isinstance(n_axis, int):
-        fine_n = 2 * n_axis
-    else:
-        fine_n = tuple(2 * n for n in n_axis)
-    fine = s_infty_norm(SymbolGrid.from_function(fn, xi_extents, fine_n))
-    rel = abs(fine - coarse) / max(abs(fine), 1e-300)
-    return {"value": coarse, "refined_value": fine, "rel_change": rel}
 
 
 def s_infty_separable(axes, coeffs, factors) -> float:
@@ -240,9 +139,9 @@ def s_infty_separable(axes, coeffs, factors) -> float:
     grid described by ``axes`` (one GridSpec per axis; ``factors[i]`` is an
     (m, axes[i].n) array sampled at axes[i].xi).  Because the inverse FFT of
     an outer product is the outer product of the 1D inverse FFTs, the value
-    equals s_infty_norm of the densely assembled SymbolGrid to round-off,
-    but the y-lattice can be made far larger than a dense 3D array allows.
-    Supports one to three axes.
+    equals that of one dense n-dimensional inverse FFT of the assembled
+    symbol to round-off, but the y-lattice can be made far larger than a
+    dense 3D array allows.  Supports one to three axes.
 
     Input contract: the coefficients and every factor row are real, and each
     row is even or odd in xi (to 1e-12 of its peak after the transform), so

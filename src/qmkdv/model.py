@@ -4,19 +4,17 @@ The evolution equation is
 
     phi_t + phi_xxx + d_x(phi^3) + d_x( c(phi) d_x( c(phi) d_x phi ) ) = 0,
 
-with a coefficient function c vanishing at 0.  Everything downstream depends
-only on the first Taylor data of c through
+with a coefficient function c vanishing at 0.  The interaction analysis
+depends only on the first Taylor data of c through
 
-    alpha2 = c'(0)^2,        alpha3 = (1/2) c''(0) c'(0),
-
-and on the modified dispersion weight c1(phi) = sqrt(c(phi)^2 + 1) >= 1.
+    alpha2 = c'(0)^2,        alpha3 = (1/2) c''(0) c'(0).
 
 This module supplies the nonlinearity N(phi) (divergence form, so its zero
 mode vanishes exactly), its cubic/quartic/quintic-and-higher splitting, the
-trilinear and quadrilinear interaction symbols, the cubic and quartic phase
-functions with their resonance geometry, dyadic multiplier bounds for the
-cubic symbol, the scaling vector field S = x d_x + 3t d_t, and the weighted
-derivatives (c1 d_x)^k used by the norm-equivalence diagnostics.
+trilinear and quadrilinear interaction symbols, the cubic phase with its
+resonance geometry, dyadic multiplier bounds for the cubic symbol and its
+first-argument derivative, the scaling vector field S = x d_x + 3t d_t, and
+the conserved mass and Hamiltonian.
 """
 
 from __future__ import annotations
@@ -44,19 +42,13 @@ __all__ = [
     "ZeroFrequency",
     "nonlinearity_full",
     "nonlinearity_split",
-    "quintic_remainder_display",
     "symbol_t1",
-    "symbol_t1_d1",
     "symbol_t2",
     "phase_phi",
     "grad_phase_phi",
-    "phase_quartic",
-    "grad_phase_quartic",
     "resonance_points",
     "dyadic_symbol_bound",
     "scaling_field_direct",
-    "weighted_derivative",
-    "weighted_norm_weight",
     "hamiltonian",
     "mass",
 ]
@@ -108,14 +100,6 @@ class CoefficientSpec:
     def alpha3(self) -> float:
         return 0.5 * self.c_doubleprime0() * self.c_prime0()
 
-    def c1_of(self, v):
-        """Modified dispersion weight sqrt(c^2 + 1) >= 1."""
-        return np.sqrt(self.c_of(v) ** 2 + 1.0)
-
-    def c3_of(self, v):
-        """Cubic-and-higher Taylor remainder of c."""
-        return self.c_of(v) - self.c_prime0() * v - 0.5 * self.c_doubleprime0() * v**2
-
 
 @dataclass(frozen=True)
 class BootstrapConstants:
@@ -130,6 +114,8 @@ class BootstrapConstants:
     decay_exponent: float = 0.48
 
     def __post_init__(self):
+        if not self.delta > 0.0:
+            raise ValueError("delta must be positive")
         if abs(self.p0 - self.delta / 10.0) > 1e-15:
             raise ValueError("p0 must equal delta/10")
         if self.p1 < 2.0 * self.p0 / (self.s + 1.0 - 2.0 * self.gamma_h):
@@ -202,21 +188,6 @@ def nonlinearity_split(
     return n3, n4, n5
 
 
-def quintic_remainder_display(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> SpectralField:
-    """Closed-form quintic-and-higher remainder, valid when c3 == 0.
-
-    For coefficient functions whose Taylor expansion stops at second order
-    (c3 identically zero) the remainder reduces to d_x( q d_x( q d_x phi ) )
-    with q = (1/2) c''(0) phi^2; used as a low-resolution consistency check
-    against the subtraction route.
-    """
-    u = padded_values(phi, pad)
-    ux = padded_values(derivative(phi, 1), pad)
-    q = 0.5 * spec.c_doubleprime0() * u**2
-    inner = _fine_derivative_values(phi.grid, pad, q * ux)
-    return derivative(transform_from_padded(phi.grid, q * inner, phi.time), 1)
-
-
 # ---------------------------------------------------------------------------
 # Interaction symbols and phases
 # ---------------------------------------------------------------------------
@@ -245,11 +216,6 @@ def symbol_t1(eta1, eta2, eta3, alpha2: float):
     return (alpha2 / 3.0) * (square + cross) - 1.0
 
 
-def symbol_t1_d1(eta1, eta2, eta3, alpha2: float):
-    """Partial derivative of symbol_t1 in its first argument."""
-    return (alpha2 / 3.0) * (2.0 * eta1 + eta2 + eta3)
-
-
 def symbol_t2(eta1, eta2, eta3, eta4):
     """Quadrilinear interaction symbol -2 eta1^2 - 2 eta1 eta2 - eta1 eta3."""
     del eta4  # the symbol happens not to involve the last frequency
@@ -269,22 +235,6 @@ def grad_phase_phi(xi, eta1, eta2):
     g1 = 3.0 * (xi - eta2) * (xi - 2.0 * eta1 - eta2)
     g2 = 3.0 * (xi - eta1) * (xi - 2.0 * eta2 - eta1)
     return g1, g2
-
-
-def phase_quartic(xi, eta1, eta2, eta3):
-    """Quartic oscillation phase xi^3 - (xi-eta1-eta2-eta3)^3 - sum eta_i^3."""
-    eta4 = xi - eta1 - eta2 - eta3
-    return xi**3 - eta4**3 - eta1**3 - eta2**3 - eta3**3
-
-
-def grad_phase_quartic(xi, eta1, eta2, eta3):
-    """Gradient of phase_quartic in (eta1, eta2, eta3): 3 eta4^2 - 3 eta_i^2."""
-    eta4 = xi - eta1 - eta2 - eta3
-    return (
-        3.0 * eta4**2 - 3.0 * eta1**2,
-        3.0 * eta4**2 - 3.0 * eta2**2,
-        3.0 * eta4**2 - 3.0 * eta3**2,
-    )
 
 
 @dataclass(frozen=True)
@@ -395,41 +345,24 @@ def dyadic_symbol_bound(
 
 
 # ---------------------------------------------------------------------------
-# Scaling vector field, weighted derivatives, conserved functionals
+# Scaling vector field, conserved functionals
 # ---------------------------------------------------------------------------
 
 
 def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) -> SpectralField:
     """S phi = x d_x phi + 3 t d_t phi with d_t phi = -phi_xxx - N(phi).
 
-    The x factor is the centered sawtooth coordinate, so the result is
-    faithful only for fields concentrated well inside the box.
+    phi is a real field; the x factor is the centered sawtooth coordinate,
+    so the result is faithful only for fields concentrated well inside the
+    box.
     """
     g = phi.grid
-    ux = synthesize(derivative(phi, 1))
+    ux = np.real(synthesize(derivative(phi, 1)))
     out = transform(g, g.x * ux, phi.time)
     if t != 0.0:
         dt_phi = -derivative(phi, 3).coeffs - nonlinearity_full(phi, spec).coeffs
         out = out.with_coeffs(out.coeffs + 3.0 * t * dt_phi)
     return out
-
-
-def weighted_derivative(phi: SpectralField, spec: CoefficientSpec, k: int, pad: int = 3) -> SpectralField:
-    """k-th weighted derivative (c1(phi) d_x)^k phi on the padded grid."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    u = padded_values(phi, pad)
-    c1 = spec.c1_of(u)
-    w = u
-    for _ in range(k):
-        w = c1 * _fine_derivative_values(phi.grid, pad, w)
-    return transform_from_padded(phi.grid, w, phi.time)
-
-
-def weighted_norm_weight(phi: SpectralField, spec: CoefficientSpec, k: int, pad: int = 3) -> np.ndarray:
-    """The companion weight c1(phi)^{-(k-1)/3} on the padded grid."""
-    u = padded_values(phi, pad)
-    return spec.c1_of(u) ** (-(k - 1) / 3.0)
 
 
 def hamiltonian(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> float:

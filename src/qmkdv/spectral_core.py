@@ -20,6 +20,11 @@ evenness of n equals (-1)^k for the raw array index k, so analysis/synthesis
 reduce to one FFT plus a parity sign and a scale.  The parity is applied by
 negating the odd entries of a copy, not by multiplying with a sign array;
 `GridSpec.parity` remains as the explicit form of the same sign.
+
+Products of fields are formed on a refined grid: `padded_values` evaluates a
+field on pad_factor * n points, the samples are multiplied there, and
+`transform_from_padded` analyzes the product and truncates it to the n-point
+band.  A pad factor p represents products of total degree <= 2p - 1 exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "NonZeroMean",
     "transform",
     "synthesize",
-    "values",
     "field_from_coefficients",
     "derivative",
     "fractional_abs_derivative",
@@ -46,7 +50,6 @@ __all__ = [
     "free_evolve",
     "norm",
     "xi_l2_norm",
-    "pointwise_product",
     "padded_values",
     "transform_from_padded",
     "xi_derivative_coefficients",
@@ -162,11 +165,6 @@ def synthesize(f: SpectralField) -> np.ndarray:
     return np.fft.ifft(_alternate_signs(f.coeffs)) * (g.n * g.dxi)
 
 
-def values(f: SpectralField) -> np.ndarray:
-    """Real part of the synthesis — physical samples of a real-valued field."""
-    return np.real(synthesize(f))
-
-
 def derivative(f: SpectralField, n: int) -> SpectralField:
     """n-th spatial derivative: multiplier (i*xi)^n."""
     if n < 0:
@@ -273,18 +271,6 @@ def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> S
     # m - n is even, so every kept entry keeps the parity of its index
     kept = np.concatenate((chat[: n // 2], chat[m - n // 2 :]))
     return SpectralField(grid, _alternate_signs(scale * kept), time)
-
-
-def pointwise_product(f: SpectralField, g: SpectralField, pad_factor: int = 3) -> SpectralField:
-    """Product of two fields, dealiased by zero padding.
-
-    pad_factor p represents products of total degree <= 2p - 1 exactly.
-    """
-    if f.grid != g.grid:
-        raise GridMismatch("fields live on different grids")
-    uf = padded_values(f, pad_factor)
-    ug = padded_values(g, pad_factor)
-    return transform_from_padded(f.grid, uf * ug, f.time)
 
 
 def xi_derivative_coefficients(f: SpectralField) -> np.ndarray:

@@ -40,3 +40,9 @@ def random_real_field(grid: GridSpec, seed: int, decay: float = 1.0) -> Spectral
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> SpectralField:
     return transform(grid, amplitude * np.exp(-((grid.x / width) ** 2)))
+
+
+def symbol_t1_d1(eta1, eta2, eta3, alpha2: float):
+    """dT1/d eta1 = (alpha2/3)(2 eta1 + eta2 + eta3): the oracle for the
+    model's "dT1" dyadic cells."""
+    return (alpha2 / 3.0) * (2.0 * eta1 + eta2 + eta3)

@@ -1,5 +1,8 @@
-"""Batch front door: the byte-identical output promise and the exit-code contract."""
+"""Batch front door: the byte-identical output promise, the exit-code contract,
+and the six studies' reach over the package's public functions."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -165,6 +168,9 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys):
         ("simulate", "grid.n = 64\nrun.eps_tol = 1e-13\n"),
         ("resonance", "resonance.j_min = 2\nresonance.j_max = 1\n"),
         ("scattering", SCATTERING_CONFIG.replace("= 1.0\n", "= 1000.0\n")),
+        ("decay", "decay.linear_n = 63\n"),
+        ("oscillatory", "oscillatory.b_values = 8.0, 2.0\n"),
+        ("resonance", "constants.delta = -1.0\n"),
     ],
     ids=[
         "unknown-key",
@@ -176,6 +182,9 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys):
         "eps-tol-below",
         "j-min-above-j-max",
         "unrepresentable-frequency",
+        "odd-linear-grid",
+        "b-value-below-4",
+        "negative-delta",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
@@ -192,3 +201,86 @@ def test_process_exit_status_is_mains_return(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "qmkdv.cli", *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == cli.main(argv) == 1
+
+
+MODULES = ("spectral_core", "littlewood_paley", "model", "integrator", "diagnostics", "oscillatory", "rng", "cli")
+
+# Public functions and methods that no study calls, each with the reason it stays.
+UNREACHED = {
+    "spectral_core.hermitian_defect": "for the run telemetry planned in ROADMAP direction 1",
+    "littlewood_paley.b_norm": "to be recorded along the decay run (ROADMAP direction 5)",
+    "littlewood_paley.interpolation_ratio": "to be recorded along the decay run (ROADMAP direction 5)",
+    "littlewood_paley.project": "b_norm's band projection (ROADMAP direction 5)",
+    "littlewood_paley.psi_tilde": "interpolation_ratio's fattened band (ROADMAP direction 5)",
+    "diagnostics.scaling_field_spectral": "the test entry point for the wrap-safe route that computes S phi",
+    "rng.SplitMix64.normal": "perfbench/tracer.py hooks it by name",
+    "rng.SplitMix64.normals": "perfbench/tracer.py hooks it by name",
+}
+
+
+def _public_definitions(mod) -> dict:
+    """The public functions and classes a module defines itself."""
+    return {
+        name: obj
+        for name, obj in vars(mod).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == mod.__name__
+    }
+
+
+def _public_code(module_name: str, mod) -> dict:
+    """The code object of every public function, method and property getter,
+    keyed by dotted name."""
+    out = {}
+    for name, obj in _public_definitions(mod).items():
+        if inspect.isfunction(obj):
+            out[f"{module_name}.{name}"] = obj.__code__
+            continue
+        for attr, member in vars(obj).items():
+            fn = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+            if not attr.startswith("_") and inspect.isfunction(fn):
+                out[f"{module_name}.{name}.{attr}"] = fn.__code__
+    return out
+
+
+def test_every_public_function_is_reached_by_a_study(tmp_path):
+    """Each __all__ lists exactly its module's public functions and classes,
+    and small runs of the six studies (plus a resume from a snapshot) call
+    every public function and method except those in UNREACHED."""
+    modules = {name: importlib.import_module(f"qmkdv.{name}") for name in MODULES}
+    for name, mod in modules.items():
+        if hasattr(mod, "__all__"):
+            assert sorted(mod.__all__) == sorted(_public_definitions(mod)), name
+
+    snapshot = tmp_path / "simulate" / "final_state.bin"
+    resumed = SIMULATE_CONFIG.replace("run.t_end = 0.2", "run.t_end = 0.4") + f"initial.snapshot = {snapshot}\n"
+    runs = [  # (output directory, study, config, exit code)
+        ("identities", "identities", "identities.samples = 200\n", 0),
+        ("simulate", "simulate", SIMULATE_CONFIG, 0),
+        ("decay", "decay", DECAY_CONFIG, 0),
+        ("scattering", "scattering", SCATTERING_CONFIG, 0),
+        ("resonance", "resonance", RESONANCE_CONFIG, 1),
+        ("oscillatory", "oscillatory", "study.kind = oscillatory\noscillatory.b_values = 8.0\n", 0),
+        ("resumed", "simulate", resumed, 0),
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    codes = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for out, study, config, _ in runs:
+            codes.append(_main(tmp_path, study, config, tmp_path / out))
+    finally:
+        sys.setprofile(previous)
+    assert codes == [code for *_, code in runs]
+
+    public = {}
+    for name, mod in modules.items():
+        public.update(_public_code(name, mod))
+    assert sorted(name for name, code in public.items() if code not in called) == sorted(UNREACHED)

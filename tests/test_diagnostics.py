@@ -44,7 +44,9 @@ def test_energy_shares_the_scaling_field_and_z_norm():
     s_phi = scaling_field_spectral(phi, 2.0, SPEC)
     assert eb.scaling_sq == norm(s_phi, "L2") ** 2
     assert eb.z_norm == z_norm(phi, bc)
-    assert eb.total == sum(eb.summands())
+    summands = (eb.antiderivative_sq, eb.sobolev_sq, eb.scaling_antiderivative_sq, eb.scaling_sq,
+                eb.xi_dxi_profile_sq, eb.dxi_profile_sq)
+    assert eb.total == sum(summands)
 
 
 def test_nonzero_mean_is_refused():

@@ -1,9 +1,13 @@
 """Dyadic cutoffs, band projections, B^{a,b} norms, S_infty, interpolation.
 
 The bump is the smoothed-step construction with plateau |xi| <= 5/4 and
-support |xi| <= 8/5; everything else is derived from it.  Values frozen below
-(bump(1.3), the band-norm constant) were computed once from that construction
-and guard against accidental recalibration.
+support |xi| <= 8/5; everything else is derived from it.  The value frozen
+below (bump(1.3)) was computed once from that construction and guards
+against accidental recalibration.
+
+The oracle for the separable S_infty contraction is the dense route: sample
+the assembled symbol on the full tensor grid and take one n-dimensional
+inverse FFT (`dense_s_infty`).
 """
 
 import math
@@ -17,19 +21,15 @@ from qmkdv import model
 from qmkdv.littlewood_paley import (
     SUPPORT_EDGE,
     DegenerateInput,
-    SymbolGrid,
     UnresolvedSymbol,
     b_norm,
-    band_l2_norm,
     bump,
     interpolation_ratio,
     project,
     psi_k,
     psi_le,
     psi_tilde,
-    s_infty_norm,
     s_infty_separable,
-    s_infty_with_refinement,
 )
 from qmkdv.rng import SplitMix64
 from qmkdv.spectral_core import (
@@ -40,7 +40,32 @@ from qmkdv.spectral_core import (
     transform,
 )
 
-from conftest import gaussian_field, random_real_field
+from conftest import gaussian_field, random_real_field, symbol_t1_d1
+
+
+def symbol_axes(xi_extents, n_axis):
+    """One GridSpec per axis whose xi samples span the given full width."""
+    # GridSpec with box_length Y makes grid.xi cover [-pi n/Y, pi n/Y)
+    return tuple(GridSpec(n=n_axis, box_length=2.0 * np.pi * n_axis / extent) for extent in xi_extents)
+
+
+def dense_s_infty(fn, axes):
+    """S_infty of fn sampled on the full tensor grid of `axes`, by one
+    n-dimensional inverse FFT.  Refuses a grid on which the symbol has not
+    decayed to 1e-14 of its peak at the edge frequencies."""
+    mesh = np.meshgrid(*(ax.xi for ax in axes), indexing="ij", sparse=True)
+    vals = np.broadcast_to(np.asarray(fn(*mesh), dtype=np.complex128), tuple(ax.n for ax in axes))
+    peak = np.max(np.abs(vals))
+    for axis, ax in enumerate(axes):
+        edge = np.take(vals, [ax.n // 2, ax.n // 2 - 1], axis=axis)
+        if np.max(np.abs(edge)) > 1e-14 * peak:
+            raise UnresolvedSymbol("symbol has not decayed at the grid edge")
+    for axis, ax in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[axis] = ax.n
+        vals = vals * ax.parity.reshape(shape)
+    scale = np.prod([ax.n * ax.dxi * ax.dx for ax in axes])
+    return float(np.sum(np.abs(np.fft.ifftn(vals))) * scale)
 
 
 class TestBump:
@@ -152,17 +177,6 @@ class TestProjection:
             project(random_real_field(grid, 44), "band", 1)
 
 
-class TestBandNorm:
-    def test_scaling_constant(self):
-        """||psi_k||_{L2} / 2^{k/2} is k-independent, whatever the node count."""
-        vals = [
-            band_l2_norm(k, 4001 + 613 * (k + 6) + 37 * (k + 6) ** 2) * 2.0 ** (-k / 2.0)
-            for k in range(-6, 7)
-        ]
-        assert max(vals) - min(vals) <= 1e-12
-        assert vals[0] == pytest.approx(1.151516615343443, rel=1e-12)
-
-
 class TestBNorm:
     def test_zero_field(self, grid):
         z = field_from_coefficients(grid, np.zeros(grid.n, dtype=complex))
@@ -195,36 +209,32 @@ class TestBNorm:
 
 class TestSInftyNorm:
     def test_bump_value_stable_under_refinement(self):
-        rep = s_infty_with_refinement(lambda u: bump(u), (6.4,), 256)
-        assert rep["value"] > 0.0
-        assert rep["rel_change"] <= 0.02
-        assert rep["value"] == pytest.approx(rep["refined_value"], rel=0.02)
+        value = dense_s_infty(bump, symbol_axes((6.4,), 256))
+        refined = dense_s_infty(bump, symbol_axes((6.4,), 512))
+        assert value > 0.0
+        assert abs(refined - value) <= 0.02 * refined
 
     def test_boundary_decay_enforced(self):
-        sg = SymbolGrid.from_function(lambda u: np.ones_like(u), (4.0,), 64)
         with pytest.raises(UnresolvedSymbol):
-            s_infty_norm(sg)
+            dense_s_infty(np.ones_like, symbol_axes((4.0,), 64))
 
     def test_modulation_on_lattice_is_exact(self):
         """e^{i c xi} with c on the y-lattice translates F^{-1} exactly."""
-        sg = SymbolGrid.from_function(lambda u: bump(u), (6.4,), 4096)
-        dy = sg.axes[0].dx
-        v1 = s_infty_norm(sg)
+        axes = symbol_axes((6.4,), 4096)
+        dy = axes[0].dx
+        v1 = dense_s_infty(bump, axes)
         for m in (1, 7, 100):
             c = m * dy
-            v2 = s_infty_norm(
-                SymbolGrid.from_function(lambda u: bump(u) * np.exp(1j * c * u), (6.4,), 4096)
-            )
+            v2 = dense_s_infty(lambda u: bump(u) * np.exp(1j * c * u), axes)
             assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_modulation_generic_shift_converges(self):
         """Off-lattice shifts agree to quadrature tolerance, improving with dy."""
         errs = []
         for extent, n in ((6.4, 512), (64.0, 8192), (640.0, 131072)):
-            v1 = s_infty_norm(SymbolGrid.from_function(lambda u: bump(u), (extent,), n))
-            v2 = s_infty_norm(
-                SymbolGrid.from_function(lambda u: bump(u) * np.exp(1j * 2.7 * u), (extent,), n)
-            )
+            axes = symbol_axes((extent,), n)
+            v1 = dense_s_infty(bump, axes)
+            v2 = dense_s_infty(lambda u: bump(u) * np.exp(1j * 2.7 * u), axes)
             errs.append(abs(v1 - v2) / v1)
         assert errs[1] < 0.1 * errs[0]
         assert errs[2] < 0.01 * errs[1]
@@ -233,24 +243,22 @@ class TestSInftyNorm:
     def test_product_rule(self):
         """S_infty is submultiplicative on bump-localized symbols."""
         rng = SplitMix64(404)
+        axes = symbol_axes((8.0,), 512)
         for _ in range(10):
             c1, c2 = 2.0 * rng.uniform() - 1.0, 3.0 * rng.uniform()
             m1 = lambda u: bump(u) * (1.0 + c1 * u)
             m2 = lambda u: bump(u / 1.2) * np.exp(1j * c2 * u)
-            a = s_infty_norm(SymbolGrid.from_function(m1, (8.0,), 512))
-            b = s_infty_norm(SymbolGrid.from_function(m2, (8.0,), 512))
-            ab = s_infty_norm(
-                SymbolGrid.from_function(lambda u: m1(u) * m2(u), (8.0,), 512)
-            )
+            a = dense_s_infty(m1, axes)
+            b = dense_s_infty(m2, axes)
+            ab = dense_s_infty(lambda u: m1(u) * m2(u), axes)
             assert ab <= a * b * (1.0 + 1e-12)
 
     def test_separable_matches_dense(self):
         """Rank-2 tensor symbol: GEMM route equals the dense 3D route."""
         w = lambda u: np.exp(-u * u)
         fn = lambda x, y, z: 2.0 * x**2 * w(x) * w(y) * w(z) - x * y * w(x) * w(y) * w(z)
-        sg = SymbolGrid.from_function(fn, (16.0, 16.0, 16.0), 48)
-        dense = s_infty_norm(sg)
-        axes = sg.axes
+        axes = symbol_axes((16.0, 16.0, 16.0), 48)
+        dense = dense_s_infty(fn, axes)
         rows = lambda ax, ps: np.array([ax.xi**p * w(ax.xi) for p in ps])
         sep = s_infty_separable(
             axes,
@@ -269,17 +277,15 @@ class TestSInftyNorm:
         axes, so this checks the half-lattice weights and the sign fold.
         """
         alpha2 = 1.0
-        symbol = model.symbol_t1 if which == "T1" else model.symbol_t1_d1
+        symbol = model.symbol_t1 if which == "T1" else symbol_t1_d1
         extents = tuple(8.0 * SUPPORT_EDGE * 2.0**j for j in js)
-        sg = SymbolGrid.from_function(
+        dense = dense_s_infty(
             lambda e1, e2, e3: symbol(e1, e2, e3, alpha2)
             * psi_k(e1, js[0])
             * psi_k(e2, js[1])
             * psi_k(e3, js[2]),
-            extents,
-            48,
+            symbol_axes(extents, 48),
         )
-        dense = s_infty_norm(sg)
         assert model._dyadic_s_infty(js, alpha2, which, 48) == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -289,16 +295,14 @@ class TestSInftyNorm:
             fn, powers = (lambda x: (1.5 * x**2 - x**2) * w(x)), [(2, 2)]
         else:
             fn, powers = (lambda x, y: (1.5 * x**2 - x * y) * w(x) * w(y)), [(2, 1), (0, 1)]
-        sg = SymbolGrid.from_function(fn, (16.0,) * d, 64)
+        axes = symbol_axes((16.0,) * d, 64)
         rows = lambda ax, ps: np.array([ax.xi**p * w(ax.xi) for p in ps])
         coeffs = [1.5, -1.0]
-        factors = [rows(ax, ps) for ax, ps in zip(sg.axes, powers)]
-        assert s_infty_separable(sg.axes, coeffs, factors) == pytest.approx(
-            s_infty_norm(sg), rel=1e-12
-        )
+        factors = [rows(ax, ps) for ax, ps in zip(axes, powers)]
+        assert s_infty_separable(axes, coeffs, factors) == pytest.approx(dense_s_infty(fn, axes), rel=1e-12)
 
     def _bump_axis(self):
-        return SymbolGrid.from_function(lambda u: bump(u), (6.4,), 64).axes[0]
+        return symbol_axes((6.4,), 64)[0]
 
     def test_separable_rejects_complex_input(self):
         ax = self._bump_axis()
@@ -326,13 +330,13 @@ class TestSInftyNorm:
             )
 
     def test_separable_axis_count_enforced(self):
-        ax = SymbolGrid.from_function(lambda u: bump(u), (6.4,), 64).axes[0]
+        ax = self._bump_axis()
         rows = np.array([bump(ax.xi)])
         with pytest.raises(ValueError):
             s_infty_separable([ax, ax, ax, ax], [1.0], [rows, rows, rows, rows])
 
     def test_separable_boundary_defect_enforced(self):
-        ax = SymbolGrid.from_function(lambda u: bump(u), (6.4,), 64).axes[0]
+        ax = self._bump_axis()
         rows = np.array([np.ones(ax.n)])
         with pytest.raises(UnresolvedSymbol):
             s_infty_separable([ax], [1.0], [rows])

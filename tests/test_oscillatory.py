@@ -1,0 +1,83 @@
+"""Stationary-phase studies: the trilinear double sum, the drift law, and
+the refusal paths of the two-pi identity and the decay study."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qmkdv import littlewood_paley as lp
+from qmkdv import oscillatory
+from qmkdv.diagnostics import InsufficientData
+from qmkdv.oscillatory import (
+    UnresolvedOscillation,
+    nonresonant_decay_study,
+    stationary_phase_drift,
+    trilinear_integral,
+    two_pi_identity,
+)
+from qmkdv.spectral_core import GridSpec
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    """Product of polynomials in (eta1, eta2) stored as {(a, b): coefficient}."""
+    out: dict = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            out[a1 + a2, b1 + b2] = out.get((a1 + a2, b1 + b2), 0.0) + c1 * c2
+    return out
+
+
+@pytest.mark.parametrize("xi, alpha2", [(0.45, 1.0), (-0.3, 0.7)])
+def test_trilinear_integral_at_t0_splits_into_moments(xi, alpha2):
+    # At t = 0 the kernel is T1(eta1, eta2, xi - eta1 - eta2) h1(eta1) h2(eta2)
+    # h3(xi - eta1 - eta2).  On that surface T1 = (alpha2/3)(eta1^2 + eta2^2
+    # + eta1 eta2 - xi eta1 - xi eta2 + xi^2) - 1, and with the polynomial
+    # h3(e) = 0.5 + e the double sum is a sum of products of 1D moments
+    # sum_eta eta^p h(eta) of the two band profiles.
+    grid = GridSpec(n=128, box_length=480.0)
+    h1 = lambda eta: lp.bump((np.asarray(eta) - 0.55) / 0.15)
+    h2 = lambda eta: lp.bump(np.asarray(eta) / 0.15)
+    h3 = lambda eta: 0.5 + np.asarray(eta)
+    third = alpha2 / 3.0
+    t1 = {(2, 0): third, (0, 2): third, (1, 1): third, (1, 0): -third * xi, (0, 1): -third * xi,
+          (0, 0): third * xi**2 - 1.0}
+    kernel = _poly_mul(t1, {(0, 0): 0.5 + xi, (1, 0): -1.0, (0, 1): -1.0})
+    eta = grid.xi
+    m1 = [float(np.sum(eta**p * h1(eta))) for p in range(4)]
+    m2 = [float(np.sum(eta**p * h2(eta))) for p in range(4)]
+    want = 1j * xi * grid.dxi**2 * sum(c * m1[a] * m2[b] for (a, b), c in kernel.items())
+    got = trilinear_integral(grid, h1, h2, h3, alpha2, xi, [0.0])
+    assert got.shape == (1,)
+    assert abs(got[0] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("alpha2", [1.0, 2.5])
+def test_stationary_phase_drift_sign_and_zero(alpha2):
+    # sgn(xi) pi T1(xi, xi, -xi) with T1(xi, xi, -xi) = 2 alpha2 xi^2 / 3 - 1:
+    # odd in xi, -pi sgn(xi) near 0, zero at |xi| = (3 / (2 alpha2))^{1/2},
+    # and of the sign of xi beyond it
+    root = math.sqrt(1.5 / alpha2)
+    assert stationary_phase_drift(root, alpha2) == pytest.approx(0.0, abs=1e-14)
+    for xi in (0.01, 0.5 * root, 0.99 * root, 1.01 * root, 3.0 * root):
+        value = stationary_phase_drift(xi, alpha2)
+        assert value == -stationary_phase_drift(-xi, alpha2)
+        assert (value > 0.0) == (xi > root)
+    assert stationary_phase_drift(1e-8, alpha2) == pytest.approx(-math.pi, rel=1e-12)
+
+
+def test_two_pi_identity_refuses_small_b():
+    with pytest.raises(ValueError, match="B must be >= 4"):
+        two_pi_identity(3.9)
+
+
+def test_two_pi_identity_refuses_an_unresolved_value(monkeypatch):
+    # a quadrature that moves by as much as its error under doubling
+    monkeypatch.setattr(oscillatory, "_two_pi_value", lambda B, n: complex(2.0 * math.pi + 1e-6 * n))
+    with pytest.raises(UnresolvedOscillation, match="doubling"):
+        two_pi_identity(8.0)
+
+
+def test_decay_study_needs_eight_times():
+    with pytest.raises(InsufficientData, match="at least 8 times"):
+        nonresonant_decay_study([3.0 + i for i in range(7)])

@@ -27,17 +27,22 @@ from qmkdv.spectral_core import (
     load_snapshot,
     mass_fraction_inside,
     norm,
-    pointwise_product,
+    padded_values,
     profile_from_solution,
     save_snapshot,
     synthesize,
     transform,
-    values,
+    transform_from_padded,
     xi_derivative_coefficients,
     xi_l2_norm,
 )
 
 from conftest import gaussian_field, random_real_field
+
+
+def values(f):
+    """Physical samples of a real-valued field."""
+    return np.real(synthesize(f))
 
 
 class TestGridSpec:
@@ -252,6 +257,12 @@ class TestNorms:
         assert xi_l2_norm(a, grid) == pytest.approx(math.sqrt(grid.dxi * grid.n), rel=1e-14)
 
 
+def product(f, g, pad=3):
+    """The dealiased product the nonlinearity forms: multiply on the padded
+    grid, analyze, truncate to the band."""
+    return transform_from_padded(f.grid, padded_values(f, pad) * padded_values(g, pad), f.time)
+
+
 class TestPointwiseProduct:
     def test_matches_discrete_convolution(self):
         """Padded product equals dxi * (fhat conv ghat) for band-limited inputs."""
@@ -263,7 +274,7 @@ class TestPointwiseProduct:
         for c in (fc, gc):
             c[third : grid.n - third + 1] = 0.0
         f, g = f.with_coeffs(fc), g.with_coeffs(gc)
-        prod = pointwise_product(f, g)
+        prod = product(f, g)
 
         fs = np.fft.fftshift(fc)
         gs = np.fft.fftshift(gc)
@@ -284,14 +295,14 @@ class TestPointwiseProduct:
             c[third : grid.n - third + 1] = 0.0
         f, g = f.with_coeffs(fc), g.with_coeffs(gc)
         exact = values(f) * values(g)
-        got = values(pointwise_product(f, g))
+        got = values(product(f, g))
         assert np.max(np.abs(got - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
 
     def test_grid_mismatch_rejected(self):
-        f = random_real_field(GridSpec(n=64, box_length=20.0), 1)
-        g = random_real_field(GridSpec(n=64, box_length=21.0), 1)
+        """Samples whose length is not a multiple of n belong to no padded grid."""
+        grid = GridSpec(n=64, box_length=20.0)
         with pytest.raises(GridMismatch):
-            pointwise_product(f, g)
+            transform_from_padded(grid, np.zeros(3 * grid.n + 2))
 
 
 class TestXiDerivative:
