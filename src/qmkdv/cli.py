@@ -32,16 +32,19 @@ import numpy as np
 from . import __version__
 from . import littlewood_paley as lp
 from .diagnostics import (
+    MIN_DECAY_FIT_SAMPLES,
+    MIN_DRIFT_FIT_SAMPLES,
+    MIN_DYADIC_SAMPLES,
     VARIANTS,
     decay_fit,
     dispersive_ratio,
     energy,
     frequency_window,
-    ScatteringProbe,
+    probe_indices,
     scattering_monitor,
     sharp_decay_product,
-    theta_accumulate,
     theta_coefficient,
+    theta_series,
 )
 from .integrator import InitialSpec, SimConfig, run
 from .model import (
@@ -215,6 +218,13 @@ def _uniform_array(rng: SplitMix64, count: int, lo: float, hi: float) -> np.ndar
     return np.array([rng.uniform(lo, hi) for _ in range(count)])
 
 
+def _require_samples(what: str, times, lo: float, hi: float, needed: int) -> None:
+    """Refuse, before anything runs, a plan whose fit window holds too few times."""
+    have = sum(lo <= t <= hi for t in times)
+    if have < needed:
+        raise ConfigError(f"{what} in [{lo}, {hi}]: {have} planned, need >= {needed}")
+
+
 # ---------------------------------------------------------------------------
 # Study declarations and the driver
 # ---------------------------------------------------------------------------
@@ -353,12 +363,11 @@ def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
 @_study(
     "identities",
     "identities.json",
-    {"identities.samples": 10000, "fault.bump_stretch": 1.0},
+    {"identities.samples": 10000},
     grid=(512, 60.0),
 )
 def _identities(ctx: _Context) -> dict:
     samples = ctx.cfg["identities.samples"]
-    stretch = ctx.cfg["fault.bump_stretch"]
     alpha2 = ctx.coeff.alpha2
     rng = SplitMix64(ctx.args.seed)
     checks = []
@@ -429,15 +438,12 @@ def _identities(ctx: _Context) -> dict:
     t2_err = max(abs(symbol_t2(*pt) - want) for pt, want in spots)
     record("t2_spot_values", t2_err, 1e-12)
 
-    # dyadic partition of unity (the fault-injection hook enters here)
-    def psi(u):
-        return lp.bump(stretch * np.asarray(u))
-
+    # dyadic partition of unity
     k_top = 8
     xs = np.linspace(-(2.0**k_top), 2.0**k_top, 4001)
-    total = lp.psi_le(xs, 0, psi=psi)
+    total = lp.psi_le(xs, 0)
     for k in range(1, k_top + 1):
-        total = total + lp.psi_k(xs, k, psi=psi)
+        total = total + lp.psi_k(xs, k)
     record("lp_partition", np.max(np.abs(total - 1.0)), 1e-12)
 
     # scaling-field commutators on a localized test field
@@ -533,8 +539,16 @@ def _decay(ctx: _Context) -> dict:
         lin_grid = GridSpec(cfg["decay.linear_n"], cfg["decay.linear_box"])
     except ValueError as e:
         raise ConfigError(f"decay.linear_n/linear_box: {e}") from e
-    h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
     times = np.exp(np.linspace(math.log(t_min), math.log(t_max), cfg["decay.samples"]))
+    _require_samples("decay.samples/t_min/t_max: samples", times, t_min, t_max, MIN_DECAY_FIT_SAMPLES)
+    t_end = cfg["run.t_end"]
+    if not ctx.args.linear_only:
+        monitor = tuple(float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40)))
+        _require_samples("decay.fit_t_min: monitor times", {*monitor, t_end}, cfg["decay.fit_t_min"], t_end,
+                         MIN_DECAY_FIT_SAMPLES)
+        sim = ctx.sim(monitor)
+
+    h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
     rows = []
     for t in map(float, times):
         phi_t = free_evolve(h, t)
@@ -562,9 +576,6 @@ def _decay(ctx: _Context) -> dict:
     }
     if ctx.args.linear_only:
         return report
-
-    t_end = cfg["run.t_end"]
-    sim = ctx.sim(tuple(float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40))))
 
     def observer(phi, rec):
         rec["linf_dx"] = norm(derivative(phi, 1), "Linf")
@@ -635,45 +646,45 @@ def _scattering(ctx: _Context) -> dict:
     t_end = cfg["run.t_end"]
     fit_t_min = cfg["scattering.fit_t_min"]
     try:
-        probe = ScatteringProbe.from_grid(grid, cfg["scattering.target_frequencies"], coeff.alpha2)
+        idx = probe_indices(grid, cfg["scattering.target_frequencies"])
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    probe_xi = grid.dxi * idx
 
     dyadics = {float(2**k) for k in range(int(math.log2(t_end)) + 1) if 2**k <= t_end}
     geom = {
         float(t)
         for t in np.exp(np.linspace(0.0, math.log(t_end), cfg["scattering.samples"]))[1:-1]
     }
+    planned = sorted(dyadics | geom | {1.0, float(t_end)})
+    _require_samples("run.t_end: dyadic times", dyadics, 1.0, t_end, MIN_DYADIC_SAMPLES)
+    _require_samples("scattering.fit_t_min: samples", planned, max(fit_t_min, 1.0), t_end, MIN_DRIFT_FIT_SAMPLES)
     # for the purely cubic linear-family nonlinearity a padding factor of 2
     # already dealiases the products exactly
-    sim = ctx.sim(tuple(sorted(dyadics | geom | {1.0, float(t_end)})), pad=2 if coeff.family == "linear" else 3)
+    sim = ctx.sim(tuple(planned), pad=2 if coeff.family == "linear" else 3)
+
+    times, samples = [], []
 
     def observer(phi, rec):
-        t = phi.time
-        if t < 1.0:
-            return
-        hhat = profile_from_solution(phi, t).coeffs[probe.indices]
-        if not probe.times:
-            probe.first_sample(hhat, t)
-        else:
-            theta_accumulate(probe, hhat, probe.times[-1], t)
+        if phi.time >= 1.0:
+            times.append(phi.time)
+            samples.append(profile_from_solution(phi, phi.time).coeffs[idx])
 
     run(sim, observer=observer)
+    hhat = np.stack(samples)
+    theta = theta_series(times, hhat, probe_xi, coeff.alpha2)
 
-    header = ["t"]
-    for i in range(len(probe.frequencies)):
-        header += [f"abs_h_{i}", f"arg_h_{i}", f"theta_a_{i}", f"theta_b_{i}"]
-    rows = []
-    for m, t in enumerate(probe.times):
-        row = [t]
-        for i, hh in enumerate(probe.h_history[m]):
-            row += [abs(hh), float(np.angle(hh)), probe.theta["A"][m][i], probe.theta["B"][m][i]]
-        rows.append(row)
+    header = ["t"] + [f"{c}_{i}" for i in range(idx.size) for c in ("abs_h", "arg_h", "theta_a", "theta_b")]
+    # scalar abs and angle: numpy's array abs can differ from them in the last bit
+    rows = [
+        [t] + [v for h, a, b in zip(hs, ta, tb) for v in (abs(h), float(np.angle(h)), a, b)]
+        for t, hs, ta, tb in zip(times, hhat, theta["A"], theta["B"])
+    ]
     ctx.csv("theta.csv", header, rows)
 
-    reports = scattering_monitor(probe, fit_t_min=fit_t_min)
+    reports = scattering_monitor(times, hhat, probe_xi, coeff.alpha2, fit_t_min)
     matched = [v for v in VARIANTS if all(r["matched"] for r in reports if r["variant"] == v)]
-    frequencies = [float(x) for x in probe.frequencies]
+    frequencies = [float(x) for x in probe_xi]
     drift_rows = resonant_drift_measurement(
         frequencies,
         grid,
@@ -682,7 +693,7 @@ def _scattering(ctx: _Context) -> dict:
         width=cfg["initial.width"],
     )
     window_floor = min(
-        float(np.min(frequency_window(t, probe.frequencies, ctx.bc))) for t in (fit_t_min, t_end)
+        float(np.min(frequency_window(t, probe_xi, ctx.bc))) for t in (fit_t_min, t_end)
     )
     return {
         "probe_frequencies": frequencies,
@@ -708,6 +719,10 @@ def _resonance(ctx: _Context) -> dict:
     n_axis = ctx.cfg["resonance.n_axis"]
     if j_min > j_max:
         raise ConfigError("resonance.j_min must be <= resonance.j_max")
+    try:
+        GridSpec(n_axis, 1.0)  # each axis of the S_infty lattice has n_axis points
+    except ValueError as e:
+        raise ConfigError(f"resonance.n_axis: {e}") from e
     tasks = [(which, j) for which in ("T1", "dT1") for j in range(j_min, j_max + 1)]
 
     def evaluate(task):

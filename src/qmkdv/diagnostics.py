@@ -20,12 +20,21 @@ frequency-side identity
 which needs no x-weighting of phi itself.  The direct physical-space route
 exists in the model module and the two are cross-checked on concentrated
 fields, where both are valid.
+
+Modified scattering is read off the recorded series of hhat at a few probe
+frequencies (:func:`probe_indices`).  :func:`theta_series` integrates the
+phase correction Theta = coeff(xi) int |hhat|^2 dt/t by the trapezoid rule
+in log t for both bookkeeping variants of the coefficient, and
+:func:`scattering_monitor` reports, per frequency and variant, the Cauchy
+increments of vhat = e^{i Theta} hhat at dyadic times and the fitted drift
+d(arg hhat)/d(log t) against the variant's prediction.  Both take the
+stacked arrays (times, hhat), so a synthetic series tests them directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,16 +57,15 @@ from .spectral_core import (
 )
 
 __all__ = [
-    "NonMonotoneTime",
     "InsufficientData",
     "EnergyBreakdown",
-    "ScatteringProbe",
     "energy",
     "z_norm",
     "scaling_field_spectral",
     "frequency_window",
     "theta_coefficient",
-    "theta_accumulate",
+    "probe_indices",
+    "theta_series",
     "scattering_monitor",
     "decay_fit",
     "dispersive_ratio",
@@ -65,12 +73,14 @@ __all__ = [
 ]
 
 
-class NonMonotoneTime(ValueError):
-    """Accumulation called with decreasing or mismatched times."""
-
-
 class InsufficientData(ValueError):
     """Not enough samples for the requested fit or report."""
+
+
+# The fewest samples each fit accepts; the CLI checks planned runs against these.
+MIN_DECAY_FIT_SAMPLES = 8  # decay_fit, inside its window
+MIN_DYADIC_SAMPLES = 3  # scattering_monitor, at dyadic times t = 2^m
+MIN_DRIFT_FIT_SAMPLES = 4  # scattering_monitor, at t >= fit_t_min
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +179,7 @@ def frequency_window(t: float, xi, bc: BootstrapConstants = BootstrapConstants()
 
 
 # ---------------------------------------------------------------------------
-# Modified-scattering probe
+# Modified scattering
 # ---------------------------------------------------------------------------
 
 VARIANTS = ("A", "B")
@@ -188,63 +198,38 @@ def theta_coefficient(xi: float, alpha2: float, variant: str) -> float:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@dataclass
-class ScatteringProbe:
-    """History of hhat and the accumulated phase correction at fixed xi's."""
-
-    frequencies: np.ndarray
-    indices: np.ndarray
-    alpha2: float
-    times: list = field(default_factory=list)
-    h_history: list = field(default_factory=list)
-    theta: dict = field(default_factory=lambda: {v: [] for v in VARIANTS})
-
-    @classmethod
-    def from_grid(cls, grid: GridSpec, targets, alpha2: float) -> "ScatteringProbe":
-        idx = []
-        for target in targets:
-            if target <= 0:
-                raise ValueError("probe frequencies must be positive")
-            j = int(round(target / grid.dxi))
-            if not 1 <= j < grid.n // 2:
-                raise ValueError(f"frequency {target} not representable")
-            idx.append(j)
-        idx = np.asarray(sorted(set(idx)), dtype=int)
-        return cls(frequencies=grid.dxi * idx, indices=idx, alpha2=alpha2)
-
-    def coefficient(self, variant: str) -> np.ndarray:
-        return np.array([theta_coefficient(x, self.alpha2, variant) for x in self.frequencies])
-
-    def first_sample(self, hhat: np.ndarray, t: float = 1.0) -> "ScatteringProbe":
-        if self.times:
-            raise NonMonotoneTime("probe already started")
-        if t < 1.0:
-            raise NonMonotoneTime("accumulation starts at t >= 1")
-        self.times.append(float(t))
-        self.h_history.append(np.asarray(hhat, dtype=np.complex128).copy())
-        for v in VARIANTS:
-            self.theta[v].append(np.zeros(len(self.frequencies)))
-        return self
+def probe_indices(grid: GridSpec, targets) -> np.ndarray:
+    """Sorted, distinct positive-frequency indices nearest the target xi's."""
+    idx = []
+    for target in targets:
+        if target <= 0:
+            raise ValueError("probe frequencies must be positive")
+        j = int(round(target / grid.dxi))
+        if not 1 <= j < grid.n // 2:
+            raise ValueError(f"frequency {target} not representable")
+        idx.append(j)
+    return np.asarray(sorted(set(idx)), dtype=int)
 
 
-def theta_accumulate(probe: ScatteringProbe, hhat_now, t_prev: float, t_now: float) -> ScatteringProbe:
-    """Trapezoid-in-log-time update of Theta = coeff * int |hhat|^2 dtau/tau."""
-    if not probe.times:
-        raise NonMonotoneTime("probe has no first sample; call first_sample at t >= 1")
-    if abs(t_prev - probe.times[-1]) > 1e-9 * max(1.0, t_prev):
-        raise NonMonotoneTime(f"t_prev={t_prev} does not match last recorded {probe.times[-1]}")
-    if t_now < t_prev:
-        raise NonMonotoneTime(f"t_now={t_now} < t_prev={t_prev}")
-    if t_now == t_prev:
-        return probe
-    hhat_now = np.asarray(hhat_now, dtype=np.complex128).copy()
-    dlog = math.log(t_now) - math.log(t_prev)
-    mean_sq = 0.5 * (np.abs(probe.h_history[-1]) ** 2 + np.abs(hhat_now) ** 2)
-    probe.times.append(float(t_now))
-    probe.h_history.append(hhat_now)
+def theta_series(times, hhat, frequencies, alpha2: float) -> dict:
+    """Theta_v(t_m) = coeff_v(xi) * int_{t_0}^{t_m} |hhat|^2 dtau/tau per variant.
+
+    ``hhat`` has shape (n_times, n_freqs).  The integral is the trapezoid
+    rule in log t, summed from Theta = 0 at the first time; each variant's
+    array has the shape of ``hhat``.
+    """
+    times = [float(t) for t in times]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be strictly increasing")
+    sq = np.abs(np.asarray(hhat, dtype=np.complex128)) ** 2
+    mean_sq = 0.5 * (sq[:-1] + sq[1:])
+    dlog = np.array([math.log(b) - math.log(a) for a, b in zip(times, times[1:])])
+    out = {}
     for v in VARIANTS:
-        probe.theta[v].append(probe.theta[v][-1] + probe.coefficient(v) * mean_sq * dlog)
-    return probe
+        coeff = np.array([theta_coefficient(x, alpha2, v) for x in frequencies])
+        steps = coeff * mean_sq * dlog[:, None]
+        out[v] = np.cumsum(np.vstack([np.zeros_like(coeff), steps]), axis=0)
+    return out
 
 
 def _dyadic_sample_indices(times) -> list:
@@ -258,7 +243,7 @@ def _dyadic_sample_indices(times) -> list:
     return out
 
 
-def scattering_monitor(probe: ScatteringProbe, fit_t_min: float = 16.0) -> list:
+def scattering_monitor(times, hhat, frequencies, alpha2: float, fit_t_min: float) -> list:
     """Per-frequency, per-variant convergence report.
 
     For each probed xi and each phase-correction variant: the Cauchy
@@ -266,33 +251,32 @@ def scattering_monitor(probe: ScatteringProbe, fit_t_min: float = 16.0) -> list:
     vhat = e^{i Theta} hhat, the raw drift slope d(arg hhat)/d(log t) fitted
     over t >= fit_t_min, and the variant's prediction -coeff(xi) |hhat|^2.
     """
-    dyadic = _dyadic_sample_indices(probe.times)
-    if len(dyadic) < 3:
-        raise InsufficientData(f"need >= 3 dyadic-time snapshots, have {len(dyadic)}")
-    times = np.asarray(probe.times)
-    hmat = np.stack(probe.h_history)  # (n_times, n_freqs)
-    reports = []
+    times = np.asarray(times, dtype=np.float64)
+    dyadic = _dyadic_sample_indices(times)
+    if len(dyadic) < MIN_DYADIC_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DYADIC_SAMPLES} dyadic-time snapshots, have {len(dyadic)}")
     fit_sel = times >= fit_t_min
-    if np.count_nonzero(fit_sel) < 4:
-        raise InsufficientData("need >= 4 samples at t >= fit_t_min for the drift fit")
+    if np.count_nonzero(fit_sel) < MIN_DRIFT_FIT_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DRIFT_FIT_SAMPLES} samples at t >= fit_t_min for the drift fit")
+    hmat = np.asarray(hhat, dtype=np.complex128)
+    theta = theta_series(times, hmat, frequencies, alpha2)
     logt = np.log(times[fit_sel])
-    for i, xi in enumerate(probe.frequencies):
+    reports = []
+    for i, xi in enumerate(frequencies):
         phases = np.unwrap(np.angle(hmat[:, i]))
         slope = float(np.polyfit(logt, phases[fit_sel], 1)[0])
         h2 = float(np.abs(hmat[-1, i]) ** 2)
         for v in VARIANTS:
-            theta_series = np.array([probe.theta[v][m][i] for m in dyadic])
-            vhat = np.exp(1j * theta_series) * hmat[dyadic, i]
+            vhat = np.exp(1j * theta[v][dyadic, i]) * hmat[dyadic, i]
             inc = np.abs(np.diff(vhat))
-            coeff = theta_coefficient(float(xi), probe.alpha2, v)
+            coeff = theta_coefficient(float(xi), alpha2, v)
             predicted = -coeff * h2
             matched = abs(slope - predicted) <= 0.2 * abs(predicted)
             # 20% noise allowance plus an absolute floor so that increments
             # at round-off scale (a fully converged vhat) still count
             floor = 1e-12 * float(np.max(np.abs(hmat[dyadic, i]), initial=0.0))
-            monotone = (
-                bool(np.all(inc[1:] <= 1.2 * inc[:-1] + floor)) if inc.size >= 2 else False
-            )
+            # at least MIN_DYADIC_SAMPLES dyadic times, so at least two increments
+            monotone = bool(np.all(inc[1:] <= 1.2 * inc[:-1] + floor))
             reports.append(
                 {
                     "xi": float(xi),
@@ -319,8 +303,8 @@ def decay_fit(series, window) -> tuple[float, float]:
     """
     t_lo, t_hi = window
     pts = [(t, v) for t, v in series if t_lo <= t <= t_hi]
-    if len(pts) < 8:
-        raise InsufficientData(f"need >= 8 samples in [{t_lo}, {t_hi}], have {len(pts)}")
+    if len(pts) < MIN_DECAY_FIT_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DECAY_FIT_SAMPLES} samples in [{t_lo}, {t_hi}], have {len(pts)}")
     if any(v <= 0.0 for _, v in pts):
         raise InsufficientData("decay fit requires strictly positive values")
     logt = np.log([t for t, _ in pts])

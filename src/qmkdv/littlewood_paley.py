@@ -67,19 +67,19 @@ def bump(xi):
     return _smooth_step(t)
 
 
-def psi_k(xi, k: int, psi=bump):
+def psi_k(xi, k: int):
     """Dyadic annulus cutoff psi(xi/2^k) - psi(xi/2^{k-1})."""
-    return psi(np.asarray(xi) / 2.0**k) - psi(np.asarray(xi) / 2.0 ** (k - 1))
+    return bump(np.asarray(xi) / 2.0**k) - bump(np.asarray(xi) / 2.0 ** (k - 1))
 
 
-def psi_le(xi, k: int, psi=bump):
+def psi_le(xi, k: int):
     """Low-pass cutoff psi(xi/2^k) (equals sum of psi_j for j <= k)."""
-    return psi(np.asarray(xi) / 2.0**k)
+    return bump(np.asarray(xi) / 2.0**k)
 
 
-def psi_tilde(xi, k: int, psi=bump):
+def psi_tilde(xi, k: int):
     """Fattened annulus psi_{k-1} + psi_k + psi_{k+1}; equals 1 on supp psi_k."""
-    return psi(np.asarray(xi) / 2.0 ** (k + 1)) - psi(np.asarray(xi) / 2.0 ** (k - 2))
+    return bump(np.asarray(xi) / 2.0 ** (k + 1)) - bump(np.asarray(xi) / 2.0 ** (k - 2))
 
 
 _SELECTORS = {

@@ -62,11 +62,7 @@ class UnresolvedOscillation(ValueError):
 class OscillatoryResult:
     parameter: float
     value: complex
-    reference: complex
     error: float
-    resolution: int
-    refined_value: complex
-    rel_change: float
 
 
 def _bump_inverse_transform_grid(u_extent: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,23 +101,13 @@ def two_pi_identity(B: float) -> OscillatoryResult:
     per_unit = 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi)  # 32 points per oscillation
     n = int(2 ** math.ceil(math.log2(u_extent * per_unit)))
     value = _two_pi_value(B, n)
-    refined = _two_pi_value(B, 2 * n)
-    reference = 2.0 * math.pi
-    error = abs(value - reference)
-    change = abs(refined - value)
+    error = abs(value - 2.0 * math.pi)
+    change = abs(_two_pi_value(B, 2 * n) - value)
     if change >= 0.1 * error and max(change, error) > NOISE_FLOOR:
         raise UnresolvedOscillation(
             f"B={B}: doubling moved the value by {change:.3e} against error {error:.3e}"
         )
-    return OscillatoryResult(
-        parameter=float(B),
-        value=value,
-        reference=complex(reference),
-        error=error,
-        resolution=n,
-        refined_value=refined,
-        rel_change=change / max(abs(value), 1e-300),
-    )
+    return OscillatoryResult(parameter=float(B), value=value, error=error)
 
 
 def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
@@ -142,16 +128,7 @@ def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
     du = grid.dx
     value = complex(du * np.sum(np.exp(-grid.x**2 / B**2) * inner))
     reference = 2.0 * math.pi / math.sqrt(1.0 + 4.0 / B**4)
-    refined = value  # closed form plays the refinement role here
-    return OscillatoryResult(
-        parameter=float(B),
-        value=value,
-        reference=complex(reference),
-        error=abs(value - reference),
-        resolution=n,
-        refined_value=refined,
-        rel_change=0.0,
-    )
+    return OscillatoryResult(parameter=float(B), value=value, error=abs(value - reference))
 
 
 def local_phase_residual(xi: float, z1: float, z2: float) -> float:
@@ -197,6 +174,7 @@ def _band(center: float, width: float):
     return f
 
 
+# h1, h2, h3 are the (center, width) of each profile's band
 SEPARATED_REGION = {
     # disjoint bands placed so that on the whole support xi - eta2 >= 0.16
     # and eta1 - eta3 >= 0.17: the first-argument phase gradient
@@ -205,9 +183,9 @@ SEPARATED_REGION = {
     # The eta-lattice (n=128 over box 480) keeps >= 4 samples across each
     # bump transition and resolves the oscillation through t = 96: doubling
     # the lattice reproduces the integral to round-off.
-    "h1": ("band", 0.55, 0.15),
-    "h2": ("band", 0.0, 0.15),
-    "h3": ("band", -0.10, 0.15),
+    "h1": (0.55, 0.15),
+    "h2": (0.0, 0.15),
+    "h3": (-0.10, 0.15),
     "xi": (0.40, 0.45, 0.50),
     "n": 128,
     "box": 480.0,
@@ -217,21 +195,14 @@ SEPARATED_REGION = {
 RESONANT_REGION = {
     # one broad band through all the (merged, nearly degenerate) stationary
     # points of a near-zero output frequency: decay saturates near t^{-2/3}
-    "h1": ("band", 0.0, 1.0),
-    "h2": ("band", 0.0, 1.0),
-    "h3": ("band", 0.0, 1.0),
+    "h1": (0.0, 1.0),
+    "h2": (0.0, 1.0),
+    "h3": (0.0, 1.0),
     "xi": (0.02, 0.03),
     "n": 96,
     "box": 40.0,
     "window": None,
 }
-
-
-def _profile_from_spec(spec):
-    kind, center, width = spec
-    if kind == "band":
-        return _band(center, width)
-    raise ValueError(f"unknown profile kind {kind!r}")
 
 
 def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1.0) -> dict:
@@ -254,9 +225,7 @@ def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1
     spec = {"separated": SEPARATED_REGION, "resonant": RESONANT_REGION}[region]
     window = spec["window"]
     grid = GridSpec(n=spec["n"], box_length=spec["box"])
-    h1 = _profile_from_spec(spec["h1"])
-    h2 = _profile_from_spec(spec["h2"])
-    h3 = _profile_from_spec(spec["h3"])
+    h1, h2, h3 = (_band(*spec[k]) for k in ("h1", "h2", "h3"))
     mags = np.zeros(len(t_list))
     for xi in spec["xi"]:
         vals = trilinear_integral(grid, h1, h2, h3, alpha2, xi, t_list)
@@ -270,14 +239,7 @@ def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1
     if window is None:
         window = (env[0][0], env[-1][0])
     slope, stderr = decay_fit(env, window)
-    return {
-        "region": region,
-        "slope": slope,
-        "stderr": stderr,
-        "window": [float(window[0]), float(window[1])],
-        "series": [(t, float(v)) for t, v in zip(t_list, mags)],
-        "envelope": env,
-    }
+    return {"slope": slope, "stderr": stderr, "series": [(t, float(v)) for t, v in zip(t_list, mags)]}
 
 
 # ---------------------------------------------------------------------------

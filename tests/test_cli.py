@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qmkdv import cli
+from qmkdv import littlewood_paley as lp
 
 SIMULATE_CONFIG = """study.kind = simulate
 grid.n = 64
@@ -144,12 +146,12 @@ def test_false_gates_named_by_dotted_path():
     assert cli._false_gates(report) == ["b.c_ok", "b.list.1.ok", "checks.d.passed", "passed"]
 
 
-FAULT_CONFIG = "identities.samples = 100\nfault.bump_stretch = 2.0\n"
-
-
-def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys):
+def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, monkeypatch):
+    # a stretched mother bump breaks the dyadic partition of unity, and only it
+    real_bump = lp.bump
+    monkeypatch.setattr(lp, "bump", lambda xi: real_bump(2.0 * np.asarray(xi)))
     out = tmp_path / "out"
-    assert _main(tmp_path, "identities", FAULT_CONFIG, out) == 1
+    assert _main(tmp_path, "identities", "identities.samples = 100\n", out) == 1
     assert "lp_partition" in capsys.readouterr().err
     report = json.loads((out / "identities.json").read_text(encoding="utf-8"))
     assert report["passed"] is False
@@ -171,6 +173,11 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys):
         ("decay", "decay.linear_n = 63\n"),
         ("oscillatory", "oscillatory.b_values = 8.0, 2.0\n"),
         ("resonance", "constants.delta = -1.0\n"),
+        ("resonance", "resonance.j_min = 0\nresonance.j_max = 0\nresonance.n_axis = 47\n"),
+        ("decay", "decay.samples = 5\n"),
+        ("decay", DECAY_CONFIG.replace("decay.fit_t_min = 1.2", "decay.fit_t_min = 2.9")),
+        ("scattering", SCATTERING_CONFIG.replace("fit_t_min = 1.5", "fit_t_min = 3.5")),
+        ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = 3.0")),
     ],
     ids=[
         "unknown-key",
@@ -185,6 +192,11 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys):
         "odd-linear-grid",
         "b-value-below-4",
         "negative-delta",
+        "odd-n-axis",
+        "linear-decay-window",
+        "nonlinear-decay-window",
+        "drift-fit-window",
+        "dyadic-times",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
@@ -195,9 +207,9 @@ def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
 
 
 def test_process_exit_status_is_mains_return(tmp_path):
-    config = tmp_path / "identities.cfg"
-    config.write_text(FAULT_CONFIG, encoding="utf-8")
-    argv = ["identities", "--config", str(config), "--out", str(tmp_path / "out")]
+    config = tmp_path / "resonance.cfg"
+    config.write_text(RESONANCE_CONFIG, encoding="utf-8")
+    argv = ["resonance", "--config", str(config), "--out", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "qmkdv.cli", *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == cli.main(argv) == 1

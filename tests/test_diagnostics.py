@@ -1,9 +1,20 @@
-"""Solution functionals: the wrap-safe scaling field and the energy."""
+"""Solution functionals: the wrap-safe scaling field, the energy, and the
+scattering estimator."""
 
 import numpy as np
 import pytest
 
-from qmkdv.diagnostics import energy, scaling_field_spectral, z_norm
+from qmkdv.diagnostics import (
+    VARIANTS,
+    InsufficientData,
+    energy,
+    probe_indices,
+    scaling_field_spectral,
+    scattering_monitor,
+    theta_coefficient,
+    theta_series,
+    z_norm,
+)
 from qmkdv.model import BootstrapConstants, CoefficientSpec, scaling_field_direct
 from qmkdv.spectral_core import GridSpec, NonZeroMean, derivative, norm, transform
 
@@ -56,3 +67,86 @@ def test_nonzero_mean_is_refused():
         energy(phi, 1.0, SPEC)
     with pytest.raises(NonZeroMean):
         scaling_field_spectral(phi, 1.0, SPEC)
+
+
+# ---------------------------------------------------------------------------
+# The scattering estimator on synthetic series
+# ---------------------------------------------------------------------------
+
+# Two probes whose coefficients and amplitudes differ, so that a transposed
+# (time, frequency) index changes every result.
+XI = np.array([0.8, 1.5])
+ALPHA2 = 1.0
+AMP = np.array([0.3, 0.5])
+TIMES = np.array(sorted({2.0**k for k in range(6)} | set(np.exp(np.linspace(0.0, np.log(32.0), 33)))))
+
+
+def coefficients(variant):
+    return np.array([theta_coefficient(x, ALPHA2, variant) for x in XI])
+
+
+def log_phase_series(slope):
+    """hhat = AMP exp(i (0.3 + slope log t)), one column per probe."""
+    return AMP * np.exp(1j * (0.3 + slope * np.log(TIMES)[:, None]))
+
+
+@pytest.mark.parametrize("growth", [0.0, 0.02], ids=["constant-modulus", "modulus-squared-linear-in-log-t"])
+def test_theta_integrates_the_modulus_squared_in_log_time(growth):
+    # |hhat|^2 = AMP^2 + growth * log t: the trapezoid rule in log t is exact,
+    # so Theta_v = coeff_v (AMP^2 log(t/t0) + growth (log^2 t - log^2 t0) / 2)
+    s = np.log(TIMES)[:, None]
+    hhat = log_phase_series(np.array([0.7, -0.2])) * np.sqrt(1.0 + growth * s / AMP**2)
+    theta = theta_series(TIMES, hhat, XI, ALPHA2)
+    integral = AMP**2 * (s - s[0]) + 0.5 * growth * (s**2 - s[0] ** 2)
+    for v in VARIANTS:
+        assert theta[v].shape == (TIMES.size, XI.size)
+        np.testing.assert_allclose(theta[v], coefficients(v) * integral, rtol=1e-13, atol=1e-16)
+
+
+def test_monitor_matches_the_variant_whose_correction_cancels_the_drift():
+    b = -coefficients("A") * AMP**2
+    reports = scattering_monitor(TIMES, log_phase_series(b), XI, ALPHA2, fit_t_min=4.0)
+    by_key = {(r["xi"], r["variant"]): r for r in reports}
+    assert sorted(by_key) == [(0.8, "A"), (0.8, "B"), (1.5, "A"), (1.5, "B")]
+    for i, xi in enumerate(XI):
+        a, other = by_key[xi, "A"], by_key[xi, "B"]
+        assert a["drift_slope"] == pytest.approx(b[i], rel=1e-10)
+        assert a["predicted_slope"] == pytest.approx(b[i], rel=1e-14)
+        assert a["matched"] and not other["matched"]
+        # e^{i Theta_A} hhat is constant: its dyadic increments are round-off
+        assert len(a["cauchy_increments"]) == 5
+        assert max(a["cauchy_increments"]) < 1e-14
+        assert a["monotone_decrease"]
+
+
+def test_monitor_refuses_too_few_samples():
+    hhat = log_phase_series(np.zeros(2))
+    three_dyadic = TIMES < 5.0  # t = 1, 2 and 4
+    scattering_monitor(TIMES[three_dyadic], hhat[three_dyadic], XI, ALPHA2, fit_t_min=1.0)
+    two_dyadic = TIMES < 3.0
+    with pytest.raises(InsufficientData, match="dyadic"):
+        scattering_monitor(TIMES[two_dyadic], hhat[two_dyadic], XI, ALPHA2, fit_t_min=1.0)
+    assert np.count_nonzero(TIMES >= 23.0) == 4 and np.count_nonzero(TIMES >= 25.0) == 3
+    scattering_monitor(TIMES, hhat, XI, ALPHA2, fit_t_min=23.0)
+    with pytest.raises(InsufficientData, match="fit_t_min"):
+        scattering_monitor(TIMES, hhat, XI, ALPHA2, fit_t_min=25.0)
+
+
+@pytest.mark.parametrize("times", [[1.0, 2.0, 2.0, 4.0], [1.0, 4.0, 2.0, 8.0]], ids=["repeated", "decreasing"])
+def test_non_increasing_times_are_refused(times):
+    hhat = np.ones((len(times), XI.size), dtype=complex)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        theta_series(times, hhat, XI, ALPHA2)
+
+
+def test_probe_indices_are_sorted_distinct_and_representable():
+    grid = GridSpec(512, 300.0)  # dxi = 0.0209...
+    idx = probe_indices(grid, (1.1, 1.0, 1.0001))
+    assert idx.tolist() == [48, 53]
+    assert idx.dtype.kind == "i"
+    for bad in ((0.0,), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="positive"):
+            probe_indices(grid, bad)
+    for bad in (0.4 * grid.dxi, 256 * grid.dxi):  # rounds to index 0, or to n/2
+        with pytest.raises(ValueError, match="not representable"):
+            probe_indices(grid, (bad,))
