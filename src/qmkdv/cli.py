@@ -645,6 +645,8 @@ def _scattering(ctx: _Context) -> dict:
     cfg, grid, coeff = ctx.cfg, ctx.grid, ctx.coeff
     t_end = cfg["run.t_end"]
     fit_t_min = cfg["scattering.fit_t_min"]
+    if fit_t_min < 0.0:
+        raise ConfigError(f"scattering.fit_t_min must be >= 0, got {fit_t_min}")
     try:
         idx = probe_indices(grid, cfg["scattering.target_frequencies"])
     except ValueError as e:

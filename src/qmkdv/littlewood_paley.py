@@ -17,7 +17,8 @@ computed by tensor trapezoid sums on grids whose extent covers the symbol's
 support with margin (symbols are always compactly cut off before this norm
 is taken).  The symbols met here are short sums of tensor products of
 per-axis factors, so the inverse transform is contracted one axis at a time
-(:func:`s_infty_separable`) and never assembled as a dense 3D array.
+(:func:`s_infty_separable`) and never assembled as a dense 3D array: it is
+summed in L2-sized tiles, over half the (y2, y3) plane when exchange symmetric.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
 
 PLATEAU_EDGE = 1.25  # psi == 1 for |xi| <= 5/4
 SUPPORT_EDGE = 1.6  # psi == 0 for |xi| >= 8/5
+_TILE, _TILE_WIDTH = 1 << 16, 2048  # S_infty GEMM tile: 512 KiB, at most 2048 columns
 
 
 class UnresolvedSymbol(ValueError):
@@ -151,6 +153,11 @@ def s_infty_separable(axes, coeffs, factors) -> float:
     real arithmetic.  The resulting kernel K satisfies |K(-y)| = |K(y)|, so
     only the lead-axis rows 0..n/2 are summed, rows 1..n/2-1 with weight 2.
     ValueError is raised when the contract does not hold.
+
+    K is formed and summed in L2-sized tiles, blocks of lead-axis rows by
+    blocks of columns.  With three axes, axes[1] == axes[2] and a term list
+    that maps to itself (bytewise) when rows 1 and 2 swap, |K(y1, y2, y3)| =
+    |K(y1, y3, y2)|; then only y2 = y3 (once) and y2 < y3 (twice) are summed.
     """
     coeffs = np.asarray(coeffs)
     if np.iscomplexobj(coeffs) and np.any(coeffs.imag):
@@ -160,12 +167,13 @@ def s_infty_separable(axes, coeffs, factors) -> float:
     if not 1 <= d <= 3:
         raise ValueError("s_infty_separable supports 1 to 3 axes")
     odd = np.zeros(coeffs.size, dtype=np.int64)
-    ft = []
+    ft, keys = [], [coeffs.tolist()]
     for ax, rows in zip(axes, factors):
         rows = np.asarray(rows)
         if np.iscomplexobj(rows) and np.any(rows.imag):
             raise ValueError("s_infty_separable needs real axis factors")
         rows = np.asarray(rows.real, dtype=np.float64)
+        keys.append([row.tobytes() for row in rows])
         edge = np.max(np.abs(rows[:, [ax.n // 2, ax.n // 2 - 1]]))
         peak = np.max(np.abs(rows))
         if peak > 0.0 and edge > 1e-14 * peak:
@@ -188,19 +196,27 @@ def s_infty_separable(axes, coeffs, factors) -> float:
     weights = np.full(half + 1, 2.0)
     weights[[0, half]] = 1.0
     lead = (ft[0][:, : half + 1] * coeffs[:, None] * weights).T
-    if d == 1:
-        pair = np.ones((coeffs.size, 1))
-    elif d == 2:
-        pair = ft[1]
-    else:
-        pair = (ft[1][:, :, None] * ft[2][:, None, :]).reshape(coeffs.size, -1)
-    slab = max(1, (1 << 23) // pair.shape[1])
-    buf = np.empty((min(slab, half + 1), pair.shape[1]))
+    if d < 3:
+        return _abs_sum(lead, ft[1] if d == 2 else np.ones((coeffs.size, 1)))
+    if axes[1] == axes[2] and sorted(zip(*keys)) == sorted(zip(*keys[:2], keys[3], keys[2])):
+        upper = np.concatenate([ft[1][:, k, None] * ft[2][:, k + 1 :] for k in range(axes[1].n - 1)], axis=1)
+        return 2.0 * _abs_sum(lead, upper) + _abs_sum(lead, ft[1] * ft[2])
+    return _abs_sum(lead, (ft[1][:, :, None] * ft[2][:, None, :]).reshape(coeffs.size, -1))
+
+
+def _abs_sum(lead, pair) -> float:
+    """sum |lead @ pair|, contracted tile by tile over row and column blocks."""
+    width = min(pair.shape[1], _TILE_WIDTH)
+    height = max(1, _TILE // width)
+    buf = np.empty(min(height, lead.shape[0]) * width)
     total = 0.0
-    for i0 in range(0, half + 1, slab):
-        block = buf[: min(slab, half + 1 - i0)]
-        np.matmul(lead[i0 : i0 + slab], pair, out=block)
-        total += float(np.sum(np.abs(block, out=block)))
+    for c0 in range(0, pair.shape[1], width):
+        cols = pair[:, c0 : c0 + width]
+        for r0 in range(0, lead.shape[0], height):
+            rows = lead[r0 : r0 + height]
+            block = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], -1)
+            np.matmul(rows, cols, out=block)
+            total += float(np.sum(np.abs(block, out=block)))
     return total
 
 

@@ -178,6 +178,7 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("decay", DECAY_CONFIG.replace("decay.fit_t_min = 1.2", "decay.fit_t_min = 2.9")),
         ("scattering", SCATTERING_CONFIG.replace("fit_t_min = 1.5", "fit_t_min = 3.5")),
         ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = 3.0")),
+        ("scattering", SCATTERING_CONFIG.replace("fit_t_min = 1.5", "fit_t_min = -1.0")),
     ],
     ids=[
         "unknown-key",
@@ -197,6 +198,7 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "nonlinear-decay-window",
         "drift-fit-window",
         "dyadic-times",
+        "negative-drift-fit-start",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmkdv import model
+from qmkdv import littlewood_paley, model
 from qmkdv.littlewood_paley import (
     SUPPORT_EDGE,
     DegenerateInput,
@@ -287,6 +287,66 @@ class TestSInftyNorm:
             symbol_axes(extents, 48),
         )
         assert model._dyadic_s_infty(js, alpha2, which, 48) == pytest.approx(dense, rel=1e-12)
+
+    # Terms (coeff, powers of eta1, eta2, eta3), each with the bump on every
+    # axis; swapping the powers of eta2 and eta3 permutes the list by SWAP.
+    # The bump's kernel stays above 1e-5 out to the lattice edge, so every
+    # tile of the contraction counts.
+    SWAP_CLOSED = [
+        (1.5, (2, 0, 0)),
+        (0.7, (0, 2, 0)),
+        (0.7, (0, 0, 2)),
+        (-0.4, (1, 1, 0)),
+        (-0.4, (1, 0, 1)),
+        (0.9, (0, 1, 1)),
+        (-1.0, (0, 0, 0)),
+    ]
+    SWAP = [0, 2, 1, 4, 3, 5, 6]
+
+    def _swap_case(self, monkeypatch, terms, scale3, n=128):
+        """Separable and dense S_infty of sum c x^p y^q (s z)^r b(x) b(y) b(s z)
+        on axes of extent 6.4, 6.4 and 6.4 / s, with the column counts of each
+        tiled contraction.  The axis-3 rows are the axis-2 rows permuted by
+        SWAP, bytewise, also for s = 2 (its xi are exactly half of theirs)."""
+        calls = []
+        real = littlewood_paley._abs_sum
+
+        def counted(lead, pair):
+            calls.append(pair.shape[1])
+            return real(lead, pair)
+
+        monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
+        scales = (1.0, 1.0, scale3)
+        axes = symbol_axes(tuple(6.4 / s for s in scales), n)
+        rows = [
+            np.array([(s * ax.xi) ** p[i] * bump(s * ax.xi) for _, p in terms])
+            for i, (ax, s) in enumerate(zip(axes, scales))
+        ]
+        assert np.array_equal(rows[1], rows[2][self.SWAP])
+        fn = lambda x, y, z: sum(
+            c * x ** p[0] * y ** p[1] * (scale3 * z) ** p[2] * bump(x) * bump(y) * bump(scale3 * z) for c, p in terms
+        )
+        sep = s_infty_separable(axes, [c for c, _ in terms], rows)
+        return axes, calls, sep, dense_s_infty(fn, axes)
+
+    def test_exchange_symmetric_sum_matches_dense(self, monkeypatch):
+        """n = 128: several column tiles with a partial last one, and row tiles."""
+        _, calls, sep, dense = self._swap_case(monkeypatch, self.SWAP_CLOSED, 1.0)
+        # the strict upper triangle of the (y2, y3) plane, then its diagonal
+        assert calls == [128 * 127 // 2, 128]
+        assert sep == pytest.approx(dense, rel=1e-12)
+
+    def test_unequal_swap_partners_take_the_full_plane(self, monkeypatch):
+        terms = [(c * (1.25 if p == (0, 0, 2) else 1.0), p) for c, p in self.SWAP_CLOSED]
+        _, calls, sep, dense = self._swap_case(monkeypatch, terms, 1.0)
+        assert calls == [128 * 128]
+        assert sep == pytest.approx(dense, rel=1e-12)
+
+    def test_identical_rows_on_unequal_axes_take_the_full_plane(self, monkeypatch):
+        axes, calls, sep, dense = self._swap_case(monkeypatch, self.SWAP_CLOSED, 2.0)
+        assert axes[1] != axes[2]
+        assert calls == [128 * 128]
+        assert sep == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_separable_low_dimensions_match_dense(self, d):

@@ -458,11 +458,18 @@ class TestDyadicSymbolBound:
     def test_derivative_symbol_scales_exactly(self):
         # The derivative symbol is homogeneous of degree one and the lattice
         # scales with the cell, so the normalized ratio is j-independent.
+        # Every grid and factor scales by a power of two, so the ratio is
+        # bitwise equal.
         ratios = [
             dyadic_symbol_bound(j, j, j, alpha2=1.0, which="dT1", n_axis=256)
             for j in (-1, 0, 1)
         ]
-        assert max(ratios) / min(ratios) <= 1.0 + 1e-12
+        assert ratios[0] == ratios[1] == ratios[2]
+
+    @pytest.mark.parametrize("which, want", [("T1", 1999.0472599273248), ("dT1", 2162.8272721755993)])
+    def test_unit_cell_ratios_pinned(self, which, want):
+        # The j=0 cell of the resonance study at its default n_axis.
+        assert dyadic_symbol_bound(0, 0, 0, 1.0, which=which, n_axis=384) == pytest.approx(want, rel=1e-12)
 
     def test_refinement_report(self):
         report = dyadic_symbol_bound(1, 0, 0, alpha2=1.0, which="T1", n_axis=256, refine=True)
