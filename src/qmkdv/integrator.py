@@ -127,17 +127,26 @@ def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool, pad: int)
     return -nonlinearity_full(phi, spec, pad).coeffs
 
 
+def _free_flow_factors(grid: GridSpec, pad: int, *steps: float) -> tuple[np.ndarray, ...]:
+    """exp(i xi^3 h) for each step length h."""
+    lam = _multipliers(grid.n, grid.box_length, pad)[2]
+    return tuple(np.exp(lam * h) for h in steps)
+
+
 def lawson_step(
     phi: SpectralField,
     spec: CoefficientSpec,
     dt: float,
     linear_only: bool = False,
     pad: int = 3,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SpectralField:
-    """One integrating-factor RK4 step of length dt."""
-    lam = _multipliers(phi.grid.n, phi.grid.box_length, pad)[2]
-    e_full = np.exp(lam * dt)
-    e_half = np.exp(lam * (0.5 * dt))
+    """One integrating-factor RK4 step of length dt.
+
+    `factors`, when given, are exp(i xi^3 dt) and exp(i xi^3 dt/2) as the
+    step would compute them; a caller that holds them saves the exponentials.
+    """
+    e_full, e_half = factors or _free_flow_factors(phi.grid, pad, dt, 0.5 * dt)
     y = phi.coeffs
     t = phi.time
 
@@ -168,9 +177,13 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         dt_try = dt_cap if capped else dt
         if dt_try < DT_FLOOR:
             raise StepUnderflow(f"dt={dt_try:.3e} below {DT_FLOOR} at t={phi.time}")
-        full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, cfg.pad)
-        half = lawson_step(phi, cfg.coeff, 0.5 * dt_try, cfg.linear_only, cfg.pad)
-        pair = lawson_step(half, cfg.coeff, 0.5 * dt_try, cfg.linear_only, cfg.pad)
+        # the half steps' exp(i xi^3 h) and exp(i xi^3 h/2) are the full step's
+        # exp(i xi^3 dt/2) and exp(i xi^3 dt/4), bit for bit
+        h = 0.5 * dt_try
+        e_full, e_half, e_quarter = _free_flow_factors(phi.grid, cfg.pad, dt_try, h, 0.5 * h)
+        full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, cfg.pad, (e_full, e_half))
+        half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, cfg.pad, (e_half, e_quarter))
+        pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, cfg.pad, (e_half, e_quarter))
         err = norm(pair.with_coeffs(pair.coeffs - full.coeffs), "L2")
         tol = cfg.eps_tol * base
         if not np.isfinite(err):

@@ -84,7 +84,7 @@ class CoefficientSpec:
             return self.a * v
         if self.family == "sine":
             return np.sin(self.a * v)
-        return self.a * v + self.b * v**2 + self.c * v**3
+        return v * (self.a + v * (self.b + self.c * v))
 
     def c_prime0(self) -> float:
         return self.a
@@ -128,33 +128,35 @@ class BootstrapConstants:
 
 
 def _fine_derivative_values(grid: GridSpec, pad: int, w_values: np.ndarray) -> np.ndarray:
-    """d_x of samples on the pad-refined grid, computed spectrally there.
+    """d_x of real samples on the pad-refined grid, computed spectrally there.
 
-    This is synthesize(derivative(transform(fine, w), 1)) on the fine grid
+    This is the real-FFT form of synthesize(derivative(transform(fine, w), 1))
     with its two parity signs cancelled, which leaves the value bits as they
-    are.
+    are; the refined grid's own unpaired Nyquist bin is dropped.
     """
     m = pad * grid.n
     scale = grid.box_length / (2.0 * np.pi * m)
     ixi_fine = _multipliers(grid.n, grid.box_length, pad)[1]
-    return np.fft.ifft(scale * np.fft.fft(w_values) * ixi_fine) * (m * grid.dxi)
+    return np.fft.irfft(scale * np.fft.rfft(w_values) * ixi_fine, m) * (m * grid.dxi)
 
 
 def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> SpectralField:
-    """N(phi) = d_x( phi^3 + c(phi) d_x( c(phi) d_x phi ) ).
+    """N(phi) = d_x( phi^3 + c(phi) d_x( c(phi) d_x phi ) ) for a real field phi.
 
-    Products are evaluated on a pad-refined grid (cubic polynomial terms are
-    dealiased exactly for pad >= 2; the non-polynomial c(phi) factors are
-    evaluated pointwise there, with residual aliasing measured by resolution
-    doubling in the test-suite).  The outer d_x acts after truncation, so the
-    zero mode of the output vanishes exactly.
+    Products are evaluated in real arithmetic on a pad-refined grid (cubic
+    polynomial terms are dealiased exactly for pad >= 2; the non-polynomial
+    c(phi) factors are evaluated pointwise there, with residual aliasing
+    measured by resolution doubling in the test-suite).  phi must be real:
+    its samples there are those of the real interpolant (see `padded_values`).
+    The outer d_x acts after truncation, so the zero mode of the output
+    vanishes exactly, and the output is Hermitian at every index but n/2.
     """
     ixi = _multipliers(phi.grid.n, phi.grid.box_length, pad)[0]
     u = padded_values(phi, pad)
     ux = padded_values(phi.with_coeffs(phi.coeffs * ixi), pad)
     cu = spec.c_of(u)
     inner = _fine_derivative_values(phi.grid, pad, cu * ux)
-    flux = u**3 + cu * inner
+    flux = u * u * u + cu * inner
     out = transform_from_padded(phi.grid, flux, phi.time)
     return out.with_coeffs(out.coeffs * ixi)
 
@@ -172,15 +174,16 @@ def nonlinearity_split(
     ux = padded_values(derivative(phi, 1), pad)
     uxx = padded_values(derivative(phi, 2), pad)
 
-    flux3 = u**3 + spec.alpha2 * (u**2 * uxx + u * ux**2)
+    u2 = u * u
+    flux3 = u2 * u + spec.alpha2 * (u2 * uxx + u * (ux * ux))
     n3 = derivative(transform_from_padded(phi.grid, flux3, phi.time), 1)
 
     if spec.alpha3 == 0.0:
         n4 = phi.with_coeffs(np.zeros_like(phi.coeffs))
     else:
         v1x = _fine_derivative_values(phi.grid, pad, u * ux)
-        v2x = _fine_derivative_values(phi.grid, pad, u**2 * ux)
-        flux4 = spec.alpha3 * (u**2 * v1x + u * v2x)
+        v2x = _fine_derivative_values(phi.grid, pad, u2 * ux)
+        flux4 = spec.alpha3 * (u2 * v1x + u * v2x)
         n4 = derivative(transform_from_padded(phi.grid, flux4, phi.time), 1)
 
     full = nonlinearity_full(phi, spec, pad)
@@ -367,9 +370,11 @@ def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) ->
 
 def hamiltonian(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> float:
     """Conserved energy integral H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx."""
-    u = np.real(padded_values(phi, pad))
-    ux = np.real(padded_values(derivative(phi, 1), pad))
-    integrand = -0.25 * u**4 + 0.5 * (spec.c_of(u) ** 2 + 1.0) * ux**2
+    u = padded_values(phi, pad)
+    ux = padded_values(derivative(phi, 1), pad)
+    u2 = u * u
+    cu = spec.c_of(u)
+    integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux)
     fine_dx = phi.grid.box_length / (pad * phi.grid.n)
     return float(fine_dx * np.sum(integrand))
 

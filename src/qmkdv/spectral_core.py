@@ -21,10 +21,16 @@ reduce to one FFT plus a parity sign and a scale.  The parity is applied by
 negating the odd entries of a copy, not by multiplying with a sign array;
 `GridSpec.parity` remains as the explicit form of the same sign.
 
-Products of fields are formed on a refined grid: `padded_values` evaluates a
-field on pad_factor * n points, the samples are multiplied there, and
-`transform_from_padded` analyzes the product and truncates it to the n-point
-band.  A pad factor p represents products of total degree <= 2p - 1 exactly.
+Products of real fields are formed on a refined grid in real arithmetic:
+`padded_values` evaluates a real field on pad_factor * n points as float64
+samples, by an inverse real FFT of its non-negative half spectrum, the samples
+are multiplied there, and `transform_from_padded` analyzes the real product
+with a real FFT, truncates it to the n-point band and rebuilds the negative
+frequencies by conjugate symmetry.  The unpaired coefficient c_{-n/2} (the
+Nyquist mode) is read as the real band-limited interpolant reads it
+(Trefethen, Spectral Methods in MATLAB, ch. 3): split evenly between -n/2 and
++n/2, with conj(c_{-n/2})/2 at +n/2.  A pad factor p >= 2 represents products
+of total degree <= 2p - 1 exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
     "SpectralField",
     "GridMismatch",
     "NonZeroMean",
+    "ComplexSamples",
     "transform",
     "synthesize",
     "field_from_coefficients",
@@ -67,6 +74,10 @@ class GridMismatch(ValueError):
 
 class NonZeroMean(ValueError):
     """Operation requires a zero-mean field (vanishing zero mode)."""
+
+
+class ComplexSamples(ValueError):
+    """A real-field transform was handed complex samples."""
 
 
 @dataclass(frozen=True)
@@ -108,16 +119,20 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=4)
 def _multipliers(n: int, box_length: float, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i*xi on the n-point grid, i*xi on its pad-refined grid, i*xi^3 on the
-    n-point grid), read-only.
+    """(i*xi on the n-point grid, i*xi on the m/2 + 1 non-negative frequencies
+    of its m = pad*n point refined grid, i*xi^3 on the n-point grid), read-only.
 
-    Memoized for the time-stepping hot path only (the nonlinearity and the
-    Lawson step), which evaluates them thousands of times on one grid.
-    GridSpec's own properties stay uncached: a cache there would also keep
-    the large one-shot grids of the quadrature studies alive.
+    The refined grid's unpaired Nyquist bin gets 0: a real field's odd
+    derivative has no real part there.  Memoized for the time-stepping hot
+    path only (the nonlinearity and the Lawson step), which evaluates them
+    thousands of times on one grid.  GridSpec's own properties stay uncached:
+    a cache there would also keep the large one-shot grids of the quadrature
+    studies alive.
     """
     xi = GridSpec(n, box_length).xi
-    out = (1j * xi, 1j * GridSpec(pad * n, box_length).xi, 1j * xi**3)
+    xi_half = GridSpec(pad * n, box_length).xi[: pad * n // 2 + 1]
+    xi_half[-1] = 0.0
+    out = (1j * xi, 1j * xi_half, 1j * xi**3)
     for a in out:
         a.flags.writeable = False
     return out
@@ -243,33 +258,41 @@ def xi_l2_norm(a: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(grid.dxi * np.sum(np.abs(a) ** 2)))
 
 
-def _padded_coeffs(f: SpectralField, m: int) -> np.ndarray:
-    n = f.grid.n
-    out = np.zeros(m, dtype=np.complex128)
-    out[: n // 2] = f.coeffs[: n // 2]
-    out[m - n // 2 :] = f.coeffs[n // 2 :]
-    return out
-
-
 def padded_values(f: SpectralField, pad_factor: int) -> np.ndarray:
-    """Evaluate the trigonometric polynomial on a pad_factor-refined grid."""
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
+    """Evaluate a real field on a pad_factor-refined grid (float64 samples).
+
+    `f` must be a real field: only j = 0..n/2-1 and the unpaired c_{-n/2} are
+    read, and the samples are those of the real band-limited interpolant,
+    c_{-n/2} split evenly between -n/2 and +n/2.
+    """
+    if pad_factor < 2:
+        raise ValueError("pad_factor must be >= 2")
     g = f.grid
-    m = pad_factor * g.n
-    return np.fft.ifft(_alternate_signs(_padded_coeffs(f, m))) * (m * g.dxi)
+    n = g.n
+    m = pad_factor * n
+    half = np.zeros(m // 2 + 1, dtype=np.complex128)
+    half[: n // 2] = f.coeffs[: n // 2]
+    half[n // 2] = 0.5 * np.conj(f.coeffs[n // 2])
+    return np.fft.irfft(_alternate_signs(half), m) * (m * g.dxi)
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:
-    """Analyze samples from a refined grid and truncate to `grid`'s band."""
+    """Analyze real samples from a refined grid and truncate to `grid`'s band.
+
+    Complex samples raise ComplexSamples.  The kept negative frequencies,
+    c_{-n/2} included, are the conjugates of the positive ones.
+    """
+    w = np.asarray(w)
+    if np.iscomplexobj(w):
+        raise ComplexSamples(f"transform_from_padded takes real samples, got {w.dtype}")
     m = w.shape[0]
     if m % grid.n != 0:
         raise GridMismatch("padded length must be a multiple of grid.n")
-    scale = grid.box_length / (2.0 * np.pi * m)
-    chat = np.fft.fft(np.asarray(w, dtype=np.complex128))
     n = grid.n
+    scale = grid.box_length / (2.0 * np.pi * m)
+    half = np.fft.rfft(w)
     # m - n is even, so every kept entry keeps the parity of its index
-    kept = np.concatenate((chat[: n // 2], chat[m - n // 2 :]))
+    kept = np.concatenate((half[: n // 2], np.conj(half[n // 2 : 0 : -1])))
     return SpectralField(grid, _alternate_signs(scale * kept), time)
 
 

@@ -127,12 +127,12 @@ class TestBootstrapConstants:
 def quintic_remainder_c3_zero(phi, spec, pad=3):
     """N5plus in closed form for c(v) = a v + b v^2 (c3 = 0):
     d_x(q d_x(q d_x phi)) with q = b phi^2, the inner d_x taken spectrally on
-    the padded grid."""
+    the padded grid (its real part: the samples stay real)."""
     fine = GridSpec(pad * phi.grid.n, phi.grid.box_length)
     u = padded_values(phi, pad)
     ux = padded_values(derivative(phi, 1), pad)
     q = 0.5 * spec.c_doubleprime0() * u**2
-    inner = synthesize(derivative(transform(fine, q * ux), 1))
+    inner = np.real(synthesize(derivative(transform(fine, q * ux), 1)))
     return derivative(transform_from_padded(phi.grid, q * inner, phi.time), 1)
 
 
@@ -170,11 +170,14 @@ class TestNonlinearity:
 
     def test_pure_cubic_matches_dense_convolution(self, grid):
         # Independent assembly of d_x(phi^3): two dense convolutions of the
-        # frequency-sorted coefficients (conv index k <-> frequency
-        # (k - r*(n//2)) * dxi after r convolutions), then multiply by i xi.
+        # frequency-sorted n+1-entry spectrum of the real interpolant, with
+        # c_{-n/2} split evenly between -n/2 and +n/2 (conv index k <->
+        # frequency (k - r*(n//2)) * dxi after r convolutions), then multiply
+        # by i xi.
         phi = random_real_field(grid, 11, decay=1.5)
         out = nonlinearity_full(phi, CoefficientSpec("linear", a=0.0, b=0.0, c=0.0))
         c = np.fft.fftshift(phi.coeffs)
+        c = np.concatenate(([0.5 * c[0]], c[1:], [0.5 * np.conj(c[0])]))
         c3 = np.convolve(np.convolve(c, c), c) * grid.dxi**2
         lo = 2 * (grid.n // 2)
         want = 1j * np.sort(grid.xi) * c3[lo : lo + grid.n]
@@ -547,6 +550,8 @@ class TestConservedFunctionals:
 # Unfused reference for the hot path: the composition the pseudo-spectral
 # core is built from, with the (-1)^k parity applied as explicit products
 # with GridSpec.parity and every derivative taken on a freshly built grid.
+# Transforms on the n-point grid are complex; the padded products are real:
+# half spectra, rfft/irfft, and c_{-n/2} split evenly between -n/2 and +n/2.
 
 
 def _ref_transform(grid, u):
@@ -562,20 +567,40 @@ def _ref_synthesize(grid, coeffs):
     return np.fft.ifft(grid.parity * coeffs) * (grid.n * grid.dxi)
 
 
+def _ref_half_derivative(fine, half):
+    """d_x on the non-negative half spectrum of a real field on `fine`; the
+    unpaired Nyquist bin has no real derivative and is dropped."""
+    xi = fine.xi[: fine.n // 2 + 1].copy()
+    xi[-1] = 0.0
+    return half * (1j * xi) ** 1
+
+
+def _ref_real_transform(fine, w):
+    """Half spectrum (j = 0..m/2) of real samples on `fine`."""
+    scale = fine.box_length / (2.0 * np.pi * fine.n)
+    return fine.parity[: fine.n // 2 + 1] * (scale * np.fft.rfft(w))
+
+
+def _ref_real_synthesize(fine, half):
+    return np.fft.irfft(fine.parity[: fine.n // 2 + 1] * half, fine.n) * (fine.n * fine.dxi)
+
+
 def _ref_padded_values(grid, coeffs, pad):
     fine = GridSpec(pad * grid.n, grid.box_length)
     n = grid.n
-    padded = np.zeros(fine.n, dtype=np.complex128)
-    padded[: n // 2] = coeffs[: n // 2]
-    padded[fine.n - n // 2 :] = coeffs[n // 2 :]
-    return _ref_synthesize(fine, padded)
+    half = np.zeros(fine.n // 2 + 1, dtype=np.complex128)
+    half[: n // 2] = coeffs[: n // 2]
+    half[n // 2] = 0.5 * np.conj(coeffs[n // 2])  # mirrors c_{-n/2}/2 at -n/2
+    return _ref_real_synthesize(fine, half)
 
 
 def _ref_transform_from_padded(grid, w):
     m = w.shape[0]
-    chat = _ref_transform(GridSpec(m, grid.box_length), w)
+    scale = grid.box_length / (2.0 * np.pi * m)
+    half = np.fft.rfft(w)
     n = grid.n
-    return np.concatenate((chat[: n // 2], chat[m - n // 2 :]))
+    kept = np.concatenate((half[: n // 2], np.conj(half[n // 2 : 0 : -1])))
+    return grid.parity * (scale * kept)
 
 
 def _ref_nonlinearity_full(phi, spec, pad):
@@ -584,8 +609,8 @@ def _ref_nonlinearity_full(phi, spec, pad):
     u = _ref_padded_values(g, phi.coeffs, pad)
     ux = _ref_padded_values(g, _ref_derivative(g, phi.coeffs), pad)
     cu = spec.c_of(u)
-    inner = _ref_synthesize(fine, _ref_derivative(fine, _ref_transform(fine, cu * ux)))
-    flux = u**3 + cu * inner
+    inner = _ref_real_synthesize(fine, _ref_half_derivative(fine, _ref_real_transform(fine, cu * ux)))
+    flux = u * u * u + cu * inner
     return _ref_derivative(g, _ref_transform_from_padded(g, flux))
 
 
@@ -613,3 +638,56 @@ class TestHotPathMatchesUnfusedReference:
     def test_nonlinearity_full(self, grid, spec, pad):
         phi = moderate_field(grid, 70 + pad)
         assert np.array_equal(nonlinearity_full(phi, spec, pad).coeffs, _ref_nonlinearity_full(phi, spec, pad))
+
+
+def _complex_padded_values(grid, coeffs, pad):
+    """Complex samples on the refined grid of the n+1-entry spectrum with
+    c_{-n/2} split evenly between -n/2 and +n/2."""
+    fine = GridSpec(pad * grid.n, grid.box_length)
+    n = grid.n
+    padded = np.zeros(fine.n, dtype=np.complex128)
+    padded[: n // 2] = coeffs[: n // 2]
+    padded[n // 2] = 0.5 * np.conj(coeffs[n // 2])
+    padded[fine.n - n // 2] = 0.5 * coeffs[n // 2]
+    padded[fine.n - n // 2 + 1 :] = coeffs[n // 2 + 1 :]
+    return _ref_synthesize(fine, padded)
+
+
+def _complex_nonlinearity_full(phi, spec, pad):
+    """N(phi) composed in complex arithmetic on the split-Nyquist spectrum,
+    with the refined grid's unpaired bin dropped from the inner derivative."""
+    g = phi.grid
+    fine = GridSpec(pad * g.n, g.box_length)
+    u = _complex_padded_values(g, phi.coeffs, pad)
+    ux = _complex_padded_values(g, _ref_derivative(g, phi.coeffs), pad)
+    cu = spec.c_of(u)
+    xi = fine.xi
+    xi[fine.n // 2] = 0.0
+    inner = _ref_synthesize(fine, _ref_transform(fine, cu * ux) * (1j * xi))
+    chat = _ref_transform(fine, u**3 + cu * inner)
+    kept = np.concatenate((chat[: g.n // 2], chat[fine.n - g.n // 2 :]))
+    return _ref_derivative(g, kept)
+
+
+class TestRealInterpolant:
+    """The real padded products read a real field as its real band-limited
+    interpolant, the unpaired c_{-n/2} split evenly between -n/2 and +n/2."""
+
+    @pytest.mark.parametrize("pad", [2, 3, 4])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_matches_complex_composition_of_split_spectrum(self, grid, spec, pad):
+        phi = moderate_field(grid, 80 + pad)
+        assert abs(phi.coeffs[grid.n // 2]) > 1e-6 * np.max(np.abs(phi.coeffs))
+        got = nonlinearity_full(phi, spec, pad).coeffs
+        want = _complex_nonlinearity_full(phi, spec, pad)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_nonlinearity_is_hermitian_except_at_n_half(self, grid, spec):
+        phi = moderate_field(grid, 91)
+        c = nonlinearity_full(phi, spec).coeffs
+        n = grid.n
+        mirrored = np.conj(c[(-np.arange(n)) % n])
+        others = np.arange(n) != n // 2
+        assert np.array_equal(c[others], mirrored[others])
+        assert c[n // 2] != mirrored[n // 2]

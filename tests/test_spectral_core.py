@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmkdv.spectral_core import (
+    ComplexSamples,
     GridMismatch,
     GridSpec,
     NonZeroMean,
@@ -303,6 +304,21 @@ class TestPointwiseProduct:
         grid = GridSpec(n=64, box_length=20.0)
         with pytest.raises(GridMismatch):
             transform_from_padded(grid, np.zeros(3 * grid.n + 2))
+
+    def test_complex_samples_rejected(self):
+        """The padded transforms are real: complex samples (even with a zero
+        imaginary part) are refused by name, not by numpy's rfft."""
+        grid = GridSpec(n=64, box_length=20.0)
+        w = padded_values(random_real_field(grid, 25), 3)
+        assert w.dtype == np.float64
+        with pytest.raises(ComplexSamples, match="real samples"):
+            transform_from_padded(grid, w.astype(np.complex128))
+
+    def test_pad_factor_below_two_rejected(self):
+        """A pad factor of 1 forms no dealiased product, and its Nyquist bin
+        would be the refined grid's own."""
+        with pytest.raises(ValueError, match="pad_factor"):
+            padded_values(random_real_field(GridSpec(n=64, box_length=20.0), 26), 1)
 
 
 class TestXiDerivative:
