@@ -54,19 +54,25 @@ class DegenerateInput(ValueError):
 
 
 def _smooth_step(u):
-    """C^inf step: 0 for u <= 0, 1 for u >= 1, strictly increasing between."""
+    """C^inf step: 0 for u <= 0, 1 for u >= 1, strictly increasing between.
+
+    The exponentials are evaluated on the transition band 0 < u < 1 only;
+    NaN passes through.
+    """
     u = np.asarray(u, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(u > 0.0, np.exp(-1.0 / np.where(u > 0.0, u, 1.0)), 0.0)
-        b = np.where(u < 1.0, np.exp(-1.0 / np.where(u < 1.0, 1.0 - u, 1.0)), 0.0)
-    return a / (a + b)
+    out = np.where(u >= 1.0, 1.0, np.where(u <= 0.0, 0.0, u))
+    band = (u > 0.0) & (u < 1.0)
+    v = u[band]
+    with np.errstate(over="ignore"):  # -1/v at subnormal v: exp(-inf) = 0
+        a, b = np.exp(-1.0 / v), np.exp(-1.0 / (1.0 - v))
+    out[band] = a / (a + b)
+    return out[()]
 
 
 def bump(xi):
     """The mother cutoff psi: 1 on [-5/4, 5/4], 0 outside (-8/5, 8/5)."""
     a = np.abs(np.asarray(xi, dtype=np.float64))
-    t = np.clip((SUPPORT_EDGE - a) / (SUPPORT_EDGE - PLATEAU_EDGE), 0.0, 1.0)
-    return _smooth_step(t)
+    return _smooth_step((SUPPORT_EDGE - a) / (SUPPORT_EDGE - PLATEAU_EDGE))
 
 
 def psi_k(xi, k: int):

@@ -31,13 +31,7 @@ import numpy as np
 
 from . import littlewood_paley as lp
 from .model import CoefficientSpec, nonlinearity_split, phase_phi, symbol_t1
-from .spectral_core import (
-    GridSpec,
-    field_from_coefficients,
-    free_evolve,
-    synthesize,
-    transform,
-)
+from .spectral_core import GridSpec, free_evolve, transform
 
 __all__ = [
     "UnresolvedOscillation",
@@ -65,23 +59,26 @@ class OscillatoryResult:
     error: float
 
 
-def _bump_inverse_transform_grid(u_extent: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values of psicheck(u) = int psi(xi) e^{i xi u} dxi on a uniform u-grid.
+def _even_inverse_transform_grid(spectrum, u_extent: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values of int f(xi) e^{i xi u} dxi for a real, even f, on the centred
+    n-point u-grid of length u_extent.
 
-    Synthesised spectrally: sampling psi on the dual grid and applying the
-    package's synthesis rule evaluates exactly this integral's trapezoid
-    approximation, with aliasing controlled by psicheck's decay over the
-    period 2 pi / dxi = u_extent.
+    The trapezoid sum over the dual frequencies xi_k = k dxi, with aliasing
+    controlled by the transform's decay over the period 2 pi / dxi = u_extent.
+    f is evaluated on the n/2 + 1 non-negative frequencies only: evenness
+    gives the rest, and a real, even spectrum has a real transform, so one
+    inverse real FFT, with the (-1)^k of the centred grid (x_0 = -u_extent/2),
+    sums it.
     """
     grid = GridSpec(n=n, box_length=u_extent)
-    f = field_from_coefficients(grid, lp.bump(grid.xi).astype(np.complex128))
-    return grid.x, np.real(synthesize(f))
+    c = spectrum(grid.dxi * np.arange(n // 2 + 1))
+    c[1::2] *= -1.0
+    return grid.x, np.fft.irfft(c, n) * (n * grid.dxi)
 
 
-def _two_pi_value(B: float, n: int) -> complex:
+def _two_pi_value(B: float, u_extent: float, n: int) -> complex:
     # after the 1D reduction: value = int psi(u / B^2) psicheck(u) du
-    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25  # margin beyond the outer support
-    u, psicheck = _bump_inverse_transform_grid(u_extent, n)
+    u, psicheck = _even_inverse_transform_grid(lp.bump, u_extent, n)
     du = u_extent / n
     return complex(du * np.sum(lp.bump(u / B**2) * psicheck))
 
@@ -97,12 +94,12 @@ def two_pi_identity(B: float) -> OscillatoryResult:
     """
     if B < 4.0:
         raise ValueError("B must be >= 4")
-    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25
+    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25  # margin beyond the outer support
     per_unit = 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi)  # 32 points per oscillation
     n = int(2 ** math.ceil(math.log2(u_extent * per_unit)))
-    value = _two_pi_value(B, n)
+    value = _two_pi_value(B, u_extent, n)
     error = abs(value - 2.0 * math.pi)
-    change = abs(_two_pi_value(B, 2 * n) - value)
+    change = abs(_two_pi_value(B, u_extent, 2 * n) - value)
     if change >= 0.1 * error and max(change, error) > NOISE_FLOOR:
         raise UnresolvedOscillation(
             f"B={B}: doubling moved the value by {change:.3e} against error {error:.3e}"
@@ -121,12 +118,11 @@ def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
         raise ValueError("B must be >= 4")
     half_width = 8.0 * B  # e^{-64}: far below double precision
     n = int(2 ** math.ceil(math.log2(40.7 * B**2)))
-    # inner integral over x1, evaluated spectrally on the dual grid
-    grid = GridSpec(n=n, box_length=2.0 * half_width)
-    g = field_from_coefficients(grid, np.exp(-grid.xi**2 / B**2).astype(np.complex128))
-    inner = np.real(synthesize(g))  # = int e^{-x1^2/B^2} e^{i x1 u} dx1 at u = grid.x
-    du = grid.dx
-    value = complex(du * np.sum(np.exp(-grid.x**2 / B**2) * inner))
+    # inner integral over x1, evaluated spectrally on the dual grid:
+    # int e^{-x1^2/B^2} e^{i x1 u} dx1 at the grid points u
+    u, inner = _even_inverse_transform_grid(lambda x1: np.exp(-(x1**2) / B**2), 2.0 * half_width, n)
+    du = 2.0 * half_width / n
+    value = complex(du * np.sum(np.exp(-(u**2) / B**2) * inner))
     reference = 2.0 * math.pi / math.sqrt(1.0 + 4.0 / B**4)
     return OscillatoryResult(parameter=float(B), value=value, error=abs(value - reference))
 
@@ -158,11 +154,11 @@ def trilinear_integral(grid: GridSpec, h1, h2, h3, alpha2: float, xi: float, t_v
         * np.asarray(h2(e2), dtype=np.complex128)
         * np.asarray(h3(e3), dtype=np.complex128)
     )
-    phi = phase_phi(xi, e1, e2)
-    out = np.empty(len(t_values), dtype=np.complex128)
-    for i, t in enumerate(t_values):
-        out[i] = 1j * xi * grid.dxi**2 * np.sum(kernel * np.exp(-1j * t * phi))
-    return out
+    # the kernel vanishes off the product of the band supports: sum only where it does not
+    nz = kernel != 0.0
+    phi = phase_phi(xi, e1, e2)[nz]
+    t = np.asarray(t_values, dtype=np.float64)
+    return 1j * xi * grid.dxi**2 * (np.exp(-1j * t[:, None] * phi) @ kernel[nz])
 
 
 def _band(center: float, width: float):

@@ -49,7 +49,6 @@ __all__ = [
     "ComplexSamples",
     "transform",
     "synthesize",
-    "field_from_coefficients",
     "derivative",
     "fractional_abs_derivative",
     "antiderivative",
@@ -148,13 +147,6 @@ class SpectralField:
 
     def with_coeffs(self, coeffs: np.ndarray, time: float | None = None) -> "SpectralField":
         return SpectralField(self.grid, coeffs, self.time if time is None else time)
-
-
-def field_from_coefficients(grid: GridSpec, coeffs: np.ndarray, time: float = 0.0) -> SpectralField:
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.shape != (grid.n,):
-        raise GridMismatch(f"expected {grid.n} coefficients, got shape {c.shape}")
-    return SpectralField(grid, c, time)
 
 
 def _alternate_signs(a: np.ndarray) -> np.ndarray:

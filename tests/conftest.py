@@ -8,7 +8,6 @@ from qmkdv.spectral_core import (
     GridSpec,
     SpectralField,
     enforce_real_zero_mean,
-    field_from_coefficients,
     transform,
 )
 
@@ -34,7 +33,7 @@ def random_real_field(grid: GridSpec, seed: int, decay: float = 1.0) -> Spectral
     """
     rng = SplitMix64(seed)
     z = np.array([rng.normal() + 1j * rng.normal() for _ in range(grid.n)])
-    f = field_from_coefficients(grid, z * np.exp(-np.abs(grid.xi) / decay))
+    f = SpectralField(grid, z * np.exp(-np.abs(grid.xi) / decay))
     return enforce_real_zero_mean(f)
 
 

@@ -109,6 +109,20 @@ def test_resonance_false_gate_exits_1_with_identical_outputs(tmp_path, capsys):
     assert "spread_ok" not in err
 
 
+def test_resonance_dT1_rows_equal_each_cells_own_evaluation(tmp_path):
+    # dT1 is evaluated on one cell and its row copied to the others; each copy
+    # must carry the bits that cell's own evaluation gives
+    config = RESONANCE_CONFIG.replace("j_min = 0", "j_min = -1").replace("j_max = 0", "j_max = 1")
+    assert _main(tmp_path, "resonance", config, tmp_path / "out") == 1  # doubling gates, as above
+    lines = (tmp_path / "out" / "resonance.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines if line.startswith("dT1,")]
+    assert [int(r[1]) for r in rows] == [-1, 0, 1]
+    for r in rows:
+        j = int(r[1])
+        rep = cli.dyadic_symbol_bound(j, j, j, 1.0, which="dT1", n_axis=48, refine=True)
+        assert [float(v) for v in r[2:]] == [rep["ratio"], rep["refined_ratio"], rep["rel_change"]]
+
+
 def test_oscillatory_false_gate_exits_1(tmp_path, capsys, monkeypatch):
     real_study = cli.nonresonant_decay_study
 

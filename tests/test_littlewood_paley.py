@@ -34,8 +34,8 @@ from qmkdv.littlewood_paley import (
 from qmkdv.rng import SplitMix64
 from qmkdv.spectral_core import (
     GridSpec,
+    SpectralField,
     enforce_real_zero_mean,
-    field_from_coefficients,
     synthesize,
     transform,
 )
@@ -93,6 +93,57 @@ class TestBump:
     @settings(max_examples=200, deadline=None)
     def test_range(self, x):
         assert 0.0 <= bump(x) <= 1.0
+
+
+def _smooth_step_everywhere(u):
+    """The smooth step as first written: both exponentials at every point."""
+    u = np.asarray(u, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(u > 0.0, np.exp(-1.0 / np.where(u > 0.0, u, 1.0)), 0.0)
+        b = np.where(u < 1.0, np.exp(-1.0 / np.where(u < 1.0, 1.0 - u, 1.0)), 0.0)
+        return a / (a + b)  # 0/0 at NaN
+
+
+def _bump_clipped(xi):
+    """bump as first written: the step's argument clipped to [0, 1]."""
+    a = np.abs(np.asarray(xi, dtype=np.float64))
+    return _smooth_step_everywhere(np.clip((SUPPORT_EDGE - a) / (SUPPORT_EDGE - 1.25), 0.0, 1.0))
+
+
+def _assert_same_bits(got, want):
+    """Equal bit patterns, NaN matching NaN; same type and shape (a 0-d input gives a scalar)."""
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    np.testing.assert_array_equal(got[keep].view(np.uint64), want[keep].view(np.uint64))
+
+
+class TestBandLimitedStep:
+    """The step and the bump evaluate their exponentials on the transition band
+    only, with the same bits as the formulas evaluated everywhere."""
+
+    EDGES = [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+             1e-3, 1.0 - 1e-3, 0.5, -2.0, 3.0, 5e-324, 1.0 + 2.0**-52, -1e300]
+
+    def test_step_edges_and_band(self):
+        u = np.concatenate([self.EDGES, np.linspace(-0.5, 1.5, 4001)])
+        _assert_same_bits(littlewood_paley._smooth_step(u), _smooth_step_everywhere(u))
+
+    def test_step_zero_d_and_two_d(self):
+        for x in self.EDGES:
+            _assert_same_bits(littlewood_paley._smooth_step(x), _smooth_step_everywhere(x))
+            _assert_same_bits(littlewood_paley._smooth_step(np.float64(x)), _smooth_step_everywhere(np.float64(x)))
+        u = np.linspace(-0.25, 1.25, 60).reshape(6, 10)
+        _assert_same_bits(littlewood_paley._smooth_step(u), _smooth_step_everywhere(u))
+
+    def test_bump_without_clip(self):
+        xi = np.concatenate([self.EDGES, -np.asarray(self.EDGES), [1.25, 1.6, np.nextafter(1.6, 0.0)],
+                             np.linspace(-2.0, 2.0, 8001), GridSpec(n=4096, box_length=2000.0).xi])
+        _assert_same_bits(bump(xi), _bump_clipped(xi))
+        _assert_same_bits(bump(xi.reshape(-1, 2)), _bump_clipped(xi.reshape(-1, 2)))
+        for x in (0.0, 1.3, 1.6, np.inf, np.nan):
+            _assert_same_bits(bump(x), _bump_clipped(x))
 
 
 class TestDyadicPartition:
@@ -179,7 +230,7 @@ class TestProjection:
 
 class TestBNorm:
     def test_zero_field(self, grid):
-        z = field_from_coefficients(grid, np.zeros(grid.n, dtype=complex))
+        z = SpectralField(grid, np.zeros(grid.n, dtype=complex))
         assert b_norm(z, 0.25, 1.0) == 0.0
 
     def test_two_band_mode_closed_form(self):
@@ -413,7 +464,7 @@ class TestInterpolationRatio:
         """The recorded constant across 100 band-limited trials stays <= 10."""
         grid = GridSpec(n=512, box_length=100.0)
         rng = SplitMix64(77)
-        base = field_from_coefficients(grid, np.zeros(grid.n, dtype=complex))
+        base = SpectralField(grid, np.zeros(grid.n, dtype=complex))
         order = np.argsort(np.argsort(grid.xi))
         worst = 0.0
         for trial in range(100):
@@ -427,7 +478,7 @@ class TestInterpolationRatio:
     def test_rescaling_shifts_band_index(self):
         """f(2x) doubles frequencies: ratio at k+1 matches ratio at k within 20%."""
         grid = GridSpec(n=1024, box_length=200.0)
-        base = field_from_coefficients(grid, np.zeros(grid.n, dtype=complex))
+        base = SpectralField(grid, np.zeros(grid.n, dtype=complex))
         env = lambda s: np.exp(-(((np.abs(s) - 4.0) / 0.8) ** 2)) * np.sin(3.0 * s)
         f1 = base.with_coeffs(env(grid.xi) + 0j)
         f2 = base.with_coeffs(0.5 * env(grid.xi / 2.0) + 0j)
@@ -439,7 +490,7 @@ class TestInterpolationRatio:
         grid = GridSpec(n=256, box_length=40.0)
         c = np.zeros(grid.n, dtype=complex)
         c[int(round(20.0 / grid.dxi))] = 1.0  # xi = 20, far above the k=0 band
-        f = field_from_coefficients(grid, c)
+        f = SpectralField(grid, c)
         with pytest.raises(DegenerateInput):
             interpolation_ratio(f, 0)
 

@@ -9,6 +9,7 @@ import pytest
 from qmkdv import littlewood_paley as lp
 from qmkdv import oscillatory
 from qmkdv.diagnostics import InsufficientData
+from qmkdv.model import phase_phi, symbol_t1
 from qmkdv.oscillatory import (
     UnresolvedOscillation,
     nonresonant_decay_study,
@@ -16,7 +17,7 @@ from qmkdv.oscillatory import (
     trilinear_integral,
     two_pi_identity,
 )
-from qmkdv.spectral_core import GridSpec
+from qmkdv.spectral_core import GridSpec, SpectralField, synthesize
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -73,7 +74,7 @@ def test_two_pi_identity_refuses_small_b():
 
 def test_two_pi_identity_refuses_an_unresolved_value(monkeypatch):
     # a quadrature that moves by as much as its error under doubling
-    monkeypatch.setattr(oscillatory, "_two_pi_value", lambda B, n: complex(2.0 * math.pi + 1e-6 * n))
+    monkeypatch.setattr(oscillatory, "_two_pi_value", lambda B, u_extent, n: complex(2.0 * math.pi + 1e-6 * n))
     with pytest.raises(UnresolvedOscillation, match="doubling"):
         two_pi_identity(8.0)
 
@@ -81,3 +82,48 @@ def test_two_pi_identity_refuses_an_unresolved_value(monkeypatch):
 def test_decay_study_needs_eight_times():
     with pytest.raises(InsufficientData, match="at least 8 times"):
         nonresonant_decay_study([3.0 + i for i in range(7)])
+
+
+def _complex_synthesis(spectrum, u_extent, n):
+    """The inverse transform as first written: the spectrum at every FFT-order
+    frequency, synthesised as a complex field, real part kept."""
+    grid = GridSpec(n=n, box_length=u_extent)
+    f = SpectralField(grid, spectrum(grid.xi).astype(np.complex128))
+    return grid.x, np.real(synthesize(f))
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize(
+    "spectrum, u_extent",
+    [(lp.bump, 2.0 * lp.SUPPORT_EDGE * 8.0**2 * 1.25), (lambda x: np.exp(-(x**2) / 64.0), 128.0)],
+    ids=["bump", "gaussian"],
+)
+def test_real_even_transform_matches_complex_synthesis(spectrum, u_extent, n):
+    u, got = oscillatory._even_inverse_transform_grid(spectrum, u_extent, n)
+    u_ref, want = _complex_synthesis(spectrum, u_extent, n)
+    np.testing.assert_array_equal(u, u_ref)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _dense_trilinear(grid, h1, h2, h3, alpha2, xi, t_values):
+    """I(t; xi) as first written: the double sum over the whole lattice, one t at a time."""
+    eta = np.sort(grid.xi)
+    e1, e2 = eta[:, None], eta[None, :]
+    e3 = xi - e1 - e2
+    kernel = symbol_t1(e1, e2, e3, alpha2) * h1(e1) * h2(e2) * h3(e3)
+    phi = phase_phi(xi, e1, e2)
+    return np.array([1j * xi * grid.dxi**2 * np.sum(kernel * np.exp(-1j * t * phi)) for t in t_values])
+
+
+@pytest.mark.parametrize("region, t_max", [("separated", 96.0), ("resonant", 288.0)])
+def test_sparse_trilinear_sum_matches_the_dense_sum(region, t_max):
+    spec = {"separated": oscillatory.SEPARATED_REGION, "resonant": oscillatory.RESONANT_REGION}[region]
+    grid = GridSpec(n=spec["n"], box_length=spec["box"])
+    hs = [oscillatory._band(*spec[k]) for k in ("h1", "h2", "h3")]
+    t_values = [0.0, *np.exp(np.linspace(math.log(3.0), math.log(t_max), 45))]
+    for xi in spec["xi"]:
+        got = trilinear_integral(grid, *hs, 1.0, xi, t_values)
+        want = _dense_trilinear(grid, *hs, 1.0, xi, t_values)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13

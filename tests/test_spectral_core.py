@@ -18,10 +18,10 @@ from qmkdv.spectral_core import (
     GridMismatch,
     GridSpec,
     NonZeroMean,
+    SpectralField,
     antiderivative,
     derivative,
     enforce_real_zero_mean,
-    field_from_coefficients,
     fractional_abs_derivative,
     free_evolve,
     hermitian_defect,
@@ -110,8 +110,6 @@ class TestTransform:
     def test_shape_mismatch_rejected(self, grid):
         with pytest.raises(GridMismatch):
             transform(grid, np.zeros(grid.n + 2))
-        with pytest.raises(GridMismatch):
-            field_from_coefficients(grid, np.zeros(grid.n - 2, dtype=complex))
 
 
 class TestDerivative:
@@ -136,7 +134,7 @@ class TestDerivative:
         grid = GridSpec(n=64, box_length=16.0)
         c = np.zeros(grid.n, dtype=complex)
         c[5] = 2.0 - 1.0j
-        f = field_from_coefficients(grid, c)
+        f = SpectralField(grid, c)
         d = derivative(f, 2)
         assert d.coeffs[5] == pytest.approx((1j * grid.xi[5]) ** 2 * c[5])
         assert np.count_nonzero(d.coeffs) == 1
@@ -345,7 +343,7 @@ class TestHermitianMachinery:
 
     def test_projection_output_is_real_and_zero_mean(self, grid):
         rngc = np.exp(1j * np.linspace(0.0, 5.0, grid.n))
-        f = field_from_coefficients(grid, rngc)
+        f = SpectralField(grid, rngc)
         p = enforce_real_zero_mean(f)
         assert p.coeffs[0] == 0.0
         assert hermitian_defect(p) <= 1e-15
