@@ -59,6 +59,8 @@ from .model import (
     symbol_t2,
 )
 from .oscillatory import (
+    _envelope_times,
+    _fit_window,
     gaussian_two_pi_selftest,
     local_phase_residual,
     nonresonant_decay_study,
@@ -330,10 +332,8 @@ def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
         coeff = CoefficientSpec(
             family=cfg["coeff.family"], a=cfg["coeff.a"], b=cfg["coeff.b"], c=cfg["coeff.c"]
         )
-        delta = cfg["constants.delta"]
         bc = BootstrapConstants(
-            delta=delta,
-            p0=delta / 10.0,
+            delta=cfg["constants.delta"],
             p1=cfg["constants.p1"],
             gamma_l=cfg["constants.gamma_l"],
             gamma_h=cfg["constants.gamma_h"],
@@ -364,6 +364,8 @@ def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
 )
 def _identities(ctx: _Context) -> dict:
     samples = ctx.cfg["identities.samples"]
+    if samples < 1:
+        raise ConfigError(f"identities.samples must be >= 1, got {samples}")
     alpha2 = ctx.coeff.alpha2
     rng = SplitMix64(ctx.args.seed)
     checks = []
@@ -766,17 +768,20 @@ def _oscillatory(ctx: _Context) -> dict:
     b_values = ctx.cfg["oscillatory.b_values"]
     if min(b_values) < 4.0:
         raise ConfigError(f"oscillatory.b_values must all be >= 4, got {b_values}")
+    t_lists = {}
+    for region, hi in (("separated", t_max), ("resonant", 3.0 * t_max)):
+        ts = [float(t) for t in np.exp(np.linspace(math.log(t_min), math.log(hi), ctx.cfg["oscillatory.samples"]))]
+        env = _envelope_times(ts)
+        window = _fit_window(region, env or (t_min, hi))  # an empty envelope reports the planned range
+        _require_samples(f"oscillatory.samples: {region} envelope points", env, *window, MIN_DECAY_FIT_SAMPLES)
+        t_lists[region] = ts
     results = _map(two_pi_identity, b_values, ctx.args.threads)
     columns = ["parameter", "value_re", "value_im", "error"]
     ctx.csv("two_pi.csv", columns, [[r.parameter, r.value.real, r.value.imag, r.error] for r in results])
 
     self_tests = [gaussian_two_pi_selftest(b) for b in (8.0, 16.0)]
-
-    def t_grid(lo, hi):
-        return [float(t) for t in np.exp(np.linspace(math.log(lo), math.log(hi), ctx.cfg["oscillatory.samples"]))]
-
-    separated = nonresonant_decay_study(t_grid(t_min, t_max), region="separated", alpha2=alpha2)
-    resonant = nonresonant_decay_study(t_grid(t_min, 3.0 * t_max), region="resonant", alpha2=alpha2)
+    separated = nonresonant_decay_study(t_lists["separated"], region="separated", alpha2=alpha2)
+    resonant = nonresonant_decay_study(t_lists["resonant"], region="resonant", alpha2=alpha2)
     for name, study in (("separated", separated), ("resonant", resonant)):
         ctx.csv(f"{name}.csv", columns, [[t, v, 0.0, 0.0] for t, v in study["series"]])
 

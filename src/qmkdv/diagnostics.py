@@ -17,9 +17,10 @@ frequency-side identity
 
     F[S phi] = -e^{i t xi^3} xi d_xi hhat - 3t F[N(phi)] - phihat ,
 
-which needs no x-weighting of phi itself.  The direct physical-space route
-exists in the model module and the two are cross-checked on concentrated
-fields, where both are valid.
+which needs no x-weighting of phi itself.  :func:`energy` computes S phi
+this way, and only there.  The direct physical-space route is
+``model.scaling_field_direct``; the test-suite cross-checks the two on
+concentrated fields, where both are valid.
 
 Modified scattering is read off the recorded series of hhat at a few probe
 frequencies (:func:`probe_indices`).  :func:`theta_series` integrates the
@@ -43,7 +44,6 @@ from .littlewood_paley import _smooth_step
 from .spectral_core import (
     GridSpec,
     SpectralField,
-    _require_zero_mean,
     antiderivative,
     derivative,
     fractional_abs_derivative,
@@ -61,7 +61,6 @@ __all__ = [
     "EnergyBreakdown",
     "energy",
     "z_norm",
-    "scaling_field_spectral",
     "frequency_window",
     "theta_coefficient",
     "probe_indices",
@@ -108,18 +107,12 @@ def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) ->
     return float(np.max(weight * np.abs(phi.coeffs)))
 
 
-def scaling_field_spectral(phi: SpectralField, t: float, spec: CoefficientSpec, pad: int = 3) -> SpectralField:
-    """S phi from the frequency-side identity (wrap-safe route).
-
-    F[S phi] = -e^{i t xi^3} xi d_xi hhat - 3t F[N(phi)] - phihat.
-    At t=0 this reduces to F[x d_x phi] = -d_xi(xi phihat).
-    """
-    _require_zero_mean(phi)
-    return _scaling_field(phi, t, spec, pad, xi_derivative_coefficients(profile_from_solution(phi, t)))
-
-
 def _scaling_field(phi: SpectralField, t: float, spec: CoefficientSpec, pad: int, dh: np.ndarray) -> SpectralField:
-    """S phi given dh, the xi-derivative of the profile at time t."""
+    """S phi given dh, the xi-derivative of the profile at time t.
+
+    F[S phi] = -e^{i t xi^3} xi dh - 3t F[N(phi)] - phihat; at t=0 this
+    reduces to F[x d_x phi] = -d_xi(xi phihat).
+    """
     g = phi.grid
     out = -np.exp(1j * t * g.xi**3) * g.xi * dh - phi.coeffs
     if t != 0.0:
@@ -318,23 +311,21 @@ def decay_fit(series, window) -> tuple[float, float]:
     return slope, math.sqrt(max(var, 0.0))
 
 
-def dispersive_ratio(h: SpectralField, t: float, beta: float, n: int = 0) -> float:
+def dispersive_ratio(h: SpectralField, t: float, beta: float) -> float:
     """Sharpness ratio of the pointwise linear dispersive estimate.
 
-    ratio = max_x |LHS(x)| / RHS(x) with LHS = |d_x|^beta e^{-t d_x^3} d_x^n h
+    ratio = max_x |LHS(x)| / RHS(x) with LHS = |d_x|^beta e^{-t d_x^3} h
     and RHS = t^{-1/3-beta/3} (1+|x| t^{-1/3})^{-1/4+beta/2}
-              ( sup_xi |xi|^n |hhat| + t^{-1/6} || x |d_x|^n h ||_{L2} ).
+              ( sup_xi |hhat| + t^{-1/6} || x h ||_{L2} ).
     """
     if t < 1.0:
         raise ValueError("t must be >= 1")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     g = h.grid
-    lhs_field = free_evolve(fractional_abs_derivative(derivative(h, n), beta), t)
-    lhs = np.abs(synthesize(lhs_field))
-    amp = float(np.max(np.abs(g.xi) ** n * np.abs(h.coeffs)))
-    habs = fractional_abs_derivative(h, float(n))
-    xw = g.x * synthesize(habs)
+    lhs = np.abs(synthesize(free_evolve(fractional_abs_derivative(h, beta), t)))
+    amp = float(np.max(np.abs(h.coeffs)))
+    xw = g.x * synthesize(h)
     wnorm = float(np.sqrt(g.dx * np.sum(np.abs(xw) ** 2)))
     profile = (1.0 + np.abs(g.x) * t ** (-1.0 / 3.0)) ** (-0.25 + 0.5 * beta)
     rhs = t ** (-1.0 / 3.0 - beta / 3.0) * profile * (amp + t ** (-1.0 / 6.0) * wnorm)

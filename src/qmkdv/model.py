@@ -10,11 +10,10 @@ depends only on the first Taylor data of c through
     alpha2 = c'(0)^2,        alpha3 = (1/2) c''(0) c'(0).
 
 This module supplies the nonlinearity N(phi) (divergence form, so its zero
-mode vanishes exactly), its cubic/quartic/quintic-and-higher splitting, the
-trilinear and quadrilinear interaction symbols, the cubic phase with its
-resonance geometry, dyadic multiplier bounds for the cubic symbol and its
-first-argument derivative, the scaling vector field S = x d_x + 3t d_t, and
-the conserved mass and Hamiltonian.
+mode vanishes exactly), the trilinear and quadrilinear interaction symbols,
+the cubic phase with its resonance geometry, dyadic multiplier bounds for the
+cubic symbol and its first-argument derivative, the scaling vector field
+S = x d_x + 3t d_t, and the conserved mass and Hamiltonian.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "ResonanceSet",
     "ZeroFrequency",
     "nonlinearity_full",
-    "nonlinearity_split",
     "symbol_t1",
     "symbol_t2",
     "phase_phi",
@@ -89,16 +87,9 @@ class CoefficientSpec:
     def c_prime0(self) -> float:
         return self.a
 
-    def c_doubleprime0(self) -> float:
-        return 2.0 * self.b if self.family == "cubic_poly" else 0.0
-
     @property
     def alpha2(self) -> float:
         return self.c_prime0() ** 2
-
-    @property
-    def alpha3(self) -> float:
-        return 0.5 * self.c_doubleprime0() * self.c_prime0()
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,6 @@ class BootstrapConstants:
     """The fixed small parameters every windowed diagnostic shares."""
 
     delta: float = 1e-3
-    p0: float = 1e-4
     p1: float = 1e-3
     gamma_l: float = 0.0
     gamma_h: float = 2.5
@@ -116,10 +106,13 @@ class BootstrapConstants:
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
-        if abs(self.p0 - self.delta / 10.0) > 1e-15:
-            raise ValueError("p0 must equal delta/10")
         if self.p1 < 2.0 * self.p0 / (self.s + 1.0 - 2.0 * self.gamma_h):
             raise ValueError("p1 too small: requires p1 >= 2 p0 / (s + 1 - 2 gamma_h)")
+
+    @property
+    def p0(self) -> float:
+        """Tied to delta: p0 = delta/10."""
+        return self.delta / 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,36 +152,6 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -
     flux = u * u * u + cu * inner
     out = transform_from_padded(phi.grid, flux, phi.time)
     return out.with_coeffs(out.coeffs * ixi)
-
-
-def nonlinearity_split(
-    phi: SpectralField, spec: CoefficientSpec, pad: int = 3
-) -> tuple[SpectralField, SpectralField, SpectralField]:
-    """(N3, N4, N5plus) with N3 + N4 + N5plus = nonlinearity_full.
-
-    N3 = d_x( phi^3 + alpha2 (phi^2 phi_xx + phi phi_x^2) )
-    N4 = alpha3 d_x( phi^2 d_x(phi phi_x) + phi d_x(phi^2 phi_x) )
-    N5plus = N_full - N3 - N4   (so the decomposition is exact by construction)
-    """
-    u = padded_values(phi, pad)
-    ux = padded_values(derivative(phi, 1), pad)
-    uxx = padded_values(derivative(phi, 2), pad)
-
-    u2 = u * u
-    flux3 = u2 * u + spec.alpha2 * (u2 * uxx + u * (ux * ux))
-    n3 = derivative(transform_from_padded(phi.grid, flux3, phi.time), 1)
-
-    if spec.alpha3 == 0.0:
-        n4 = phi.with_coeffs(np.zeros_like(phi.coeffs))
-    else:
-        v1x = _fine_derivative_values(phi.grid, pad, u * ux)
-        v2x = _fine_derivative_values(phi.grid, pad, u2 * ux)
-        flux4 = spec.alpha3 * (u2 * v1x + u * v2x)
-        n4 = derivative(transform_from_padded(phi.grid, flux4, phi.time), 1)
-
-    full = nonlinearity_full(phi, spec, pad)
-    n5 = full.with_coeffs(full.coeffs - n3.coeffs - n4.coeffs)
-    return n3, n4, n5
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import littlewood_paley as lp
-from .model import CoefficientSpec, nonlinearity_split, phase_phi, symbol_t1
+from .model import CoefficientSpec, nonlinearity_full, phase_phi, symbol_t1
 from .spectral_core import GridSpec, free_evolve, transform
 
 __all__ = [
@@ -201,6 +201,21 @@ RESONANT_REGION = {
 }
 
 
+_REGIONS = {"separated": SEPARATED_REGION, "resonant": RESONANT_REGION}
+
+
+def _envelope_times(t_list) -> list:
+    """The time of each envelope point: the geometric mean of each bin of
+    three consecutive sorted times (a short last bin is dropped)."""
+    return [math.exp(np.mean(np.log(t_list[i : i + 3]))) for i in range(0, len(t_list) - 2, 3)]
+
+
+def _fit_window(region: str, env_times) -> tuple:
+    """The region's fit window, or all of the envelope where it has none."""
+    window = _REGIONS[region]["window"]
+    return window if window is not None else (env_times[0], env_times[-1])
+
+
 def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1.0) -> dict:
     """Fitted envelope decay of |I(t)| for a named interaction region.
 
@@ -218,23 +233,16 @@ def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1
     t_list = sorted(float(t) for t in t_list)
     if len(t_list) < 8:
         raise InsufficientData("need at least 8 times")
-    spec = {"separated": SEPARATED_REGION, "resonant": RESONANT_REGION}[region]
-    window = spec["window"]
+    spec = _REGIONS[region]
     grid = GridSpec(n=spec["n"], box_length=spec["box"])
     h1, h2, h3 = (_band(*spec[k]) for k in ("h1", "h2", "h3"))
     mags = np.zeros(len(t_list))
     for xi in spec["xi"]:
         vals = trilinear_integral(grid, h1, h2, h3, alpha2, xi, t_list)
         mags = np.maximum(mags, np.abs(vals))
-    # envelope: max over bins of consecutive samples, at the geometric mean t
-    env = []
-    for i in range(0, len(t_list) - 2, 3):
-        ts = t_list[i : i + 3]
-        vs = mags[i : i + 3]
-        env.append((math.exp(np.mean(np.log(ts))), float(np.max(vs))))
-    if window is None:
-        window = (env[0][0], env[-1][0])
-    slope, stderr = decay_fit(env, window)
+    env_times = _envelope_times(t_list)
+    env = [(t, float(np.max(mags[3 * k : 3 * k + 3]))) for k, t in enumerate(env_times)]
+    slope, stderr = decay_fit(env, _fit_window(region, env_times))
     return {"slope": slope, "stderr": stderr, "series": [(t, float(v)) for t, v in zip(t_list, mags)]}
 
 
@@ -266,10 +274,13 @@ def resonant_drift_measurement(
 
         I(t; xi) = -e^{-i t xi^3} F[N3(e^{-t d_x^3} h)](xi) ,
 
-    so t * Re[I / (i |hhat|^2 hhat)] converges to the drift coefficient as t
-    grows (relative error O(1/t)); averaging over 96 times of a
-    window suppresses the oscillatory contribution of the space-only
-    stationary point.
+    where N3 is the cubic part of N.  The measurement uses the "linear"
+    family c(v) = sqrt(alpha2) v, whose N(phi) is exactly N3 (no quartic or
+    higher terms, and its products are alias-free at pad 3), so
+    nonlinearity_full gives N3 directly.  t * Re[I / (i |hhat|^2 hhat)]
+    converges to the drift coefficient as t grows (relative error O(1/t));
+    averaging over 96 times of a window suppresses the oscillatory
+    contribution of the space-only stationary point.
 
     The window must stay clear of periodic wrap-around: the Airy group
     velocity is 3 eta^2, so radiation carried by the profile (|eta| up to
@@ -287,8 +298,7 @@ def resonant_drift_measurement(
     acc = np.zeros((len(idx), ts.size))
     for s, t in enumerate(ts):
         phi = free_evolve(h, float(t))
-        n3, _, _ = nonlinearity_split(phi, spec)
-        i_vals = -np.exp(-1j * t * grid.xi[idx] ** 3) * n3.coeffs[idx]
+        i_vals = -np.exp(-1j * t * grid.xi[idx] ** 3) * nonlinearity_full(phi, spec).coeffs[idx]
         hh = h.coeffs[idx]
         acc[:, s] = t * np.real(i_vals / (1j * np.abs(hh) ** 2 * hh))
     out = []

@@ -222,7 +222,6 @@ def norm(f: SpectralField, kind: str, s: float | None = None) -> float:
 
     kind = "L2":   sqrt(dx * sum |f|^2)            (physical L^2, via Parseval)
     kind = "Linf": max |f| over the grid
-    kind = "L1":   dx * sum |f| over the grid
     kind = "Hs":   sqrt(2pi * dxi * sum (1+xi^2)^s |fhat|^2); requires s.
 
     The 2pi in "Hs" is Parseval's constant for this transform pair, so that
@@ -233,8 +232,6 @@ def norm(f: SpectralField, kind: str, s: float | None = None) -> float:
         return float(np.sqrt(2.0 * np.pi * g.dxi * np.sum(np.abs(f.coeffs) ** 2)))
     if kind == "Linf":
         return float(np.max(np.abs(synthesize(f))))
-    if kind == "L1":
-        return float(g.dx * np.sum(np.abs(synthesize(f))))
     if kind == "Hs":
         if s is None:
             raise ValueError("kind='Hs' requires s")
@@ -319,16 +316,14 @@ def enforce_real_zero_mean(f: SpectralField) -> SpectralField:
     return f.with_coeffs(out)
 
 
-def mass_fraction_inside(f: SpectralField, half_width: float | None = None) -> float:
-    """Fraction of the L^2 mass carried by |x| <= half_width (default L/4)."""
+def mass_fraction_inside(f: SpectralField) -> float:
+    """Fraction of the L^2 mass carried by the middle half of the box, |x| <= L/4."""
     g = f.grid
-    if half_width is None:
-        half_width = 0.25 * g.box_length
     u2 = np.abs(synthesize(f)) ** 2
     total = np.sum(u2)
     if total == 0.0:
         return 1.0
-    return float(np.sum(u2[np.abs(g.x) <= half_width]) / total)
+    return float(np.sum(u2[np.abs(g.x) <= 0.25 * g.box_length]) / total)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from qmkdv.model import CoefficientSpec, _fine_derivative_values, nonlinearity_full
 from qmkdv.rng import SplitMix64
 from qmkdv.spectral_core import (
     GridSpec,
     SpectralField,
+    derivative,
     enforce_real_zero_mean,
+    padded_values,
     transform,
+    transform_from_padded,
 )
 
 
@@ -45,3 +49,45 @@ def symbol_t1_d1(eta1, eta2, eta3, alpha2: float):
     """dT1/d eta1 = (alpha2/3)(2 eta1 + eta2 + eta3): the oracle for the
     model's "dT1" dyadic cells."""
     return (alpha2 / 3.0) * (2.0 * eta1 + eta2 + eta3)
+
+
+def c_doubleprime0(spec: CoefficientSpec) -> float:
+    """c''(0) of the family's c: 2b for "cubic_poly", 0 for "linear" and "sine"."""
+    return 2.0 * spec.b if spec.family == "cubic_poly" else 0.0
+
+
+def alpha3(spec: CoefficientSpec) -> float:
+    """The quartic coefficient (1/2) c''(0) c'(0); zero for "linear" and "sine"."""
+    return 0.5 * c_doubleprime0(spec) * spec.c_prime0()
+
+
+def nonlinearity_split(
+    phi: SpectralField, spec: CoefficientSpec, pad: int = 3
+) -> tuple[SpectralField, SpectralField, SpectralField]:
+    """(N3, N4, N5plus) with N3 + N4 + N5plus = nonlinearity_full: the oracle
+    for the model's nonlinearity, each piece assembled from its own Taylor
+    form rather than from c(phi).
+
+    N3 = d_x( phi^3 + alpha2 (phi^2 phi_xx + phi phi_x^2) )
+    N4 = alpha3 d_x( phi^2 d_x(phi phi_x) + phi d_x(phi^2 phi_x) )
+    N5plus = N_full - N3 - N4   (so the decomposition is exact by construction)
+    """
+    u = padded_values(phi, pad)
+    ux = padded_values(derivative(phi, 1), pad)
+    uxx = padded_values(derivative(phi, 2), pad)
+
+    u2 = u * u
+    flux3 = u2 * u + spec.alpha2 * (u2 * uxx + u * (ux * ux))
+    n3 = derivative(transform_from_padded(phi.grid, flux3, phi.time), 1)
+
+    if alpha3(spec) == 0.0:
+        n4 = phi.with_coeffs(np.zeros_like(phi.coeffs))
+    else:
+        v1x = _fine_derivative_values(phi.grid, pad, u * ux)
+        v2x = _fine_derivative_values(phi.grid, pad, u2 * ux)
+        flux4 = alpha3(spec) * (u2 * v1x + u * v2x)
+        n4 = derivative(transform_from_padded(phi.grid, flux4, phi.time), 1)
+
+    full = nonlinearity_full(phi, spec, pad)
+    n5 = full.with_coeffs(full.coeffs - n3.coeffs - n4.coeffs)
+    return n3, n4, n5

@@ -193,6 +193,10 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("scattering", SCATTERING_CONFIG.replace("fit_t_min = 1.5", "fit_t_min = 3.5")),
         ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = 3.0")),
         ("scattering", SCATTERING_CONFIG.replace("fit_t_min = 1.5", "fit_t_min = -1.0")),
+        ("oscillatory", "oscillatory.samples = 20\n"),
+        ("oscillatory", "oscillatory.samples = 5\n"),
+        ("identities", "identities.samples = 0\n"),
+        ("identities", "identities.samples = -3\n"),
     ],
     ids=[
         "unknown-key",
@@ -213,6 +217,10 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "drift-fit-window",
         "dyadic-times",
         "negative-drift-fit-start",
+        "envelope-fit-window",
+        "too-few-envelope-times",
+        "zero-identity-samples",
+        "negative-identity-samples",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
@@ -240,7 +248,6 @@ UNREACHED = {
     "littlewood_paley.interpolation_ratio": "to be recorded along the decay run (ROADMAP direction 5)",
     "littlewood_paley.project": "b_norm's band projection (ROADMAP direction 5)",
     "littlewood_paley.psi_tilde": "interpolation_ratio's fattened band (ROADMAP direction 5)",
-    "diagnostics.scaling_field_spectral": "the test entry point for the wrap-safe route that computes S phi",
     "rng.SplitMix64.normal": "perfbench/tracer.py hooks it by name",
     "rng.SplitMix64.normals": "perfbench/tracer.py hooks it by name",
 }

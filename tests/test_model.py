@@ -22,7 +22,6 @@ from qmkdv.model import (
     hamiltonian,
     mass,
     nonlinearity_full,
-    nonlinearity_split,
     phase_phi,
     resonance_points,
     scaling_field_direct,
@@ -40,7 +39,14 @@ from qmkdv.spectral_core import (
     transform_from_padded,
 )
 
-from conftest import gaussian_field, random_real_field, symbol_t1_d1
+from conftest import (
+    alpha3,
+    c_doubleprime0,
+    gaussian_field,
+    nonlinearity_split,
+    random_real_field,
+    symbol_t1_d1,
+)
 
 FAMILIES = (
     CoefficientSpec("linear", a=1.3, b=0.0, c=0.0),
@@ -65,12 +71,12 @@ class TestCoefficientSpec:
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
     def test_c3_triple_zero_numerically(self, spec):
         # c3 = c - c'(0) v - c''(0) v^2 / 2 vanishes to third order exactly
-        # when c_prime0 and c_doubleprime0, which alpha2 and alpha3 read, are
-        # the Taylor data of c_of.  Central differences: first derivative at
-        # h=1e-7 (truncation c*h^2), second at h=1e-3 (cancellation round-off
-        # scales like eps*a/h).
+        # when c_prime0 (which alpha2 reads) and the oracle's c_doubleprime0
+        # (which its alpha3 reads) are the Taylor data of c_of.  Central
+        # differences: first derivative at h=1e-7 (truncation c*h^2), second
+        # at h=1e-3 (cancellation round-off scales like eps*a/h).
         def c3(v):
-            return spec.c_of(v) - spec.c_prime0() * v - 0.5 * spec.c_doubleprime0() * v**2
+            return spec.c_of(v) - spec.c_prime0() * v - 0.5 * c_doubleprime0(spec) * v**2
 
         d0 = c3(0.0)
         d1 = (c3(1e-7) - c3(-1e-7)) / 2e-7
@@ -82,18 +88,18 @@ class TestCoefficientSpec:
     def test_linear_family_has_no_remainder(self):
         spec = CoefficientSpec("linear", a=1.7, b=0.0, c=0.0)
         v = np.linspace(-5.0, 5.0, 101)
-        assert spec.c_doubleprime0() == 0.0
+        assert c_doubleprime0(spec) == 0.0
         assert np.all(spec.c_of(v) == spec.c_prime0() * v)
 
     def test_alpha_constants_per_family(self):
         lin = CoefficientSpec("linear", a=1.3, b=0.0, c=0.0)
         sin = CoefficientSpec("sine", a=1.1, b=0.0, c=0.0)
         cub = CoefficientSpec("cubic_poly", a=0.8, b=0.5, c=1.0)
-        assert lin.alpha2 == 1.3**2 and lin.alpha3 == 0.0
-        assert sin.alpha2 == 1.1**2 and sin.alpha3 == 0.0
+        assert lin.alpha2 == 1.3**2 and alpha3(lin) == 0.0
+        assert sin.alpha2 == 1.1**2 and alpha3(sin) == 0.0
         assert cub.alpha2 == 0.8**2
         # alpha3 = (1/2) c''(0) c'(0) = (1/2)(2b)(a) = a b
-        assert cub.alpha3 == 0.8 * 0.5
+        assert alpha3(cub) == 0.8 * 0.5
 
     def test_identifier_distinguishes_parameters(self):
         a = CoefficientSpec("cubic_poly", a=1.0, b=1.0, c=0.0)
@@ -116,7 +122,10 @@ class TestBootstrapConstants:
         assert bc.decay_exponent == 0.48
 
     def test_p0_tied_to_delta(self):
-        with pytest.raises(ValueError, match="delta"):
+        # p0 is derived from delta, so no caller can set the two apart
+        assert BootstrapConstants(delta=2e-3).p0 == 2e-3 / 10.0
+        assert BootstrapConstants().p0 == 1e-4  # the value every report's metadata carries
+        with pytest.raises(TypeError, match="p0"):
             BootstrapConstants(delta=1e-3, p0=2e-4)
 
     def test_p1_floor_enforced(self):
@@ -131,7 +140,7 @@ def quintic_remainder_c3_zero(phi, spec, pad=3):
     fine = GridSpec(pad * phi.grid.n, phi.grid.box_length)
     u = padded_values(phi, pad)
     ux = padded_values(derivative(phi, 1), pad)
-    q = 0.5 * spec.c_doubleprime0() * u**2
+    q = 0.5 * c_doubleprime0(spec) * u**2
     inner = np.real(synthesize(derivative(transform(fine, q * ux), 1)))
     return derivative(transform_from_padded(phi.grid, q * inner, phi.time), 1)
 

@@ -9,15 +9,18 @@ import pytest
 from qmkdv import littlewood_paley as lp
 from qmkdv import oscillatory
 from qmkdv.diagnostics import InsufficientData
-from qmkdv.model import phase_phi, symbol_t1
+from qmkdv.model import CoefficientSpec, phase_phi, symbol_t1
 from qmkdv.oscillatory import (
     UnresolvedOscillation,
     nonresonant_decay_study,
+    resonant_drift_measurement,
     stationary_phase_drift,
     trilinear_integral,
     two_pi_identity,
 )
-from qmkdv.spectral_core import GridSpec, SpectralField, synthesize
+from qmkdv.spectral_core import GridSpec, SpectralField, free_evolve, synthesize, transform
+
+from conftest import nonlinearity_split
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -65,6 +68,28 @@ def test_stationary_phase_drift_sign_and_zero(alpha2):
         assert value == -stationary_phase_drift(-xi, alpha2)
         assert (value > 0.0) == (xi > root)
     assert stationary_phase_drift(1e-8, alpha2) == pytest.approx(-math.pi, rel=1e-12)
+
+
+def test_drift_measurement_takes_the_cubic_part_from_n_phi():
+    # For the linear family N(phi) is its own cubic part, so the measurement's
+    # time average must match the one built from the oracle's N3
+    grid = GridSpec(n=1024, box_length=600.0)
+    alpha2, amplitude, width = 1.0, 0.35, 2.0
+    targets = [1.0, 1.05]
+    rows = resonant_drift_measurement(targets, grid, alpha2=alpha2, amplitude=amplitude, width=width)
+    spec = CoefficientSpec(family="linear", a=math.sqrt(alpha2))
+    h = transform(grid, amplitude * np.exp(-((grid.x / width) ** 2)))
+    idx = [int(round(x / grid.dxi)) for x in targets]
+    hh = h.coeffs[idx]
+    samples = []
+    for t in np.linspace(grid.box_length / 54.0, grid.box_length / 18.0, 96):
+        n3 = nonlinearity_split(free_evolve(h, float(t)), spec)[0]
+        i_vals = -np.exp(-1j * t * grid.xi[idx] ** 3) * n3.coeffs[idx]
+        samples.append(t * np.real(i_vals / (1j * np.abs(hh) ** 2 * hh)))
+    want = np.mean(samples, axis=0)
+    assert [r["xi"] for r in rows] == [float(grid.xi[j]) for j in idx]
+    for row, w in zip(rows, want):
+        assert abs(row["measured"] - w) <= 1e-13 * abs(w)
 
 
 def test_two_pi_identity_refuses_small_b():
@@ -118,7 +143,7 @@ def _dense_trilinear(grid, h1, h2, h3, alpha2, xi, t_values):
 
 @pytest.mark.parametrize("region, t_max", [("separated", 96.0), ("resonant", 288.0)])
 def test_sparse_trilinear_sum_matches_the_dense_sum(region, t_max):
-    spec = {"separated": oscillatory.SEPARATED_REGION, "resonant": oscillatory.RESONANT_REGION}[region]
+    spec = oscillatory._REGIONS[region]
     grid = GridSpec(n=spec["n"], box_length=spec["box"])
     hs = [oscillatory._band(*spec[k]) for k in ("h1", "h2", "h3")]
     t_values = [0.0, *np.exp(np.linspace(math.log(3.0), math.log(t_max), 45))]

@@ -218,12 +218,11 @@ class TestProfileAndFreeEvolution:
 
 class TestNorms:
     def test_gaussian_closed_forms(self):
-        """L2, L1 and Linf of A e^{-x^2} match Gaussian integrals."""
+        """L2 and Linf of A e^{-x^2} match Gaussian integrals."""
         grid = GridSpec(n=512, box_length=60.0)
         a = 1.7
         f = gaussian_field(grid, a, 1.0)
         assert norm(f, "L2") == pytest.approx(a * (math.pi / 2.0) ** 0.25, rel=1e-12)
-        assert norm(f, "L1") == pytest.approx(a * math.sqrt(math.pi), rel=1e-12)
         assert norm(f, "Linf") == pytest.approx(a, rel=1e-12)
 
     def test_single_mode_sobolev(self):
@@ -354,14 +353,9 @@ class TestMassFraction:
     def test_narrow_gaussian_is_contained(self, grid):
         f = gaussian_field(grid, 1.0, 1.0)
         assert mass_fraction_inside(f) > 0.999999
-        assert mass_fraction_inside(f, half_width=0.5) < 0.9
-
-    def test_monotone_in_half_width(self, grid):
-        f = random_real_field(grid, 9)
-        widths = [2.0, 5.0, 10.0, 20.0]
-        fracs = [mass_fraction_inside(f, w) for w in widths]
-        assert all(a <= b + 1e-15 for a, b in zip(fracs, fracs[1:]))
-        assert fracs[-1] == pytest.approx(1.0)
+        # the same Gaussian centred at 3L/8, outside the middle half |x| <= L/4
+        outside = transform(grid, np.exp(-((grid.x - 0.375 * grid.box_length) ** 2)))
+        assert mass_fraction_inside(outside) < 1e-6
 
 
 class TestSnapshotFormat:
