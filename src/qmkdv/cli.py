@@ -119,8 +119,13 @@ def _float_list(text: str) -> tuple:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from e
 
 
+# a count below its floor is refused when the config is read, before anything runs
+_COUNT_FLOORS = {"identities.samples": 1, "run.monitor_count": 0, "decay.samples": 0, "scattering.samples": 0,
+                 "oscillatory.samples": 0}
+
+
 def parse_config(path: str) -> dict:
-    """Flat key = value configuration; unknown or duplicate keys are errors."""
+    """Flat key = value configuration; unknown or duplicate keys and counts below their floor are errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -143,6 +148,8 @@ def parse_config(path: str) -> dict:
             out[key] = _KEY_PARSERS[key](value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from e
+        if key in _COUNT_FLOORS and out[key] < _COUNT_FLOORS[key]:
+            raise ConfigError(f"{path}:{lineno}: {key} must be >= {_COUNT_FLOORS[key]}, got {out[key]}")
     return out
 
 
@@ -364,8 +371,6 @@ def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
 )
 def _identities(ctx: _Context) -> dict:
     samples = ctx.cfg["identities.samples"]
-    if samples < 1:
-        raise ConfigError(f"identities.samples must be >= 1, got {samples}")
     alpha2 = ctx.coeff.alpha2
     rng = SplitMix64(ctx.args.seed)
     checks = []

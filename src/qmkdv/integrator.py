@@ -127,9 +127,9 @@ def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool, pad: int)
     return -nonlinearity_full(phi, spec, pad).coeffs
 
 
-def _free_flow_factors(grid: GridSpec, pad: int, *steps: float) -> tuple[np.ndarray, ...]:
+def _free_flow_factors(grid: GridSpec, *steps: float) -> tuple[np.ndarray, ...]:
     """exp(i xi^3 h) for each step length h."""
-    lam = _multipliers(grid.n, grid.box_length, pad)[2]
+    lam = _multipliers(grid.n, grid.box_length)[1]
     return tuple(np.exp(lam * h) for h in steps)
 
 
@@ -146,7 +146,7 @@ def lawson_step(
     `factors`, when given, are exp(i xi^3 dt) and exp(i xi^3 dt/2) as the
     step would compute them; a caller that holds them saves the exponentials.
     """
-    e_full, e_half = factors or _free_flow_factors(phi.grid, pad, dt, 0.5 * dt)
+    e_full, e_half = factors or _free_flow_factors(phi.grid, dt, 0.5 * dt)
     y = phi.coeffs
     t = phi.time
 
@@ -180,7 +180,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         # the half steps' exp(i xi^3 h) and exp(i xi^3 h/2) are the full step's
         # exp(i xi^3 dt/2) and exp(i xi^3 dt/4), bit for bit
         h = 0.5 * dt_try
-        e_full, e_half, e_quarter = _free_flow_factors(phi.grid, cfg.pad, dt_try, h, 0.5 * h)
+        e_full, e_half, e_quarter = _free_flow_factors(phi.grid, dt_try, h, 0.5 * h)
         full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, cfg.pad, (e_full, e_half))
         half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, cfg.pad, (e_half, e_quarter))
         pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, cfg.pad, (e_half, e_quarter))

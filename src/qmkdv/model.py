@@ -10,10 +10,11 @@ depends only on the first Taylor data of c through
     alpha2 = c'(0)^2,        alpha3 = (1/2) c''(0) c'(0).
 
 This module supplies the nonlinearity N(phi) (divergence form, so its zero
-mode vanishes exactly), the trilinear and quadrilinear interaction symbols,
-the cubic phase with its resonance geometry, dyadic multiplier bounds for the
-cubic symbol and its first-argument derivative, the scaling vector field
-S = x d_x + 3t d_t, and the conserved mass and Hamiltonian.
+mode vanishes exactly; the flux by the product rule from the padded samples
+of phi, phi_x and phi_xx), the trilinear and quadrilinear interaction
+symbols, the cubic phase with its resonance geometry, dyadic multiplier
+bounds for the cubic symbol and its first-argument derivative, the scaling
+vector field S = x d_x + 3t d_t, and the conserved mass and Hamiltonian.
 """
 
 from __future__ import annotations
@@ -84,12 +85,17 @@ class CoefficientSpec:
             return np.sin(self.a * v)
         return v * (self.a + v * (self.b + self.c * v))
 
-    def c_prime0(self) -> float:
-        return self.a
+    def c_prime_of(self, v):
+        """c'(v); a scalar for the linear family."""
+        if self.family == "linear":
+            return self.a
+        if self.family == "sine":
+            return self.a * np.cos(self.a * v)
+        return self.a + v * (2.0 * self.b + 3.0 * self.c * v)
 
     @property
     def alpha2(self) -> float:
-        return self.c_prime0() ** 2
+        return self.a**2  # c'(0) = a in every family
 
 
 @dataclass(frozen=True)
@@ -120,38 +126,26 @@ class BootstrapConstants:
 # ---------------------------------------------------------------------------
 
 
-def _fine_derivative_values(grid: GridSpec, pad: int, w_values: np.ndarray) -> np.ndarray:
-    """d_x of real samples on the pad-refined grid, computed spectrally there.
-
-    This is the real-FFT form of synthesize(derivative(transform(fine, w), 1))
-    with its two parity signs cancelled, which leaves the value bits as they
-    are; the refined grid's own unpaired Nyquist bin is dropped.
-    """
-    m = pad * grid.n
-    scale = grid.box_length / (2.0 * np.pi * m)
-    ixi_fine = _multipliers(grid.n, grid.box_length, pad)[1]
-    return np.fft.irfft(scale * np.fft.rfft(w_values) * ixi_fine, m) * (m * grid.dxi)
-
-
 def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> SpectralField:
     """N(phi) = d_x( phi^3 + c(phi) d_x( c(phi) d_x phi ) ) for a real field phi.
 
-    Products are evaluated in real arithmetic on a pad-refined grid (cubic
-    polynomial terms are dealiased exactly for pad >= 2; the non-polynomial
-    c(phi) factors are evaluated pointwise there, with residual aliasing
-    measured by resolution doubling in the test-suite).  phi must be real:
-    its samples there are those of the real interpolant (see `padded_values`).
-    The outer d_x acts after truncation, so the zero mode of the output
-    vanishes exactly, and the output is Hermitian at every index but n/2.
+    The flux is phi^3 + c(phi) (c'(phi) phi_x^2 + c(phi) phi_xx) by the product
+    rule, formed in real arithmetic from the padded samples of phi, phi_x and
+    phi_xx (see `padded_values`): four real FFTs, no derivative taken on the
+    refined grid.  For c of degree d the flux has degree 2d + 1, so it is
+    exact for `linear` at pad >= 2 and for `cubic_poly` with c = 0 at pad >= 3,
+    which covers every default; `sine` is evaluated pointwise, its aliasing
+    measured by resolution doubling in the test-suite.  The outer d_x acts
+    after truncation, so the zero mode of the output vanishes exactly, and the
+    output is Hermitian at every index but n/2.
     """
-    ixi = _multipliers(phi.grid.n, phi.grid.box_length, pad)[0]
     u = padded_values(phi, pad)
-    ux = padded_values(phi.with_coeffs(phi.coeffs * ixi), pad)
+    ux = padded_values(phi, pad, 1)
+    uxx = padded_values(phi, pad, 2)
     cu = spec.c_of(u)
-    inner = _fine_derivative_values(phi.grid, pad, cu * ux)
-    flux = u * u * u + cu * inner
+    flux = u * u * u + cu * (spec.c_prime_of(u) * (ux * ux) + cu * uxx)
     out = transform_from_padded(phi.grid, flux, phi.time)
-    return out.with_coeffs(out.coeffs * ixi)
+    return out.with_coeffs(out.coeffs * _multipliers(phi.grid.n, phi.grid.box_length)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +328,7 @@ def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) ->
 def hamiltonian(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> float:
     """Conserved energy integral H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx."""
     u = padded_values(phi, pad)
-    ux = padded_values(derivative(phi, 1), pad)
+    ux = padded_values(phi, pad, 1)
     u2 = u * u
     cu = spec.c_of(u)
     integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux)

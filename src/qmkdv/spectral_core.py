@@ -22,8 +22,9 @@ negating the odd entries of a copy, not by multiplying with a sign array;
 `GridSpec.parity` remains as the explicit form of the same sign.
 
 Products of real fields are formed on a refined grid in real arithmetic:
-`padded_values` evaluates a real field on pad_factor * n points as float64
-samples, by an inverse real FFT of its non-negative half spectrum, the samples
+`padded_values` evaluates d_x^k of a real field on pad_factor * n points as
+float64 samples (one inverse real FFT per order k of the zero-padded half
+spectrum, the parity applied to its n/2 + 1 head entries only), the samples
 are multiplied there, and `transform_from_padded` analyzes the real product
 with a real FFT, truncates it to the n-point band and rebuilds the negative
 frequencies by conjugate symmetry.  The unpaired coefficient c_{-n/2} (the
@@ -117,21 +118,16 @@ class GridSpec:
 
 
 @functools.lru_cache(maxsize=4)
-def _multipliers(n: int, box_length: float, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i*xi on the n-point grid, i*xi on the m/2 + 1 non-negative frequencies
-    of its m = pad*n point refined grid, i*xi^3 on the n-point grid), read-only.
+def _multipliers(n: int, box_length: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i*xi, i*xi^3) on the n-point grid, read-only.
 
-    The refined grid's unpaired Nyquist bin gets 0: a real field's odd
-    derivative has no real part there.  Memoized for the time-stepping hot
-    path only (the nonlinearity and the Lawson step), which evaluates them
-    thousands of times on one grid.  GridSpec's own properties stay uncached:
-    a cache there would also keep the large one-shot grids of the quadrature
-    studies alive.
+    Memoized for the time-stepping hot path only (the nonlinearity and the
+    Lawson step), which evaluates them thousands of times on one grid.
+    GridSpec's own properties stay uncached: a cache there would also keep
+    the large one-shot grids of the quadrature studies alive.
     """
     xi = GridSpec(n, box_length).xi
-    xi_half = GridSpec(pad * n, box_length).xi[: pad * n // 2 + 1]
-    xi_half[-1] = 0.0
-    out = (1j * xi, 1j * xi_half, 1j * xi**3)
+    out = (1j * xi, 1j * xi**3)
     for a in out:
         a.flags.writeable = False
     return out
@@ -247,22 +243,27 @@ def xi_l2_norm(a: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(grid.dxi * np.sum(np.abs(a) ** 2)))
 
 
-def padded_values(f: SpectralField, pad_factor: int) -> np.ndarray:
-    """Evaluate a real field on a pad_factor-refined grid (float64 samples).
+def padded_values(f: SpectralField, pad_factor: int, order: int = 0) -> np.ndarray:
+    """Evaluate d_x^order of a real field on a pad_factor-refined grid (float64).
 
     `f` must be a real field: only j = 0..n/2-1 and the unpaired c_{-n/2} are
     read, and the samples are those of the real band-limited interpolant,
-    c_{-n/2} split evenly between -n/2 and +n/2.
+    c_{-n/2} split evenly between -n/2 and +n/2: bitwise the samples of
+    padded_values(derivative(f, order), pad_factor).
     """
     if pad_factor < 2:
         raise ValueError("pad_factor must be >= 2")
     g = f.grid
-    n = g.n
-    m = pad_factor * n
+    h = g.n // 2
+    m = pad_factor * g.n
     half = np.zeros(m // 2 + 1, dtype=np.complex128)
-    half[: n // 2] = f.coeffs[: n // 2]
-    half[n // 2] = 0.5 * np.conj(f.coeffs[n // 2])
-    return np.fft.irfft(_alternate_signs(half), m) * (m * g.dxi)
+    half[: h + 1] = f.coeffs[: h + 1]
+    if order:
+        half[: h + 1] *= _multipliers(g.n, g.box_length)[0][: h + 1] ** order
+    half[h] = 0.5 * np.conj(half[h])
+    odd = half[1 : h + 1 : 2]
+    np.negative(odd, out=odd)
+    return np.fft.irfft(half, m) * (m * g.dxi)
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmkdv.model import CoefficientSpec, _fine_derivative_values, nonlinearity_full
+from qmkdv.model import CoefficientSpec, nonlinearity_full
 from qmkdv.rng import SplitMix64
 from qmkdv.spectral_core import (
     GridSpec,
@@ -11,6 +11,7 @@ from qmkdv.spectral_core import (
     derivative,
     enforce_real_zero_mean,
     padded_values,
+    synthesize,
     transform,
     transform_from_padded,
 )
@@ -58,7 +59,14 @@ def c_doubleprime0(spec: CoefficientSpec) -> float:
 
 def alpha3(spec: CoefficientSpec) -> float:
     """The quartic coefficient (1/2) c''(0) c'(0); zero for "linear" and "sine"."""
-    return 0.5 * c_doubleprime0(spec) * spec.c_prime0()
+    return 0.5 * c_doubleprime0(spec) * spec.c_prime_of(0.0)
+
+
+def fine_derivative_values(grid: GridSpec, pad: int, w: np.ndarray) -> np.ndarray:
+    """d_x of real samples on the pad-refined grid, taken spectrally there
+    (the real part: the refined grid's unpaired Nyquist bin has none)."""
+    fine = GridSpec(pad * grid.n, grid.box_length)
+    return np.real(synthesize(derivative(transform(fine, w), 1)))
 
 
 def nonlinearity_split(
@@ -83,8 +91,8 @@ def nonlinearity_split(
     if alpha3(spec) == 0.0:
         n4 = phi.with_coeffs(np.zeros_like(phi.coeffs))
     else:
-        v1x = _fine_derivative_values(phi.grid, pad, u * ux)
-        v2x = _fine_derivative_values(phi.grid, pad, u2 * ux)
+        v1x = fine_derivative_values(phi.grid, pad, u * ux)
+        v2x = fine_derivative_values(phi.grid, pad, u2 * ux)
         flux4 = alpha3(spec) * (u2 * v1x + u * v2x)
         n4 = derivative(transform_from_padded(phi.grid, flux4, phi.time), 1)
 

@@ -197,6 +197,10 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("oscillatory", "oscillatory.samples = 5\n"),
         ("identities", "identities.samples = 0\n"),
         ("identities", "identities.samples = -3\n"),
+        ("decay", "decay.samples = -1\n"),
+        ("scattering", "scattering.samples = -1\n"),
+        ("oscillatory", "oscillatory.samples = -1\n"),
+        ("simulate", "run.monitor_count = -1\n"),
     ],
     ids=[
         "unknown-key",
@@ -221,6 +225,10 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "too-few-envelope-times",
         "zero-identity-samples",
         "negative-identity-samples",
+        "negative-decay-samples",
+        "negative-scattering-samples",
+        "negative-oscillatory-samples",
+        "negative-monitor-count",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
@@ -228,6 +236,14 @@ def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
     assert _main(tmp_path, study, config, out) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_count_at_its_floor_runs(tmp_path):
+    # run.monitor_count's floor is 0: the run records only t = 0 and t_end
+    out = tmp_path / "out"
+    assert _main(tmp_path, "simulate", SIMULATE_CONFIG.replace("monitor_count = 4", "monitor_count = 0"), out) == 0
+    rows = [r for r in (out / "monitor.csv").read_text(encoding="utf-8").splitlines() if not r.startswith("#")]
+    assert [r.split(",")[0] for r in rows[1:]] == ["0.0", "0.2"]
 
 
 def test_process_exit_status_is_mains_return(tmp_path):

@@ -42,6 +42,7 @@ from qmkdv.spectral_core import (
 from conftest import (
     alpha3,
     c_doubleprime0,
+    fine_derivative_values,
     gaussian_field,
     nonlinearity_split,
     random_real_field,
@@ -71,12 +72,12 @@ class TestCoefficientSpec:
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
     def test_c3_triple_zero_numerically(self, spec):
         # c3 = c - c'(0) v - c''(0) v^2 / 2 vanishes to third order exactly
-        # when c_prime0 (which alpha2 reads) and the oracle's c_doubleprime0
+        # when c_prime_of(0) and the oracle's c_doubleprime0
         # (which its alpha3 reads) are the Taylor data of c_of.  Central
         # differences: first derivative at h=1e-7 (truncation c*h^2), second
         # at h=1e-3 (cancellation round-off scales like eps*a/h).
         def c3(v):
-            return spec.c_of(v) - spec.c_prime0() * v - 0.5 * c_doubleprime0(spec) * v**2
+            return spec.c_of(v) - spec.c_prime_of(0.0) * v - 0.5 * c_doubleprime0(spec) * v**2
 
         d0 = c3(0.0)
         d1 = (c3(1e-7) - c3(-1e-7)) / 2e-7
@@ -85,11 +86,20 @@ class TestCoefficientSpec:
         assert abs(d1) <= 1e-12
         assert abs(d2) <= 1e-12
 
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_c_prime_matches_centered_differences(self, spec):
+        # truncation |c'''| h^2/6 and round-off eps |c| / h both stay far
+        # below 1e-9 at h = 1e-5
+        v = np.linspace(-1.5, 1.5, 61)
+        h = 1e-5
+        diff = (spec.c_of(v + h) - spec.c_of(v - h)) / (2.0 * h)
+        assert np.max(np.abs(spec.c_prime_of(v) - diff)) <= 1e-9
+
     def test_linear_family_has_no_remainder(self):
         spec = CoefficientSpec("linear", a=1.7, b=0.0, c=0.0)
         v = np.linspace(-5.0, 5.0, 101)
         assert c_doubleprime0(spec) == 0.0
-        assert np.all(spec.c_of(v) == spec.c_prime0() * v)
+        assert np.all(spec.c_of(v) == spec.c_prime_of(0.0) * v)
 
     def test_alpha_constants_per_family(self):
         lin = CoefficientSpec("linear", a=1.3, b=0.0, c=0.0)
@@ -136,12 +146,11 @@ class TestBootstrapConstants:
 def quintic_remainder_c3_zero(phi, spec, pad=3):
     """N5plus in closed form for c(v) = a v + b v^2 (c3 = 0):
     d_x(q d_x(q d_x phi)) with q = b phi^2, the inner d_x taken spectrally on
-    the padded grid (its real part: the samples stay real)."""
-    fine = GridSpec(pad * phi.grid.n, phi.grid.box_length)
+    the padded grid."""
     u = padded_values(phi, pad)
     ux = padded_values(derivative(phi, 1), pad)
     q = 0.5 * c_doubleprime0(spec) * u**2
-    inner = np.real(synthesize(derivative(transform(fine, q * ux), 1)))
+    inner = fine_derivative_values(phi.grid, pad, q * ux)
     return derivative(transform_from_padded(phi.grid, q * inner, phi.time), 1)
 
 
@@ -192,6 +201,46 @@ class TestNonlinearity:
         want = 1j * np.sort(grid.xi) * c3[lo : lo + grid.n]
         want = np.fft.ifftshift(want)
         assert np.max(np.abs(out.coeffs - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "spec, pad",
+        [
+            (CoefficientSpec("linear", a=1.3, b=0.0, c=0.0), 2),
+            (CoefficientSpec("cubic_poly", a=0.8, b=0.5, c=0.0), 3),
+        ],
+        ids=["linear-pad2", "cubic_poly-c0-pad3"],
+    )
+    def test_whole_nonlinearity_matches_dense_convolution(self, grid, spec, pad):
+        # Independent assembly of the whole N(phi) where the flux is a
+        # polynomial of degree <= 2 pad - 1: expand u^3 + c(u) (c'(u) u_x^2 +
+        # c(u) u_xx) into monomials in u, u_x, u_xx (c = a u + b u^2, so
+        # c c' = a^2 u + 3ab u^2 + 2b^2 u^3 and c^2 = a^2 u^2 + 2ab u^3 + b^2 u^4),
+        # form each by dense convolutions of the n+1-entry split-Nyquist
+        # spectra, keep the n-point band and multiply by i xi.  The bin n/2
+        # takes an alias and is left out.
+        phi = moderate_field(grid, 31)
+        out = nonlinearity_full(phi, spec, pad).coeffs
+        n = grid.n
+        c = np.fft.fftshift(phi.coeffs)
+        c = np.concatenate(([0.5 * c[0]], c[1:], [0.5 * np.conj(c[0])]))
+        xi = grid.dxi * np.arange(-n // 2, n // 2 + 1)
+        rows = [c, 1j * xi * c, -(xi**2) * c]
+        a, b = spec.a, spec.b
+        monomials = [
+            (1.0, (0, 0, 0)),
+            (a * a, (0, 1, 1)), (3.0 * a * b, (0, 0, 1, 1)), (2.0 * b * b, (0, 0, 0, 1, 1)),
+            (a * a, (0, 0, 2)), (2.0 * a * b, (0, 0, 0, 2)), (b * b, (0, 0, 0, 0, 2)),
+        ]
+        flux = np.zeros(n, dtype=np.complex128)
+        for coef, orders in monomials:
+            conv = rows[orders[0]]
+            for k in orders[1:]:
+                conv = np.convolve(conv, rows[k]) * grid.dxi
+            lo = (len(orders) - 1) * (n // 2)  # conv index k <-> frequency (k - r n/2) dxi
+            flux += coef * conv[lo : lo + n]
+        want = np.fft.ifftshift(1j * np.sort(grid.xi) * flux)
+        others = np.arange(n) != n // 2
+        assert np.max(np.abs(out - want)[others]) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
     def test_recomposition_is_exact(self, grid, spec):
@@ -568,26 +617,12 @@ def _ref_transform(grid, u):
     return grid.parity * scale * np.fft.fft(np.asarray(u, dtype=np.complex128))
 
 
-def _ref_derivative(grid, coeffs):
-    return coeffs * (1j * grid.xi) ** 1
+def _ref_derivative(grid, coeffs, k=1):
+    return coeffs * (1j * grid.xi) ** k
 
 
 def _ref_synthesize(grid, coeffs):
     return np.fft.ifft(grid.parity * coeffs) * (grid.n * grid.dxi)
-
-
-def _ref_half_derivative(fine, half):
-    """d_x on the non-negative half spectrum of a real field on `fine`; the
-    unpaired Nyquist bin has no real derivative and is dropped."""
-    xi = fine.xi[: fine.n // 2 + 1].copy()
-    xi[-1] = 0.0
-    return half * (1j * xi) ** 1
-
-
-def _ref_real_transform(fine, w):
-    """Half spectrum (j = 0..m/2) of real samples on `fine`."""
-    scale = fine.box_length / (2.0 * np.pi * fine.n)
-    return fine.parity[: fine.n // 2 + 1] * (scale * np.fft.rfft(w))
 
 
 def _ref_real_synthesize(fine, half):
@@ -613,13 +648,11 @@ def _ref_transform_from_padded(grid, w):
 
 
 def _ref_nonlinearity_full(phi, spec, pad):
+    """The product-rule flux u^3 + c(u) (c'(u) u_x^2 + c(u) u_xx)."""
     g = phi.grid
-    fine = GridSpec(pad * g.n, g.box_length)
-    u = _ref_padded_values(g, phi.coeffs, pad)
-    ux = _ref_padded_values(g, _ref_derivative(g, phi.coeffs), pad)
+    u, ux, uxx = (_ref_padded_values(g, _ref_derivative(g, phi.coeffs, k), pad) for k in range(3))
     cu = spec.c_of(u)
-    inner = _ref_real_synthesize(fine, _ref_half_derivative(fine, _ref_real_transform(fine, cu * ux)))
-    flux = u * u * u + cu * inner
+    flux = u * u * u + cu * (spec.c_prime_of(u) * (ux * ux) + cu * uxx)
     return _ref_derivative(g, _ref_transform_from_padded(g, flux))
 
 
@@ -664,16 +697,12 @@ def _complex_padded_values(grid, coeffs, pad):
 
 def _complex_nonlinearity_full(phi, spec, pad):
     """N(phi) composed in complex arithmetic on the split-Nyquist spectrum,
-    with the refined grid's unpaired bin dropped from the inner derivative."""
+    the flux by the product rule."""
     g = phi.grid
     fine = GridSpec(pad * g.n, g.box_length)
-    u = _complex_padded_values(g, phi.coeffs, pad)
-    ux = _complex_padded_values(g, _ref_derivative(g, phi.coeffs), pad)
+    u, ux, uxx = (_complex_padded_values(g, _ref_derivative(g, phi.coeffs, k), pad) for k in range(3))
     cu = spec.c_of(u)
-    xi = fine.xi
-    xi[fine.n // 2] = 0.0
-    inner = _ref_synthesize(fine, _ref_transform(fine, cu * ux) * (1j * xi))
-    chat = _ref_transform(fine, u**3 + cu * inner)
+    chat = _ref_transform(fine, u**3 + cu * (spec.c_prime_of(u) * ux**2 + cu * uxx))
     kept = np.concatenate((chat[: g.n // 2], chat[fine.n - g.n // 2 :]))
     return _ref_derivative(g, kept)
 

@@ -311,6 +311,14 @@ class TestPointwiseProduct:
         with pytest.raises(ComplexSamples, match="real samples"):
             transform_from_padded(grid, w.astype(np.complex128))
 
+    @pytest.mark.parametrize("pad", [2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_derivative_rows_match_padded_derivative(self, pad, order):
+        """Each order's row is bitwise the padded samples of the spectral
+        derivative: the same multiplier, the parity on the head only."""
+        f = random_real_field(GridSpec(n=64, box_length=20.0), 27 + order)
+        assert np.array_equal(padded_values(f, pad, order), padded_values(derivative(f, order), pad))
+
     def test_pad_factor_below_two_rejected(self):
         """A pad factor of 1 forms no dealiased product, and its Nyquist bin
         would be the refined grid's own."""
