@@ -80,6 +80,8 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if not 1e-12 <= self.eps_tol <= 1e-4:
             raise ValueError("eps_tol must lie in [1e-12, 1e-4]")
+        if self.pad < 2:
+            raise ValueError("pad must be >= 2")
 
 
 @dataclass

@@ -28,8 +28,8 @@ from .spectral_core import (
     GridSpec,
     SpectralField,
     _multipliers,
+    _padded_rows,
     derivative,
-    padded_values,
     synthesize,
     transform,
     transform_from_padded,
@@ -129,22 +129,27 @@ class BootstrapConstants:
 def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> SpectralField:
     """N(phi) = d_x( phi^3 + c(phi) d_x( c(phi) d_x phi ) ) for a real field phi.
 
-    The flux is phi^3 + c(phi) (c'(phi) phi_x^2 + c(phi) phi_xx) by the product
-    rule, formed in real arithmetic from the padded samples of phi, phi_x and
-    phi_xx (see `padded_values`): four real FFTs, no derivative taken on the
-    refined grid.  For c of degree d the flux has degree 2d + 1, so it is
-    exact for `linear` at pad >= 2 and for `cubic_poly` with c = 0 at pad >= 3,
-    which covers every default; `sine` is evaluated pointwise, its aliasing
-    measured by resolution doubling in the test-suite.  The outer d_x acts
-    after truncation, so the zero mode of the output vanishes exactly, and the
-    output is Hermitian at every index but n/2.
+    The flux is phi^3 + c(phi) (c'(phi) phi_x^2 + c(phi) phi_xx) by the
+    product rule, formed in real arithmetic from the padded samples of phi,
+    phi_x and phi_xx: four real FFTs, no derivative taken on the refined grid.
+    The samples are rows of this thread's workspace for (n, pad), overwritten
+    by its next call, and the flux is formed in place on them.  For c of
+    degree d the flux has degree 2d + 1, so it is exact for `linear` at
+    pad >= 2 and for `cubic_poly` with c = 0 at pad >= 3, which covers every default;
+    `sine` is evaluated pointwise, its aliasing measured by resolution
+    doubling in the test-suite.  The outer d_x acts after truncation, so the
+    zero mode of the output vanishes exactly, and the output is Hermitian at
+    every index but n/2.
     """
-    u = padded_values(phi, pad)
-    ux = padded_values(phi, pad, 1)
-    uxx = padded_values(phi, pad, 2)
+    u, ux, uxx = _padded_rows(phi, pad, (0, 1, 2))
     cu = spec.c_of(u)
-    flux = u * u * u + cu * (spec.c_prime_of(u) * (ux * ux) + cu * uxx)
-    out = transform_from_padded(phi.grid, flux, phi.time)
+    # flux = u*u*u + cu*(c'(u)*(ux*ux) + cu*uxx), in place, operand for operand
+    ux *= ux
+    ux *= spec.c_prime_of(u)
+    ux += np.multiply(cu, uxx, out=uxx)
+    ux *= cu
+    ux += np.multiply(np.multiply(u, u, out=uxx), u, out=uxx)
+    out = transform_from_padded(phi.grid, ux, phi.time)
     return out.with_coeffs(out.coeffs * _multipliers(phi.grid.n, phi.grid.box_length)[0])
 
 
@@ -326,9 +331,8 @@ def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) ->
 
 
 def hamiltonian(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> float:
-    """Conserved energy integral H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx."""
-    u = padded_values(phi, pad)
-    ux = padded_values(phi, pad, 1)
+    """Conserved energy H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx, from workspace rows as N(phi)."""
+    u, ux = _padded_rows(phi, pad, (0, 1))
     u2 = u * u
     cu = spec.c_of(u)
     integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux)

@@ -18,26 +18,29 @@ Coefficients are stored in FFT order (j = 0..n/2-1, -n/2..-1).  Relative to
 numpy's transforms the centered grid contributes a phase (-1)^j, which by
 evenness of n equals (-1)^k for the raw array index k, so analysis/synthesis
 reduce to one FFT plus a parity sign and a scale.  The parity is applied by
-negating the odd entries of a copy, not by multiplying with a sign array;
+negating the odd entries in place, not by multiplying with a sign array;
 `GridSpec.parity` remains as the explicit form of the same sign.
 
 Products of real fields are formed on a refined grid in real arithmetic:
-`padded_values` evaluates d_x^k of a real field on pad_factor * n points as
-float64 samples (one inverse real FFT per order k of the zero-padded half
-spectrum, the parity applied to its n/2 + 1 head entries only), the samples
-are multiplied there, and `transform_from_padded` analyzes the real product
-with a real FFT, truncates it to the n-point band and rebuilds the negative
-frequencies by conjugate symmetry.  The unpaired coefficient c_{-n/2} (the
-Nyquist mode) is read as the real band-limited interpolant reads it
-(Trefethen, Spectral Methods in MATLAB, ch. 3): split evenly between -n/2 and
-+n/2, with conj(c_{-n/2})/2 at +n/2.  A pad factor p >= 2 represents products
-of total degree <= 2p - 1 exactly.
+d_x^k of a real field is sampled on pad_factor * n points (one inverse real
+FFT per order k of the zero-padded half spectrum, the parity applied to its
+n/2 + 1 head entries only), the samples are multiplied there, and
+`transform_from_padded` analyzes the real product with a real FFT, truncates
+it to the n-point band and rebuilds the negative frequencies by conjugate
+symmetry.  Half spectra, samples and product spectrum live in a workspace
+kept per thread and per (n, pad_factor), not allocated per call; the samples
+are valid until the thread's next padded product on that grid.  The unpaired
+coefficient c_{-n/2} (the Nyquist mode) is read as the real band-limited
+interpolant reads it (Trefethen, Spectral Methods in MATLAB, ch. 3): split
+evenly between -n/2 and +n/2, with conj(c_{-n/2})/2 at +n/2.  A pad factor
+p >= 2 represents products of total degree <= 2p - 1 exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +60,6 @@ __all__ = [
     "free_evolve",
     "norm",
     "xi_l2_norm",
-    "padded_values",
     "transform_from_padded",
     "xi_derivative_coefficients",
     "enforce_real_zero_mean",
@@ -146,11 +148,10 @@ class SpectralField:
 
 
 def _alternate_signs(a: np.ndarray) -> np.ndarray:
-    """A copy of `a` times (-1)^k: the odd entries negated, no sign array built."""
-    out = a.copy()
-    odd = out[1::2]
+    """`a` times (-1)^k, in place: the odd entries negated, no sign array built."""
+    odd = a[1::2]
     np.negative(odd, out=odd)
-    return out
+    return a
 
 
 def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
@@ -165,7 +166,7 @@ def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
 def synthesize(f: SpectralField) -> np.ndarray:
     """Evaluate the field at the grid points (complex samples)."""
     g = f.grid
-    return np.fft.ifft(_alternate_signs(f.coeffs)) * (g.n * g.dxi)
+    return np.fft.ifft(_alternate_signs(f.coeffs.copy())) * (g.n * g.dxi)
 
 
 def derivative(f: SpectralField, n: int) -> SpectralField:
@@ -243,27 +244,38 @@ def xi_l2_norm(a: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(grid.dxi * np.sum(np.abs(a) ** 2)))
 
 
-def padded_values(f: SpectralField, pad_factor: int, order: int = 0) -> np.ndarray:
-    """Evaluate d_x^order of a real field on a pad_factor-refined grid (float64).
+@functools.lru_cache(maxsize=8)
+def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One thread's padded-product buffers on (n, pad_factor): three half spectra
+    (zeroed once; only their heads are rewritten), three rows, one spectrum."""
+    m = pad_factor * n
+    return np.zeros((3, m // 2 + 1), np.complex128), np.empty((3, m)), np.empty(m // 2 + 1, np.complex128)
 
-    `f` must be a real field: only j = 0..n/2-1 and the unpaired c_{-n/2} are
-    read, and the samples are those of the real band-limited interpolant,
-    c_{-n/2} split evenly between -n/2 and +n/2: bitwise the samples of
-    padded_values(derivative(f, order), pad_factor).
+
+def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...]) -> np.ndarray:
+    """float64 samples of d_x^k f, k in `orders` (at most three), on the
+    pad_factor-refined grid: rows of this thread's workspace for (n, pad_factor),
+    valid until its next padded product there.
+
+    `f` is a real field: only j = 0..n/2-1 and c_{-n/2} are read, and the rows
+    sample the real band-limited interpolant, c_{-n/2} split between +-n/2.
     """
     if pad_factor < 2:
         raise ValueError("pad_factor must be >= 2")
     g = f.grid
     h = g.n // 2
     m = pad_factor * g.n
-    half = np.zeros(m // 2 + 1, dtype=np.complex128)
-    half[: h + 1] = f.coeffs[: h + 1]
-    if order:
-        half[: h + 1] *= _multipliers(g.n, g.box_length)[0][: h + 1] ** order
-    half[h] = 0.5 * np.conj(half[h])
-    odd = half[1 : h + 1 : 2]
-    np.negative(odd, out=odd)
-    return np.fft.irfft(half, m) * (m * g.dxi)
+    half, rows, _ = _workspace(threading.get_ident(), g.n, pad_factor)
+    for k, order in enumerate(orders):
+        head = half[k, : h + 1]
+        head[...] = f.coeffs[: h + 1]
+        if order:
+            head *= _multipliers(g.n, g.box_length)[0][: h + 1] ** order
+        head[h] = 0.5 * np.conj(head[h])
+        _alternate_signs(head)
+        np.fft.irfft(half[k], m, out=rows[k])
+        rows[k] *= m * g.dxi
+    return rows[: len(orders)]
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:
@@ -279,11 +291,13 @@ def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> S
     if m % grid.n != 0:
         raise GridMismatch("padded length must be a multiple of grid.n")
     n = grid.n
-    scale = grid.box_length / (2.0 * np.pi * m)
-    half = np.fft.rfft(w)
+    half = np.fft.rfft(w, out=_workspace(threading.get_ident(), n, m // n)[2])
     # m - n is even, so every kept entry keeps the parity of its index
-    kept = np.concatenate((half[: n // 2], np.conj(half[n // 2 : 0 : -1])))
-    return SpectralField(grid, _alternate_signs(scale * kept), time)
+    kept = np.empty(n, dtype=np.complex128)
+    kept[: n // 2] = half[: n // 2]
+    np.conjugate(half[n // 2 : 0 : -1], out=kept[n // 2 :])
+    kept *= grid.box_length / (2.0 * np.pi * m)
+    return SpectralField(grid, _alternate_signs(kept), time)
 
 
 def xi_derivative_coefficients(f: SpectralField) -> np.ndarray:

@@ -10,7 +10,6 @@ from qmkdv.spectral_core import (
     SpectralField,
     derivative,
     enforce_real_zero_mean,
-    padded_values,
     synthesize,
     transform,
     transform_from_padded,
@@ -60,6 +59,30 @@ def c_doubleprime0(spec: CoefficientSpec) -> float:
 def alpha3(spec: CoefficientSpec) -> float:
     """The quartic coefficient (1/2) c''(0) c'(0); zero for "linear" and "sine"."""
     return 0.5 * c_doubleprime0(spec) * spec.c_prime_of(0.0)
+
+
+def padded_values(f: SpectralField, pad_factor: int, order: int = 0) -> np.ndarray:
+    """d_x^order of a real field on a pad_factor-refined grid (float64), in a
+    fresh array: the oracle for the model's workspace rows.
+
+    Only j = 0..n/2-1 and the unpaired c_{-n/2} are read, and the samples are
+    those of the real band-limited interpolant, c_{-n/2} split evenly between
+    -n/2 and +n/2: bitwise the samples of
+    padded_values(derivative(f, order), pad_factor).
+    """
+    if pad_factor < 2:
+        raise ValueError("pad_factor must be >= 2")
+    g = f.grid
+    h = g.n // 2
+    m = pad_factor * g.n
+    half = np.zeros(m // 2 + 1, dtype=np.complex128)
+    half[: h + 1] = f.coeffs[: h + 1]
+    if order:
+        half[: h + 1] *= (1j * g.xi)[: h + 1] ** order
+    half[h] = 0.5 * np.conj(half[h])
+    odd = half[1 : h + 1 : 2]
+    np.negative(odd, out=odd)
+    return np.fft.irfft(half, m) * (m * g.dxi)
 
 
 def fine_derivative_values(grid: GridSpec, pad: int, w: np.ndarray) -> np.ndarray:

@@ -7,6 +7,10 @@ m = (n/2)*dxi; on the 3n grid it wraps to d*m - 3*n*dxi, which stays outside
 just to a padding tolerance.
 """
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +35,9 @@ from qmkdv.model import (
 from qmkdv.rng import SplitMix64
 from qmkdv.spectral_core import (
     GridSpec,
+    _padded_rows,
     derivative,
     norm,
-    padded_values,
     synthesize,
     transform,
     transform_from_padded,
@@ -45,6 +49,7 @@ from conftest import (
     fine_derivative_values,
     gaussian_field,
     nonlinearity_split,
+    padded_values,
     random_real_field,
     symbol_t1_d1,
 )
@@ -276,6 +281,65 @@ class TestNonlinearity:
         disp = quintic_remainder_c3_zero(phi, spec)
         diff = n5.with_coeffs(n5.coeffs - disp.coeffs)
         assert norm(diff, "L2") <= 1e-10 * norm(n5, "L2")
+
+
+class TestPaddedWorkspace:
+    """N(phi) forms its products in a workspace reused per thread and per
+    (n, pad): no result depends on what an earlier call or another thread
+    left there, and a warm call allocates no padded rows of its own."""
+
+    def test_other_box_with_same_n_leaves_no_trace(self):
+        spec = FAMILIES[2]
+        phi1 = moderate_field(GridSpec(n=128, box_length=40.0), 90)
+        phi2 = moderate_field(GridSpec(n=128, box_length=70.0), 91)
+        first = nonlinearity_full(phi1, spec).coeffs
+        nonlinearity_full(phi2, spec)
+        assert np.array_equal(nonlinearity_full(phi1, spec).coeffs, first)
+
+    def test_oracle_row_unchanged_by_a_call(self, grid):
+        phi = moderate_field(grid, 92)
+        row = padded_values(phi, 3, 1)
+        before = row.copy()
+        nonlinearity_full(phi, FAMILIES[2])
+        hamiltonian(phi, FAMILIES[2])
+        assert np.array_equal(row, before)
+
+    def test_threads_keep_their_own_rows(self):
+        """More threads than cores, switching often, each 50 times on its own
+        field: every result is bitwise the serial one."""
+        grid = GridSpec(n=1024, box_length=120.0)
+        spec = FAMILIES[2]
+        fields = [moderate_field(grid, seed) for seed in range(93, 97)]
+        serial = [nonlinearity_full(phi, spec).coeffs for phi in fields]
+
+        def repeat(phi):
+            return [nonlinearity_full(phi, spec).coeffs for _ in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(fields)) as ex:
+                runs = list(ex.map(repeat, fields, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, runs):
+            assert all(np.array_equal(c, want) for c in got)
+
+    def test_warm_call_allocates_under_four_padded_rows(self):
+        """tracemalloc sees numpy's data buffers: a warm call at n = 1024,
+        pad 3 peaks at about 3 rows (c(u) and c'(u)); fresh rows, half
+        spectra and a fresh product spectrum reached 8."""
+        grid = GridSpec(n=1024, box_length=120.0)
+        phi = moderate_field(grid, 95)
+        spec = CoefficientSpec()
+        nonlinearity_full(phi, spec, 3)
+        tracemalloc.start()
+        try:
+            nonlinearity_full(phi, spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * 3 * grid.n
 
 
 class TestInteractionSymbols:
@@ -671,7 +735,7 @@ class TestHotPathMatchesUnfusedReference:
     def test_padded_transforms(self, grid, pad):
         phi = random_real_field(grid, 63 + pad)
         w = _ref_padded_values(grid, phi.coeffs, pad)
-        assert np.array_equal(padded_values(phi, pad), w)
+        assert np.array_equal(_padded_rows(phi, pad, (0,))[0], w)
         w = w**2
         assert np.array_equal(transform_from_padded(grid, w).coeffs, _ref_transform_from_padded(grid, w))
 

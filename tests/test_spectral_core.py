@@ -27,8 +27,8 @@ from qmkdv.spectral_core import (
     hermitian_defect,
     load_snapshot,
     mass_fraction_inside,
+    _padded_rows,
     norm,
-    padded_values,
     profile_from_solution,
     save_snapshot,
     synthesize,
@@ -38,7 +38,7 @@ from qmkdv.spectral_core import (
     xi_l2_norm,
 )
 
-from conftest import gaussian_field, random_real_field
+from conftest import gaussian_field, padded_values, random_real_field
 
 
 def values(f):
@@ -319,11 +319,23 @@ class TestPointwiseProduct:
         f = random_real_field(GridSpec(n=64, box_length=20.0), 27 + order)
         assert np.array_equal(padded_values(f, pad, order), padded_values(derivative(f, order), pad))
 
+    @pytest.mark.parametrize("pad", [2, 3, 4])
+    def test_workspace_rows_match_oracle(self, pad):
+        """The workspace rows are bitwise the oracle's fresh samples, one order
+        at a time (0 to 3) and three at once."""
+        f = random_real_field(GridSpec(n=64, box_length=20.0), 30 + pad)
+        for order in range(4):
+            assert np.array_equal(_padded_rows(f, pad, (order,))[0], padded_values(f, pad, order))
+        rows = _padded_rows(f, pad, (3, 1, 2))
+        assert rows.shape == (3, pad * 64)
+        for order, row in zip((3, 1, 2), rows):
+            assert np.array_equal(row, padded_values(f, pad, order))
+
     def test_pad_factor_below_two_rejected(self):
         """A pad factor of 1 forms no dealiased product, and its Nyquist bin
         would be the refined grid's own."""
         with pytest.raises(ValueError, match="pad_factor"):
-            padded_values(random_real_field(GridSpec(n=64, box_length=20.0), 26), 1)
+            _padded_rows(random_real_field(GridSpec(n=64, box_length=20.0), 26), 1, (0,))
 
 
 class TestXiDerivative:
