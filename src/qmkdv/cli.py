@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -119,13 +119,13 @@ def _float_list(text: str) -> tuple:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from e
 
 
-# a count below its floor is refused when the config is read, before anything runs
-_COUNT_FLOORS = {"identities.samples": 1, "run.monitor_count": 0, "decay.samples": 0, "scattering.samples": 0,
-                 "oscillatory.samples": 0}
+# a value below its floor is refused when the config is read, before anything runs
+_FLOORS = {"identities.samples": 1, "run.monitor_count": 0, "decay.samples": 0, "scattering.samples": 0,
+           "oscillatory.samples": 0, "scattering.fit_t_min": 0.0}
 
 
 def parse_config(path: str) -> dict:
-    """Flat key = value configuration; unknown or duplicate keys and counts below their floor are errors."""
+    """Flat key = value configuration; unknown or duplicate keys and values below their floor are errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -148,29 +148,17 @@ def parse_config(path: str) -> dict:
             out[key] = _KEY_PARSERS[key](value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from e
-        if key in _COUNT_FLOORS and out[key] < _COUNT_FLOORS[key]:
-            raise ConfigError(f"{path}:{lineno}: {key} must be >= {_COUNT_FLOORS[key]}, got {out[key]}")
+        if key in _FLOORS and out[key] < _FLOORS[key]:
+            raise ConfigError(f"{path}:{lineno}: {key} must be >= {_FLOORS[key]}, got {out[key]}")
     return out
 
 
 def _metadata(grid: GridSpec, coeff: CoefficientSpec, bc: BootstrapConstants, seed: int) -> dict:
-    return {
-        "artifact_version": __version__,
-        "seed": int(seed),
-        "grid_n": int(grid.n),
-        "grid_box_length": float(grid.box_length),
-        "coeff_family": coeff.family,
-        "coeff_a": float(coeff.a),
-        "coeff_b": float(coeff.b),
-        "coeff_c": float(coeff.c),
-        "delta": float(bc.delta),
-        "p0": float(bc.p0),
-        "p1": float(bc.p1),
-        "gamma_l": float(bc.gamma_l),
-        "gamma_h": float(bc.gamma_h),
-        "s": float(bc.s),
-        "decay_exponent": float(bc.decay_exponent),
-    }
+    """The report header: every field of ``coeff`` (as coeff_<name>) and of ``bc``, and the derived p0."""
+    coeffs = {f"coeff_{k}": v if isinstance(v, str) else float(v) for k, v in asdict(coeff).items()}
+    constants = {k: float(v) for k, v in asdict(bc).items()}
+    return {"artifact_version": __version__, "seed": int(seed), "grid_n": int(grid.n),
+            "grid_box_length": float(grid.box_length), **coeffs, **constants, "p0": float(bc.p0)}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +238,7 @@ class _Context:
     def csv(self, name: str, header: list, rows: list) -> None:
         write_csv(self.outdir / name, self.meta, header, rows)
 
-    def sim(self, monitor_times: tuple, pad: int = 3) -> SimConfig:
+    def sim(self, monitor_times: tuple) -> SimConfig:
         """The integrator run the config describes, ending at ``run.t_end``."""
         cfg = self.cfg
         if "initial.snapshot" in cfg:
@@ -271,7 +259,6 @@ class _Context:
                 dt_init=cfg.get("run.dt_init"),
                 monitor_times=monitor_times,
                 linear_only=self.args.linear_only,
-                pad=pad,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -290,18 +277,9 @@ class _Study:
 
 _STUDIES: dict = {}
 
-_COMMON_DEFAULTS = {
-    "coeff.family": "cubic_poly",
-    "coeff.a": 1.0,
-    "coeff.b": 1.0,
-    "coeff.c": 0.0,
-    "constants.delta": 1e-3,
-    "constants.p1": 1e-3,
-    "constants.gamma_l": 0.0,
-    "constants.gamma_h": 2.5,
-    "constants.s": 12.0,
-    "constants.decay_exponent": 0.48,
-}
+# each field of these dataclasses is the config key <prefix>.<field>, its default the field's
+_SECTIONS = {"coeff": CoefficientSpec, "constants": BootstrapConstants}
+_COMMON_DEFAULTS = {f"{p}.{f.name}": f.default for p, cls in _SECTIONS.items() for f in fields(cls)}
 
 # the frequency-side studies record this placeholder grid in their metadata
 _DESK_GRID = (16, 2.0 * math.pi)
@@ -336,17 +314,7 @@ def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
     try:
         n, box = study.grid or (cfg["grid.n"], cfg["grid.box_length"])
         grid = GridSpec(n=n, box_length=box)
-        coeff = CoefficientSpec(
-            family=cfg["coeff.family"], a=cfg["coeff.a"], b=cfg["coeff.b"], c=cfg["coeff.c"]
-        )
-        bc = BootstrapConstants(
-            delta=cfg["constants.delta"],
-            p1=cfg["constants.p1"],
-            gamma_l=cfg["constants.gamma_l"],
-            gamma_h=cfg["constants.gamma_h"],
-            s=cfg["constants.s"],
-            decay_exponent=cfg["constants.decay_exponent"],
-        )
+        coeff, bc = (cls(**{f.name: cfg[f"{p}.{f.name}"] for f in fields(cls)}) for p, cls in _SECTIONS.items())
     except ValueError as e:
         raise ConfigError(str(e)) from e
     ctx = _Context(args, cfg, outdir, grid, coeff, bc, _metadata(grid, coeff, bc, args.seed))
@@ -648,8 +616,6 @@ def _scattering(ctx: _Context) -> dict:
     cfg, grid, coeff = ctx.cfg, ctx.grid, ctx.coeff
     t_end = cfg["run.t_end"]
     fit_t_min = cfg["scattering.fit_t_min"]
-    if fit_t_min < 0.0:
-        raise ConfigError(f"scattering.fit_t_min must be >= 0, got {fit_t_min}")
     try:
         idx = probe_indices(grid, cfg["scattering.target_frequencies"])
     except ValueError as e:
@@ -664,9 +630,7 @@ def _scattering(ctx: _Context) -> dict:
     planned = sorted(dyadics | geom | {1.0, float(t_end)})
     _require_samples("run.t_end: dyadic times", dyadics, 1.0, t_end, MIN_DYADIC_SAMPLES)
     _require_samples("scattering.fit_t_min: samples", planned, max(fit_t_min, 1.0), t_end, MIN_DRIFT_FIT_SAMPLES)
-    # for the purely cubic linear-family nonlinearity a padding factor of 2
-    # already dealiases the products exactly
-    sim = ctx.sim(tuple(planned), pad=2 if coeff.family == "linear" else 3)
+    sim = ctx.sim(tuple(planned))
 
     times, samples = [], []
 

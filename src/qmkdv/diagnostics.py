@@ -107,7 +107,7 @@ def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) ->
     return float(np.max(weight * np.abs(phi.coeffs)))
 
 
-def _scaling_field(phi: SpectralField, t: float, spec: CoefficientSpec, pad: int, dh: np.ndarray) -> SpectralField:
+def _scaling_field(phi: SpectralField, t: float, spec: CoefficientSpec, dh: np.ndarray) -> SpectralField:
     """S phi given dh, the xi-derivative of the profile at time t.
 
     F[S phi] = -e^{i t xi^3} xi dh - 3t F[N(phi)] - phihat; at t=0 this
@@ -116,7 +116,7 @@ def _scaling_field(phi: SpectralField, t: float, spec: CoefficientSpec, pad: int
     g = phi.grid
     out = -np.exp(1j * t * g.xi**3) * g.xi * dh - phi.coeffs
     if t != 0.0:
-        out = out - 3.0 * t * nonlinearity_full(phi, spec, pad).coeffs
+        out = out - 3.0 * t * nonlinearity_full(phi, spec).coeffs
     return phi.with_coeffs(out)
 
 
@@ -125,13 +125,12 @@ def energy(
     t: float,
     spec: CoefficientSpec,
     bc: BootstrapConstants = BootstrapConstants(),
-    pad: int = 3,
 ) -> EnergyBreakdown:
     """The six-summand energy and the Z-norm at one time."""
     e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
     h = profile_from_solution(phi, t)
     dh = xi_derivative_coefficients(h)
-    s_phi = _scaling_field(phi, t, spec, pad, dh)
+    s_phi = _scaling_field(phi, t, spec, dh)
     e2 = norm(phi, "Hs", s=bc.s) ** 2
     e3 = norm(antiderivative(s_phi), "L2") ** 2
     e4 = norm(s_phi, "L2") ** 2

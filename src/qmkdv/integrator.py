@@ -73,15 +73,12 @@ class SimConfig:
     dt_init: float | None = None
     monitor_times: tuple = ()
     linear_only: bool = False
-    pad: int = 3
 
     def __post_init__(self):
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
         if not 1e-12 <= self.eps_tol <= 1e-4:
             raise ValueError("eps_tol must lie in [1e-12, 1e-4]")
-        if self.pad < 2:
-            raise ValueError("pad must be >= 2")
 
 
 @dataclass
@@ -123,10 +120,10 @@ def default_dt_init(phi0: SpectralField, spec: CoefficientSpec) -> float:
     return 0.5 * phi0.grid.dx**2 / max(1.0, cmax**2)
 
 
-def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool, pad: int) -> np.ndarray:
+def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool) -> np.ndarray:
     if linear_only:
         return np.zeros_like(phi.coeffs)
-    return -nonlinearity_full(phi, spec, pad).coeffs
+    return -nonlinearity_full(phi, spec).coeffs
 
 
 def _free_flow_factors(grid: GridSpec, *steps: float) -> tuple[np.ndarray, ...]:
@@ -140,7 +137,6 @@ def lawson_step(
     spec: CoefficientSpec,
     dt: float,
     linear_only: bool = False,
-    pad: int = 3,
     factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SpectralField:
     """One integrating-factor RK4 step of length dt.
@@ -153,7 +149,7 @@ def lawson_step(
     t = phi.time
 
     def G(coeffs, time):
-        return _rhs(phi.with_coeffs(coeffs, time=time), spec, linear_only, pad)
+        return _rhs(phi.with_coeffs(coeffs, time=time), spec, linear_only)
 
     a = G(y, t)
     b = G(e_half * (y + 0.5 * dt * a), t + 0.5 * dt)
@@ -183,9 +179,9 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         # exp(i xi^3 dt/2) and exp(i xi^3 dt/4), bit for bit
         h = 0.5 * dt_try
         e_full, e_half, e_quarter = _free_flow_factors(phi.grid, dt_try, h, 0.5 * h)
-        full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, cfg.pad, (e_full, e_half))
-        half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, cfg.pad, (e_half, e_quarter))
-        pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, cfg.pad, (e_half, e_quarter))
+        full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, (e_full, e_half))
+        half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter))
+        pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter))
         err = norm(pair.with_coeffs(pair.coeffs - full.coeffs), "L2")
         tol = cfg.eps_tol * base
         if not np.isfinite(err):
@@ -212,12 +208,12 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         dt = dt_try * factor
 
 
-def monitor_record(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> dict:
+def monitor_record(phi: SpectralField, spec: CoefficientSpec) -> dict:
     return {
         "t": phi.time,
         "mass": mass(phi),
         "l2": norm(phi, "L2"),
-        "hamiltonian": hamiltonian(phi, spec, pad),
+        "hamiltonian": hamiltonian(phi, spec),
     }
 
 
@@ -240,7 +236,7 @@ def run(cfg: SimConfig, observer=None) -> tuple[SimState, list[dict]]:
     records = []
 
     def emit(phi):
-        rec = monitor_record(phi, cfg.coeff, cfg.pad)
+        rec = monitor_record(phi, cfg.coeff)
         if observer is not None:
             observer(phi, rec)
         records.append(rec)

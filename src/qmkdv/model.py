@@ -11,7 +11,8 @@ depends only on the first Taylor data of c through
 
 This module supplies the nonlinearity N(phi) (divergence form, so its zero
 mode vanishes exactly; the flux by the product rule from the padded samples
-of phi, phi_x and phi_xx), the trilinear and quadrilinear interaction
+of phi, phi_x and phi_xx at the padding factor `CoefficientSpec.pad`, which
+the family of c sets), the trilinear and quadrilinear interaction
 symbols, the cubic phase with its resonance geometry, dyadic multiplier
 bounds for the cubic symbol and its first-argument derivative, the scaling
 vector field S = x d_x + 3t d_t, and the conserved mass and Hamiltonian.
@@ -97,6 +98,12 @@ class CoefficientSpec:
     def alpha2(self) -> float:
         return self.a**2  # c'(0) = a in every family
 
+    @property
+    def pad(self) -> int:
+        """N(phi)'s padding factor: 2 for "linear", whose flux has degree 3, and
+        3 otherwise, alias-free for `cubic_poly` with c = 0 (degree 5)."""
+        return 2 if self.family == "linear" else 3
+
 
 @dataclass(frozen=True)
 class BootstrapConstants:
@@ -126,22 +133,24 @@ class BootstrapConstants:
 # ---------------------------------------------------------------------------
 
 
-def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> SpectralField:
+def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralField:
     """N(phi) = d_x( phi^3 + c(phi) d_x( c(phi) d_x phi ) ) for a real field phi.
 
     The flux is phi^3 + c(phi) (c'(phi) phi_x^2 + c(phi) phi_xx) by the
-    product rule, formed in real arithmetic from the padded samples of phi,
-    phi_x and phi_xx: four real FFTs, no derivative taken on the refined grid.
+    product rule, formed in real arithmetic from the samples of phi, phi_x
+    and phi_xx on the grid refined by the family's padding factor
+    ``spec.pad``: four real FFTs, no derivative taken on the refined grid.
     The samples are rows of this thread's workspace for (n, pad), overwritten
     by its next call, and the flux is formed in place on them.  For c of
-    degree d the flux has degree 2d + 1, so it is exact for `linear` at
-    pad >= 2 and for `cubic_poly` with c = 0 at pad >= 3, which covers every default;
-    `sine` is evaluated pointwise, its aliasing measured by resolution
-    doubling in the test-suite.  The outer d_x acts after truncation, so the
-    zero mode of the output vanishes exactly, and the output is Hermitian at
-    every index but n/2.
+    degree d the flux has degree 2d + 1, and pad p leaves a product of degree
+    at most 2p - 1 alias-free at every index but n/2: `linear` (d = 1) at its
+    pad 2 and `cubic_poly` with c = 0 (d = 2) at its pad 3, which covers every
+    default.  At pad 3 `cubic_poly` with c != 0 (degree 7) and `sine` (not a
+    polynomial) alias; the test-suite measures them against pad 8.  The outer
+    d_x acts after truncation, so the zero mode of the output vanishes
+    exactly, and the output is Hermitian at every index but n/2.
     """
-    u, ux, uxx = _padded_rows(phi, pad, (0, 1, 2))
+    u, ux, uxx = _padded_rows(phi, spec.pad, (0, 1, 2))
     cu = spec.c_of(u)
     # flux = u*u*u + cu*(c'(u)*(ux*ux) + cu*uxx), in place, operand for operand
     ux *= ux
@@ -330,13 +339,13 @@ def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) ->
     return out
 
 
-def hamiltonian(phi: SpectralField, spec: CoefficientSpec, pad: int = 3) -> float:
+def hamiltonian(phi: SpectralField, spec: CoefficientSpec) -> float:
     """Conserved energy H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx, from workspace rows as N(phi)."""
-    u, ux = _padded_rows(phi, pad, (0, 1))
+    u, ux = _padded_rows(phi, spec.pad, (0, 1))
     u2 = u * u
     cu = spec.c_of(u)
     integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux)
-    fine_dx = phi.grid.box_length / (pad * phi.grid.n)
+    fine_dx = phi.grid.box_length / u.size
     return float(fine_dx * np.sum(integrand))
 
 

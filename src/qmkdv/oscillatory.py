@@ -276,7 +276,7 @@ def resonant_drift_measurement(
 
     where N3 is the cubic part of N.  The measurement uses the "linear"
     family c(v) = sqrt(alpha2) v, whose N(phi) is exactly N3 (no quartic or
-    higher terms, and its products are alias-free at pad 3), so
+    higher terms, and its products are alias-free at its pad 2), so
     nonlinearity_full gives N3 directly.  t * Re[I / (i |hhat|^2 hhat)]
     converges to the drift coefficient as t grows (relative error O(1/t));
     averaging over 96 times of a window suppresses the oscillatory

@@ -93,16 +93,17 @@ def fine_derivative_values(grid: GridSpec, pad: int, w: np.ndarray) -> np.ndarra
 
 
 def nonlinearity_split(
-    phi: SpectralField, spec: CoefficientSpec, pad: int = 3
+    phi: SpectralField, spec: CoefficientSpec
 ) -> tuple[SpectralField, SpectralField, SpectralField]:
     """(N3, N4, N5plus) with N3 + N4 + N5plus = nonlinearity_full: the oracle
     for the model's nonlinearity, each piece assembled from its own Taylor
-    form rather than from c(phi).
+    form rather than from c(phi), at the family's padding factor spec.pad.
 
     N3 = d_x( phi^3 + alpha2 (phi^2 phi_xx + phi phi_x^2) )
     N4 = alpha3 d_x( phi^2 d_x(phi phi_x) + phi d_x(phi^2 phi_x) )
     N5plus = N_full - N3 - N4   (so the decomposition is exact by construction)
     """
+    pad = spec.pad
     u = padded_values(phi, pad)
     ux = padded_values(derivative(phi, 1), pad)
     uxx = padded_values(derivative(phi, 2), pad)
@@ -119,6 +120,6 @@ def nonlinearity_split(
         flux4 = alpha3(spec) * (u2 * v1x + u * v2x)
         n4 = derivative(transform_from_padded(phi.grid, flux4, phi.time), 1)
 
-    full = nonlinearity_full(phi, spec, pad)
+    full = nonlinearity_full(phi, spec)
     n5 = full.with_coeffs(full.coeffs - n3.coeffs - n4.coeffs)
     return n3, n4, n5

@@ -50,6 +50,25 @@ def test_simulate_output_is_byte_identical(tmp_path):
     _assert_identical_runs(tmp_path, "simulate", SIMULATE_CONFIG, ["monitor.csv", "report.json", "final_state.bin"])
 
 
+HEADER_KEYS = {"artifact_version", "seed", "grid_n", "grid_box_length", "coeff_family", "coeff_a", "coeff_b",
+               "coeff_c", "delta", "p0", "p1", "gamma_l", "gamma_h", "s", "decay_exponent"}
+
+
+def test_report_header_and_dataclass_keys_are_pinned(tmp_path):
+    """Each CoefficientSpec and BootstrapConstants field is a config key and a
+    header line: a new field changes both, and must change this test."""
+    assert {k for k in cli._KEY_PARSERS if k.startswith(("coeff.", "constants."))} == {
+        "coeff.family", "coeff.a", "coeff.b", "coeff.c", "constants.delta", "constants.p1", "constants.gamma_l",
+        "constants.gamma_h", "constants.s", "constants.decay_exponent"}
+    out = tmp_path / "out"
+    assert _main(tmp_path, "simulate", SIMULATE_CONFIG, out) == 0
+    meta = json.loads((out / "report.json").read_text(encoding="utf-8"))["metadata"]
+    assert {k: type(v) for k, v in meta.items()} == {
+        **dict.fromkeys(HEADER_KEYS, float), "artifact_version": str, "seed": int, "grid_n": int, "coeff_family": str}
+    lines = (out / "monitor.csv").read_text(encoding="utf-8").splitlines()
+    assert [line[2:].split("=")[0] for line in lines if line.startswith("# ")] == sorted(HEADER_KEYS)
+
+
 def test_identities_output_is_byte_identical(tmp_path):
     _assert_identical_runs(tmp_path, "identities", "identities.samples = 200\n", ["identities.json"], "--seed", "7")
 

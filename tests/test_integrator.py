@@ -122,12 +122,6 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="eps_tol"):
             small_config(grid, eps_tol=eps)
 
-    @pytest.mark.parametrize("pad", [0, 1])
-    def test_pad_below_two_refused(self, grid, pad):
-        """Refused at construction, not inside run()'s first Hamiltonian."""
-        with pytest.raises(ValueError, match="pad"):
-            small_config(grid, pad=pad)
-
     def test_valid_config_accepted(self, grid):
         cfg = small_config(grid, eps_tol=1e-8)
         assert cfg.eps_tol == 1e-8

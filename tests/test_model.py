@@ -10,6 +10,7 @@ just to a padding tolerance.
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -148,10 +149,11 @@ class TestBootstrapConstants:
             BootstrapConstants(p1=1e-6)
 
 
-def quintic_remainder_c3_zero(phi, spec, pad=3):
+def quintic_remainder_c3_zero(phi, spec):
     """N5plus in closed form for c(v) = a v + b v^2 (c3 = 0):
     d_x(q d_x(q d_x phi)) with q = b phi^2, the inner d_x taken spectrally on
-    the padded grid."""
+    the grid padded by spec.pad."""
+    pad = spec.pad
     u = padded_values(phi, pad)
     ux = padded_values(derivative(phi, 1), pad)
     q = 0.5 * c_doubleprime0(spec) * u**2
@@ -208,23 +210,20 @@ class TestNonlinearity:
         assert np.max(np.abs(out.coeffs - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
-        "spec, pad",
-        [
-            (CoefficientSpec("linear", a=1.3, b=0.0, c=0.0), 2),
-            (CoefficientSpec("cubic_poly", a=0.8, b=0.5, c=0.0), 3),
-        ],
+        "spec",
+        [CoefficientSpec("linear", a=1.3, b=0.0, c=0.0), CoefficientSpec("cubic_poly", a=0.8, b=0.5, c=0.0)],
         ids=["linear-pad2", "cubic_poly-c0-pad3"],
     )
-    def test_whole_nonlinearity_matches_dense_convolution(self, grid, spec, pad):
+    def test_whole_nonlinearity_matches_dense_convolution(self, grid, spec):
         # Independent assembly of the whole N(phi) where the flux is a
-        # polynomial of degree <= 2 pad - 1: expand u^3 + c(u) (c'(u) u_x^2 +
+        # polynomial of degree <= 2 spec.pad - 1: expand u^3 + c(u) (c'(u) u_x^2 +
         # c(u) u_xx) into monomials in u, u_x, u_xx (c = a u + b u^2, so
         # c c' = a^2 u + 3ab u^2 + 2b^2 u^3 and c^2 = a^2 u^2 + 2ab u^3 + b^2 u^4),
         # form each by dense convolutions of the n+1-entry split-Nyquist
         # spectra, keep the n-point band and multiply by i xi.  The bin n/2
         # takes an alias and is left out.
         phi = moderate_field(grid, 31)
-        out = nonlinearity_full(phi, spec, pad).coeffs
+        out = nonlinearity_full(phi, spec).coeffs
         n = grid.n
         c = np.fft.fftshift(phi.coeffs)
         c = np.concatenate(([0.5 * c[0]], c[1:], [0.5 * np.conj(c[0])]))
@@ -254,6 +253,18 @@ class TestNonlinearity:
         n3, n4, n5 = nonlinearity_split(phi, spec)
         rec = n3.coeffs + n4.coeffs + n5.coeffs
         assert np.max(np.abs(rec - full.coeffs)) <= 1e-13 * np.max(np.abs(full.coeffs))
+
+    @pytest.mark.parametrize("seed", [7, 31, 72])
+    @pytest.mark.parametrize("spec", FAMILIES[1:], ids=lambda s: s.family)
+    def test_aliasing_at_pad_3_is_round_off(self, grid, spec, seed):
+        # sine (not a polynomial) and cubic_poly with c != 0 (a degree-7
+        # flux) alias at their pad 3; against pad 8 the aliases read at
+        # round-off on moderate fields (about 1e-15 of max |N|)
+        assert spec.pad == 3 and (spec.family == "sine" or spec.c != 0.0)
+        phi = moderate_field(grid, seed)
+        want = _ref_nonlinearity_full(phi, spec, 8)
+        got = nonlinearity_full(phi, spec).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_quartic_term_vanishes_without_curvature(self, grid):
         # c''(0) = 0 for both the linear and the sine family, so alpha3 = 0
@@ -295,6 +306,11 @@ class TestPaddedWorkspace:
         first = nonlinearity_full(phi1, spec).coeffs
         nonlinearity_full(phi2, spec)
         assert np.array_equal(nonlinearity_full(phi1, spec).coeffs, first)
+        # the same n at pad 2 (the linear family) after pad 3, and back
+        linear = FAMILIES[0]
+        assert (linear.pad, spec.pad) == (2, 3)
+        assert np.array_equal(nonlinearity_full(phi1, linear).coeffs, _ref_nonlinearity_full(phi1, linear, 2))
+        assert np.array_equal(nonlinearity_full(phi1, spec).coeffs, first)
 
     def test_oracle_row_unchanged_by_a_call(self, grid):
         phi = moderate_field(grid, 92)
@@ -332,10 +348,11 @@ class TestPaddedWorkspace:
         grid = GridSpec(n=1024, box_length=120.0)
         phi = moderate_field(grid, 95)
         spec = CoefficientSpec()
-        nonlinearity_full(phi, spec, 3)
+        assert spec.pad == 3
+        nonlinearity_full(phi, spec)
         tracemalloc.start()
         try:
-            nonlinearity_full(phi, spec, 3)
+            nonlinearity_full(phi, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -712,12 +729,30 @@ def _ref_transform_from_padded(grid, w):
 
 
 def _ref_nonlinearity_full(phi, spec, pad):
-    """The product-rule flux u^3 + c(u) (c'(u) u_x^2 + c(u) u_xx)."""
+    """The product-rule flux u^3 + c(u) (c'(u) u_x^2 + c(u) u_xx) at padding factor pad."""
     g = phi.grid
     u, ux, uxx = (_ref_padded_values(g, _ref_derivative(g, phi.coeffs, k), pad) for k in range(3))
     cu = spec.c_of(u)
     flux = u * u * u + cu * (spec.c_prime_of(u) * (ux * ux) + cu * uxx)
     return _ref_derivative(g, _ref_transform_from_padded(g, flux))
+
+
+@dataclass(frozen=True)
+class _SpecAtPad(CoefficientSpec):
+    """A family's c at a padding factor other than its own: the hot path is
+    generic in the pad and the family only chooses it, so the oracles cover
+    any pad a family may take later."""
+
+    forced_pad: int = 3
+
+    @property
+    def pad(self) -> int:
+        return self.forced_pad
+
+
+def at_pad(spec, pad):
+    """spec itself at its own pad, else its c at the given pad."""
+    return spec if pad == spec.pad else _SpecAtPad(spec.family, spec.a, spec.b, spec.c, forced_pad=pad)
 
 
 class TestHotPathMatchesUnfusedReference:
@@ -742,8 +777,10 @@ class TestHotPathMatchesUnfusedReference:
     @pytest.mark.parametrize("pad", [2, 3, 4])
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
     def test_nonlinearity_full(self, grid, spec, pad):
+        """Every family at pads 2-4, its own (spec.pad) among them."""
         phi = moderate_field(grid, 70 + pad)
-        assert np.array_equal(nonlinearity_full(phi, spec, pad).coeffs, _ref_nonlinearity_full(phi, spec, pad))
+        got = nonlinearity_full(phi, at_pad(spec, pad)).coeffs
+        assert np.array_equal(got, _ref_nonlinearity_full(phi, spec, pad))
 
 
 def _complex_padded_values(grid, coeffs, pad):
@@ -780,7 +817,7 @@ class TestRealInterpolant:
     def test_matches_complex_composition_of_split_spectrum(self, grid, spec, pad):
         phi = moderate_field(grid, 80 + pad)
         assert abs(phi.coeffs[grid.n // 2]) > 1e-6 * np.max(np.abs(phi.coeffs))
-        got = nonlinearity_full(phi, spec, pad).coeffs
+        got = nonlinearity_full(phi, at_pad(spec, pad)).coeffs
         want = _complex_nonlinearity_full(phi, spec, pad)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
