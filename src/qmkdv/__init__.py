@@ -8,8 +8,9 @@ the spectral discretization (`spectral_core`), dyadic frequency tools and
 multiplier norms (`littlewood_paley`), the model's nonlinearity, interaction
 symbols and conserved quantities (`model`), an adaptive integrating-factor
 RK4 integrator (`integrator`), long-time decay/scattering diagnostics
-(`diagnostics`), stationary-phase studies (`oscillatory`), and a batch CLI
-(`cli`, installed as ``qmkdv``).
+(`diagnostics`), stationary-phase studies (`oscillatory`), checks of the
+algebraic identities behind the resonance analysis (`identities`), and a
+batch CLI (`cli`, installed as ``qmkdv``).
 """
 
 __version__ = "0.1.0"

@@ -29,8 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
-from . import littlewood_paley as lp
+from . import __version__, identities
 from .diagnostics import (
     MIN_DECAY_FIT_SAMPLES,
     MIN_DRIFT_FIT_SAMPLES,
@@ -47,28 +46,9 @@ from .diagnostics import (
     theta_series,
 )
 from .integrator import InitialSpec, SimConfig, run
-from .model import (
-    BootstrapConstants,
-    CoefficientSpec,
-    dyadic_symbol_bound,
-    grad_phase_phi,
-    phase_phi,
-    resonance_points,
-    scaling_field_direct,
-    symbol_t1,
-    symbol_t2,
-)
-from .oscillatory import (
-    _envelope_times,
-    _fit_window,
-    gaussian_two_pi_selftest,
-    local_phase_residual,
-    nonresonant_decay_study,
-    resonant_drift_measurement,
-    stationary_phase_drift,
-    two_pi_identity,
-)
-from .rng import SplitMix64
+from .model import BootstrapConstants, CoefficientSpec, dyadic_symbol_bound
+from .oscillatory import (_envelope_times, _fit_window, gaussian_two_pi_selftest, nonresonant_decay_study,
+                          resonant_drift_measurement, stationary_phase_drift, two_pi_identity)
 from .spectral_core import (
     GridSpec,
     derivative,
@@ -281,6 +261,9 @@ _STUDIES: dict = {}
 _SECTIONS = {"coeff": CoefficientSpec, "constants": BootstrapConstants}
 _COMMON_DEFAULTS = {f"{p}.{f.name}": f.default for p, cls in _SECTIONS.items() for f in fields(cls)}
 
+# keys with no default, read only by the studies that integrate (those with a run.t_end)
+_INTEGRATOR_KEYS = {"initial.snapshot": str, "run.dt_init": float}
+
 # the frequency-side studies record this placeholder grid in their metadata
 _DESK_GRID = (16, 2.0 * math.pi)
 
@@ -309,7 +292,10 @@ def _study(name: str, report: str, defaults: dict, grid: tuple | None = None, ga
 
 
 def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
-    """Build the shared objects, run the body, write its report, gate the exit code."""
+    """Refuse unread keys, build the shared objects, run the body, write its report, gate the exit code."""
+    unread = set(cfg) - {"study.kind", *study.defaults, *(_INTEGRATOR_KEYS if "run.t_end" in study.defaults else ())}
+    if unread:
+        raise ConfigError(f"{args.study} does not read {', '.join(sorted(unread))}")
     cfg = {**study.defaults, **cfg}
     try:
         n, box = study.grid or (cfg["grid.n"], cfg["grid.box_length"])
@@ -339,115 +325,8 @@ def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
 )
 def _identities(ctx: _Context) -> dict:
     samples = ctx.cfg["identities.samples"]
-    alpha2 = ctx.coeff.alpha2
-    rng = SplitMix64(ctx.args.seed)
-    checks = []
-
-    def record(name: str, max_error: float, tolerance: float):
-        checks.append({"name": name, "max_error": float(max_error), "tolerance": float(tolerance),
-                       "passed": bool(max_error <= tolerance)})
-
-    # cubic phase: factored product form against the expanded cubic differences
-    xi = rng.uniforms(samples, -20.0, 20.0)
-    e1 = rng.uniforms(samples, -20.0, 20.0)
-    e2 = rng.uniforms(samples, -20.0, 20.0)
-    e3 = xi - e1 - e2
-    expanded = xi**3 - e3**3 - e1**3 - e2**3
-    scale = np.maximum(1.0, np.abs(xi) ** 3 + np.abs(e1) ** 3 + np.abs(e2) ** 3 + np.abs(e3) ** 3)
-    record("phase_factorization", np.max(np.abs(phase_phi(xi, e1, e2) - expanded) / scale), 1e-12)
-
-    # six-fold argument symmetry of the cubic symbol, bitwise
-    base = symbol_t1(e1, e2, e3, alpha2)
-    sym_err = 0.0
-    for p in ((e1, e3, e2), (e2, e1, e3), (e2, e3, e1), (e3, e1, e2), (e3, e2, e1)):
-        sym_err = max(sym_err, float(np.max(np.abs(symbol_t1(*p, alpha2) - base))))
-    record("t1_symmetry", sym_err, 0.0)
-
-    # reduced form on the convolution surface eta1+eta2+eta3 = xi
-    xr = rng.uniforms(samples, -10.0, 10.0)
-    a1 = rng.uniforms(samples, -10.0, 10.0)
-    a2 = rng.uniforms(samples, -10.0, 10.0)
-    a3 = xr - a1 - a2
-    reduced = (alpha2 / 6.0) * ((a1**2 + a2**2 + a3**2) + xr**2) - 1.0
-    rel = np.abs(symbol_t1(a1, a2, a3, alpha2) - reduced) / np.maximum(1.0, np.abs(reduced))
-    record("t1_reduced_form", np.max(rel), 1e-12)
-
-    # gradient zeros and phase values at the four stationary points
-    grad_err = 0.0
-    phase_err = 0.0
-    for _ in range(500):
-        x = rng.uniform(0.05, 8.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        rs = resonance_points(x)
-        for (p1, p2) in rs.points:
-            g1, g2 = grad_phase_phi(x, p1, p2)
-            grad_err = max(grad_err, max(abs(g1), abs(g2)) / max(1.0, x * x))
-        for (p1, p2) in rs.space_time:
-            phase_err = max(phase_err, abs(phase_phi(x, p1, p2)) / max(1.0, abs(x) ** 3))
-        q1, q2 = rs.space_only
-        phase_err = max(phase_err, abs(phase_phi(x, q1, q2) - 8.0 * x**3 / 9.0) / max(1.0, abs(x) ** 3))
-    record("resonance_gradients", grad_err, 1e-12)
-    record("resonance_phase_values", phase_err, 1e-12)
-
-    # exactness of the local quadratic-plus-cubic factorization of the phase
-    res_err = 0.0
-    for _ in range(2000):
-        x = rng.uniform(-5.0, 5.0)
-        z1 = rng.uniform(-5.0, 5.0)
-        z2 = rng.uniform(-5.0, 5.0)
-        denom = max(1.0, abs(x) ** 3, abs(z1) ** 3, abs(z2) ** 3)
-        res_err = max(res_err, abs(local_phase_residual(x, z1, z2)) / denom)
-        res_err = max(res_err, abs(local_phase_residual(x, z1, 0.0)))
-    record("local_phase_residual", res_err, 1e-12)
-
-    # quadrilinear symbol spot values
-    spots = [
-        ((1.0, 1.0, 1.0, 0.0), -5.0),
-        ((1.0, 0.0, 0.0, 0.0), -2.0),
-        ((0.0, 3.0, -2.0, 1.0), 0.0),
-        ((2.0, 1.0, -1.0, 5.0), -10.0),
-    ]
-    t2_err = max(abs(symbol_t2(*pt) - want) for pt, want in spots)
-    record("t2_spot_values", t2_err, 1e-12)
-
-    # dyadic partition of unity
-    k_top = 8
-    xs = np.linspace(-(2.0**k_top), 2.0**k_top, 4001)
-    total = lp.psi_le(xs, 0)
-    for k in range(1, k_top + 1):
-        total = total + lp.psi_k(xs, k)
-    record("lp_partition", np.max(np.abs(total - 1.0)), 1e-12)
-
-    # scaling-field commutators on a localized test field
-    g = ctx.grid
-    u = np.exp(-(g.x**2))
-    f = transform(g, u)
-
-    s_f = scaling_field_direct(f, 0.0, ctx.coeff)
-    lhs1 = scaling_field_direct(derivative(f, 1), 0.0, ctx.coeff).coeffs - derivative(s_f, 1).coeffs
-    rhs1 = -derivative(f, 1).coeffs
-    c1 = norm(f.with_coeffs(lhs1 - rhs1), "L2") / norm(f.with_coeffs(rhs1), "L2")
-
-    lhs3 = scaling_field_direct(derivative(f, 3), 0.0, ctx.coeff).coeffs - derivative(s_f, 3).coeffs
-    rhs3 = -3.0 * derivative(f, 3).coeffs
-    c3 = norm(f.with_coeffs(lhs3 - rhs3), "L2") / norm(f.with_coeffs(rhs3), "L2")
-
-    ux = np.real(synthesize(derivative(f, 1)))
-    s_vals = g.x * ux
-    term1 = derivative(transform(g, 3.0 * u**2 * s_vals), 1)
-    cube_xx = np.real(synthesize(derivative(transform(g, u**3), 2)))
-    lhs_c = np.real(synthesize(term1)) - g.x * cube_xx
-    rhs_c = 3.0 * u**2 * ux
-    cc = float(np.sqrt(np.sum(np.abs(lhs_c - rhs_c) ** 2)) / np.sqrt(np.sum(np.abs(rhs_c) ** 2)))
-    record("commutator_s_dx", c1, 1e-8)
-    record("commutator_s_dx3", c3, 1e-8)
-    record("commutator_cubic", cc, 1e-8)
-
-    checks.sort(key=lambda c: c["name"])
-    return {
-        "samples": int(samples),
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    checks = identities.run(ctx.args.seed, samples, ctx.grid, ctx.coeff)
+    return {"samples": samples, "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
 @_study(
@@ -786,7 +665,7 @@ STUDIES = tuple(_STUDIES)
 
 def _key_parsers() -> dict:
     """Each config key's parser: the type of its default, the same in every study."""
-    parsers = {"study.kind": str, "initial.snapshot": str, "run.dt_init": float}
+    parsers = {"study.kind": str, **_INTEGRATOR_KEYS}
     for study in _STUDIES.values():
         for key, default in study.defaults.items():
             parser = _float_list if isinstance(default, tuple) else type(default)

@@ -1,6 +1,6 @@
 """Desk-scale stationary-phase studies.
 
-Three groups of checks on the oscillatory integrals behind the long-time
+Two groups of checks on the oscillatory integrals behind the long-time
 analysis:
 
 * the quadratic-phase mass identity  iint e^{-i x1 x2} psi(x1/B) psi(x2/B)
@@ -8,9 +8,6 @@ analysis:
   (the inner integral is B * psihat_check(B x2), so the double integral is
   int psi(u/B^2) psicheck(u) du with psicheck the inverse transform of the
   bump), plus a closed-form Gaussian self-test of the same pipeline;
-
-* the exact local factorization of the cubic phase near its space-time
-  resonances;
 
 * direct small-n evaluations of the trilinear oscillatory integral
 
@@ -38,7 +35,6 @@ __all__ = [
     "OscillatoryResult",
     "two_pi_identity",
     "gaussian_two_pi_selftest",
-    "local_phase_residual",
     "trilinear_integral",
     "nonresonant_decay_study",
     "stationary_phase_drift",
@@ -125,11 +121,6 @@ def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
     value = complex(du * np.sum(np.exp(-(u**2) / B**2) * inner))
     reference = 2.0 * math.pi / math.sqrt(1.0 + 4.0 / B**4)
     return OscillatoryResult(parameter=float(B), value=value, error=abs(value - reference))
-
-
-def local_phase_residual(xi: float, z1: float, z2: float) -> float:
-    """Phi(xi, xi+z1, xi+z2) - 6 xi z1 z2 - 3 (z1+z2) z1 z2; identically zero."""
-    return float(phase_phi(xi, xi + z1, xi + z2) - 6.0 * xi * z1 * z2 - 3.0 * (z1 + z2) * z1 * z2)
 
 
 # ---------------------------------------------------------------------------

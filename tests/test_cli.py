@@ -1,9 +1,11 @@
 """Batch front door: the byte-identical output promise, the exit-code contract,
 and the six studies' reach over the package's public functions."""
 
+import functools
 import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmkdv import cli
-from qmkdv import littlewood_paley as lp
+from qmkdv import cli, identities
 
 SIMULATE_CONFIG = """study.kind = simulate
 grid.n = 64
@@ -179,16 +180,37 @@ def test_false_gates_named_by_dotted_path():
     assert cli._false_gates(report) == ["b.c_ok", "b.list.1.ok", "checks.d.passed", "passed"]
 
 
-def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, monkeypatch):
-    # a stretched mother bump breaks the dyadic partition of unity, and only it
-    real_bump = lp.bump
-    monkeypatch.setattr(lp, "bump", lambda xi: real_bump(2.0 * np.asarray(xi)))
+# each function the identities study checks (as qmkdv.identities names it), a
+# break of it, and exactly the checks that break must fail; the phase turns NaN
+# at negative xi only and its gradient at positive xi only, and every largest
+# error must carry that NaN
+IDENTITY_FAULTS = {
+    "phase_phi": (lambda real: lambda xi, e1, e2: real(xi, e1, e2) + (math.nan if np.any(np.less(xi, 0.0)) else 0.0),
+                  ["local_phase_residual", "phase_factorization", "resonance_phase_values"]),
+    "symbol_t1": (lambda real: lambda e1, e2, e3, a2: real(e1, e2, e3, a2) + 1e-3 * np.asarray(e1),
+                  ["t1_reduced_form", "t1_symmetry"]),
+    "grad_phase_phi": (lambda real: lambda xi, *eta: tuple(g + (math.nan if xi > 0 else 0.0) for g in real(xi, *eta)),
+                       ["resonance_gradients"]),
+    "symbol_t2": (lambda real: lambda *eta: real(*eta) + 1.0, ["t2_spot_values"]),
+    "scaling_field_direct": (lambda real: lambda phi, t, spec: phi.with_coeffs(2.0 * real(phi, t, spec).coeffs),
+                             ["commutator_s_dx", "commutator_s_dx3"]),
+    "lp.bump": (lambda real: lambda xi: real(2.0 * np.asarray(xi)), ["lp_partition"]),  # a stretched mother bump
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_FAULTS)
+def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, monkeypatch, name):
+    broken, failing = IDENTITY_FAULTS[name]
+    *path, attr = name.split(".")
+    owner = functools.reduce(getattr, path, identities)
+    monkeypatch.setattr(owner, attr, broken(getattr(owner, attr)))
     out = tmp_path / "out"
     assert _main(tmp_path, "identities", "identities.samples = 100\n", out) == 1
-    assert "lp_partition" in capsys.readouterr().err
+    gates = [f"checks.{c}.passed" for c in failing] + ["passed"]
+    assert capsys.readouterr().err.strip().endswith(": " + ", ".join(gates))
     report = json.loads((out / "identities.json").read_text(encoding="utf-8"))
     assert report["passed"] is False
-    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["lp_partition"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == failing
 
 
 @pytest.mark.parametrize(
@@ -220,6 +242,8 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("scattering", "scattering.samples = -1\n"),
         ("oscillatory", "oscillatory.samples = -1\n"),
         ("simulate", "run.monitor_count = -1\n"),
+        ("resonance", "decay.t_min = 7.0\n"),
+        ("identities", "initial.snapshot = /nonexistent\n"),
     ],
     ids=[
         "unknown-key",
@@ -248,6 +272,8 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "negative-scattering-samples",
         "negative-oscillatory-samples",
         "negative-monitor-count",
+        "key-of-another-study",
+        "snapshot-outside-an-integrator-study",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
@@ -274,7 +300,8 @@ def test_process_exit_status_is_mains_return(tmp_path):
     assert proc.returncode == cli.main(argv) == 1
 
 
-MODULES = ("spectral_core", "littlewood_paley", "model", "integrator", "diagnostics", "oscillatory", "rng", "cli")
+MODULES = ("spectral_core", "littlewood_paley", "model", "integrator", "diagnostics", "oscillatory", "rng",
+           "identities", "cli")
 
 # Public functions and methods that no study calls, each with the reason it stays.
 UNREACHED = {

@@ -17,6 +17,7 @@ MODULES = [
     "diagnostics",
     "oscillatory",
     "rng",
+    "identities",
     "cli",
 ]
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmkdv import littlewood_paley, model
+from qmkdv.identities import partition_error
 from qmkdv.littlewood_paley import (
     SUPPORT_EDGE,
     DegenerateInput,
@@ -27,7 +28,6 @@ from qmkdv.littlewood_paley import (
     interpolation_ratio,
     project,
     psi_k,
-    psi_le,
     psi_tilde,
     s_infty_separable,
 )
@@ -160,18 +160,11 @@ class TestDyadicPartition:
         """psi_{<= -21} + sum_{k=-20}^{20} psi_k = 1 away from xi = 0."""
         xs = np.linspace(-1000.0, 1000.0, 4001)
         xs = xs[xs != 0.0]
-        total = psi_le(xs, -21)
-        for k in range(-20, 21):
-            total = total + psi_k(xs, k)
-        assert np.max(np.abs(total - 1.0)) <= 1e-12
+        assert partition_error(xs, -21, 20) <= 1e-12
 
     def test_inhomogeneous_partition(self):
         """psi_{<= 0} + sum_{k >= 1} psi_k = 1 everywhere (zero included)."""
-        xs = np.linspace(-200.0, 200.0, 2001)
-        total = psi_le(xs, 0)
-        for k in range(1, 9):
-            total = total + psi_k(xs, k)
-        assert np.max(np.abs(total - 1.0)) <= 1e-12
+        assert partition_error(np.linspace(-200.0, 200.0, 2001), 0, 8) <= 1e-12
 
     def test_tilde_covers_band(self):
         """psi_tilde_k == 1 on the support of psi_k."""
@@ -182,17 +175,8 @@ class TestDyadicPartition:
             assert np.max(defect) <= 1e-15
 
     def test_ge_complements_le(self):
-        xs = np.linspace(-50.0, 50.0, 1001)
-        total = psi_le(xs, 2) + psi_ge_sum(xs, 3)
-        assert np.max(np.abs(total - 1.0)) <= 1e-12
-
-
-def psi_ge_sum(xs, k_min):
-    """Direct tail sum for the complement check (support is bounded here)."""
-    total = np.zeros_like(np.asarray(xs, dtype=float))
-    for k in range(k_min, k_min + 12):
-        total = total + psi_k(xs, k)
-    return total
+        """psi_{>= 3} = sum_{k=3}^{14} psi_k complements psi_{<= 2} (the support is bounded here)."""
+        assert partition_error(np.linspace(-50.0, 50.0, 1001), 2, 14) <= 1e-12
 
 
 class TestProjection:

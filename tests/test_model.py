@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmkdv import littlewood_paley as lp
+from qmkdv.identities import (commutator_errors, local_phase_residual, phase_factorization_error, resonance_errors,
+                              t1_reduced_form_error, t1_symmetry_error, t2_spot_error)
 from qmkdv.model import (
     BootstrapConstants,
     CoefficientSpec,
@@ -376,19 +378,14 @@ class TestInteractionSymbols:
     )
     @settings(max_examples=300, deadline=None)
     def test_six_fold_symmetry_is_bitwise(self, a, b, c, alpha2):
-        base = symbol_t1(a, b, c, alpha2)
-        for p in ((a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-            assert symbol_t1(*p, alpha2) == base
+        assert t1_symmetry_error(a, b, c, alpha2) == 0.0
 
     def test_reduced_form_on_constraint_surface(self):
-        # On eta3 = xi - eta1 - eta2 the symmetrized symbol equals
-        # (alpha2/3)(eta1^2 + eta2^2 + xi^2 + eta1 eta2 - eta1 xi - eta2 xi) - 1.
+        # relative to max(1, |reduced form|) at each point, so at most the old 1e-12 max|reduced form|
         rng = SplitMix64(303)
         vals = np.array([rng.uniform() for _ in range(3 * 10**4)]).reshape(3, -1)
         e1, e2, xi = vals * 16.0 - 8.0
-        sym = symbol_t1(e1, e2, xi - e1 - e2, 0.9)
-        red = (0.9 / 3.0) * (e1**2 + e2**2 + xi**2 + e1 * e2 - e1 * xi - e2 * xi) - 1.0
-        assert np.max(np.abs(sym - red)) <= 1e-12 * np.max(np.abs(red))
+        assert t1_reduced_form_error(xi, e1, e2, 0.9) <= 1e-12
 
     def test_first_argument_derivative(self):
         # T1 is quadratic, so the centered difference is exact up to round-off.
@@ -401,11 +398,7 @@ class TestInteractionSymbols:
         assert symbol_t1_d1(1.0, 2.0, 3.0, 0.9) == pytest.approx(0.3 * (2.0 + 2.0 + 3.0))
 
     def test_quadrilinear_spot_values(self):
-        assert symbol_t2(0.0, 5.0, -3.0, 2.0) == 0.0
-        assert symbol_t2(1.0, 0.0, 0.0, 0.0) == -2.0
-        assert symbol_t2(1.0, 1.0, 1.0, 0.0) == -5.0
-        assert symbol_t2(0.0, 3.0, -2.0, 1.0) == 0.0
-        assert symbol_t2(2.0, 1.0, -1.0, 5.0) == -10.0
+        assert t2_spot_error() == 0.0
 
     @given(e4=st.floats(-1e6, 1e6))
     @settings(max_examples=50, deadline=None)
@@ -418,7 +411,7 @@ class TestCubicPhase:
 
     def test_spot_value_both_forms(self):
         assert phase_phi(4.0, 1.0, 2.0) == 54.0
-        assert 4.0**3 - (4.0 - 3.0) ** 3 - 1.0 - 8.0 == 54.0
+        assert phase_factorization_error(4.0, 1.0, 2.0) == 0.0
 
     @given(
         xi=st.floats(-8.0, 8.0),
@@ -427,9 +420,8 @@ class TestCubicPhase:
     )
     @settings(max_examples=300, deadline=None)
     def test_factored_equals_expanded(self, xi, e1, e2):
-        factored = phase_phi(xi, e1, e2)
-        expanded = xi**3 - (xi - e1 - e2) ** 3 - e1**3 - e2**3
-        assert abs(factored - expanded) <= 1e-9
+        # relative to max(1, sum of |cubes|) <= 3 * 8^3 + 24^3 on this box: the old absolute 1e-9
+        assert phase_factorization_error(xi, e1, e2) <= 1e-9 / (3 * 8.0**3 + 24.0**3)
 
     def test_gradient_matches_centered_difference(self):
         # phase_phi is quadratic in each of eta1, eta2 separately, so the
@@ -449,10 +441,7 @@ class TestCubicPhase:
     )
     @settings(max_examples=300, deadline=None)
     def test_local_expansion_near_output_frequency(self, xi, z1, z2):
-        # Phi(xi, xi+z1, xi+z2) = 6 xi z1 z2 + 3 (z1+z2) z1 z2, exactly.
-        lhs = phase_phi(xi, xi + z1, xi + z2)
-        rhs = 6.0 * xi * z1 * z2 + 3.0 * (z1 + z2) * z1 * z2
-        assert abs(lhs - rhs) <= 1e-9
+        assert abs(local_phase_residual(xi, z1, z2)) <= 1e-9
 
 
 def phase_quartic(xi, eta1, eta2, eta3):
@@ -478,19 +467,14 @@ class TestResonanceGeometry:
 
     @pytest.mark.parametrize("xi", [1.0, -2.5, 0.3])
     def test_gradient_vanishes_on_the_set(self, xi):
-        rs = resonance_points(xi)
-        tol = 1e-12 * max(1.0, xi**2)
-        for e1, e2 in rs.points:
-            g1, g2 = grad_phase_phi(xi, e1, e2)
-            assert abs(g1) <= tol and abs(g2) <= tol
+        assert resonance_errors(xi)[0] <= 1e-12  # relative to max(1, xi^2)
 
     @pytest.mark.parametrize("xi", [1.3, -0.8])
     def test_phase_values_on_the_set(self, xi):
-        rs = resonance_points(xi)
-        for e1, e2 in rs.space_time:
+        for e1, e2 in resonance_points(xi).space_time:
             assert phase_phi(xi, e1, e2) == 0.0
-        want = 8.0 * xi**3 / 9.0
-        assert abs(phase_phi(xi, *rs.space_only) - want) <= 1e-12 * abs(want)
+        # relative to max(1, |xi|^3): the old 1e-12 times the space-only value 8 |xi|^3 / 9
+        assert resonance_errors(xi)[1] <= 1e-12 * (8.0 / 9.0) * min(1.0, abs(xi) ** 3)
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(ZeroFrequency):
@@ -641,20 +625,13 @@ class TestScalingField:
     def test_commutator_with_dx(self, grid):
         # [S, d_x] phi = -d_x phi at t = 0 for fields concentrated away from
         # the box seam (the sawtooth jump contributes e^{-(L/2w)^2} ~ 0).
-        phi = transform(grid, np.exp(-((grid.x / 3.0) ** 2)) * np.cos(2.0 * grid.x))
-        spec = FAMILIES[0]
-        s_dx = scaling_field_direct(derivative(phi, 1), 0.0, spec)
-        dx_s = derivative(scaling_field_direct(phi, 0.0, spec), 1)
-        resid = s_dx.with_coeffs(s_dx.coeffs - dx_s.coeffs + derivative(phi, 1).coeffs)
-        assert norm(resid, "L2") <= 1e-8 * norm(derivative(phi, 1), "L2")
+        u = np.exp(-((grid.x / 3.0) ** 2)) * np.cos(2.0 * grid.x)
+        assert commutator_errors(grid, u, FAMILIES[0])[0] <= 1e-8
 
     def test_commutator_with_dx3(self, grid):
-        phi = transform(grid, np.exp(-((grid.x / 3.0) ** 2)) * np.cos(2.0 * grid.x))
-        spec = FAMILIES[0]
-        s_d3 = scaling_field_direct(derivative(phi, 3), 0.0, spec)
-        d3_s = derivative(scaling_field_direct(phi, 0.0, spec), 3)
-        resid = s_d3.with_coeffs(s_d3.coeffs - d3_s.coeffs + 3.0 * derivative(phi, 3).coeffs)
-        assert norm(resid, "L2") <= 1e-8 * norm(derivative(phi, 3), "L2")
+        # relative to ||3 d_x^3 phi||, so 1e-8 / 3 is the old 1e-8 ||d_x^3 phi||
+        u = np.exp(-((grid.x / 3.0) ** 2)) * np.cos(2.0 * grid.x)
+        assert commutator_errors(grid, u, FAMILIES[0])[1] <= 1e-8 / 3.0
 
 
 class TestConservedFunctionals:
