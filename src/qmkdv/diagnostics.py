@@ -45,9 +45,6 @@ from .spectral_core import (
     GridSpec,
     SpectralField,
     antiderivative,
-    derivative,
-    fractional_abs_derivative,
-    free_evolve,
     mass_fraction_inside,
     norm,
     profile_from_solution,
@@ -67,6 +64,7 @@ __all__ = [
     "theta_series",
     "scattering_monitor",
     "decay_fit",
+    "profile_sizes",
     "dispersive_ratio",
     "sharp_decay_product",
 ]
@@ -310,23 +308,28 @@ def decay_fit(series, window) -> tuple[float, float]:
     return slope, math.sqrt(max(var, 0.0))
 
 
-def dispersive_ratio(h: SpectralField, t: float, beta: float) -> float:
+def profile_sizes(h: SpectralField) -> tuple[float, float]:
+    """(sup_xi |hhat|, || x h ||_{L2}): the profile's part of the right-hand
+    side of the dispersive estimate, the same at every t."""
+    g = h.grid
+    xw = g.x * synthesize(h)
+    return float(np.max(np.abs(h.coeffs))), float(np.sqrt(g.dx * np.sum(np.abs(xw) ** 2)))
+
+
+def dispersive_ratio(lhs: np.ndarray, grid: GridSpec, t: float, beta: float, sizes: tuple[float, float]) -> float:
     """Sharpness ratio of the pointwise linear dispersive estimate.
 
-    ratio = max_x |LHS(x)| / RHS(x) with LHS = |d_x|^beta e^{-t d_x^3} h
-    and RHS = t^{-1/3-beta/3} (1+|x| t^{-1/3})^{-1/4+beta/2}
-              ( sup_xi |hhat| + t^{-1/6} || x h ||_{L2} ).
+    ratio = max_x LHS(x) / RHS(x) with LHS = | |d_x|^beta e^{-t d_x^3} h |,
+    given as its samples `lhs` on `grid`, and
+    RHS = t^{-1/3-beta/3} (1+|x| t^{-1/3})^{-1/4+beta/2}
+          ( sup_xi |hhat| + t^{-1/6} || x h ||_{L2} ),  sizes = profile_sizes(h).
     """
     if t < 1.0:
         raise ValueError("t must be >= 1")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    g = h.grid
-    lhs = np.abs(synthesize(free_evolve(fractional_abs_derivative(h, beta), t)))
-    amp = float(np.max(np.abs(h.coeffs)))
-    xw = g.x * synthesize(h)
-    wnorm = float(np.sqrt(g.dx * np.sum(np.abs(xw) ** 2)))
-    profile = (1.0 + np.abs(g.x) * t ** (-1.0 / 3.0)) ** (-0.25 + 0.5 * beta)
+    amp, wnorm = sizes
+    profile = (1.0 + np.abs(grid.x) * t ** (-1.0 / 3.0)) ** (-0.25 + 0.5 * beta)
     rhs = t ** (-1.0 / 3.0 - beta / 3.0) * profile * (amp + t ** (-1.0 / 6.0) * wnorm)
     return float(np.max(lhs / rhs))
 
@@ -336,9 +339,9 @@ def dispersive_ratio(h: SpectralField, t: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sharp_decay_product(phi: SpectralField) -> float:
-    """max_x |phi|_2 |d_x phi|_2 with |f|_2 = sqrt(sum_{j<=2} |d^j f|^2)."""
-    d = [np.real(synthesize(derivative(phi, j))) for j in range(4)]
+def sharp_decay_product(d) -> float:
+    """max_x |phi|_2 |d_x phi|_2 with |f|_2 = sqrt(sum_{j<=2} |d^j f|^2), from
+    d[j], the real samples of d_x^j phi for j = 0..3."""
     low = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
     high = np.sqrt(d[1] ** 2 + d[2] ** 2 + d[3] ** 2)
     return float(np.max(low * high))

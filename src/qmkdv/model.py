@@ -79,20 +79,26 @@ class CoefficientSpec:
     def identifier(self) -> str:
         return f"{self.family}:a={self.a!r},b={self.b!r},c={self.c!r}"
 
-    def c_of(self, v):
+    def c_of(self, v, out=None):
+        """c(v), written into `out` when given (an array shaped like v)."""
         if self.family == "linear":
-            return self.a * v
+            return np.multiply(self.a, v, out=out)
         if self.family == "sine":
-            return np.sin(self.a * v)
-        return v * (self.a + v * (self.b + self.c * v))
+            return np.sin(np.multiply(self.a, v, out=out), out=out)
+        # v * (a + v * (b + c * v)), operation for operation
+        w = np.multiply(self.c, v, out=out)
+        w = np.multiply(v, np.add(self.b, w, out=out), out=out)
+        return np.multiply(v, np.add(self.a, w, out=out), out=out)
 
-    def c_prime_of(self, v):
-        """c'(v); a scalar for the linear family."""
+    def c_prime_of(self, v, out=None):
+        """c'(v), written into `out` when given; a scalar for the linear family."""
         if self.family == "linear":
             return self.a
         if self.family == "sine":
-            return self.a * np.cos(self.a * v)
-        return self.a + v * (2.0 * self.b + 3.0 * self.c * v)
+            return np.multiply(self.a, np.cos(np.multiply(self.a, v, out=out), out=out), out=out)
+        # a + v * (2b + 3c * v), operation for operation
+        w = np.multiply(3.0 * self.c, v, out=out)
+        return np.add(self.a, np.multiply(v, np.add(2.0 * self.b, w, out=out), out=out), out=out)
 
     @property
     def alpha2(self) -> float:
@@ -140,8 +146,9 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralFiel
     product rule, formed in real arithmetic from the samples of phi, phi_x
     and phi_xx on the grid refined by the family's padding factor
     ``spec.pad``: four real FFTs, no derivative taken on the refined grid.
-    The samples are rows of this thread's workspace for (n, pad), overwritten
-    by its next call, and the flux is formed in place on them.  For c of
+    The samples, c(u) and c'(u) are rows of this thread's workspace for
+    (n, pad), overwritten by its next call, and the flux is formed in place on
+    them; the outer i xi multiplies the truncated spectrum in place.  For c of
     degree d the flux has degree 2d + 1, and pad p leaves a product of degree
     at most 2p - 1 alias-free at every index but n/2: `linear` (d = 1) at its
     pad 2 and `cubic_poly` with c = 0 (d = 2) at its pad 3, which covers every
@@ -150,16 +157,17 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralFiel
     d_x acts after truncation, so the zero mode of the output vanishes
     exactly, and the output is Hermitian at every index but n/2.
     """
-    u, ux, uxx = _padded_rows(phi, spec.pad, (0, 1, 2))
-    cu = spec.c_of(u)
+    u, ux, uxx, cu, cpu = _padded_rows(phi, spec.pad, (0, 1, 2), scratch=2)
+    spec.c_of(u, out=cu)
     # flux = u*u*u + cu*(c'(u)*(ux*ux) + cu*uxx), in place, operand for operand
     ux *= ux
-    ux *= spec.c_prime_of(u)
+    ux *= spec.c_prime_of(u, out=cpu)
     ux += np.multiply(cu, uxx, out=uxx)
     ux *= cu
     ux += np.multiply(np.multiply(u, u, out=uxx), u, out=uxx)
     out = transform_from_padded(phi.grid, ux, phi.time)
-    return out.with_coeffs(out.coeffs * _multipliers(phi.grid.n, phi.grid.box_length)[0])
+    np.multiply(out.coeffs, _multipliers(phi.grid.n, phi.grid.box_length)[0], out=out.coeffs)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,17 @@ negating the odd entries in place, not by multiplying with a sign array;
 `GridSpec.parity` remains as the explicit form of the same sign.
 
 Products of real fields are formed on a refined grid in real arithmetic:
-d_x^k of a real field is sampled on pad_factor * n points (one inverse real
-FFT per order k of the zero-padded half spectrum, the parity applied to its
-n/2 + 1 head entries only), the samples are multiplied there, and
+d_x^k of a real field is sampled on pad_factor * n points (the zero-padded
+half spectra of up to three orders k filled by one broadcast copy, multiplied
+by a memoized (i xi)^k table, the parity applied to their n/2 + 1 head
+entries only, then inverse real FFTs, batched into one call on refined grids
+of up to `_BATCHED_IRFFT_MAX` points), the samples are multiplied there, and
 `transform_from_padded` analyzes the real product with a real FFT, truncates
 it to the n-point band and rebuilds the negative frequencies by conjugate
-symmetry.  Half spectra, samples and product spectrum live in a workspace
-kept per thread and per (n, pad_factor), not allocated per call; the samples
-are valid until the thread's next padded product on that grid.  The unpaired
+symmetry.  Half spectra, five sample rows (three for the orders, two for the
+caller's own products) and the product spectrum live in a workspace kept per
+thread and per (n, pad_factor), not allocated per call; the rows are valid
+until the thread's next padded product on that grid.  The unpaired
 coefficient c_{-n/2} (the Nyquist mode) is read as the real band-limited
 interpolant reads it (Trefethen, Spectral Methods in MATLAB, ch. 3): split
 evenly between -n/2 and +n/2, with conj(c_{-n/2})/2 at +n/2.  A pad factor
@@ -244,17 +247,41 @@ def xi_l2_norm(a: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(grid.dxi * np.sum(np.abs(a) ** 2)))
 
 
+# numpy's inverse real FFT of several rows takes a scratch of about 25 bytes
+# per point on every call.  Up to 4096 points it stays below glibc's 128 KiB
+# mmap threshold and the one batched call beats one call per row; above, it
+# can map fresh pages on each call (with numpy 2.4.6, 112 minor faults per call
+# at 18,432 points, the decay study's pad-3 grid), and one call per row,
+# which takes no such scratch, is faster.  Both give the same bits.
+_BATCHED_IRFFT_MAX = 4096
+
+
 @functools.lru_cache(maxsize=8)
 def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One thread's padded-product buffers on (n, pad_factor): three half spectra
-    (zeroed once; only their heads are rewritten), three rows, one spectrum."""
+    (zeroed once; only their heads are rewritten), five rows (three orders and
+    two for the caller), one spectrum."""
     m = pad_factor * n
-    return np.zeros((3, m // 2 + 1), np.complex128), np.empty((3, m)), np.empty(m // 2 + 1, np.complex128)
+    return np.zeros((3, m // 2 + 1), np.complex128), np.empty((5, m)), np.empty(m // 2 + 1, np.complex128)
 
 
-def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...]) -> np.ndarray:
-    """float64 samples of d_x^k f, k in `orders` (at most three), on the
-    pad_factor-refined grid: rows of this thread's workspace for (n, pad_factor),
+@functools.lru_cache(maxsize=16)
+def _derivative_table(n: int, box_length: float, orders: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """(lead, (i xi)^k on j = 0..n/2 for each order k past the `lead` leading
+    zero orders), read-only: the multipliers `_padded_rows` applies."""
+    lead = orders.count(0)
+    if 0 in orders[lead:]:
+        raise ValueError(f"zero orders must come first, got {orders}")
+    ixi = _multipliers(n, box_length)[0][: n // 2 + 1]
+    table = np.array([ixi**k for k in orders[lead:]]).reshape(-1, ixi.size)
+    table.flags.writeable = False
+    return lead, table
+
+
+def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...], scratch: int = 0) -> np.ndarray:
+    """float64 samples of d_x^k f, k in `orders` (at most three, zero orders
+    first), on the pad_factor-refined grid, followed by `scratch` rows for the
+    caller's products: rows of this thread's workspace for (n, pad_factor),
     valid until its next padded product there.
 
     `f` is a real field: only j = 0..n/2-1 and c_{-n/2} are read, and the rows
@@ -266,16 +293,21 @@ def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...]) -> 
     h = g.n // 2
     m = pad_factor * g.n
     half, rows, _ = _workspace(threading.get_ident(), g.n, pad_factor)
-    for k, order in enumerate(orders):
-        head = half[k, : h + 1]
-        head[...] = f.coeffs[: h + 1]
-        if order:
-            head *= _multipliers(g.n, g.box_length)[0][: h + 1] ** order
-        head[h] = 0.5 * np.conj(head[h])
+    count = len(orders)
+    heads = half[:count, : h + 1]
+    heads[...] = f.coeffs[: h + 1]
+    lead, table = _derivative_table(g.n, g.box_length, orders)
+    np.multiply(heads[lead:], table, out=heads[lead:])
+    heads[:, h] = 0.5 * np.conj(heads[:, h])
+    for head in heads:  # row by row: numpy copies a strided 2-D operand that is its own output
         _alternate_signs(head)
-        np.fft.irfft(half[k], m, out=rows[k])
-        rows[k] *= m * g.dxi
-    return rows[: len(orders)]
+    if m <= _BATCHED_IRFFT_MAX:
+        np.fft.irfft(half[:count], m, axis=-1, out=rows[:count])
+    else:
+        for k in range(count):
+            np.fft.irfft(half[k], m, out=rows[k])
+    rows[:count] *= m * g.dxi
+    return rows[: count + scratch]
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:

@@ -6,6 +6,9 @@ active, while the free flow is reproduced exactly (the integrating factor is
 the exact Airy propagator).
 """
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from qmkdv.integrator import (
     run,
     step,
 )
-from qmkdv.model import CoefficientSpec
+from qmkdv.model import CoefficientSpec, nonlinearity_full
 from qmkdv.spectral_core import (
     GridSpec,
     enforce_real_zero_mean,
@@ -47,6 +50,26 @@ def fixed_step_run(phi0, spec, dt, n_steps, linear_only=False):
     for _ in range(n_steps):
         phi = enforce_real_zero_mean(lawson_step(phi, spec, dt, linear_only))
     return phi
+
+
+def lawson_step_expression(phi, spec, dt, linear_only=False):
+    """`lawson_step` as one expression per stage on fresh temporaries, the
+    form the in-place stages must reproduce bit for bit."""
+    e_full, e_half = integrator._free_flow_factors(phi.grid, dt, 0.5 * dt)
+    y = phi.coeffs
+    t = phi.time
+
+    def G(coeffs, time):
+        if linear_only:
+            return np.zeros_like(coeffs)
+        return -nonlinearity_full(phi.with_coeffs(coeffs, time=time), spec).coeffs
+
+    a = G(y, t)
+    b = G(e_half * (y + 0.5 * dt * a), t + 0.5 * dt)
+    c = G(e_half * y + 0.5 * dt * b, t + 0.5 * dt)
+    d = G(e_full * y + dt * e_half * c, t + dt)
+    out = e_full * y + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    return phi.with_coeffs(out, time=t + dt)
 
 
 def small_config(grid, **kw):
@@ -184,6 +207,61 @@ class TestOrderOfAccuracy:
         order = np.log2(d1 / d2)
         assert 3.7 <= order <= 4.3
         assert d2 < 1e-10  # absolute self-convergence at the finest pair
+
+
+# each family at its own pad: linear at 2, sine and cubic_poly at 3
+FAMILIES = (
+    CoefficientSpec("linear", a=1.3, b=0.0, c=0.0),
+    CoefficientSpec("sine", a=1.1, b=0.0, c=0.0),
+    CoefficientSpec("cubic_poly", a=0.8, b=0.5, c=1.0),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def stage_field(n):
+    """A smooth real field of peak 0.5 on an n-point grid with the decay
+    study's spacing at n = 6144."""
+    f = random_real_field(GridSpec(n=n, box_length=4500.0 * n / 6144), 41, decay=2.0)
+    return f.with_coeffs(f.coeffs * (0.5 / np.max(np.abs(synthesize(f)))))
+
+
+class TestInPlaceStages:
+    """The stages are formed in place in one scratch array; every product keeps
+    the formula's operand order, so the step is bitwise the expression form."""
+
+    @pytest.mark.parametrize("n", [64, 6144])
+    @pytest.mark.parametrize("linear_only", [False, True], ids=["nonlinear", "linear_only"])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_matches_expression_form(self, spec, linear_only, n):
+        phi = stage_field(n).with_coeffs(stage_field(n).coeffs.copy(), time=0.3)
+        before = phi.coeffs.copy()
+        for dt in (1e-3, 0.05):
+            got = lawson_step(phi, spec, dt, linear_only)
+            want = lawson_step_expression(phi, spec, dt, linear_only)
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert got.time == want.time
+        # the factors step() passes give the same bits as the step's own
+        factors = integrator._free_flow_factors(phi.grid, 0.05, 0.025)
+        assert np.array_equal(lawson_step(phi, spec, 0.05, linear_only, factors).coeffs, want.coeffs)
+        assert np.array_equal(phi.coeffs, before)  # the input is left alone
+
+    def test_warm_step_allocates_six_arrays(self):
+        """tracemalloc sees numpy's data buffers: a warm step at n = 1024 with
+        the factors step() passes peaks at 6.11 n-point complex arrays: its
+        scratch, E y and the four stage outputs (a becoming the result), and
+        numpy's small buffers; the expression form peaked at 9.07."""
+        grid = GridSpec(n=1024, box_length=120.0)
+        phi = random_real_field(grid, 95, decay=2.0)
+        spec = CoefficientSpec()
+        factors = integrator._free_flow_factors(grid, 1e-3, 5e-4)
+        lawson_step(phi, spec, 1e-3, False, factors)
+        tracemalloc.start()
+        try:
+            lawson_step(phi, spec, 1e-3, False, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.25 * 16 * grid.n
 
 
 class TestAdaptiveStep:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmkdv import spectral_core
 from qmkdv.spectral_core import (
     ComplexSamples,
     GridMismatch,
@@ -330,6 +331,28 @@ class TestPointwiseProduct:
         assert rows.shape == (3, pad * 64)
         for order, row in zip((3, 1, 2), rows):
             assert np.array_equal(row, padded_values(f, pad, order))
+        # zero orders first, then two scratch rows that the samples leave alone
+        rows = _padded_rows(f, pad, (0, 0, 2), scratch=2)
+        assert rows.shape == (5, pad * 64)
+        rows[3:] = 7.0
+        for order, row in zip((0, 0, 2), _padded_rows(f, pad, (0, 0, 2), scratch=2)):
+            assert np.array_equal(row, padded_values(f, pad, order))
+        assert np.all(rows[3:] == 7.0)
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_rows_on_both_sides_of_the_batching_bound(self, n):
+        """Up to _BATCHED_IRFFT_MAX refined points the rows come from one
+        batched inverse FFT, above it from one call per row: both are bitwise
+        the oracle's samples."""
+        f = random_real_field(GridSpec(n=n, box_length=n / 3.0), 40)
+        assert (3 * n <= spectral_core._BATCHED_IRFFT_MAX) == (n == 1024)
+        for order, row in zip((0, 1, 2), _padded_rows(f, 3, (0, 1, 2))):
+            assert np.array_equal(row, padded_values(f, 3, order))
+
+    def test_zero_order_after_a_derivative_refused(self):
+        """Order 0 takes no multiplier, so it must lead the tuple."""
+        with pytest.raises(ValueError, match="zero orders"):
+            _padded_rows(random_real_field(GridSpec(n=64, box_length=20.0), 26), 3, (1, 0))
 
     def test_pad_factor_below_two_rejected(self):
         """A pad factor of 1 forms no dealiased product, and its Nyquist bin
