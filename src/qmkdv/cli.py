@@ -709,7 +709,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")  # a usage error: exit 2
     try:
         cfg = parse_config(args.config)
         kind = cfg.get("study.kind")

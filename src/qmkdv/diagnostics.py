@@ -47,7 +47,6 @@ from .spectral_core import (
     antiderivative,
     mass_fraction_inside,
     norm,
-    profile_from_solution,
     synthesize,
     xi_derivative_coefficients,
     xi_l2_norm,
@@ -105,14 +104,16 @@ def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) ->
     return float(np.max(weight * np.abs(phi.coeffs)))
 
 
-def _scaling_field(phi: SpectralField, t: float, spec: CoefficientSpec, dh: np.ndarray) -> SpectralField:
-    """S phi given dh, the xi-derivative of the profile at time t.
+def _scaling_field(
+    phi: SpectralField, t: float, spec: CoefficientSpec, dh: np.ndarray, airy: np.ndarray
+) -> SpectralField:
+    """S phi given dh, the xi-derivative of the profile at time t, and
+    airy = e^{i t xi^3} on the grid.
 
     F[S phi] = -e^{i t xi^3} xi dh - 3t F[N(phi)] - phihat; at t=0 this
     reduces to F[x d_x phi] = -d_xi(xi phihat).
     """
-    g = phi.grid
-    out = -np.exp(1j * t * g.xi**3) * g.xi * dh - phi.coeffs
+    out = -airy * phi.grid.xi * dh - phi.coeffs
     if t != 0.0:
         out = out - 3.0 * t * nonlinearity_full(phi, spec).coeffs
     return phi.with_coeffs(out)
@@ -126,13 +127,16 @@ def energy(
 ) -> EnergyBreakdown:
     """The six-summand energy and the Z-norm at one time."""
     e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
-    h = profile_from_solution(phi, t)
+    xi = phi.grid.xi
+    airy = np.exp(1j * t * xi**3)
+    # the profile's e^{-i t xi^3} is airy's conjugate, bitwise bar the sign of a zero imaginary part
+    h = phi.with_coeffs(np.conj(airy) * phi.coeffs, time=t)
     dh = xi_derivative_coefficients(h)
-    s_phi = _scaling_field(phi, t, spec, dh)
+    s_phi = _scaling_field(phi, t, spec, dh, airy)
     e2 = norm(phi, "Hs", s=bc.s) ** 2
     e3 = norm(antiderivative(s_phi), "L2") ** 2
     e4 = norm(s_phi, "L2") ** 2
-    e5 = xi_l2_norm(phi.grid.xi * dh, phi.grid) ** 2
+    e5 = xi_l2_norm(xi * dh, phi.grid) ** 2
     e6 = xi_l2_norm(dh, phi.grid) ** 2
     return EnergyBreakdown(
         antiderivative_sq=e1,

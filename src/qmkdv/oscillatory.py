@@ -7,7 +7,10 @@ analysis:
   -> 2pi  as B grows, evaluated through the exact 1D reduction
   (the inner integral is B * psihat_check(B x2), so the double integral is
   int psi(u/B^2) psicheck(u) du with psicheck the inverse transform of the
-  bump), plus a closed-form Gaussian self-test of the same pipeline;
+  bump), plus a closed-form Gaussian self-test of the same pipeline.  One
+  inverse real FFT gives psicheck, and the bump is evaluated only where it
+  is neither 0 nor 1 (its two transition bands, on the spectrum head and on
+  the u-grid), so the FFT is most of the cost;
 
 * direct small-n evaluations of the trilinear oscillatory integral
 
@@ -55,28 +58,55 @@ class OscillatoryResult:
     error: float
 
 
-def _even_inverse_transform_grid(spectrum, u_extent: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _bump_samples(start: float, step: float, scale: float, count: int) -> np.ndarray:
+    """lp.bump((start + step * k) / scale) for k = 0..count-1 (step, scale > 0),
+    with lp.bump evaluated on its two transition bands only: 1 is written on
+    the plateau and 0 left off the support.  The bands' index ranges are
+    widened by two points, where bump itself returns exact 0s and 1s, so
+    rounding in the index arithmetic cannot move a bit."""
+    out = np.zeros(count)
+
+    def index(x: float) -> float:  # the fractional k at which the grid reaches x * scale
+        return (x * scale - start) / step
+
+    def clip(k: int) -> int:
+        return min(max(k, 0), count)
+
+    out[clip(math.ceil(index(-lp.PLATEAU_EDGE))) : clip(math.floor(index(lp.PLATEAU_EDGE)) + 1)] = 1.0
+    for lo, hi in ((-lp.SUPPORT_EDGE, -lp.PLATEAU_EDGE), (lp.PLATEAU_EDGE, lp.SUPPORT_EDGE)):
+        k0, k1 = clip(math.floor(index(lo)) - 2), clip(math.ceil(index(hi)) + 3)
+        if k0 < k1:
+            out[k0:k1] = lp.bump((start + step * np.arange(k0, k1)) / scale)
+    return out
+
+
+def _even_inverse_transform(head: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Values of int f(xi) e^{i xi u} dxi for a real, even f, on the centred
-    n-point u-grid of length u_extent.
+    x-points of `grid`, from f's head samples f(k dxi), k = 0..n/2.
 
     The trapezoid sum over the dual frequencies xi_k = k dxi, with aliasing
-    controlled by the transform's decay over the period 2 pi / dxi = u_extent.
-    f is evaluated on the n/2 + 1 non-negative frequencies only: evenness
-    gives the rest, and a real, even spectrum has a real transform, so one
-    inverse real FFT, with the (-1)^k of the centred grid (x_0 = -u_extent/2),
-    sums it.
+    controlled by the transform's decay over the period 2 pi / dxi = the box
+    length.  Evenness gives the negative frequencies, and a real, even
+    spectrum has a real transform, so one inverse real FFT, with the (-1)^k
+    of the centred grid (x_0 = -L/2), sums it.  `head` is overwritten.
     """
-    grid = GridSpec(n=n, box_length=u_extent)
-    c = spectrum(grid.dxi * np.arange(n // 2 + 1))
-    c[1::2] *= -1.0
-    return grid.x, np.fft.irfft(c, n) * (n * grid.dxi)
+    head[1::2] *= -1.0
+    out = np.fft.irfft(head, grid.n)
+    out *= grid.n * grid.dxi
+    return out
 
 
 def _two_pi_value(B: float, u_extent: float, n: int) -> complex:
-    # after the 1D reduction: value = int psi(u / B^2) psicheck(u) du
-    u, psicheck = _even_inverse_transform_grid(lp.bump, u_extent, n)
+    """int psi(u / B^2) psicheck(u) du (the 1D reduction) on the centred
+    n-point u-grid of length u_extent.  Both cutoffs, the spectrum head
+    psi(k dxi) and psi(u / B^2), are sampled on their transition bands only;
+    the product and the sum still run over the whole grid, since a sum over
+    the support alone would reorder numpy's pairwise sum and move bits."""
+    grid = GridSpec(n=n, box_length=u_extent)
+    psicheck = _even_inverse_transform(_bump_samples(0.0, grid.dxi, 1.0, n // 2 + 1), grid)
+    cutoff = _bump_samples(-0.5 * u_extent, grid.dx, B**2, n)
     du = u_extent / n
-    return complex(du * np.sum(lp.bump(u / B**2) * psicheck))
+    return complex(du * np.sum(np.multiply(cutoff, psicheck, out=cutoff)))
 
 
 def two_pi_identity(B: float) -> OscillatoryResult:
@@ -116,9 +146,10 @@ def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
     n = int(2 ** math.ceil(math.log2(40.7 * B**2)))
     # inner integral over x1, evaluated spectrally on the dual grid:
     # int e^{-x1^2/B^2} e^{i x1 u} dx1 at the grid points u
-    u, inner = _even_inverse_transform_grid(lambda x1: np.exp(-(x1**2) / B**2), 2.0 * half_width, n)
+    grid = GridSpec(n=n, box_length=2.0 * half_width)
+    inner = _even_inverse_transform(np.exp(-((grid.dxi * np.arange(n // 2 + 1)) ** 2) / B**2), grid)
     du = 2.0 * half_width / n
-    value = complex(du * np.sum(np.exp(-(u**2) / B**2) * inner))
+    value = complex(du * np.sum(np.exp(-(grid.x**2) / B**2) * inner))
     reference = 2.0 * math.pi / math.sqrt(1.0 + 4.0 / B**4)
     return OscillatoryResult(parameter=float(B), value=value, error=abs(value - reference))
 

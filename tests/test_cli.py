@@ -177,6 +177,9 @@ def test_resonance_dT1_rows_equal_each_cells_own_evaluation(tmp_path):
         assert [float(v) for v in r[2:]] == [rep["ratio"], rep["refined_ratio"], rep["rel_change"]]
 
 
+OSCILLATORY_FILES = ["two_pi.csv", "separated.csv", "resonant.csv", "oscillatory_report.json"]
+
+
 def test_oscillatory_false_gate_exits_1(tmp_path, capsys, monkeypatch):
     real_study = cli.nonresonant_decay_study
 
@@ -198,8 +201,27 @@ def test_oscillatory_passing_gates_exit_0(tmp_path):
         tmp_path,
         "oscillatory",
         "study.kind = oscillatory\noscillatory.b_values = 8.0\n",
-        ["two_pi.csv", "separated.csv", "resonant.csv", "oscillatory_report.json"],
+        OSCILLATORY_FILES,
     )
+
+
+def test_oscillatory_output_is_the_same_at_one_and_two_threads(tmp_path):
+    config = "study.kind = oscillatory\noscillatory.b_values = 8.0, 16.0\n"
+    outs = [tmp_path / f"threads_{k}" for k in (1, 2)]
+    for k, out in zip((1, 2), outs):
+        assert _main(tmp_path, "oscillatory", config, out, "--threads", str(k)) == 0
+    for name in OSCILLATORY_FILES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        _main(tmp_path, "oscillatory", "oscillatory.b_values = 8.0\n", out, "--threads", threads)
+    assert exit_info.value.code == 2
+    assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_false_gates_named_by_dotted_path():

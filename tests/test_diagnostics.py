@@ -37,7 +37,8 @@ def concentrated_field(grid: GridSpec, t: float):
 
 def spectral_scaling_field(phi, t: float):
     """S phi by the wrap-safe frequency-side route that energy takes."""
-    return _scaling_field(phi, t, SPEC, xi_derivative_coefficients(profile_from_solution(phi, t)))
+    airy = np.exp(1j * t * phi.grid.xi**3)
+    return _scaling_field(phi, t, SPEC, xi_derivative_coefficients(profile_from_solution(phi, t)), airy)
 
 
 def relative_gap(grid: GridSpec, t: float) -> float:

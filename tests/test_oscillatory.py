@@ -2,6 +2,7 @@
 the refusal paths of the two-pi identity and the decay study."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def _complex_synthesis(spectrum, u_extent, n):
     frequency, synthesised as a complex field, real part kept."""
     grid = GridSpec(n=n, box_length=u_extent)
     f = SpectralField(grid, spectrum(grid.xi).astype(np.complex128))
-    return grid.x, np.real(synthesize(f))
+    return np.real(synthesize(f))
 
 
 @pytest.mark.parametrize("n", [4096, 8192])
@@ -124,11 +125,88 @@ def _complex_synthesis(spectrum, u_extent, n):
     ids=["bump", "gaussian"],
 )
 def test_real_even_transform_matches_complex_synthesis(spectrum, u_extent, n):
-    u, got = oscillatory._even_inverse_transform_grid(spectrum, u_extent, n)
-    u_ref, want = _complex_synthesis(spectrum, u_extent, n)
-    np.testing.assert_array_equal(u, u_ref)
+    grid = GridSpec(n=n, box_length=u_extent)
+    got = oscillatory._even_inverse_transform(spectrum(grid.dxi * np.arange(n // 2 + 1)), grid)
+    want = _complex_synthesis(spectrum, u_extent, n)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _two_pi_grid(B):
+    """two_pi_identity's (u_extent, n) for B."""
+    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25
+    return u_extent, int(2 ** math.ceil(math.log2(u_extent * 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi))))
+
+
+def _plain_two_pi_value(B, u_extent, n):
+    """The 2 pi value as first written: the bump on the whole spectrum head
+    and on the whole u-grid."""
+    grid = GridSpec(n=n, box_length=u_extent)
+    c = lp.bump(grid.dxi * np.arange(n // 2 + 1))
+    c[1::2] *= -1.0
+    psicheck = np.fft.irfft(c, n) * (n * grid.dxi)
+    return complex(u_extent / n * np.sum(lp.bump(grid.x / B**2) * psicheck))
+
+
+def _assert_bump_samples_exact(start, step, scale, count):
+    got = oscillatory._bump_samples(start, step, scale, count)
+    want = lp.bump((start + step * np.arange(count)) / scale)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("B", [8.0, 16.0])
+@pytest.mark.parametrize("doubled", [False, True], ids=["n", "2n"])
+def test_bump_samples_on_the_two_pi_grids(B, doubled):
+    u_extent, n = _two_pi_grid(B)
+    grid = GridSpec(n=2 * n if doubled else n, box_length=u_extent)
+    _assert_bump_samples_exact(0.0, grid.dxi, 1.0, grid.n // 2 + 1)  # the spectrum head
+    _assert_bump_samples_exact(-0.5 * u_extent, grid.dx, B**2, grid.n)  # the u-side cutoff
+
+
+@pytest.mark.parametrize("scale", [1.0, 64.0, 256.0])
+@pytest.mark.parametrize("edge", [lp.PLATEAU_EDGE, lp.SUPPORT_EDGE])
+def test_bump_samples_with_a_point_on_each_edge(scale, edge):
+    # with scale a power of 2 (B^2 at B = 8 and 16), start = -edge*scale and
+    # 256 steps of 2*edge*scale/256 put grid points exactly on both edges
+    start, step, count = -edge * scale, 2.0 * edge * scale / 256, 400
+    x = (start + step * np.arange(count)) / scale
+    assert x[0] == -edge and x[256] == edge
+    _assert_bump_samples_exact(start, step, scale, count)
+
+
+@pytest.mark.parametrize(
+    "start, step, count",
+    [(-1.0, 1e-3, 450), (-1.5, 1e-3, 2000), (-1.5, 1e-3, 100), (1.3, 1e-3, 100), (-1.55, 0.5, 7),
+     (-1.0, 1e-2, 200), (1.7, 1e-2, 200), (-40.0, 1e-2, 200)],
+    ids=["ends-in-upper-band", "starts-in-lower-band", "inside-lower-band", "inside-upper-band", "coarse",
+         "inside-plateau", "above-support", "below-support"],
+)
+def test_bump_samples_on_grids_ending_in_a_band_or_a_constant_piece(start, step, count):
+    _assert_bump_samples_exact(start, step, 1.0, count)
+
+
+@pytest.mark.parametrize("B", [8.0, 16.0])
+def test_two_pi_value_has_the_bits_of_the_plain_form(B):
+    u_extent, n = _two_pi_grid(B)
+    for m in (n, 2 * n):
+        assert oscillatory._two_pi_value(B, u_extent, m) == _plain_two_pi_value(B, u_extent, m)
+
+
+def test_two_pi_value_at_2n_peaks_under_four_arrays():
+    """tracemalloc sees numpy's data buffers: at B = 32 the 2n-point value
+    peaks at 2.8 arrays of 2n float64, while the inverse FFT holds the head,
+    its complex copy and the output.  With the bump evaluated on the whole
+    head and the whole u-grid the peak was 7.1."""
+    B = 32.0
+    u_extent, n = _two_pi_grid(B)
+    oscillatory._two_pi_value(B, u_extent, 2 * n)
+    tracemalloc.start()
+    try:
+        oscillatory._two_pi_value(B, u_extent, 2 * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * (2 * n)
 
 
 def _dense_trilinear(grid, h1, h2, h3, alpha2, xi, t_values):
