@@ -359,6 +359,7 @@ def _simulate(ctx: _Context) -> dict:
     return {
         "steps": state.steps,
         "rejected_steps": state.rejected,
+        "rhs_evals": state.rhs_evals,
         "final_dt": state.dt,
         "mass_drift_abs": max(abs(r["mass"] - m0) for r in records),
         "l2_drift_rel": max(abs(r["l2"] - l0) for r in records) / l0,
@@ -467,6 +468,7 @@ def _decay(ctx: _Context) -> dict:
     report["nonlinear"] = {
         "steps": state.steps,
         "rejected_steps": state.rejected,
+        "rhs_evals": state.rhs_evals,
         "linf_dx_slope": sdx,
         "linf_dx_slope_stderr": sdx_err,
         "linf_dxx_slope": sdxx,

@@ -90,6 +90,7 @@ class SimState:
     dt: float
     steps: int = 0
     rejected: int = 0
+    rhs_evals: int = 0  # N(phi) evaluations, rejected attempts included
 
 
 def initial_field(cfg: SimConfig) -> SpectralField:
@@ -123,11 +124,13 @@ def default_dt_init(phi0: SpectralField, spec: CoefficientSpec) -> float:
     return 0.5 * phi0.grid.dx**2 / max(1.0, cmax**2)
 
 
-def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool) -> np.ndarray:
-    """G(phi) = -F[N(phi)] in a fresh array the caller owns."""
+def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool, evals: list | None) -> np.ndarray:
+    """G(phi) = -F[N(phi)] in a fresh array the caller owns; counts N(phi) in evals[0]."""
     if linear_only:
         return np.zeros_like(phi.coeffs)
     g = nonlinearity_full(phi, spec).coeffs
+    if evals is not None:
+        evals[0] += 1
     return np.negative(g, out=g)
 
 
@@ -143,11 +146,14 @@ def lawson_step(
     dt: float,
     linear_only: bool = False,
     factors: tuple[np.ndarray, np.ndarray] | None = None,
+    evals: list | None = None,
 ) -> SpectralField:
     """One integrating-factor RK4 step of length dt.
 
     `factors`, when given, are exp(i xi^3 dt) and exp(i xi^3 dt/2) as the
     step would compute them; a caller that holds them saves the exponentials.
+    `evals`, when given, is a one-item list whose item is raised by one at
+    each N(phi) evaluation.
 
     With E = e_full, e = e_half and h = dt/2 the step is
 
@@ -165,7 +171,7 @@ def lawson_step(
     h = 0.5 * dt
 
     def G(coeffs, time):
-        return _rhs(phi.with_coeffs(coeffs, time=time), spec, linear_only)
+        return _rhs(phi.with_coeffs(coeffs, time=time), spec, linear_only, evals)
 
     w = np.empty_like(y)  # each stage's input, then 2 e
     ey = np.empty_like(y)  # h b, then E y
@@ -194,6 +200,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
     phi = state.phi
     dt = state.dt
     rejected = state.rejected
+    evals = [state.rhs_evals]
     base = norm(phi, "L2")
     while True:
         capped = dt_cap is not None and dt_cap < dt
@@ -204,9 +211,9 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         # exp(i xi^3 dt/2) and exp(i xi^3 dt/4), bit for bit
         h = 0.5 * dt_try
         e_full, e_half, e_quarter = _free_flow_factors(phi.grid, dt_try, h, 0.5 * h)
-        full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, (e_full, e_half))
-        half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter))
-        pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter))
+        full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, (e_full, e_half), evals)
+        half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter), evals)
+        pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter), evals)
         err = norm(pair.with_coeffs(pair.coeffs - full.coeffs), "L2")
         tol = cfg.eps_tol * base
         if not np.isfinite(err):
@@ -228,6 +235,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
                 dt=next_dt,
                 steps=state.steps + 1,
                 rejected=rejected,
+                rhs_evals=evals[0],
             )
         rejected += 1
         dt = dt_try * factor

@@ -18,7 +18,9 @@ support with margin (symbols are always compactly cut off before this norm
 is taken).  The symbols met here are short sums of tensor products of
 per-axis factors, so the inverse transform is contracted one axis at a time
 (:func:`s_infty_separable`) and never assembled as a dense 3D array: it is
-summed in L2-sized tiles, over half the (y2, y3) plane when exchange symmetric.
+summed in L2-sized tiles, over half the (y2, y3) plane when exchange symmetric,
+and the (y2, y3) pair columns are formed one tile's block at a time, so the
+memory taken is O(tile), not O(m n^2) for m terms on n-point axes.
 """
 
 from __future__ import annotations
@@ -161,10 +163,25 @@ def s_infty_separable(axes, coeffs, factors) -> float:
     ValueError is raised when the contract does not hold.
 
     K is formed and summed in L2-sized tiles, blocks of lead-axis rows by
-    blocks of columns.  With three axes, axes[1] == axes[2] and a term list
-    that maps to itself (bytewise) when rows 1 and 2 swap, |K(y1, y2, y3)| =
-    |K(y1, y3, y2)|; then only y2 = y3 (once) and y2 < y3 (twice) are summed.
+    blocks of (y2, y3) pair columns, and each column block is formed only
+    when its tile is summed, so the memory taken is O(tile), not O(m n^2).
+    With three axes, axes[1] == axes[2] and a term list that maps to itself
+    (bytewise) when rows 1 and 2 swap, |K(y1, y2, y3)| = |K(y1, y3, y2)|;
+    then only y2 = y3 (once) and y2 < y3 (twice) are summed.
     """
+    lead, rest, symmetric = _kernel_factors(axes, coeffs, factors)
+    ones = np.ones((lead.shape[1], 1))
+    left, right = (rest + [ones, ones])[:2]  # a missing axis has the kernel 1, which multiplies exactly
+    k, n2 = np.arange(left.shape[1]), right.shape[1]
+    if symmetric:
+        return 2.0 * _abs_sum(lead, left, right, k + 1, n2) + _abs_sum(lead, left, right, k, k + 1)
+    return _abs_sum(lead, left, right, 0, n2)
+
+
+def _kernel_factors(axes, coeffs, factors):
+    """The contraction's inputs: the weighted lead-axis rows of the kernel as
+    an (n1/2 + 1, m) matrix, the real kernel rows of the other axes, and
+    whether |K| is symmetric under the exchange of y2 and y3."""
     coeffs = np.asarray(coeffs)
     if np.iscomplexobj(coeffs) and np.any(coeffs.imag):
         raise ValueError("s_infty_separable needs real coefficients")
@@ -202,27 +219,41 @@ def s_infty_separable(axes, coeffs, factors) -> float:
     weights = np.full(half + 1, 2.0)
     weights[[0, half]] = 1.0
     lead = (ft[0][:, : half + 1] * coeffs[:, None] * weights).T
-    if d < 3:
-        return _abs_sum(lead, ft[1] if d == 2 else np.ones((coeffs.size, 1)))
-    if axes[1] == axes[2] and sorted(zip(*keys)) == sorted(zip(*keys[:2], keys[3], keys[2])):
-        upper = np.concatenate([ft[1][:, k, None] * ft[2][:, k + 1 :] for k in range(axes[1].n - 1)], axis=1)
-        return 2.0 * _abs_sum(lead, upper) + _abs_sum(lead, ft[1] * ft[2])
-    return _abs_sum(lead, (ft[1][:, :, None] * ft[2][:, None, :]).reshape(coeffs.size, -1))
+    symmetric = d == 3 and axes[1] == axes[2] and sorted(zip(*keys)) == sorted(zip(*keys[:2], keys[3], keys[2]))
+    return lead, ft[1:], symmetric
 
 
-def _abs_sum(lead, pair) -> float:
-    """sum |lead @ pair|, contracted tile by tile over row and column blocks."""
-    width = min(pair.shape[1], _TILE_WIDTH)
+def _abs_sum(lead, left, right, lo, hi) -> float:
+    """sum |lead @ pair|, contracted tile by tile over row and column blocks.
+
+    The columns of pair are left[:, k] * right[:, l] for k ascending and, for
+    each k, l ascending from lo[k] to hi[k] - 1 (lo and hi broadcast over k).
+    Each block of columns is formed in a buffer of the tile's width just
+    before its tiles are summed.
+    """
+    m, rows_k = left.shape
+    lo, hi = (np.broadcast_to(v, rows_k) for v in (lo, hi))
+    ends = np.cumsum(hi - lo)  # pair column one past row k's last
+    shift = hi - ends  # l - c on row k
+    count = int(ends[-1])
+    width = min(count, _TILE_WIDTH)
     height = max(1, _TILE // width)
     buf = np.empty(min(height, lead.shape[0]) * width)
+    pair, other = np.empty(m * width), np.empty(m * width)
     total = 0.0
-    for c0 in range(0, pair.shape[1], width):
-        cols = pair[:, c0 : c0 + width]
+    for c0 in range(0, count, width):
+        c = np.arange(c0, min(c0 + width, count))
+        k = np.searchsorted(ends, c, side="right")
+        l = c + shift[k]
+        cols = pair[: m * c.size].reshape(m, -1)
+        # mode="clip" lets take write into `out` without a buffer; the indices are in range
+        np.take(left, k, axis=1, out=cols, mode="clip")
+        np.multiply(cols, np.take(right, l, axis=1, out=other[: m * c.size].reshape(m, -1), mode="clip"), out=cols)
         for r0 in range(0, lead.shape[0], height):
             rows = lead[r0 : r0 + height]
             block = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], -1)
             np.matmul(rows, cols, out=block)
-            total += float(np.sum(np.abs(block, out=block)))
+            total += float(np.abs(block, out=block).sum())  # np.sum's reduction without its wrapper
     return total
 
 

@@ -50,7 +50,9 @@ def _assert_identical_runs(tmp_path, study, config, files, *extra, code=0):
 
 
 def test_simulate_output_is_byte_identical(tmp_path):
-    _assert_identical_runs(tmp_path, "simulate", SIMULATE_CONFIG, ["monitor.csv", "report.json", "final_state.bin"])
+    out = _assert_identical_runs(tmp_path, "simulate", SIMULATE_CONFIG, ["monitor.csv", "report.json", "final_state.bin"])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["rhs_evals"] == 12 * (report["steps"] + report["rejected_steps"])
 
 
 HEADER_KEYS = {"artifact_version", "seed", "grid_n", "grid_box_length", "coeff_family", "coeff_a", "coeff_b",
@@ -92,7 +94,10 @@ def test_decay_output_is_byte_identical(tmp_path):
         tmp_path, "decay", DECAY_CONFIG, ["linear_decay.csv", "decay_monitor.csv", "decay_report.json"]
     )
     # decay is ungated: a run this short cannot decide its slopes, and still exits 0
-    assert cli._false_gates(json.loads((out / "decay_report.json").read_text(encoding="utf-8")))
+    report = json.loads((out / "decay_report.json").read_text(encoding="utf-8"))
+    assert cli._false_gates(report)
+    nonlinear = report["nonlinear"]
+    assert nonlinear["rhs_evals"] == 12 * (nonlinear["steps"] + nonlinear["rejected_steps"])
 
 
 def test_decay_linear_only_output_is_byte_identical(tmp_path):
@@ -161,6 +166,16 @@ def test_resonance_false_gate_exits_1_with_identical_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("summary.T1.doubling_ok") == 2 and err.count("summary.dT1.doubling_ok") == 2
     assert "spread_ok" not in err
+
+
+def test_resonance_output_is_the_same_at_one_and_two_threads(tmp_path):
+    # each cell's contraction forms its pair columns in buffers of its own
+    config = RESONANCE_CONFIG.replace("resonance.j_min = 0", "resonance.j_min = -2")
+    outs = [tmp_path / f"threads_{k}" for k in (1, 2)]
+    for k, out in zip((1, 2), outs):
+        assert _main(tmp_path, "resonance", config, out, "--threads", str(k)) == 1
+    for name in ("resonance.csv", "resonance_report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_resonance_dT1_rows_equal_each_cells_own_evaluation(tmp_path):

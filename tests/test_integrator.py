@@ -402,6 +402,23 @@ class TestRun:
             first["hamiltonian"]
         )
 
+    def test_rhs_evals_count_every_nonlinearity_call(self, grid, monkeypatch):
+        """The counter is raised where N(phi) is called, rejected attempts
+        included, and so reads 12 per attempted step."""
+        calls = []
+        real = integrator.nonlinearity_full
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "nonlinearity_full", counted)
+        cfg = small_config(grid, coeff=CUBIC, initial=InitialSpec("gaussian", 0.3), t_end=0.05, eps_tol=1e-8,
+                           dt_init=0.05, monitor_times=(0.02,))
+        state, _ = run(cfg)
+        assert state.steps > 1 and state.rejected > 0
+        assert state.rhs_evals == len(calls) == 12 * (state.steps + state.rejected)
+
     def test_monitor_record_fields(self, grid):
         phi = random_real_field(grid, 9)
         rec = monitor_record(phi, LINEAR)

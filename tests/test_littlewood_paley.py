@@ -7,10 +7,13 @@ against accidental recalibration.
 
 The oracle for the separable S_infty contraction is the dense route: sample
 the assembled symbol on the full tensor grid and take one n-dimensional
-inverse FFT (`dense_s_infty`).
+inverse FFT (`dense_s_infty`).  The oracle for its bits is the contraction
+that builds the whole (y2, y3) pair matrix before it tiles the product
+(`materialized_s_infty`); the package forms those columns block by block.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +69,36 @@ def dense_s_infty(fn, axes):
         vals = vals * ax.parity.reshape(shape)
     scale = np.prod([ax.n * ax.dxi * ax.dx for ax in axes])
     return float(np.sum(np.abs(np.fft.ifftn(vals))) * scale)
+
+
+def materialized_abs_sum(lead, pair):
+    """sum |lead @ pair| over the tiles of an already built pair matrix."""
+    width = min(pair.shape[1], littlewood_paley._TILE_WIDTH)
+    height = max(1, littlewood_paley._TILE // width)
+    buf = np.empty(min(height, lead.shape[0]) * width)
+    total = 0.0
+    for c0 in range(0, pair.shape[1], width):
+        cols = pair[:, c0 : c0 + width]
+        for r0 in range(0, lead.shape[0], height):
+            rows = lead[r0 : r0 + height]
+            block = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], -1)
+            np.matmul(rows, cols, out=block)
+            total += float(np.sum(np.abs(block, out=block)))
+    return total
+
+
+def materialized_s_infty(axes, coeffs, factors):
+    """`s_infty_separable` with every pair column built before the contraction:
+    the strict upper triangle of the (y2, y3) plane, row-major, and its
+    diagonal when exchange symmetric, the full plane otherwise."""
+    lead, rest, symmetric = littlewood_paley._kernel_factors(axes, coeffs, factors)
+    if len(rest) < 2:
+        return materialized_abs_sum(lead, rest[0] if rest else np.ones((lead.shape[1], 1)))
+    left, right = rest
+    if symmetric:
+        upper = np.concatenate([left[:, k, None] * right[:, k + 1 :] for k in range(left.shape[1] - 1)], axis=1)
+        return 2.0 * materialized_abs_sum(lead, upper) + materialized_abs_sum(lead, left * right)
+    return materialized_abs_sum(lead, (left[:, :, None] * right[:, None, :]).reshape(lead.shape[1], -1))
 
 
 class TestBump:
@@ -323,6 +356,23 @@ class TestSInftyNorm:
         )
         assert model._dyadic_s_infty(js, alpha2, which, 48) == pytest.approx(dense, rel=1e-12)
 
+    @pytest.mark.parametrize("which", ["T1", "dT1"])
+    def test_dyadic_cell_has_the_bits_of_materialized_pairs(self, monkeypatch, which):
+        streamed = model._dyadic_s_infty((0, 0, 0), 1.0, which, 384)
+        monkeypatch.setattr(littlewood_paley, "s_infty_separable", materialized_s_infty)
+        assert streamed == model._dyadic_s_infty((0, 0, 0), 1.0, which, 384)
+
+    def test_contraction_memory_is_tile_sized(self):
+        """The (y2, y3) pair matrix of T1 at n_axis 768 would be 7 x 294,528
+        float64 (16.5 MB); formed block by block the call stays far below."""
+        tracemalloc.start()
+        try:
+            model._dyadic_s_infty((0, 0, 0), 1.0, "T1", 768)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     # Terms (coeff, powers of eta1, eta2, eta3), each with the bump on every
     # axis; swapping the powers of eta2 and eta3 permutes the list by SWAP.
     # The bump's kernel stays above 1e-5 out to the lattice edge, so every
@@ -342,13 +392,14 @@ class TestSInftyNorm:
         """Separable and dense S_infty of sum c x^p y^q (s z)^r b(x) b(y) b(s z)
         on axes of extent 6.4, 6.4 and 6.4 / s, with the column counts of each
         tiled contraction.  The axis-3 rows are the axis-2 rows permuted by
-        SWAP, bytewise, also for s = 2 (its xi are exactly half of theirs)."""
+        SWAP, bytewise, also for s = 2 (its xi are exactly half of theirs).
+        The separable value must have the bits of the materialized pairs'."""
         calls = []
         real = littlewood_paley._abs_sum
 
-        def counted(lead, pair):
-            calls.append(pair.shape[1])
-            return real(lead, pair)
+        def counted(lead, left, right, lo, hi):
+            calls.append(int(np.sum(np.broadcast_to(np.subtract(hi, lo), left.shape[1]))))
+            return real(lead, left, right, lo, hi)
 
         monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
         scales = (1.0, 1.0, scale3)
@@ -362,6 +413,7 @@ class TestSInftyNorm:
             c * x ** p[0] * y ** p[1] * (scale3 * z) ** p[2] * bump(x) * bump(y) * bump(scale3 * z) for c, p in terms
         )
         sep = s_infty_separable(axes, [c for c, _ in terms], rows)
+        assert sep == materialized_s_infty(axes, [c for c, _ in terms], rows)
         return axes, calls, sep, dense_s_infty(fn, axes)
 
     def test_exchange_symmetric_sum_matches_dense(self, monkeypatch):
@@ -394,7 +446,9 @@ class TestSInftyNorm:
         rows = lambda ax, ps: np.array([ax.xi**p * w(ax.xi) for p in ps])
         coeffs = [1.5, -1.0]
         factors = [rows(ax, ps) for ax, ps in zip(axes, powers)]
-        assert s_infty_separable(axes, coeffs, factors) == pytest.approx(dense_s_infty(fn, axes), rel=1e-12)
+        sep = s_infty_separable(axes, coeffs, factors)
+        assert sep == materialized_s_infty(axes, coeffs, factors)
+        assert sep == pytest.approx(dense_s_infty(fn, axes), rel=1e-12)
 
     def _bump_axis(self):
         return symbol_axes((6.4,), 64)[0]
