@@ -228,27 +228,29 @@ def _abs_sum(lead, left, right, lo, hi) -> float:
 
     The columns of pair are left[:, k] * right[:, l] for k ascending and, for
     each k, l ascending from lo[k] to hi[k] - 1 (lo and hi broadcast over k).
-    Each block of columns is formed in a buffer of the tile's width just
-    before its tiles are summed.
+    Each block of columns is formed in one buffer, row segment by row
+    segment, just before its tiles are summed.
     """
     m, rows_k = left.shape
-    lo, hi = (np.broadcast_to(v, rows_k) for v in (lo, hi))
-    ends = np.cumsum(hi - lo)  # pair column one past row k's last
-    shift = hi - ends  # l - c on row k
-    count = int(ends[-1])
+    lo, hi = (np.broadcast_to(v, rows_k).tolist() for v in (lo, hi))
+    count = sum(hi) - sum(lo)
     width = min(count, _TILE_WIDTH)
     height = max(1, _TILE // width)
     buf = np.empty(min(height, lead.shape[0]) * width)
-    pair, other = np.empty(m * width), np.empty(m * width)
-    total = 0.0
+    pair = np.empty(m * width)
+    total, k, l = 0.0, 0, lo[0]  # (k, l): the next pair column
     for c0 in range(0, count, width):
-        c = np.arange(c0, min(c0 + width, count))
-        k = np.searchsorted(ends, c, side="right")
-        l = c + shift[k]
-        cols = pair[: m * c.size].reshape(m, -1)
-        # mode="clip" lets take write into `out` without a buffer; the indices are in range
-        np.take(left, k, axis=1, out=cols, mode="clip")
-        np.multiply(cols, np.take(right, l, axis=1, out=other[: m * c.size].reshape(m, -1), mode="clip"), out=cols)
+        cols = pair[: m * min(width, count - c0)].reshape(m, -1)
+        j = 0
+        while j < cols.shape[1]:
+            if l == hi[k]:
+                k += 1
+                l = lo[k]
+                continue
+            step = min(hi[k] - l, cols.shape[1] - j)
+            np.multiply(left[:, k, None], right[:, l : l + step], out=cols[:, j : j + step])
+            j += step
+            l += step
         for r0 in range(0, lead.shape[0], height):
             rows = lead[r0 : r0 + height]
             block = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], -1)
