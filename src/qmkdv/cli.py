@@ -34,7 +34,6 @@ from .diagnostics import (
     MIN_DECAY_FIT_SAMPLES,
     MIN_DRIFT_FIT_SAMPLES,
     MIN_DYADIC_SAMPLES,
-    VARIANTS,
     decay_fit,
     dispersive_ratio,
     energy,
@@ -43,7 +42,6 @@ from .diagnostics import (
     profile_sizes,
     scattering_monitor,
     sharp_decay_product,
-    theta_coefficient,
     theta_series,
 )
 from .integrator import InitialSpec, SimConfig, run
@@ -493,7 +491,7 @@ def _decay(ctx: _Context) -> dict:
     return report
 
 
-# Ungated until its variant match is settled (no variant matches at the
+# Ungated until the drift law's match is settled (no probe matches at the
 # defaults, see ROADMAP direction 4).
 @_study(
     "scattering",
@@ -537,39 +535,23 @@ def _scattering(ctx: _Context) -> dict:
 
     run(sim, observer=observer)
     hhat = np.stack(samples)
-    theta = theta_series(times, hhat, probe_xi, coeff.alpha2)
+    frequencies = [float(x) for x in probe_xi]
+    drift = [stationary_phase_drift(x, coeff.alpha2) for x in frequencies]
+    theta = theta_series(times, hhat, drift)
 
-    header = ["t"] + [f"{c}_{i}" for i in range(idx.size) for c in ("abs_h", "arg_h", "theta_a", "theta_b")]
+    header = ["t"] + [f"{c}_{i}" for i in range(idx.size) for c in ("abs_h", "arg_h", "theta")]
     # scalar abs and angle: numpy's array abs can differ from them in the last bit
-    rows = [
-        [t] + [v for h, a, b in zip(hs, ta, tb) for v in (abs(h), float(np.angle(h)), a, b)]
-        for t, hs, ta, tb in zip(times, hhat, theta["A"], theta["B"])
-    ]
+    rows = [[t] + [v for h, th in zip(hs, ths) for v in (abs(h), float(np.angle(h)), th)]
+            for t, hs, ths in zip(times, hhat, theta)]
     ctx.csv("theta.csv", header, rows)
 
-    reports = scattering_monitor(times, hhat, probe_xi, coeff.alpha2, fit_t_min)
-    matched = [v for v in VARIANTS if all(r["matched"] for r in reports if r["variant"] == v)]
-    frequencies = [float(x) for x in probe_xi]
-    drift_rows = resonant_drift_measurement(
-        frequencies,
-        grid,
-        alpha2=coeff.alpha2,
-        amplitude=cfg["initial.amplitude"],
-        width=cfg["initial.width"],
-    )
-    window_floor = min(
-        float(np.min(frequency_window(t, probe_xi, ctx.bc))) for t in (fit_t_min, t_end)
-    )
     return {
         "probe_frequencies": frequencies,
-        "window_floor": window_floor,
-        "per_variant": reports,
-        "matched_variant": matched[0] if len(matched) == 1 else "none",
-        "variant_coefficients": {
-            v: [theta_coefficient(x, coeff.alpha2, v) for x in frequencies] for v in VARIANTS
-        },
-        "frozen_profile_drift": drift_rows,
-        "stationary_phase_drift": [stationary_phase_drift(x, coeff.alpha2) for x in frequencies],
+        "window_floor": min(float(np.min(frequency_window(t, probe_xi, ctx.bc))) for t in (fit_t_min, t_end)),
+        "per_frequency": scattering_monitor(times, hhat, drift, fit_t_min),
+        "frozen_profile_drift": resonant_drift_measurement(
+            frequencies, grid, alpha2=coeff.alpha2, amplitude=cfg["initial.amplitude"], width=cfg["initial.width"]
+        ),
     }
 
 

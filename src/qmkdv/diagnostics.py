@@ -23,13 +23,14 @@ this way, and only there.  The direct physical-space route is
 concentrated fields, where both are valid.
 
 Modified scattering is read off the recorded series of hhat at a few probe
-frequencies (:func:`probe_indices`).  :func:`theta_series` integrates the
-phase correction Theta = coeff(xi) int |hhat|^2 dt/t by the trapezoid rule
-in log t for both bookkeeping variants of the coefficient, and
-:func:`scattering_monitor` reports, per frequency and variant, the Cauchy
-increments of vhat = e^{i Theta} hhat at dyadic times and the fitted drift
-d(arg hhat)/d(log t) against the variant's prediction.  Both take the
-stacked arrays (times, hhat), so a synthetic series tests them directly.
+frequencies (:func:`probe_indices`), against one drift law per probe, the
+d(arg hhat)/d(log t) / |hhat|^2 of ``oscillatory.stationary_phase_drift``.
+:func:`theta_series` integrates the phase correction Theta = -drift(xi)
+int |hhat|^2 dt/t by the trapezoid rule in log t, and
+:func:`scattering_monitor` reports, per frequency, the Cauchy increments of
+vhat = e^{i Theta} hhat at dyadic times and the fitted drift against the
+law's prediction.  Both take the stacked arrays (times, hhat), so a
+synthetic series tests them directly.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "energy",
     "z_norm",
     "frequency_window",
-    "theta_coefficient",
     "probe_indices",
     "theta_series",
     "scattering_monitor",
@@ -176,22 +176,6 @@ def frequency_window(t: float, xi, bc: BootstrapConstants = BootstrapConstants()
 # Modified scattering
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("A", "B")
-
-
-def theta_coefficient(xi: float, alpha2: float, variant: str) -> float:
-    """Phase-correction coefficient, both bookkeeping variants.
-
-    variant "A": -pi (2 alpha2 xi^2 - 3) / 18
-    variant "B": -pi (2 alpha2 xi^2 - 1) / 6
-    """
-    if variant == "A":
-        return -math.pi * (2.0 * alpha2 * xi**2 - 3.0) / 18.0
-    if variant == "B":
-        return -math.pi * (2.0 * alpha2 * xi**2 - 1.0) / 6.0
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def probe_indices(grid: GridSpec, targets) -> np.ndarray:
     """Sorted, distinct positive-frequency indices nearest the target xi's."""
     idx = []
@@ -205,12 +189,10 @@ def probe_indices(grid: GridSpec, targets) -> np.ndarray:
     return np.asarray(sorted(set(idx)), dtype=int)
 
 
-def theta_series(times, hhat, frequencies, alpha2: float) -> dict:
-    """Theta_v(t_m) = coeff_v(xi) * int_{t_0}^{t_m} |hhat|^2 dtau/tau per variant.
-
-    ``hhat`` has shape (n_times, n_freqs).  The integral is the trapezoid
-    rule in log t, summed from Theta = 0 at the first time; each variant's
-    array has the shape of ``hhat``.
+def theta_series(times, hhat, drift) -> np.ndarray:
+    """Theta(t_m) = -drift(xi) * int_{t_0}^{t_m} |hhat|^2 dtau/tau, one column
+    per frequency of ``hhat`` (n_times, n_freqs), one law coefficient each in
+    ``drift``: the trapezoid rule in log t, from Theta = 0 at the first time.
     """
     times = [float(t) for t in times]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -218,12 +200,8 @@ def theta_series(times, hhat, frequencies, alpha2: float) -> dict:
     sq = np.abs(np.asarray(hhat, dtype=np.complex128)) ** 2
     mean_sq = 0.5 * (sq[:-1] + sq[1:])
     dlog = np.array([math.log(b) - math.log(a) for a, b in zip(times, times[1:])])
-    out = {}
-    for v in VARIANTS:
-        coeff = np.array([theta_coefficient(x, alpha2, v) for x in frequencies])
-        steps = coeff * mean_sq * dlog[:, None]
-        out[v] = np.cumsum(np.vstack([np.zeros_like(coeff), steps]), axis=0)
-    return out
+    steps = -np.asarray(drift, dtype=np.float64) * mean_sq * dlog[:, None]
+    return np.cumsum(np.vstack([np.zeros((1, sq.shape[1])), steps]), axis=0)
 
 
 def _dyadic_sample_indices(times) -> list:
@@ -237,13 +215,14 @@ def _dyadic_sample_indices(times) -> list:
     return out
 
 
-def scattering_monitor(times, hhat, frequencies, alpha2: float, fit_t_min: float) -> list:
-    """Per-frequency, per-variant convergence report.
+def scattering_monitor(times, hhat, drift, fit_t_min: float) -> list:
+    """Per-frequency convergence report against the drift law.
 
-    For each probed xi and each phase-correction variant: the Cauchy
-    increments |vhat(t_{m+1}) - vhat(t_m)| over recorded dyadic times with
-    vhat = e^{i Theta} hhat, the raw drift slope d(arg hhat)/d(log t) fitted
-    over t >= fit_t_min, and the variant's prediction -coeff(xi) |hhat|^2.
+    For each probed frequency, with its law coefficient drift(xi): the
+    Cauchy increments |vhat(t_{m+1}) - vhat(t_m)| over recorded dyadic
+    times with vhat = e^{i Theta} hhat, the raw drift slope
+    d(arg hhat)/d(log t) fitted over t >= fit_t_min, and the law's
+    prediction drift(xi) |hhat|^2.
     """
     times = np.asarray(times, dtype=np.float64)
     dyadic = _dyadic_sample_indices(times)
@@ -253,35 +232,29 @@ def scattering_monitor(times, hhat, frequencies, alpha2: float, fit_t_min: float
     if np.count_nonzero(fit_sel) < MIN_DRIFT_FIT_SAMPLES:
         raise InsufficientData(f"need >= {MIN_DRIFT_FIT_SAMPLES} samples at t >= fit_t_min for the drift fit")
     hmat = np.asarray(hhat, dtype=np.complex128)
-    theta = theta_series(times, hmat, frequencies, alpha2)
+    theta = theta_series(times, hmat, drift)
     logt = np.log(times[fit_sel])
     reports = []
-    for i, xi in enumerate(frequencies):
+    for i, d in enumerate(drift):
         phases = np.unwrap(np.angle(hmat[:, i]))
         slope = float(np.polyfit(logt, phases[fit_sel], 1)[0])
-        h2 = float(np.abs(hmat[-1, i]) ** 2)
-        for v in VARIANTS:
-            vhat = np.exp(1j * theta[v][dyadic, i]) * hmat[dyadic, i]
-            inc = np.abs(np.diff(vhat))
-            coeff = theta_coefficient(float(xi), alpha2, v)
-            predicted = -coeff * h2
-            matched = abs(slope - predicted) <= 0.2 * abs(predicted)
-            # 20% noise allowance plus an absolute floor so that increments
-            # at round-off scale (a fully converged vhat) still count
-            floor = 1e-12 * float(np.max(np.abs(hmat[dyadic, i]), initial=0.0))
-            # at least MIN_DYADIC_SAMPLES dyadic times, so at least two increments
-            monotone = bool(np.all(inc[1:] <= 1.2 * inc[:-1] + floor))
-            reports.append(
-                {
-                    "xi": float(xi),
-                    "variant": v,
-                    "cauchy_increments": [float(x) for x in inc],
-                    "drift_slope": slope,
-                    "predicted_slope": float(predicted),
-                    "matched": bool(matched),
-                    "monotone_decrease": monotone,
-                }
-            )
+        predicted = float(d) * float(np.abs(hmat[-1, i]) ** 2)
+        vhat = np.exp(1j * theta[dyadic, i]) * hmat[dyadic, i]
+        inc = np.abs(np.diff(vhat))
+        # 20% noise allowance plus an absolute floor so that increments
+        # at round-off scale (a fully converged vhat) still count
+        floor = 1e-12 * float(np.max(np.abs(hmat[dyadic, i]), initial=0.0))
+        # at least MIN_DYADIC_SAMPLES dyadic times, so at least two increments
+        monotone = bool(np.all(inc[1:] <= 1.2 * inc[:-1] + floor))
+        reports.append(
+            {
+                "cauchy_increments": [float(x) for x in inc],
+                "drift_slope": slope,
+                "predicted_slope": predicted,
+                "matched": bool(abs(slope - predicted) <= 0.2 * abs(predicted)),
+                "monotone_decrease": monotone,
+            }
+        )
     return reports
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import littlewood_paley as lp
-from .model import CoefficientSpec, nonlinearity_full, phase_phi, symbol_t1
+from .model import CoefficientSpec, nonlinearity_full, phase_phi, resonance_points, symbol_t1
 from .spectral_core import GridSpec, free_evolve, transform
 
 __all__ = [
@@ -286,6 +286,15 @@ def stationary_phase_drift(xi: float, alpha2: float) -> float:
     return math.copysign(math.pi, xi) * float(symbol_t1(xi, xi, -xi, alpha2))
 
 
+def _drift_regression(ts, series, omega: float) -> tuple[float, float]:
+    """(a, residual rms) of the least-squares fit
+    series(t) = a + c cos(omega t) + d sin(omega t) + e / t,
+    with omega given, not fitted."""
+    basis = np.column_stack([np.ones_like(ts), np.cos(omega * ts), np.sin(omega * ts), 1.0 / ts])
+    coef = np.linalg.lstsq(basis, series, rcond=None)[0]
+    return float(coef[0]), float(np.sqrt(np.mean((series - basis @ coef) ** 2)))
+
+
 def resonant_drift_measurement(
     targets, grid: GridSpec, alpha2: float = 1.0, amplitude: float = 0.35, width: float = 2.0
 ) -> list[dict]:
@@ -302,7 +311,10 @@ def resonant_drift_measurement(
     nonlinearity_full gives N3 directly.  t * Re[I / (i |hhat|^2 hhat)]
     converges to the drift coefficient as t grows (relative error O(1/t));
     averaging over 96 times of a window suppresses the oscillatory
-    contribution of the space-only stationary point.
+    contribution of the space-only stationary point.  That contribution
+    oscillates at omega = Phi(xi, xi/3, xi/3) = 8 xi^3 / 9, so ``regressed``
+    is the a of the fit a + c cos(omega t) + d sin(omega t) + e/t to the
+    same series, next to its plain mean (``measured``) and std (``spread``).
 
     The window must stay clear of periodic wrap-around: the Airy group
     velocity is 3 eta^2, so radiation carried by the profile (|eta| up to
@@ -326,11 +338,14 @@ def resonant_drift_measurement(
     out = []
     for row, j in enumerate(idx):
         xi = float(grid.xi[j])
+        regressed, rms = _drift_regression(ts, acc[row], phase_phi(xi, *resonance_points(xi).space_only))
         out.append(
             {
                 "xi": xi,
                 "measured": float(np.mean(acc[row])),
                 "spread": float(np.std(acc[row])),
+                "regressed": regressed,
+                "regression_rms": rms,
                 "stationary_phase": stationary_phase_drift(xi, alpha2),
                 "h_sq": float(np.abs(h.coeffs[j]) ** 2),
             }

@@ -149,7 +149,18 @@ scattering.target_frequencies = 1.0
 
 
 def test_scattering_output_is_byte_identical(tmp_path):
-    _assert_identical_runs(tmp_path, "scattering", SCATTERING_CONFIG, ["theta.csv", "scattering_report.json"])
+    out = _assert_identical_runs(tmp_path, "scattering", SCATTERING_CONFIG, ["theta.csv", "scattering_report.json"])
+    # one theta column per probe, and one drift law: the stationary-phase
+    # coefficient times |hhat(t_end)|^2 is each probe's predicted slope
+    lines = [ln for ln in (out / "theta.csv").read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
+    assert lines[0] == "t,abs_h_0,arg_h_0,theta_0"
+    abs_h_end = float(lines[-1].split(",")[1])
+    text = (out / "scattering_report.json").read_text(encoding="utf-8")
+    assert "variant" not in text
+    report = json.loads(text)
+    assert len(report["per_frequency"]) == len(report["frozen_profile_drift"]) == 1
+    for monitor, frozen in zip(report["per_frequency"], report["frozen_profile_drift"]):
+        assert monitor["predicted_slope"] == pytest.approx(frozen["stationary_phase"] * abs_h_end**2, rel=1e-12)
 
 
 RESONANCE_CONFIG = """study.kind = resonance

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from qmkdv.diagnostics import (
-    VARIANTS,
     InsufficientData,
     _scaling_field,
     energy,
     probe_indices,
     scattering_monitor,
-    theta_coefficient,
     theta_series,
     z_norm,
 )
 from qmkdv.model import BootstrapConstants, CoefficientSpec, scaling_field_direct
+from qmkdv.oscillatory import stationary_phase_drift
 from qmkdv.spectral_core import (
     GridSpec,
     NonZeroMean,
@@ -85,16 +84,13 @@ def test_nonzero_mean_is_refused():
 # The scattering estimator on synthetic series
 # ---------------------------------------------------------------------------
 
-# Two probes whose coefficients and amplitudes differ, so that a transposed
-# (time, frequency) index changes every result.
-XI = np.array([0.8, 1.5])
+# Two probes whose law coefficients (of either sign) and amplitudes differ,
+# so that a transposed (time, frequency) index changes every result.
+XI = np.array([0.8, 2.5])
 ALPHA2 = 1.0
 AMP = np.array([0.3, 0.5])
 TIMES = np.array(sorted({2.0**k for k in range(6)} | set(np.exp(np.linspace(0.0, np.log(32.0), 33)))))
-
-
-def coefficients(variant):
-    return np.array([theta_coefficient(x, ALPHA2, variant) for x in XI])
+DRIFT = np.array([stationary_phase_drift(x, ALPHA2) for x in XI])
 
 
 def log_phase_series(slope):
@@ -105,50 +101,63 @@ def log_phase_series(slope):
 @pytest.mark.parametrize("growth", [0.0, 0.02], ids=["constant-modulus", "modulus-squared-linear-in-log-t"])
 def test_theta_integrates_the_modulus_squared_in_log_time(growth):
     # |hhat|^2 = AMP^2 + growth * log t: the trapezoid rule in log t is exact,
-    # so Theta_v = coeff_v (AMP^2 log(t/t0) + growth (log^2 t - log^2 t0) / 2)
+    # so Theta = -drift (AMP^2 log(t/t0) + growth (log^2 t - log^2 t0) / 2)
     s = np.log(TIMES)[:, None]
     hhat = log_phase_series(np.array([0.7, -0.2])) * np.sqrt(1.0 + growth * s / AMP**2)
-    theta = theta_series(TIMES, hhat, XI, ALPHA2)
+    theta = theta_series(TIMES, hhat, DRIFT)
     integral = AMP**2 * (s - s[0]) + 0.5 * growth * (s**2 - s[0] ** 2)
-    for v in VARIANTS:
-        assert theta[v].shape == (TIMES.size, XI.size)
-        np.testing.assert_allclose(theta[v], coefficients(v) * integral, rtol=1e-13, atol=1e-16)
+    assert theta.shape == (TIMES.size, XI.size)
+    np.testing.assert_allclose(theta, -DRIFT * integral, rtol=1e-13, atol=1e-16)
 
 
-def test_monitor_matches_the_variant_whose_correction_cancels_the_drift():
-    b = -coefficients("A") * AMP**2
-    reports = scattering_monitor(TIMES, log_phase_series(b), XI, ALPHA2, fit_t_min=4.0)
-    by_key = {(r["xi"], r["variant"]): r for r in reports}
-    assert sorted(by_key) == [(0.8, "A"), (0.8, "B"), (1.5, "A"), (1.5, "B")]
-    for i, xi in enumerate(XI):
-        a, other = by_key[xi, "A"], by_key[xi, "B"]
-        assert a["drift_slope"] == pytest.approx(b[i], rel=1e-10)
-        assert a["predicted_slope"] == pytest.approx(b[i], rel=1e-14)
-        assert a["matched"] and not other["matched"]
-        # e^{i Theta_A} hhat is constant: its dyadic increments are round-off
-        assert len(a["cauchy_increments"]) == 5
-        assert max(a["cauchy_increments"]) < 1e-14
-        assert a["monotone_decrease"]
+def test_monitor_matches_the_law_whose_correction_cancels_the_drift():
+    b = DRIFT * AMP**2
+    reports = scattering_monitor(TIMES, log_phase_series(b), DRIFT, fit_t_min=4.0)
+    assert len(reports) == XI.size
+    for i, r in enumerate(reports):
+        assert "xi" not in r and "variant" not in r
+        assert r["drift_slope"] == pytest.approx(b[i], rel=1e-10)
+        assert r["predicted_slope"] == pytest.approx(b[i], rel=1e-14)
+        assert r["matched"]
+        # e^{i Theta} hhat is constant: its dyadic increments are round-off
+        assert len(r["cauchy_increments"]) == 5
+        assert max(r["cauchy_increments"]) < 1e-14
+        assert r["monotone_decrease"]
+
+
+# The two coefficients the law replaced, as drift slopes per |hhat|^2: one
+# sixth of the law, and pi (2 alpha2 xi^2 - 1) / 6, which has the opposite
+# sign at xi = 0.8 and is 40% short at xi = 2.5 (it comes within 20% of the
+# law only for 1.49 < xi < 1.78 at alpha2 = 1).
+OLD_DRIFTS = {"one-sixth": DRIFT / 6.0, "two-xi-squared-minus-one": np.pi * (2.0 * ALPHA2 * XI**2 - 1.0) / 6.0}
+
+
+@pytest.mark.parametrize("old", OLD_DRIFTS.values(), ids=OLD_DRIFTS.keys())
+def test_monitor_does_not_match_a_drift_off_the_law(old):
+    reports = scattering_monitor(TIMES, log_phase_series(old * AMP**2), DRIFT, fit_t_min=4.0)
+    for i, r in enumerate(reports):
+        assert r["drift_slope"] == pytest.approx(old[i] * AMP[i] ** 2, rel=1e-10)
+        assert not r["matched"]
 
 
 def test_monitor_refuses_too_few_samples():
     hhat = log_phase_series(np.zeros(2))
     three_dyadic = TIMES < 5.0  # t = 1, 2 and 4
-    scattering_monitor(TIMES[three_dyadic], hhat[three_dyadic], XI, ALPHA2, fit_t_min=1.0)
+    scattering_monitor(TIMES[three_dyadic], hhat[three_dyadic], DRIFT, fit_t_min=1.0)
     two_dyadic = TIMES < 3.0
     with pytest.raises(InsufficientData, match="dyadic"):
-        scattering_monitor(TIMES[two_dyadic], hhat[two_dyadic], XI, ALPHA2, fit_t_min=1.0)
+        scattering_monitor(TIMES[two_dyadic], hhat[two_dyadic], DRIFT, fit_t_min=1.0)
     assert np.count_nonzero(TIMES >= 23.0) == 4 and np.count_nonzero(TIMES >= 25.0) == 3
-    scattering_monitor(TIMES, hhat, XI, ALPHA2, fit_t_min=23.0)
+    scattering_monitor(TIMES, hhat, DRIFT, fit_t_min=23.0)
     with pytest.raises(InsufficientData, match="fit_t_min"):
-        scattering_monitor(TIMES, hhat, XI, ALPHA2, fit_t_min=25.0)
+        scattering_monitor(TIMES, hhat, DRIFT, fit_t_min=25.0)
 
 
 @pytest.mark.parametrize("times", [[1.0, 2.0, 2.0, 4.0], [1.0, 4.0, 2.0, 8.0]], ids=["repeated", "decreasing"])
 def test_non_increasing_times_are_refused(times):
     hhat = np.ones((len(times), XI.size), dtype=complex)
     with pytest.raises(ValueError, match="strictly increasing"):
-        theta_series(times, hhat, XI, ALPHA2)
+        theta_series(times, hhat, DRIFT)
 
 
 def test_probe_indices_are_sorted_distinct_and_representable():

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmkdv import cli, oscillatory
 from qmkdv import littlewood_paley as lp
-from qmkdv import oscillatory
 from qmkdv.diagnostics import InsufficientData
 from qmkdv.model import CoefficientSpec, phase_phi, symbol_t1
+from qmkdv.rng import SplitMix64
 from qmkdv.oscillatory import (
     UnresolvedOscillation,
     nonresonant_decay_study,
@@ -91,6 +92,34 @@ def test_drift_measurement_takes_the_cubic_part_from_n_phi():
     assert [r["xi"] for r in rows] == [float(grid.xi[j]) for j in idx]
     for row, w in zip(rows, want):
         assert abs(row["measured"] - w) <= 1e-13 * abs(w)
+
+
+def test_drift_regression_recovers_the_constant_under_the_space_only_oscillation():
+    # the frozen-profile series' shape: the drift constant, the space-only
+    # point's oscillation at omega = 8 xi^3 / 9 of amplitude ~20, an O(1/t)
+    # tail, on the measurement's 96 times; then 1e-3 rms noise on top
+    ts = np.linspace(111.0, 333.0, 96)
+    omega = 8.0 / 9.0
+    clean = -1.047 + 12.0 * np.cos(omega * ts) - 16.0 * np.sin(omega * ts) + 30.0 / ts
+    a, rms = oscillatory._drift_regression(ts, clean, omega)
+    assert a == pytest.approx(-1.047, rel=1e-10) and rms < 1e-10
+    noise = math.sqrt(3.0) * 1e-3 * SplitMix64(11).uniforms(ts.size, -1.0, 1.0)
+    a, rms = oscillatory._drift_regression(ts, clean + noise, omega)
+    assert abs(a + 1.047) < 1e-3
+    assert 0.8e-3 < rms < 1.2e-3
+    # the plain mean, which `measured` reports, is off by far more
+    assert abs(np.mean(clean + noise) + 1.047) > 1e-2
+
+
+@pytest.mark.parametrize("alpha2", [1.0, 0.0])
+def test_regressed_drift_meets_the_law_on_the_scattering_grid(alpha2):
+    # at alpha2 = 0 (plain mKdV) the law is -pi at every xi > 0
+    defaults = cli._STUDIES["scattering"].defaults
+    grid = GridSpec(n=defaults["grid.n"], box_length=defaults["grid.box_length"])
+    rows = resonant_drift_measurement([0.5, 1.0], grid, alpha2=alpha2)
+    for row in rows:
+        assert abs(row["regressed"] - row["stationary_phase"]) <= 0.01 * abs(row["stationary_phase"])
+        assert row["regression_rms"] < 0.05
 
 
 def test_two_pi_identity_refuses_small_b():
