@@ -104,11 +104,11 @@ def run(seed: int, samples: int, grid: GridSpec, spec: CoefficientSpec) -> list:
     rng = SplitMix64(seed)
     xi, e1, e2 = (rng.uniforms(samples, -20.0, 20.0) for _ in range(3))
     xr, a1, a2 = (rng.uniforms(samples, -10.0, 10.0) for _ in range(3))
-    signed = (rng.uniform(0.05, 8.0) * (1.0 if rng.uniform() < 0.5 else -1.0) for _ in range(500))
-    grad_err, phase_err = map(_largest, zip(*[resonance_errors(x) for x in signed]))
+    magnitude, coin = rng.uniforms(1000).reshape(500, 2).T  # drawn in turn for each frequency
+    signed = (0.05 + (8.0 - 0.05) * magnitude) * np.where(coin < 0.5, 1.0, -1.0)
+    grad_err, phase_err = map(_largest, zip(*[resonance_errors(x) for x in signed.tolist()]))
     local = []
-    for _ in range(2000):
-        x, z1, z2 = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+    for x, z1, z2 in rng.uniforms(6000, -5.0, 5.0).reshape(2000, 3).tolist():
         denom = max(1.0, abs(x) ** 3, abs(z1) ** 3, abs(z2) ** 3)
         local += [abs(local_phase_residual(x, z1, z2)) / denom, abs(local_phase_residual(x, z1, 0.0))]
     c1, c3, cc = commutator_errors(grid, np.exp(-(grid.x**2)), spec)

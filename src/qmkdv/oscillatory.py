@@ -10,7 +10,9 @@ analysis:
   bump), plus a closed-form Gaussian self-test of the same pipeline.  One
   inverse real FFT gives psicheck, and the bump is evaluated only where it
   is neither 0 nor 1 (its two transition bands, on the spectrum head and on
-  the u-grid), so the FFT is most of the cost;
+  the u-grid), so the FFT is most of the cost.  The resolution-doubling
+  check takes the 2n-point sum as the mean of the n-point sum and the sum
+  at the n midpoints, from a second n-point inverse real FFT;
 
 * direct small-n evaluations of the trilinear oscillatory integral
 
@@ -88,7 +90,10 @@ def _even_inverse_transform(head: np.ndarray, grid: GridSpec) -> np.ndarray:
     controlled by the transform's decay over the period 2 pi / dxi = the box
     length.  Evenness gives the negative frequencies, and a real, even
     spectrum has a real transform, so one inverse real FFT, with the (-1)^k
-    of the centred grid (x_0 = -L/2), sums it.  `head` is overwritten.
+    of the centred grid (x_0 = -L/2), sums it.  A complex head f(k dxi)
+    e^{i k dxi s} gives the values at the points shifted by s instead, if
+    f(n/2 dxi) = 0 (irfft drops the imaginary part of that entry).
+    `head` is overwritten.
     """
     head[1::2] *= -1.0
     out = np.fft.irfft(head, grid.n)
@@ -96,17 +101,31 @@ def _even_inverse_transform(head: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _two_pi_value(B: float, u_extent: float, n: int) -> complex:
-    """int psi(u / B^2) psicheck(u) du (the 1D reduction) on the centred
-    n-point u-grid of length u_extent.  Both cutoffs, the spectrum head
-    psi(k dxi) and psi(u / B^2), are sampled on their transition bands only;
-    the product and the sum still run over the whole grid, since a sum over
+def _two_pi_values(B: float, u_extent: float, n: int) -> tuple[complex, complex]:
+    """int psi(u / B^2) psicheck(u) du (the 1D reduction) by the trapezoid
+    sums on the centred n-point and 2n-point u-grids of length u_extent.
+
+    The 2n-point sum is the mean of the n-point sum and the sum at the n
+    midpoints u_q + du/2, where psicheck is one n-point inverse real FFT of
+    the head twiddled by e^{i k dxi du/2} = e^{i pi k/n}.  That is the 2n sum
+    only while the 2n-point head is the n-point head zero-padded, so a head
+    reaching k = n/2 raises UnresolvedOscillation.  Both cutoffs are sampled
+    on their transition bands and the twiddle on the head's support only;
+    the products and sums still run over the whole grid, since a sum over
     the support alone would reorder numpy's pairwise sum and move bits."""
     grid = GridSpec(n=n, box_length=u_extent)
-    psicheck = _even_inverse_transform(_bump_samples(0.0, grid.dxi, 1.0, n // 2 + 1), grid)
-    cutoff = _bump_samples(-0.5 * u_extent, grid.dx, B**2, n)
+    support = math.ceil(lp.SUPPORT_EDGE / grid.dxi)  # psi(k dxi) = 0 from here on
+    if support >= n // 2:
+        raise UnresolvedOscillation(f"B={B}: the spectrum head reaches the n={n} band edge")
+    head = _bump_samples(0.0, grid.dxi, 1.0, n // 2 + 1)
+    mid_head = np.zeros(n // 2 + 1, dtype=np.complex128)
+    mid_head[:support] = head[:support] * np.exp(1j * math.pi / n * np.arange(support))
+    sums = []
+    for h, start in ((head, -0.5 * u_extent), (mid_head, 0.5 * grid.dx - 0.5 * u_extent)):
+        psicheck = _even_inverse_transform(h, grid)
+        sums.append(np.sum(np.multiply(psicheck, _bump_samples(start, grid.dx, B**2, n), out=psicheck)))
     du = u_extent / n
-    return complex(du * np.sum(np.multiply(cutoff, psicheck, out=cutoff)))
+    return complex(du * sums[0]), complex(0.5 * du * (sums[0] + sums[1]))
 
 
 def two_pi_identity(B: float) -> OscillatoryResult:
@@ -116,16 +135,19 @@ def two_pi_identity(B: float) -> OscillatoryResult:
     fastest oscillation is the support edge 8/5) over the whole u-range.
     Doubling the resolution must move the value by less than 10% of the
     reported error; once both are at the round-off floor the gate is
-    considered satisfied (float64 cannot resolve below ~1e-12 here).
+    considered satisfied (float64 cannot resolve below ~1e-12 here).  The
+    doubled value is (T_n + M_n) / 2, the n-point sum and the n-midpoint sum,
+    exact since the head (up to 8/5) lies inside the n-point band (n/2 dxi
+    >= 25.6 for every B >= 4).
     """
     if B < 4.0:
         raise ValueError("B must be >= 4")
     u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25  # margin beyond the outer support
     per_unit = 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi)  # 32 points per oscillation
     n = int(2 ** math.ceil(math.log2(u_extent * per_unit)))
-    value = _two_pi_value(B, u_extent, n)
+    value, doubled = _two_pi_values(B, u_extent, n)
     error = abs(value - 2.0 * math.pi)
-    change = abs(_two_pi_value(B, u_extent, 2 * n) - value)
+    change = abs(doubled - value)
     if change >= 0.1 * error and max(change, error) > NOISE_FLOOR:
         raise UnresolvedOscillation(
             f"B={B}: doubling moved the value by {change:.3e} against error {error:.3e}"

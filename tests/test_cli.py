@@ -392,8 +392,10 @@ UNREACHED = {
     "littlewood_paley.interpolation_ratio": "to be recorded along the decay run (ROADMAP direction 5)",
     "littlewood_paley.project": "b_norm's band projection (ROADMAP direction 5)",
     "littlewood_paley.psi_tilde": "interpolation_ratio's fattened band (ROADMAP direction 5)",
+    "rng.SplitMix64.next_u64": "perfbench/tracer.py hooks it by name",
     "rng.SplitMix64.normal": "perfbench/tracer.py hooks it by name",
     "rng.SplitMix64.normals": "perfbench/tracer.py hooks it by name",
+    "rng.SplitMix64.uniform": "perfbench/tracer.py hooks it by name",
 }
 
 

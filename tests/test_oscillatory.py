@@ -129,7 +129,10 @@ def test_two_pi_identity_refuses_small_b():
 
 def test_two_pi_identity_refuses_an_unresolved_value(monkeypatch):
     # a quadrature that moves by as much as its error under doubling
-    monkeypatch.setattr(oscillatory, "_two_pi_value", lambda B, u_extent, n: complex(2.0 * math.pi + 1e-6 * n))
+    monkeypatch.setattr(
+        oscillatory, "_two_pi_values",
+        lambda B, u_extent, n: (complex(2.0 * math.pi + 1e-6 * n), complex(2.0 * math.pi + 2e-6 * n)),
+    )
     with pytest.raises(UnresolvedOscillation, match="doubling"):
         two_pi_identity(8.0)
 
@@ -184,12 +187,13 @@ def _assert_bump_samples_exact(start, step, scale, count):
 
 
 @pytest.mark.parametrize("B", [8.0, 16.0])
-@pytest.mark.parametrize("doubled", [False, True], ids=["n", "2n"])
-def test_bump_samples_on_the_two_pi_grids(B, doubled):
+@pytest.mark.parametrize("points", ["n", "midpoints"])
+def test_bump_samples_on_the_two_pi_grids(B, points):
     u_extent, n = _two_pi_grid(B)
-    grid = GridSpec(n=2 * n if doubled else n, box_length=u_extent)
-    _assert_bump_samples_exact(0.0, grid.dxi, 1.0, grid.n // 2 + 1)  # the spectrum head
-    _assert_bump_samples_exact(-0.5 * u_extent, grid.dx, B**2, grid.n)  # the u-side cutoff
+    grid = GridSpec(n=n, box_length=u_extent)
+    shift = 0.5 * grid.dx if points == "midpoints" else 0.0
+    _assert_bump_samples_exact(0.0, grid.dxi, 1.0, n // 2 + 1)  # the spectrum head
+    _assert_bump_samples_exact(shift - 0.5 * u_extent, grid.dx, B**2, n)  # the u-side cutoff
 
 
 @pytest.mark.parametrize("scale", [1.0, 64.0, 256.0])
@@ -217,25 +221,44 @@ def test_bump_samples_on_grids_ending_in_a_band_or_a_constant_piece(start, step,
 @pytest.mark.parametrize("B", [8.0, 16.0])
 def test_two_pi_value_has_the_bits_of_the_plain_form(B):
     u_extent, n = _two_pi_grid(B)
-    for m in (n, 2 * n):
-        assert oscillatory._two_pi_value(B, u_extent, m) == _plain_two_pi_value(B, u_extent, m)
+    assert oscillatory._two_pi_values(B, u_extent, n)[0] == _plain_two_pi_value(B, u_extent, n)
 
 
-def test_two_pi_value_at_2n_peaks_under_four_arrays():
-    """tracemalloc sees numpy's data buffers: at B = 32 the 2n-point value
-    peaks at 2.8 arrays of 2n float64, while the inverse FFT holds the head,
-    its complex copy and the output.  With the bump evaluated on the whole
-    head and the whole u-grid the peak was 7.1."""
+@pytest.mark.parametrize("B", [8.0, 16.0, 32.0])
+def test_doubled_two_pi_value_is_the_2n_point_sum(B):
+    # the mean of the n-point and the midpoint sums, against the plain form on
+    # the 2n-point grid: equal up to the rounding of two different sums
+    u_extent, n = _two_pi_grid(B)
+    doubled = oscillatory._two_pi_values(B, u_extent, n)[1]
+    assert abs(doubled - _plain_two_pi_value(B, u_extent, 2 * n)) <= 1e-14
+
+
+def test_two_pi_values_refuse_a_head_reaching_the_band_edge():
+    # the midpoint sum is the 2n-point one only while psi(k dxi) vanishes from
+    # k = n/2 on; at B = 8 the head's support ends at k = ceil(1.6 / dxi) = 66
+    u_extent, _ = _two_pi_grid(8.0)
+    support = math.ceil(lp.SUPPORT_EDGE / GridSpec(n=16, box_length=u_extent).dxi)
+    assert support == 66
+    with pytest.raises(UnresolvedOscillation, match="band edge"):
+        oscillatory._two_pi_values(8.0, u_extent, 2 * support)
+    oscillatory._two_pi_values(8.0, u_extent, 2 * support + 2)
+
+
+def test_two_pi_values_peak_under_five_arrays():
+    """tracemalloc sees numpy's data buffers: at B = 32 the two values peak
+    at 4.3 arrays of n float64, while each inverse FFT holds its head, the
+    head's complex copy and the output.  Computing the 2n-point value by a
+    2n-point transform, as before, peaked at 5.6."""
     B = 32.0
     u_extent, n = _two_pi_grid(B)
-    oscillatory._two_pi_value(B, u_extent, 2 * n)
+    oscillatory._two_pi_values(B, u_extent, n)
     tracemalloc.start()
     try:
-        oscillatory._two_pi_value(B, u_extent, 2 * n)
+        oscillatory._two_pi_values(B, u_extent, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * (2 * n)
+    assert peak < 5 * 8 * n
 
 
 def _dense_trilinear(grid, h1, h2, h3, alpha2, xi, t_values):
