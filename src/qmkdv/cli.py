@@ -98,9 +98,11 @@ def _float_list(text: str) -> tuple:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from e
 
 
-# a value below its floor is refused when the config is read, before anything runs
+# a value below its floor, or a time in _POSITIVE that is not > 0, is refused when the
+# config is read, before anything runs; decay.t_min's floor is dispersive_ratio's t >= 1
 _FLOORS = {"identities.samples": 1, "run.monitor_count": 0, "decay.samples": 0, "scattering.samples": 0,
-           "oscillatory.samples": 0, "scattering.fit_t_min": 0.0}
+           "oscillatory.samples": 0, "scattering.fit_t_min": 0.0, "decay.t_min": 1.0}
+_POSITIVE = ("run.t_end", "oscillatory.t_min")
 
 
 def parse_config(path: str) -> dict:
@@ -127,8 +129,10 @@ def parse_config(path: str) -> dict:
             out[key] = _KEY_PARSERS[key](value)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from e
-        if key in _FLOORS and out[key] < _FLOORS[key]:
+        if key in _FLOORS and not out[key] >= _FLOORS[key]:
             raise ConfigError(f"{path}:{lineno}: {key} must be >= {_FLOORS[key]}, got {out[key]}")
+        if key in _POSITIVE and not out[key] > 0:
+            raise ConfigError(f"{path}:{lineno}: {key} must be > 0, got {out[key]}")
     return out
 
 
@@ -407,7 +411,7 @@ def _decay(ctx: _Context) -> dict:
     h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
     sizes = profile_sizes(h)
     h1 = fractional_abs_derivative(h, 1.0)
-    xi3 = lin_grid.xi**3
+    xi3 = lin_grid.half_xi**3
     rows = []
     for t in map(float, times):
         airy = np.exp(1j * t * xi3)  # e^{-t d_x^3}, as free_evolve forms it, once per time
@@ -444,7 +448,7 @@ def _decay(ctx: _Context) -> dict:
         d = [synthesize(derivative(phi, j)) for j in range(4)]
         rec["linf_dx"] = float(np.max(np.abs(d[1])))
         rec["linf_dxx"] = float(np.max(np.abs(d[2])))
-        rec["sharp_product"] = sharp_decay_product([np.real(v) for v in d])
+        rec["sharp_product"] = sharp_decay_product(d)
         eb = energy(phi, phi.time, ctx.coeff, bc)
         rec["z_norm"] = eb.z_norm
         rec["energy_total"] = eb.total

@@ -99,7 +99,7 @@ class EnergyBreakdown:
 
 def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) -> float:
     """sup_xi (|xi|^{gamma_l} + |xi|^{gamma_h}) |phihat(xi)|."""
-    axi = np.abs(phi.grid.xi)
+    axi = np.abs(phi.grid.half_xi)
     weight = axi**bc.gamma_l + axi**bc.gamma_h
     return float(np.max(weight * np.abs(phi.coeffs)))
 
@@ -113,7 +113,7 @@ def _scaling_field(
     F[S phi] = -e^{i t xi^3} xi dh - 3t F[N(phi)] - phihat; at t=0 this
     reduces to F[x d_x phi] = -d_xi(xi phihat).
     """
-    out = -airy * phi.grid.xi * dh - phi.coeffs
+    out = -airy * phi.grid.half_xi * dh - phi.coeffs
     if t != 0.0:
         out = out - 3.0 * t * nonlinearity_full(phi, spec).coeffs
     return phi.with_coeffs(out)
@@ -127,7 +127,7 @@ def energy(
 ) -> EnergyBreakdown:
     """The six-summand energy and the Z-norm at one time."""
     e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
-    xi = phi.grid.xi
+    xi = phi.grid.half_xi
     airy = np.exp(1j * t * xi**3)
     # the profile's e^{-i t xi^3} is airy's conjugate, bitwise bar the sign of a zero imaginary part
     h = phi.with_coeffs(np.conj(airy) * phi.coeffs, time=t)
@@ -290,7 +290,7 @@ def profile_sizes(h: SpectralField) -> tuple[float, float]:
     side of the dispersive estimate, the same at every t."""
     g = h.grid
     xw = g.x * synthesize(h)
-    return float(np.max(np.abs(h.coeffs))), float(np.sqrt(g.dx * np.sum(np.abs(xw) ** 2)))
+    return float(np.max(np.abs(h.coeffs))), float(np.sqrt(g.dx * np.sum(xw**2)))
 
 
 def dispersive_ratio(lhs: np.ndarray, grid: GridSpec, t: float, beta: float, sizes: tuple[float, float]) -> float:

@@ -91,9 +91,9 @@ def commutator_errors(grid: GridSpec, u: np.ndarray, spec: CoefficientSpec) -> t
         lhs = scaling_field_direct(derivative(f, order), 0.0, spec).coeffs - derivative(s_f, order).coeffs
         rhs = -factor * derivative(f, order).coeffs
         errors.append(norm(f.with_coeffs(lhs - rhs), "L2") / norm(f.with_coeffs(rhs), "L2"))
-    ux = np.real(synthesize(derivative(f, 1)))
+    ux = synthesize(derivative(f, 1))
     term1 = derivative(transform(grid, 3.0 * u**2 * (grid.x * ux)), 1)
-    lhs_c = np.real(synthesize(term1)) - grid.x * np.real(synthesize(derivative(transform(grid, u**3), 2)))
+    lhs_c = synthesize(term1) - grid.x * synthesize(derivative(transform(grid, u**3), 2))
     rhs_c = 3.0 * u**2 * ux
     return (*errors, float(np.sqrt(np.sum(np.abs(lhs_c - rhs_c) ** 2)) / np.sqrt(np.sum(np.abs(rhs_c) ** 2))))
 

@@ -13,12 +13,9 @@ full step and two half steps, which share its three exponentials) of four
 N(phi) evaluations each; a step forms its stages in place in one scratch
 array, bitwise the single-expression form of the scheme.
 
-Reality and zero mean are re-enforced after every accepted step.  This is
-more than round-off dust: at the unpaired Nyquist bin n/2 the free-flow
-multipliers are not real-field ones and N(phi) is not Hermitian, so a step
-rotates that bin off the real axis, and keeping its real part moves it by
-0.9e-9 to 4e-9 per step at amplitude 0.3 (cubic_poly, n=256), unseen by
-the controller (ROADMAP D7).
+The state holds only the coefficients of a real field (see `spectral_core`),
+so a step needs no projection back onto real, zero-mean fields: both are
+properties of the representation and of N(phi)'s divergence form.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .spectral_core import (
     GridSpec,
     SpectralField,
     _multipliers,
-    enforce_real_zero_mean,
+    load_snapshot,
     norm,
     synthesize,
     transform,
@@ -85,6 +82,8 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if not 1e-12 <= self.eps_tol <= 1e-4:
             raise ValueError("eps_tol must lie in [1e-12, 1e-4]")
+        if self.dt_init is not None and not (np.isfinite(self.dt_init) and self.dt_init > 0):
+            raise ValueError(f"dt_init must be finite and positive, got {self.dt_init}")
 
 
 @dataclass
@@ -97,7 +96,7 @@ class SimState:
 
 
 def initial_field(cfg: SimConfig) -> SpectralField:
-    """Build the initial field (real, projected to zero mean)."""
+    """Build the initial field, its zero mode set to 0 (zero mean)."""
     init = cfg.initial
     if init.kind == "gaussian":
         x = cfg.grid.x
@@ -106,8 +105,6 @@ def initial_field(cfg: SimConfig) -> SpectralField:
             u = u * np.cos(init.modulation * x)
         f = transform(cfg.grid, u, time=0.0)
     elif init.kind == "snapshot":
-        from .spectral_core import load_snapshot
-
         f, coeff_id = load_snapshot(init.path)
         if f.grid != cfg.grid:
             raise ValueError("snapshot grid does not match configured grid")
@@ -117,12 +114,13 @@ def initial_field(cfg: SimConfig) -> SpectralField:
             )
     else:
         raise ValueError(f"unknown initial-data kind {init.kind!r}")
-    return enforce_real_zero_mean(f)
+    f.coeffs[0] = 0.0
+    return f
 
 
 def default_dt_init(phi0: SpectralField, spec: CoefficientSpec) -> float:
     """Parabolic-style guard for the first step; the controller takes over."""
-    u = np.real(synthesize(phi0))
+    u = synthesize(phi0)
     cmax = float(np.max(np.abs(spec.c_of(u)))) if u.size else 0.0
     return 0.5 * phi0.grid.dx**2 / max(1.0, cmax**2)
 
@@ -234,7 +232,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
                 # a cap-shortened step must not erode the controller's length
                 next_dt = max(next_dt, dt)
             return SimState(
-                phi=enforce_real_zero_mean(pair),
+                phi=pair,
                 dt=next_dt,
                 steps=state.steps + 1,
                 rejected=rejected,

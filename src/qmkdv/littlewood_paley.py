@@ -108,7 +108,7 @@ def project(f: SpectralField, selector: str, k: int) -> SpectralField:
         window = _SELECTORS[selector]
     except KeyError:
         raise ValueError(f"unknown selector {selector!r}") from None
-    return f.with_coeffs(f.coeffs * window(f.grid.xi, k))
+    return f.with_coeffs(f.coeffs * window(f.grid.half_xi, k))
 
 
 def _feasible_bands(grid: GridSpec) -> range:
@@ -272,10 +272,10 @@ def interpolation_ratio(f: SpectralField, k: int) -> float:
     if k < 0:
         raise ValueError("k must be >= 0")
     g = f.grid
-    band = psi_tilde(g.xi, k)
+    band = psi_tilde(g.half_xi, k)
     if not np.any(np.abs(f.coeffs * band) > 0.0):
         raise DegenerateInput(f"no spectral mass in the fattened band k={k}")
-    lhs = float(np.max(np.abs(psi_k(g.xi, k) * f.coeffs))) ** 2
+    lhs = float(np.max(np.abs(psi_k(g.half_xi, k) * f.coeffs))) ** 2
     l2 = xi_l2_norm(f.coeffs, g)
     dl2 = xi_l2_norm(xi_derivative_coefficients(f), g)
     rhs = 2.0 ** (-k) * l2 * (2.0**k * dl2 + l2)

@@ -125,6 +125,8 @@ class BootstrapConstants:
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
+        if not self.s + 1.0 - 2.0 * self.gamma_h > 0.0:
+            raise ValueError("requires s + 1 - 2 gamma_h > 0, the denominator of the p1 bound")
         if self.p1 < 2.0 * self.p0 / (self.s + 1.0 - 2.0 * self.gamma_h):
             raise ValueError("p1 too small: requires p1 >= 2 p0 / (s + 1 - 2 gamma_h)")
 
@@ -150,12 +152,11 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralFiel
     (n, pad), overwritten by its next call, and the flux is formed in place on
     them; the outer i xi multiplies the truncated spectrum in place.  For c of
     degree d the flux has degree 2d + 1, and pad p leaves a product of degree
-    at most 2p - 1 alias-free at every index but n/2: `linear` (d = 1) at its
-    pad 2 and `cubic_poly` with c = 0 (d = 2) at its pad 3, which covers every
-    default.  At pad 3 `cubic_poly` with c != 0 (degree 7) and `sine` (not a
-    polynomial) alias; the test-suite measures them against pad 8.  The outer
-    d_x acts after truncation, so the zero mode of the output vanishes
-    exactly, and the output is Hermitian at every index but n/2.
+    at most 2p - 1 alias-free: `linear` (d = 1) at its pad 2 and `cubic_poly`
+    with c = 0 (d = 2) at its pad 3, which covers every default.  At pad 3
+    `cubic_poly` with c != 0 (degree 7) and `sine` (not a polynomial) alias;
+    the test-suite measures them against pad 8.  The outer d_x acts after
+    truncation, so the zero mode of the output vanishes exactly.
     """
     u, ux, uxx, cu, cpu = _padded_rows(phi, spec.pad, (0, 1, 2), scratch=2)
     spec.c_of(u, out=cu)
@@ -339,7 +340,7 @@ def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) ->
     box.
     """
     g = phi.grid
-    ux = np.real(synthesize(derivative(phi, 1)))
+    ux = synthesize(derivative(phi, 1))
     out = transform(g, g.x * ux, phi.time)
     if t != 0.0:
         dt_phi = -derivative(phi, 3).coeffs - nonlinearity_full(phi, spec).coeffs

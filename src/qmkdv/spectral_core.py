@@ -5,7 +5,7 @@ The continuum convention matched throughout is
     f(x) = int fhat(xi) e^{i xi x} dxi,    fhat(xi) = (1/2pi) int f(x) e^{-i xi x} dx,
 
 discretized on the centered grid x_m = -L/2 + m*dx (m = 0..n-1, dx = L/n)
-with represented frequencies xi_j = (2pi/L)*j, j = -n/2..n/2-1, so that
+with represented frequencies xi_j = (2pi/L)*j, |j| < n/2, so that
 
     f(x_m) = dxi * sum_j fhat_j e^{i xi_j x_m},        dxi = 2pi/L.
 
@@ -14,29 +14,31 @@ concentrated inside the box; Parseval reads
 
     dx * sum_m |f(x_m)|^2 = 2pi * dxi * sum_j |fhat_j|^2.
 
-Coefficients are stored in FFT order (j = 0..n/2-1, -n/2..-1).  Relative to
-numpy's transforms the centered grid contributes a phase (-1)^j, which by
-evenness of n equals (-1)^k for the raw array index k, so analysis/synthesis
-reduce to one FFT plus a parity sign and a scale.  The parity is applied by
-negating the odd entries in place, not by multiplying with a sign array;
-`GridSpec.parity` remains as the explicit form of the same sign.
+A field is real, so fhat_{-j} = conj(fhat_j): `SpectralField.coeffs` holds
+only c_0 .. c_{n/2-1}, the head of numpy's real FFT, at the frequencies
+`GridSpec.half_xi`, and the sums over the band (the norms) count each j >= 1
+twice.  The Nyquist mode j = n/2 is not represented: it is zero, as in the
+real band-limited interpolant, whose odd derivatives have a zero multiplier
+there (Trefethen, Spectral Methods in MATLAB, ch. 3).  Relative to numpy's
+transforms the centered grid contributes a phase (-1)^j, so analysis and
+synthesis are one real FFT, a parity sign and a scale.  The parity is
+applied by negating the odd entries in place; `GridSpec.parity` and
+`GridSpec.xi` remain, in full FFT order, for the frequency-side studies that
+sample whole lattices.
 
 Products of real fields are formed on a refined grid in real arithmetic:
 d_x^k of a real field is sampled on pad_factor * n points (the zero-padded
 half spectra of up to three orders k filled by one broadcast copy, multiplied
-by a memoized (i xi)^k table, the parity applied to their n/2 + 1 head
-entries only, then inverse real FFTs, batched into one call on refined grids
-of up to `_BATCHED_IRFFT_MAX` points), the samples are multiplied there, and
-`transform_from_padded` analyzes the real product with a real FFT, truncates
-it to the n-point band and rebuilds the negative frequencies by conjugate
-symmetry.  Half spectra, five sample rows (three for the orders, two for the
-caller's own products) and the product spectrum live in a workspace kept per
-thread and per (n, pad_factor), not allocated per call; the rows are valid
-until the thread's next padded product on that grid.  The unpaired
-coefficient c_{-n/2} (the Nyquist mode) is read as the real band-limited
-interpolant reads it (Trefethen, Spectral Methods in MATLAB, ch. 3): split
-evenly between -n/2 and +n/2, with conj(c_{-n/2})/2 at +n/2.  A pad factor
-p >= 2 represents products of total degree <= 2p - 1 exactly.
+by a memoized (i xi)^k table, the parity applied to their n/2 head entries
+only, then inverse real FFTs, batched into one call on refined grids of up
+to `_BATCHED_IRFFT_MAX` points), the samples are multiplied there, and
+`transform_from_padded` analyzes the real product with a real FFT and
+truncates it to the n/2 stored coefficients.  Half spectra, five sample rows
+(three for the orders, two for the caller's own products) and the product
+spectrum live in a workspace kept per thread and per (n, pad_factor), not
+allocated per call; the rows are valid until the thread's next padded
+product on that grid.  A pad factor p >= 2 represents products of total
+degree <= 2p - 1 exactly.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ __all__ = [
     "xi_l2_norm",
     "transform_from_padded",
     "xi_derivative_coefficients",
-    "enforce_real_zero_mean",
-    "hermitian_defect",
     "mass_fraction_inside",
     "save_snapshot",
     "load_snapshot",
@@ -117,6 +117,11 @@ class GridSpec:
         return self.dxi * self.n * np.fft.fftfreq(self.n)
 
     @property
+    def half_xi(self) -> np.ndarray:
+        """Frequencies xi_0 .. xi_{n/2-1} of a field's coefficients: the head of `xi`."""
+        return self.xi[: self.n // 2]
+
+    @property
     def parity(self) -> np.ndarray:
         """(-1)^j in FFT order (equal to (-1)^index for even n)."""
         return np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
@@ -124,14 +129,14 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=4)
 def _multipliers(n: int, box_length: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i*xi, i*xi^3) on the n-point grid, read-only.
+    """(i*xi, i*xi^3) at the n/2 coefficient frequencies, read-only.
 
     Memoized for the time-stepping hot path only (the nonlinearity and the
     Lawson step), which evaluates them thousands of times on one grid.
     GridSpec's own properties stay uncached: a cache there would also keep
     the large one-shot grids of the quadrature studies alive.
     """
-    xi = GridSpec(n, box_length).xi
+    xi = GridSpec(n, box_length).half_xi
     out = (1j * xi, 1j * xi**3)
     for a in out:
         a.flags.writeable = False
@@ -140,7 +145,7 @@ def _multipliers(n: int, box_length: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable value: coefficients (FFT order) on a grid at time `time`."""
+    """Immutable value: a real field's coefficients c_0 .. c_{n/2-1} on a grid at time `time`."""
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -158,32 +163,35 @@ def _alternate_signs(a: np.ndarray) -> np.ndarray:
 
 
 def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
-    """Analyze physical samples on the centered grid into coefficients."""
-    u = np.asarray(u, dtype=np.complex128)
+    """Analyze real samples on the centered grid into coefficients; complex
+    samples raise ComplexSamples."""
+    u = np.asarray(u)
+    if np.iscomplexobj(u):
+        raise ComplexSamples(f"transform takes real samples, got {u.dtype}")
     if u.shape != (grid.n,):
         raise GridMismatch(f"expected {grid.n} samples, got shape {u.shape}")
     scale = grid.box_length / (2.0 * np.pi * grid.n)
-    return SpectralField(grid, _alternate_signs(scale * np.fft.fft(u)), time)
+    return SpectralField(grid, _alternate_signs(scale * np.fft.rfft(u)[: grid.n // 2]), time)
 
 
 def synthesize(f: SpectralField) -> np.ndarray:
-    """Evaluate the field at the grid points (complex samples)."""
+    """Evaluate the field at the grid points (real samples)."""
     g = f.grid
-    return np.fft.ifft(_alternate_signs(f.coeffs.copy())) * (g.n * g.dxi)
+    return np.fft.irfft(_alternate_signs(f.coeffs.copy()), g.n) * (g.n * g.dxi)
 
 
 def derivative(f: SpectralField, n: int) -> SpectralField:
     """n-th spatial derivative: multiplier (i*xi)^n."""
     if n < 0:
         raise ValueError("derivative order must be >= 0")
-    return f.with_coeffs(f.coeffs * (1j * f.grid.xi) ** n)
+    return f.with_coeffs(f.coeffs * (1j * f.grid.half_xi) ** n)
 
 
 def fractional_abs_derivative(f: SpectralField, beta: float) -> SpectralField:
     """|partial_x|^beta: multiplier |xi|^beta."""
     if not 0.0 <= beta <= 3.0:
         raise ValueError("beta must lie in [0, 3]")
-    return f.with_coeffs(f.coeffs * np.abs(f.grid.xi) ** beta)
+    return f.with_coeffs(f.coeffs * np.abs(f.grid.half_xi) ** beta)
 
 
 MEAN_TOLERANCE = 1e-10
@@ -200,7 +208,7 @@ def _require_zero_mean(f: SpectralField) -> None:
 def antiderivative(f: SpectralField) -> SpectralField:
     """Inverse of `derivative(.., 1)` on zero-mean fields: division by i*xi."""
     _require_zero_mean(f)
-    xi = f.grid.xi.astype(np.complex128)
+    xi = f.grid.half_xi.astype(np.complex128)
     xi[0] = 1.0  # avoid 0/0; the zero mode is forced to zero below
     out = f.coeffs / (1j * xi)
     out[0] = 0.0
@@ -209,12 +217,18 @@ def antiderivative(f: SpectralField) -> SpectralField:
 
 def profile_from_solution(phi: SpectralField, t: float) -> SpectralField:
     """Factor out the Airy group: hhat(xi) = e^{-i t xi^3} phihat(xi)."""
-    return phi.with_coeffs(np.exp(-1j * t * phi.grid.xi**3) * phi.coeffs, time=t)
+    return phi.with_coeffs(np.exp(-1j * t * phi.grid.half_xi**3) * phi.coeffs, time=t)
 
 
 def free_evolve(h: SpectralField, t: float) -> SpectralField:
     """Airy evolution of a profile: phihat(xi) = e^{+i t xi^3} hhat(xi)."""
-    return h.with_coeffs(np.exp(1j * t * h.grid.xi**3) * h.coeffs, time=t)
+    return h.with_coeffs(np.exp(1j * t * h.grid.half_xi**3) * h.coeffs, time=t)
+
+
+def _band_sum(w: np.ndarray) -> float:
+    """sum over the band j = -n/2+1 .. n/2-1 of a quantity even in j, from its
+    entries at j = 0 .. n/2-1."""
+    return float(w[0] + 2.0 * np.sum(w[1:]))
 
 
 def norm(f: SpectralField, kind: str, s: float | None = None) -> float:
@@ -224,12 +238,13 @@ def norm(f: SpectralField, kind: str, s: float | None = None) -> float:
     kind = "Linf": max |f| over the grid
     kind = "Hs":   sqrt(2pi * dxi * sum (1+xi^2)^s |fhat|^2); requires s.
 
-    The 2pi in "Hs" is Parseval's constant for this transform pair, so that
-    Hs with s=0 coincides with "L2".
+    The frequency sums run over the whole band.  The 2pi in "Hs" is
+    Parseval's constant for this transform pair, so that Hs with s=0
+    coincides with "L2".
     """
     g = f.grid
     if kind == "L2":
-        return float(np.sqrt(2.0 * np.pi * g.dxi * np.sum(np.abs(f.coeffs) ** 2)))
+        return float(np.sqrt(2.0 * np.pi * g.dxi * _band_sum(np.abs(f.coeffs) ** 2)))
     if kind == "Linf":
         return float(np.max(np.abs(synthesize(f))))
     if kind == "Hs":
@@ -237,14 +252,15 @@ def norm(f: SpectralField, kind: str, s: float | None = None) -> float:
             raise ValueError("kind='Hs' requires s")
         if not -1.0 <= s <= 14.0:
             raise ValueError("s must lie in [-1, 14]")
-        w = (1.0 + g.xi**2) ** s
-        return float(np.sqrt(2.0 * np.pi * g.dxi * np.sum(w * np.abs(f.coeffs) ** 2)))
+        w = (1.0 + g.half_xi**2) ** s
+        return float(np.sqrt(2.0 * np.pi * g.dxi * _band_sum(w * np.abs(f.coeffs) ** 2)))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def xi_l2_norm(a: np.ndarray, grid: GridSpec) -> float:
-    """Plain frequency-side L^2 norm sqrt(dxi * sum |a_j|^2)."""
-    return float(np.sqrt(grid.dxi * np.sum(np.abs(a) ** 2)))
+    """Plain frequency-side L^2 norm sqrt(dxi * sum |a_j|^2) over the whole band,
+    of a real field's frequency-side samples a_j, j = 0 .. n/2-1."""
+    return float(np.sqrt(grid.dxi * _band_sum(np.abs(a) ** 2)))
 
 
 # numpy's inverse real FFT of several rows takes a scratch of about 25 bytes
@@ -259,20 +275,20 @@ _BATCHED_IRFFT_MAX = 4096
 @functools.lru_cache(maxsize=8)
 def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One thread's padded-product buffers on (n, pad_factor): three half spectra
-    (zeroed once; only their heads are rewritten), five rows (three orders and
-    two for the caller), one spectrum."""
+    (zeroed once; only their n/2 heads are rewritten), five rows (three orders
+    and two for the caller), one spectrum."""
     m = pad_factor * n
     return np.zeros((3, m // 2 + 1), np.complex128), np.empty((5, m)), np.empty(m // 2 + 1, np.complex128)
 
 
 @functools.lru_cache(maxsize=16)
 def _derivative_table(n: int, box_length: float, orders: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    """(lead, (i xi)^k on j = 0..n/2 for each order k past the `lead` leading
+    """(lead, (i xi)^k on j = 0..n/2-1 for each order k past the `lead` leading
     zero orders), read-only: the multipliers `_padded_rows` applies."""
     lead = orders.count(0)
     if 0 in orders[lead:]:
         raise ValueError(f"zero orders must come first, got {orders}")
-    ixi = _multipliers(n, box_length)[0][: n // 2 + 1]
+    ixi = _multipliers(n, box_length)[0]
     table = np.array([ixi**k for k in orders[lead:]]).reshape(-1, ixi.size)
     table.flags.writeable = False
     return lead, table
@@ -283,22 +299,17 @@ def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...], scr
     first), on the pad_factor-refined grid, followed by `scratch` rows for the
     caller's products: rows of this thread's workspace for (n, pad_factor),
     valid until its next padded product there.
-
-    `f` is a real field: only j = 0..n/2-1 and c_{-n/2} are read, and the rows
-    sample the real band-limited interpolant, c_{-n/2} split between +-n/2.
     """
     if pad_factor < 2:
         raise ValueError("pad_factor must be >= 2")
     g = f.grid
-    h = g.n // 2
     m = pad_factor * g.n
     half, rows, _ = _workspace(threading.get_ident(), g.n, pad_factor)
     count = len(orders)
-    heads = half[:count, : h + 1]
-    heads[...] = f.coeffs[: h + 1]
+    heads = half[:count, : g.n // 2]
+    heads[...] = f.coeffs
     lead, table = _derivative_table(g.n, g.box_length, orders)
     np.multiply(heads[lead:], table, out=heads[lead:])
-    heads[:, h] = 0.5 * np.conj(heads[:, h])
     for head in heads:  # row by row: numpy copies a strided 2-D operand that is its own output
         _alternate_signs(head)
     if m <= _BATCHED_IRFFT_MAX:
@@ -311,11 +322,8 @@ def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...], scr
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:
-    """Analyze real samples from a refined grid and truncate to `grid`'s band.
-
-    Complex samples raise ComplexSamples.  The kept negative frequencies,
-    c_{-n/2} included, are the conjugates of the positive ones.
-    """
+    """Analyze real samples from a refined grid and truncate to `grid`'s
+    n/2 coefficients.  Complex samples raise ComplexSamples."""
     w = np.asarray(w)
     if np.iscomplexobj(w):
         raise ComplexSamples(f"transform_from_padded takes real samples, got {w.dtype}")
@@ -324,49 +332,24 @@ def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> S
         raise GridMismatch("padded length must be a multiple of grid.n")
     n = grid.n
     half = np.fft.rfft(w, out=_workspace(threading.get_ident(), n, m // n)[2])
-    # m - n is even, so every kept entry keeps the parity of its index
-    kept = np.empty(n, dtype=np.complex128)
-    kept[: n // 2] = half[: n // 2]
-    np.conjugate(half[n // 2 : 0 : -1], out=kept[n // 2 :])
-    kept *= grid.box_length / (2.0 * np.pi * m)
+    kept = half[: n // 2] * (grid.box_length / (2.0 * np.pi * m))
     return SpectralField(grid, _alternate_signs(kept), time)
 
 
 def xi_derivative_coefficients(f: SpectralField) -> np.ndarray:
-    """Samples of d/dxi of fhat, computed as the transform of (-i x) f.
+    """Samples of d/dxi of fhat at j = 0 .. n/2-1, computed as -i times the
+    transform of the real field x f.
 
     The centered sawtooth x is used, so the result is meaningful only for
     fields concentrated well inside the box (see `mass_fraction_inside`).
     """
-    u = synthesize(f)
-    return transform(f.grid, -1j * f.grid.x * u, f.time).coeffs
-
-
-def hermitian_defect(f: SpectralField) -> float:
-    """Relative size of the non-Hermitian part (0 for real-valued fields)."""
-    c = f.coeffs
-    n = f.grid.n
-    mirrored = np.conj(c[(-np.arange(n)) % n])
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(c - mirrored)) / (2.0 * scale))
-
-
-def enforce_real_zero_mean(f: SpectralField) -> SpectralField:
-    """Project onto real-valued, zero-mean fields (exact Hermitian symmetry)."""
-    c = f.coeffs
-    n = f.grid.n
-    mirrored = np.conj(c[(-np.arange(n)) % n])
-    out = 0.5 * (c + mirrored)
-    out[0] = 0.0
-    return f.with_coeffs(out)
+    return -1j * transform(f.grid, f.grid.x * synthesize(f), f.time).coeffs
 
 
 def mass_fraction_inside(f: SpectralField) -> float:
     """Fraction of the L^2 mass carried by the middle half of the box, |x| <= L/4."""
     g = f.grid
-    u2 = np.abs(synthesize(f)) ** 2
+    u2 = synthesize(f) ** 2
     total = np.sum(u2)
     if total == 0.0:
         return 1.0
@@ -374,21 +357,21 @@ def mass_fraction_inside(f: SpectralField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot format: magic "QMKDV1", little-endian u32 n, f64 L, f64 t,
+# Snapshot format: magic "QMKDV2", little-endian u32 n, f64 L, f64 t,
 # u32 byte-length of the coefficient-spec identifier, the identifier (UTF-8),
-# then n little-endian (re, im) f64 pairs in ascending frequency order
-# j = -n/2 .. n/2-1.
+# then the n/2 stored coefficients as little-endian (re, im) f64 pairs in
+# ascending frequency order j = 0 .. n/2-1.  QMKDV1 files, which held all n
+# coefficients, are refused by their magic.
 # ---------------------------------------------------------------------------
 
-SNAPSHOT_MAGIC = b"QMKDV1"
+SNAPSHOT_MAGIC = b"QMKDV2"
 
 
 def save_snapshot(path, f: SpectralField, coeff_id: str) -> None:
     ident = coeff_id.encode("utf-8")
-    shifted = np.fft.fftshift(f.coeffs)
-    data = np.empty(2 * f.grid.n, dtype="<f8")
-    data[0::2] = shifted.real
-    data[1::2] = shifted.imag
+    data = np.empty(f.grid.n, dtype="<f8")
+    data[0::2] = f.coeffs.real
+    data[1::2] = f.coeffs.imag
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<IddI", f.grid.n, f.grid.box_length, f.time, len(ident)))
@@ -400,15 +383,14 @@ def load_snapshot(path) -> tuple[SpectralField, str]:
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a QMKDV1 snapshot: magic {magic!r}")
+            raise ValueError(f"not a {SNAPSHOT_MAGIC.decode()} snapshot: magic {magic!r}")
         header = fh.read(24)
         if len(header) != 24:
             raise ValueError("snapshot truncated")
         n, box_length, time, id_len = struct.unpack("<IddI", header)
         ident = fh.read(id_len).decode("utf-8")
-        raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-    if raw.size != 2 * n:
+        raw = np.frombuffer(fh.read(8 * n), dtype="<f8")
+    if raw.size != n:
         raise ValueError("snapshot truncated")
-    coeffs = np.fft.ifftshift(raw[0::2] + 1j * raw[1::2])
     grid = GridSpec(n=int(n), box_length=float(box_length))
-    return SpectralField(grid, coeffs.astype(np.complex128), float(time)), ident
+    return SpectralField(grid, raw[0::2] + 1j * raw[1::2], float(time)), ident

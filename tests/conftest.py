@@ -9,7 +9,6 @@ from qmkdv.spectral_core import (
     GridSpec,
     SpectralField,
     derivative,
-    enforce_real_zero_mean,
     synthesize,
     transform,
     transform_from_padded,
@@ -28,17 +27,29 @@ def wide_grid():
     return GridSpec(n=1024, box_length=120.0)
 
 
-def random_real_field(grid: GridSpec, seed: int, decay: float = 1.0) -> SpectralField:
-    """Random real zero-mean field with exponentially decaying spectrum.
+def real_zero_mean_head(z: np.ndarray) -> np.ndarray:
+    """c_0 .. c_{n/2-1} of the real zero-mean part of n coefficients z in FFT
+    order: c_j = (z_j + conj(z_{-j}))/2, c_0 = 0."""
+    h = z.size // 2
+    c = 0.5 * (z[:h] + np.conj(z[-np.arange(h)]))
+    c[0] = 0.0
+    return c
 
-    The coefficient at frequency xi is (normal + i normal) * exp(-|xi|/decay);
-    enforce_real_zero_mean then imposes the Hermitian symmetry and kills the
-    mean, so the result is a generic smooth real field.
-    """
+
+def random_real_field(grid: GridSpec, seed: int, decay: float = 1.0) -> SpectralField:
+    """Random real zero-mean field with exponentially decaying spectrum: the
+    real zero-mean part of (normal + i normal) * exp(-|xi|/decay), drawn at
+    each of the n frequencies in FFT order, a generic smooth real field."""
     rng = SplitMix64(seed)
     z = np.array([rng.normal() + 1j * rng.normal() for _ in range(grid.n)])
-    f = SpectralField(grid, z * np.exp(-np.abs(grid.xi) / decay))
-    return enforce_real_zero_mean(f)
+    return SpectralField(grid, real_zero_mean_head(z * np.exp(-np.abs(grid.xi) / decay)))
+
+
+def band_spectrum(c: np.ndarray) -> np.ndarray:
+    """The 2 h - 1 coefficients at j = -(h-1) .. h-1, frequency-sorted, of the
+    real field whose c_0 .. c_{h-1} are `c`: c_{-j} = conj(c_j).  After
+    convolving r of them, entry k sits at frequency (k - r (h-1)) dxi."""
+    return np.concatenate((np.conj(c[:0:-1]), c))
 
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> SpectralField:
@@ -63,12 +74,8 @@ def alpha3(spec: CoefficientSpec) -> float:
 
 def padded_values(f: SpectralField, pad_factor: int, order: int = 0) -> np.ndarray:
     """d_x^order of a real field on a pad_factor-refined grid (float64), in a
-    fresh array: the oracle for the model's workspace rows.
-
-    Only j = 0..n/2-1 and the unpaired c_{-n/2} are read, and the samples are
-    those of the real band-limited interpolant, c_{-n/2} split evenly between
-    -n/2 and +n/2: bitwise the samples of
-    padded_values(derivative(f, order), pad_factor).
+    fresh array: the oracle for the model's workspace rows, bitwise the
+    samples of padded_values(derivative(f, order), pad_factor).
     """
     if pad_factor < 2:
         raise ValueError("pad_factor must be >= 2")
@@ -76,20 +83,18 @@ def padded_values(f: SpectralField, pad_factor: int, order: int = 0) -> np.ndarr
     h = g.n // 2
     m = pad_factor * g.n
     half = np.zeros(m // 2 + 1, dtype=np.complex128)
-    half[: h + 1] = f.coeffs[: h + 1]
+    half[:h] = f.coeffs
     if order:
-        half[: h + 1] *= (1j * g.xi)[: h + 1] ** order
-    half[h] = 0.5 * np.conj(half[h])
-    odd = half[1 : h + 1 : 2]
+        half[:h] *= (1j * g.half_xi) ** order
+    odd = half[1:h:2]
     np.negative(odd, out=odd)
     return np.fft.irfft(half, m) * (m * g.dxi)
 
 
 def fine_derivative_values(grid: GridSpec, pad: int, w: np.ndarray) -> np.ndarray:
-    """d_x of real samples on the pad-refined grid, taken spectrally there
-    (the real part: the refined grid's unpaired Nyquist bin has none)."""
+    """d_x of real samples on the pad-refined grid, taken spectrally there."""
     fine = GridSpec(pad * grid.n, grid.box_length)
-    return np.real(synthesize(derivative(transform(fine, w), 1)))
+    return synthesize(derivative(transform(fine, w), 1))
 
 
 def nonlinearity_split(

@@ -365,6 +365,33 @@ def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "study, config, named",
+    [
+        ("decay", DECAY_CONFIG.replace("run.t_end = 3.0", "run.t_end = -1.0"), "run.t_end"),
+        ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = -1.0"), "run.t_end"),
+        ("decay", DECAY_CONFIG.replace("decay.t_min = 2.0", "decay.t_min = 0.0"), "decay.t_min"),
+        ("decay", DECAY_CONFIG.replace("decay.t_min = 2.0", "decay.t_min = 0.5"), "decay.t_min"),
+        ("oscillatory", "oscillatory.t_min = 0.0\n", "oscillatory.t_min"),
+        ("simulate", SIMULATE_CONFIG + "run.dt_init = -1.0\n", "dt_init"),
+        ("resonance", RESONANCE_CONFIG + "constants.s = 4.0\n", "s + 1 - 2 gamma_h"),
+        ("resonance", RESONANCE_CONFIG + "constants.s = 3.0\n", "s + 1 - 2 gamma_h"),
+    ],
+    ids=["decay-t-end", "scattering-t-end", "decay-t-min-zero", "decay-t-min-below-1", "oscillatory-t-min",
+         "negative-dt-init", "p1-bound-denominator-zero", "p1-bound-denominator-negative"],
+)
+def test_out_of_range_values_exit_2_naming_them(tmp_path, capsys, study, config, named):
+    """Each value would fail only once work had started (a math domain
+    error, a division by zero, t < 1 in the dispersive ratio after the whole
+    Airy sweep) or be taken silently (a negative first step): each is
+    refused before anything runs, by a message that names it."""
+    out = tmp_path / "out"
+    assert _main(tmp_path, study, config, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
 def test_count_at_its_floor_runs(tmp_path):
     # run.monitor_count's floor is 0: the run records only t = 0 and t_end
     out = tmp_path / "out"
@@ -387,7 +414,6 @@ MODULES = ("spectral_core", "littlewood_paley", "model", "integrator", "diagnost
 
 # Public functions and methods that no study calls, each with the reason it stays.
 UNREACHED = {
-    "spectral_core.hermitian_defect": "for the run telemetry planned in ROADMAP direction 1",
     "littlewood_paley.b_norm": "to be recorded along the decay run (ROADMAP direction 5)",
     "littlewood_paley.interpolation_ratio": "to be recorded along the decay run (ROADMAP direction 5)",
     "littlewood_paley.project": "b_norm's band projection (ROADMAP direction 5)",

@@ -36,7 +36,7 @@ def concentrated_field(grid: GridSpec, t: float):
 
 def spectral_scaling_field(phi, t: float):
     """S phi by the wrap-safe frequency-side route that energy takes."""
-    airy = np.exp(1j * t * phi.grid.xi**3)
+    airy = np.exp(1j * t * phi.grid.half_xi**3)
     return _scaling_field(phi, t, SPEC, xi_derivative_coefficients(profile_from_solution(phi, t)), airy)
 
 

@@ -38,12 +38,11 @@ from qmkdv.rng import SplitMix64
 from qmkdv.spectral_core import (
     GridSpec,
     SpectralField,
-    enforce_real_zero_mean,
     synthesize,
     transform,
 )
 
-from conftest import gaussian_field, random_real_field, symbol_t1_d1
+from conftest import gaussian_field, random_real_field, real_zero_mean_head, symbol_t1_d1
 
 
 def symbol_axes(xi_extents, n_axis):
@@ -247,7 +246,7 @@ class TestProjection:
 
 class TestBNorm:
     def test_zero_field(self, grid):
-        z = SpectralField(grid, np.zeros(grid.n, dtype=complex))
+        z = SpectralField(grid, np.zeros(grid.n // 2, dtype=complex))
         assert b_norm(z, 0.25, 1.0) == 0.0
 
     def test_two_band_mode_closed_form(self):
@@ -502,31 +501,31 @@ class TestInterpolationRatio:
         """The recorded constant across 100 band-limited trials stays <= 10."""
         grid = GridSpec(n=512, box_length=100.0)
         rng = SplitMix64(77)
-        base = SpectralField(grid, np.zeros(grid.n, dtype=complex))
+        base = SpectralField(grid, np.zeros(grid.n // 2, dtype=complex))
         order = np.argsort(np.argsort(grid.xi))
         worst = 0.0
         for trial in range(100):
             k = 1 + (trial % 4)
             z = np.array([rng.normal() + 1j * rng.normal() for _ in range(grid.n)])
             envelope = bump(np.sort(grid.xi) / (2.0**k * 1.3))[order]
-            fld = enforce_real_zero_mean(base.with_coeffs(z * envelope))
+            fld = base.with_coeffs(real_zero_mean_head(z * envelope))
             worst = max(worst, interpolation_ratio(fld, k))
         assert 0.0 < worst <= 10.0
 
     def test_rescaling_shifts_band_index(self):
         """f(2x) doubles frequencies: ratio at k+1 matches ratio at k within 20%."""
         grid = GridSpec(n=1024, box_length=200.0)
-        base = SpectralField(grid, np.zeros(grid.n, dtype=complex))
+        base = SpectralField(grid, np.zeros(grid.n // 2, dtype=complex))
         env = lambda s: np.exp(-(((np.abs(s) - 4.0) / 0.8) ** 2)) * np.sin(3.0 * s)
-        f1 = base.with_coeffs(env(grid.xi) + 0j)
-        f2 = base.with_coeffs(0.5 * env(grid.xi / 2.0) + 0j)
+        f1 = base.with_coeffs(env(grid.half_xi) + 0j)
+        f2 = base.with_coeffs(0.5 * env(grid.half_xi / 2.0) + 0j)
         r1 = interpolation_ratio(f1, 2)
         r2 = interpolation_ratio(f2, 3)
         assert abs(r2 - r1) <= 0.2 * r1
 
     def test_empty_band_rejected(self):
         grid = GridSpec(n=256, box_length=40.0)
-        c = np.zeros(grid.n, dtype=complex)
+        c = np.zeros(grid.n // 2, dtype=complex)
         c[int(round(20.0 / grid.dxi))] = 1.0  # xi = 20, far above the k=0 band
         f = SpectralField(grid, c)
         with pytest.raises(DegenerateInput):

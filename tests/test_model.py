@@ -48,6 +48,7 @@ from qmkdv.spectral_core import (
 
 from conftest import (
     alpha3,
+    band_spectrum,
     c_doubleprime0,
     fine_derivative_values,
     gaussian_field,
@@ -167,6 +168,13 @@ class TestBootstrapConstants:
         with pytest.raises(ValueError, match="p1"):
             BootstrapConstants(p1=1e-6)
 
+    @pytest.mark.parametrize("s", [4.0, 3.0])
+    def test_p1_bound_denominator_positive(self, s):
+        """s + 1 - 2 gamma_h is 0 at s = 4 (a division by zero) and negative
+        at s = 3 (a vacuous bound); both are refused before the bound."""
+        with pytest.raises(ValueError, match="s \\+ 1 - 2 gamma_h > 0"):
+            BootstrapConstants(s=s)
+
 
 def quintic_remainder_c3_zero(phi, spec):
     """N5plus in closed form for c(v) = a v + b v^2 (c3 = 0):
@@ -214,18 +222,14 @@ class TestNonlinearity:
 
     def test_pure_cubic_matches_dense_convolution(self, grid):
         # Independent assembly of d_x(phi^3): two dense convolutions of the
-        # frequency-sorted n+1-entry spectrum of the real interpolant, with
-        # c_{-n/2} split evenly between -n/2 and +n/2 (conv index k <->
-        # frequency (k - r*(n//2)) * dxi after r convolutions), then multiply
-        # by i xi.
+        # frequency-sorted spectrum of the real field (see band_spectrum),
+        # then multiply by i xi.
         phi = random_real_field(grid, 11, decay=1.5)
         out = nonlinearity_full(phi, CoefficientSpec("linear", a=0.0, b=0.0, c=0.0))
-        c = np.fft.fftshift(phi.coeffs)
-        c = np.concatenate(([0.5 * c[0]], c[1:], [0.5 * np.conj(c[0])]))
+        c = band_spectrum(phi.coeffs)
         c3 = np.convolve(np.convolve(c, c), c) * grid.dxi**2
-        lo = 2 * (grid.n // 2)
-        want = 1j * np.sort(grid.xi) * c3[lo : lo + grid.n]
-        want = np.fft.ifftshift(want)
+        lo = 3 * (grid.n // 2 - 1)
+        want = 1j * grid.half_xi * c3[lo : lo + grid.n // 2]
         assert np.max(np.abs(out.coeffs - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
@@ -238,15 +242,14 @@ class TestNonlinearity:
         # polynomial of degree <= 2 spec.pad - 1: expand u^3 + c(u) (c'(u) u_x^2 +
         # c(u) u_xx) into monomials in u, u_x, u_xx (c = a u + b u^2, so
         # c c' = a^2 u + 3ab u^2 + 2b^2 u^3 and c^2 = a^2 u^2 + 2ab u^3 + b^2 u^4),
-        # form each by dense convolutions of the n+1-entry split-Nyquist
-        # spectra, keep the n-point band and multiply by i xi.  The bin n/2
-        # takes an alias and is left out.
+        # form each by dense convolutions of the spectra (see band_spectrum),
+        # keep the stored coefficients and multiply by i xi.  Every stored
+        # coefficient is alias-free.
         phi = moderate_field(grid, 31)
         out = nonlinearity_full(phi, spec).coeffs
-        n = grid.n
-        c = np.fft.fftshift(phi.coeffs)
-        c = np.concatenate(([0.5 * c[0]], c[1:], [0.5 * np.conj(c[0])]))
-        xi = grid.dxi * np.arange(-n // 2, n // 2 + 1)
+        h = grid.n // 2
+        c = band_spectrum(phi.coeffs)
+        xi = grid.dxi * np.arange(1 - h, h)
         rows = [c, 1j * xi * c, -(xi**2) * c]
         a, b = spec.a, spec.b
         monomials = [
@@ -254,16 +257,15 @@ class TestNonlinearity:
             (a * a, (0, 1, 1)), (3.0 * a * b, (0, 0, 1, 1)), (2.0 * b * b, (0, 0, 0, 1, 1)),
             (a * a, (0, 0, 2)), (2.0 * a * b, (0, 0, 0, 2)), (b * b, (0, 0, 0, 0, 2)),
         ]
-        flux = np.zeros(n, dtype=np.complex128)
+        flux = np.zeros(h, dtype=np.complex128)
         for coef, orders in monomials:
             conv = rows[orders[0]]
             for k in orders[1:]:
                 conv = np.convolve(conv, rows[k]) * grid.dxi
-            lo = (len(orders) - 1) * (n // 2)  # conv index k <-> frequency (k - r n/2) dxi
-            flux += coef * conv[lo : lo + n]
-        want = np.fft.ifftshift(1j * np.sort(grid.xi) * flux)
-        others = np.arange(n) != n // 2
-        assert np.max(np.abs(out - want)[others]) <= 1e-13 * np.max(np.abs(want))
+            lo = len(orders) * (h - 1)
+            flux += coef * conv[lo : lo + h]
+        want = 1j * grid.half_xi * flux
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
     def test_recomposition_is_exact(self, grid, spec):
@@ -362,7 +364,7 @@ class TestPaddedWorkspace:
 
     def test_warm_call_allocates_under_four_padded_rows(self):
         """tracemalloc sees numpy's data buffers: a warm call at n = 1024,
-        pad 3 peaks at 0.71 rows, its output spectrum (n complex values, 2/3
+        pad 3 peaks at 0.37 rows, its output spectrum (n/2 complex values, 1/3
         of a row) and numpy's small buffers.  With c(u) and c'(u) outside the
         workspace the peak was 3.03 rows, and with fresh rows, half spectra
         and product spectrum 8.05."""
@@ -377,7 +379,7 @@ class TestPaddedWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * grid.n + 8 * 3 * grid.n / 8  # the output and an eighth of a row
+        assert peak <= 16 * (grid.n // 2) + 8 * 3 * grid.n / 8  # the output and an eighth of a row
 
 
 class TestInteractionSymbols:
@@ -685,43 +687,32 @@ class TestConservedFunctionals:
 # Unfused reference for the hot path: the composition the pseudo-spectral
 # core is built from, with the (-1)^k parity applied as explicit products
 # with GridSpec.parity and every derivative taken on a freshly built grid.
-# Transforms on the n-point grid are complex; the padded products are real:
-# half spectra, rfft/irfft, and c_{-n/2} split evenly between -n/2 and +n/2.
+# Every transform is real: half spectra and rfft/irfft.
 
 
 def _ref_transform(grid, u):
     scale = grid.box_length / (2.0 * np.pi * grid.n)
-    return grid.parity * scale * np.fft.fft(np.asarray(u, dtype=np.complex128))
+    return grid.parity[: grid.n // 2] * scale * np.fft.rfft(u)[: grid.n // 2]
 
 
 def _ref_derivative(grid, coeffs, k=1):
-    return coeffs * (1j * grid.xi) ** k
+    return coeffs * (1j * grid.xi[: grid.n // 2]) ** k
 
 
 def _ref_synthesize(grid, coeffs):
-    return np.fft.ifft(grid.parity * coeffs) * (grid.n * grid.dxi)
-
-
-def _ref_real_synthesize(fine, half):
-    return np.fft.irfft(fine.parity[: fine.n // 2 + 1] * half, fine.n) * (fine.n * fine.dxi)
+    return np.fft.irfft(grid.parity[: grid.n // 2] * coeffs, grid.n) * (grid.n * grid.dxi)
 
 
 def _ref_padded_values(grid, coeffs, pad):
     fine = GridSpec(pad * grid.n, grid.box_length)
-    n = grid.n
     half = np.zeros(fine.n // 2 + 1, dtype=np.complex128)
-    half[: n // 2] = coeffs[: n // 2]
-    half[n // 2] = 0.5 * np.conj(coeffs[n // 2])  # mirrors c_{-n/2}/2 at -n/2
-    return _ref_real_synthesize(fine, half)
+    half[: grid.n // 2] = coeffs
+    return np.fft.irfft(fine.parity[: fine.n // 2 + 1] * half, fine.n) * (fine.n * fine.dxi)
 
 
 def _ref_transform_from_padded(grid, w):
-    m = w.shape[0]
-    scale = grid.box_length / (2.0 * np.pi * m)
-    half = np.fft.rfft(w)
-    n = grid.n
-    kept = np.concatenate((half[: n // 2], np.conj(half[n // 2 : 0 : -1])))
-    return grid.parity * (scale * kept)
+    scale = grid.box_length / (2.0 * np.pi * w.shape[0])
+    return grid.parity[: grid.n // 2] * (scale * np.fft.rfft(w)[: grid.n // 2])
 
 
 def _ref_nonlinearity_full(phi, spec, pad):
@@ -780,49 +771,37 @@ class TestHotPathMatchesUnfusedReference:
 
 
 def _complex_padded_values(grid, coeffs, pad):
-    """Complex samples on the refined grid of the n+1-entry spectrum with
-    c_{-n/2} split evenly between -n/2 and +n/2."""
+    """Complex samples on the refined grid of the whole spectrum, split into
+    c_j at j >= 0 and its mirror conj(c_j) at -j."""
     fine = GridSpec(pad * grid.n, grid.box_length)
-    n = grid.n
+    h = grid.n // 2
     padded = np.zeros(fine.n, dtype=np.complex128)
-    padded[: n // 2] = coeffs[: n // 2]
-    padded[n // 2] = 0.5 * np.conj(coeffs[n // 2])
-    padded[fine.n - n // 2] = 0.5 * coeffs[n // 2]
-    padded[fine.n - n // 2 + 1 :] = coeffs[n // 2 + 1 :]
-    return _ref_synthesize(fine, padded)
+    padded[:h] = coeffs
+    padded[fine.n - h + 1 :] = np.conj(coeffs[:0:-1])
+    return np.fft.ifft(fine.parity * padded) * (fine.n * fine.dxi)
 
 
 def _complex_nonlinearity_full(phi, spec, pad):
-    """N(phi) composed in complex arithmetic on the split-Nyquist spectrum,
-    the flux by the product rule."""
+    """N(phi) composed in complex arithmetic on the whole spectrum, the flux
+    by the product rule."""
     g = phi.grid
     fine = GridSpec(pad * g.n, g.box_length)
     u, ux, uxx = (_complex_padded_values(g, _ref_derivative(g, phi.coeffs, k), pad) for k in range(3))
     cu = spec.c_of(u)
-    chat = _ref_transform(fine, u**3 + cu * (spec.c_prime_of(u) * ux**2 + cu * uxx))
-    kept = np.concatenate((chat[: g.n // 2], chat[fine.n - g.n // 2 :]))
-    return _ref_derivative(g, kept)
+    flux = u**3 + cu * (spec.c_prime_of(u) * ux**2 + cu * uxx)
+    chat = fine.parity * (g.box_length / (2.0 * np.pi * fine.n)) * np.fft.fft(flux)
+    return _ref_derivative(g, chat[: g.n // 2])
 
 
 class TestRealInterpolant:
     """The real padded products read a real field as its real band-limited
-    interpolant, the unpaired c_{-n/2} split evenly between -n/2 and +n/2."""
+    interpolant: they equal the complex composition on the whole spectrum,
+    split into c_j at j >= 0 and conj(c_j) at -j, with no Nyquist mode."""
 
     @pytest.mark.parametrize("pad", [2, 3, 4])
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
     def test_matches_complex_composition_of_split_spectrum(self, grid, spec, pad):
         phi = moderate_field(grid, 80 + pad)
-        assert abs(phi.coeffs[grid.n // 2]) > 1e-6 * np.max(np.abs(phi.coeffs))
         got = nonlinearity_full(phi, at_pad(spec, pad)).coeffs
         want = _complex_nonlinearity_full(phi, spec, pad)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
-    def test_nonlinearity_is_hermitian_except_at_n_half(self, grid, spec):
-        phi = moderate_field(grid, 91)
-        c = nonlinearity_full(phi, spec).coeffs
-        n = grid.n
-        mirrored = np.conj(c[(-np.arange(n)) % n])
-        others = np.arange(n) != n // 2
-        assert np.array_equal(c[others], mirrored[others])
-        assert c[n // 2] != mirrored[n // 2]

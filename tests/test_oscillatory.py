@@ -20,7 +20,7 @@ from qmkdv.oscillatory import (
     trilinear_integral,
     two_pi_identity,
 )
-from qmkdv.spectral_core import GridSpec, SpectralField, free_evolve, synthesize, transform
+from qmkdv.spectral_core import GridSpec, free_evolve, transform
 
 from conftest import nonlinearity_split
 
@@ -144,10 +144,10 @@ def test_decay_study_needs_eight_times():
 
 def _complex_synthesis(spectrum, u_extent, n):
     """The inverse transform as first written: the spectrum at every FFT-order
-    frequency, synthesised as a complex field, real part kept."""
+    frequency, the Nyquist one included, synthesised by a complex inverse FFT
+    with the centered grid's parity, real part kept."""
     grid = GridSpec(n=n, box_length=u_extent)
-    f = SpectralField(grid, spectrum(grid.xi).astype(np.complex128))
-    return np.real(synthesize(f))
+    return np.real(np.fft.ifft(grid.parity * spectrum(grid.xi))) * (n * grid.dxi)
 
 
 @pytest.mark.parametrize("n", [4096, 8192])

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmkdv import spectral_core
+from qmkdv.rng import SplitMix64
 from qmkdv.spectral_core import (
     ComplexSamples,
     GridMismatch,
@@ -22,10 +23,8 @@ from qmkdv.spectral_core import (
     SpectralField,
     antiderivative,
     derivative,
-    enforce_real_zero_mean,
     fractional_abs_derivative,
     free_evolve,
-    hermitian_defect,
     load_snapshot,
     mass_fraction_inside,
     _padded_rows,
@@ -39,12 +38,7 @@ from qmkdv.spectral_core import (
     xi_l2_norm,
 )
 
-from conftest import gaussian_field, padded_values, random_real_field
-
-
-def values(f):
-    """Physical samples of a real-valued field."""
-    return np.real(synthesize(f))
+from conftest import band_spectrum, gaussian_field, padded_values, random_real_field
 
 
 class TestGridSpec:
@@ -56,6 +50,12 @@ class TestGridSpec:
         assert 0.0 in grid.x  # center node present for even n
         assert grid.xi[0] == 0.0
         assert np.min(grid.xi) == pytest.approx(-0.5 * grid.n * grid.dxi)
+
+    def test_half_xi_is_the_head_of_xi(self, grid):
+        """A field's coefficient frequencies are bitwise the nonnegative
+        entries of the FFT-order lattice, the Nyquist frequency excluded."""
+        assert np.array_equal(grid.half_xi, grid.xi[: grid.n // 2])
+        assert np.all(grid.half_xi >= 0.0)
 
     def test_parity_alternates(self, grid):
         assert np.all(grid.parity[::2] == 1.0)
@@ -84,19 +84,37 @@ class TestTransform:
         """synthesize(transform(u)) returns u to near round-off."""
         grid = GridSpec(n=128, box_length=30.0)
         f = random_real_field(grid, seed)
-        u = values(f)
-        again = values(transform(grid, u))
+        u = synthesize(f)
+        again = synthesize(transform(grid, u))
         assert np.max(np.abs(again - u)) <= 1e-13 * max(1.0, np.max(np.abs(u)))
 
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_roundtrip_drops_only_the_nyquist_mode(self, seed):
+        """Arbitrary real samples come back without their Nyquist mode
+        nu (-1)^m, nu = mean of (-1)^m u_m, and otherwise to round-off."""
+        grid = GridSpec(n=128, box_length=30.0)
+        u = np.array(SplitMix64(seed).normals(grid.n))
+        sign = grid.parity  # (-1)^m
+        nyquist = np.mean(sign * u) * sign
+        again = synthesize(transform(grid, u))
+        assert np.max(np.abs(again - (u - nyquist))) <= 1e-13 * np.max(np.abs(u))
+
+    def test_complex_samples_rejected(self, grid):
+        """A field is real: complex samples, even with a zero imaginary part,
+        are refused by name."""
+        with pytest.raises(ComplexSamples, match="real samples"):
+            transform(grid, np.zeros(grid.n, dtype=np.complex128))
+
     def test_single_mode_coefficient(self):
-        """A pure mode a cos(xi0 x) puts a/(2 dxi) at +-xi0 and nothing else."""
+        """A pure mode a cos(xi0 x) puts a/(2 dxi) at xi0 and nothing else."""
         grid = GridSpec(n=64, box_length=8.0 * math.pi)  # xi lattice = multiples of 1/4
         a, k = 0.7, 8  # xi0 = 2.0
         f = transform(grid, a * np.cos(grid.xi[k] * grid.x))
-        expect = np.zeros(grid.n, dtype=complex)
+        expect = np.zeros(grid.n // 2, dtype=complex)
         expect[k] = a / (2.0 * grid.dxi)
-        expect[-k] = a / (2.0 * grid.dxi)
         np.testing.assert_allclose(f.coeffs, expect, atol=1e-13 * abs(a) / grid.dxi)
+        assert synthesize(f).dtype == np.float64
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=25, deadline=None)
@@ -118,7 +136,7 @@ class TestDerivative:
         """d^3/dx^3 sin(x) = -cos(x) on a 2-pi-periodic box."""
         grid = GridSpec(n=128, box_length=8.0 * math.pi)
         f = transform(grid, np.sin(grid.x))
-        np.testing.assert_allclose(values(derivative(f, 3)), -np.cos(grid.x), atol=1e-12)
+        np.testing.assert_allclose(synthesize(derivative(f, 3)), -np.cos(grid.x), atol=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=20, deadline=None)
@@ -133,7 +151,7 @@ class TestDerivative:
     def test_single_mode_eigenfunction(self):
         """Each Fourier mode is an eigenfunction with eigenvalue (i xi)^n."""
         grid = GridSpec(n=64, box_length=16.0)
-        c = np.zeros(grid.n, dtype=complex)
+        c = np.zeros(grid.n // 2, dtype=complex)
         c[5] = 2.0 - 1.0j
         f = SpectralField(grid, c)
         d = derivative(f, 2)
@@ -191,7 +209,7 @@ class TestAntiderivative:
         a = 0.8
         phi = transform(grid, -2.0 * a * grid.x * np.exp(-grid.x**2))
         want = a * np.exp(-grid.x**2) - a * math.sqrt(math.pi) / grid.box_length
-        np.testing.assert_allclose(values(antiderivative(phi)), want, atol=1e-12)
+        np.testing.assert_allclose(synthesize(antiderivative(phi)), want, atol=1e-12)
 
     def test_nonzero_mean_rejected(self, grid):
         with pytest.raises(NonZeroMean):
@@ -252,8 +270,9 @@ class TestNorms:
             norm(f, "H1")
 
     def test_xi_l2_norm_carries_no_parseval_factor(self, grid):
-        a = np.ones(grid.n)
-        assert xi_l2_norm(a, grid) == pytest.approx(math.sqrt(grid.dxi * grid.n), rel=1e-14)
+        """Ones at j = 0 .. n/2-1 stand for ones at the n - 1 frequencies of the band."""
+        a = np.ones(grid.n // 2)
+        assert xi_l2_norm(a, grid) == pytest.approx(math.sqrt(grid.dxi * (grid.n - 1)), rel=1e-14)
 
 
 def product(f, g, pad=3):
@@ -271,15 +290,13 @@ class TestPointwiseProduct:
         g = random_real_field(grid, 22)
         fc, gc = f.coeffs.copy(), g.coeffs.copy()
         for c in (fc, gc):
-            c[third : grid.n - third + 1] = 0.0
+            c[third:] = 0.0
         f, g = f.with_coeffs(fc), g.with_coeffs(gc)
         prod = product(f, g)
 
-        fs = np.fft.fftshift(fc)
-        gs = np.fft.fftshift(gc)
-        conv = np.convolve(fs, gs) * grid.dxi  # entry k sits at frequency (k-n) dxi
-        lo = grid.n // 2  # index of frequency -n/2 * dxi
-        expect = np.fft.ifftshift(conv[lo : lo + grid.n])
+        h = grid.n // 2
+        conv = np.convolve(band_spectrum(fc), band_spectrum(gc)) * grid.dxi
+        expect = conv[2 * (h - 1) : 2 * (h - 1) + h]
         scale = np.max(np.abs(expect))
         np.testing.assert_allclose(prod.coeffs, expect, atol=1e-12 * scale)
 
@@ -291,10 +308,10 @@ class TestPointwiseProduct:
         g = random_real_field(grid, 24)
         fc, gc = f.coeffs.copy(), g.coeffs.copy()
         for c in (fc, gc):
-            c[third : grid.n - third + 1] = 0.0
+            c[third:] = 0.0
         f, g = f.with_coeffs(fc), g.with_coeffs(gc)
-        exact = values(f) * values(g)
-        got = values(product(f, g))
+        exact = synthesize(f) * synthesize(g)
+        got = synthesize(product(f, g))
         assert np.max(np.abs(got - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
 
     def test_grid_mismatch_rejected(self):
@@ -368,28 +385,9 @@ class TestXiDerivative:
         a = 1.1
         f = gaussian_field(grid, a, 1.0)
         got = xi_derivative_coefficients(f)
-        G = (a / (2.0 * math.sqrt(math.pi))) * np.exp(-grid.xi**2 / 4.0)
-        want = -(grid.xi / 2.0) * G
+        G = (a / (2.0 * math.sqrt(math.pi))) * np.exp(-grid.half_xi**2 / 4.0)
+        want = -(grid.half_xi / 2.0) * G
         np.testing.assert_allclose(got, want, atol=1e-12 * np.max(np.abs(want)))
-
-
-class TestHermitianMachinery:
-    def test_real_fields_have_zero_defect(self, grid):
-        assert hermitian_defect(gaussian_field(grid, 1.0, 2.0)) <= 1e-15
-
-    def test_complex_perturbation_detected(self, grid):
-        f = gaussian_field(grid, 1.0, 2.0)
-        c = f.coeffs.copy()
-        c[3] += 0.5j * np.max(np.abs(c))
-        assert hermitian_defect(f.with_coeffs(c)) > 1e-3
-
-    def test_projection_output_is_real_and_zero_mean(self, grid):
-        rngc = np.exp(1j * np.linspace(0.0, 5.0, grid.n))
-        f = SpectralField(grid, rngc)
-        p = enforce_real_zero_mean(f)
-        assert p.coeffs[0] == 0.0
-        assert hermitian_defect(p) <= 1e-15
-        assert np.max(np.abs(np.imag(synthesize(p)))) <= 1e-13
 
 
 class TestMassFraction:
@@ -403,7 +401,6 @@ class TestMassFraction:
 
 class TestSnapshotFormat:
     def test_roundtrip(self, tmp_path, grid):
-        f = random_real_field(grid, 31).with_coeffs
         field = random_real_field(grid, 31)
         field = field.with_coeffs(field.coeffs, time=12.5)
         path = tmp_path / "state.bin"
@@ -413,6 +410,19 @@ class TestSnapshotFormat:
         assert back.grid == field.grid
         assert back.time == field.time
         np.testing.assert_array_equal(back.coeffs, field.coeffs)
+        # magic, the 24-byte header, the identifier, n/2 (re, im) pairs
+        assert path.stat().st_size == 6 + 24 + len(ident) + 16 * (grid.n // 2)
+
+    def test_full_spectrum_format_refused(self, tmp_path, grid):
+        """A QMKDV1 file, which held all n coefficients, is refused by its
+        magic, and the message names the format read and the one expected."""
+        path = tmp_path / "state.bin"
+        save_snapshot(path, random_real_field(grid, 35), "x")
+        blob = bytearray(path.read_bytes())
+        blob[:6] = b"QMKDV1"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"not a QMKDV2 snapshot: magic b'QMKDV1'"):
+            load_snapshot(path)
 
     def test_magic_is_checked(self, tmp_path, grid):
         path = tmp_path / "state.bin"
