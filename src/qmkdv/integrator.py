@@ -29,7 +29,6 @@ from .spectral_core import (
     GridSpec,
     SpectralField,
     _multipliers,
-    load_snapshot,
     norm,
     synthesize,
     transform,
@@ -105,6 +104,8 @@ def initial_field(cfg: SimConfig) -> SpectralField:
             u = u * np.cos(init.modulation * x)
         f = transform(cfg.grid, u, time=0.0)
     elif init.kind == "snapshot":
+        from .spectral_core import load_snapshot
+
         f, coeff_id = load_snapshot(init.path)
         if f.grid != cfg.grid:
             raise ValueError("snapshot grid does not match configured grid")
