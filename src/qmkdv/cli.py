@@ -44,14 +44,17 @@ from .diagnostics import (
     sharp_decay_product,
     theta_series,
 )
-from .integrator import InitialSpec, SimConfig, run
+from .integrator import SimConfig, gaussian_datum, run
 from .model import BootstrapConstants, CoefficientSpec, dyadic_symbol_bound
 from .oscillatory import (_envelope_times, _fit_window, gaussian_two_pi_selftest, nonresonant_decay_study,
                           resonant_drift_measurement, stationary_phase_drift, two_pi_identity)
 from .spectral_core import (
     GridSpec,
+    SpectralField,
+    airy_factor,
     derivative,
     fractional_abs_derivative,
+    load_snapshot,
     norm,
     profile_from_solution,
     save_snapshot,
@@ -91,18 +94,22 @@ def _false_gates(node, path: str = "") -> list:
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """A float config value; inf and nan are refused like any malformed value."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from e
+    return tuple(_finite_float(x) for x in text.split(","))
 
 
-# a value below its floor, or a time in _POSITIVE that is not > 0, is refused when the
+# a value below its floor, or one in _POSITIVE that is not > 0, is refused when the
 # config is read, before anything runs; decay.t_min's floor is dispersive_ratio's t >= 1
 _FLOORS = {"identities.samples": 1, "run.monitor_count": 0, "decay.samples": 0, "scattering.samples": 0,
            "oscillatory.samples": 0, "scattering.fit_t_min": 0.0, "decay.t_min": 1.0}
-_POSITIVE = ("run.t_end", "oscillatory.t_min")
+_POSITIVE = ("run.t_end", "oscillatory.t_min", "initial.width")  # a zero width makes a NaN datum
 
 
 def parse_config(path: str) -> dict:
@@ -201,6 +208,20 @@ def _require_samples(what: str, times, lo: float, hi: float, needed: int) -> Non
         raise ConfigError(f"{what} in [{lo}, {hi}]: {have} planned, need >= {needed}")
 
 
+def _snapshot_datum(path: str, grid: GridSpec, coeff: CoefficientSpec) -> SpectralField:
+    """The snapshot at ``path``, its zero mode set to 0, if it is readable and on ``grid`` with ``coeff``."""
+    try:
+        phi, coeff_id = load_snapshot(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"initial.snapshot {path!r}: {e}") from e
+    if phi.grid != grid:
+        raise ConfigError(f"initial.snapshot grid {phi.grid} is not the configured {grid}")
+    if coeff_id != coeff.identifier():
+        raise ConfigError(f"initial.snapshot coefficients {coeff_id!r} are not the configured {coeff.identifier()!r}")
+    phi.coeffs[0] = 0.0
+    return phi
+
+
 # ---------------------------------------------------------------------------
 # Study declarations and the driver
 # ---------------------------------------------------------------------------
@@ -228,19 +249,17 @@ class _Context:
         write_csv(self.path(name), self.meta, header, rows)
 
     def sim(self, monitor_times: tuple) -> SimConfig:
-        """The integrator run the config describes, ending at ``run.t_end``."""
+        """The integrator run the config describes, from the snapshot at
+        ``initial.snapshot`` or else the ``initial.*`` Gaussian, ending at ``run.t_end``."""
         cfg = self.cfg
         if "initial.snapshot" in cfg:
-            initial = InitialSpec(kind="snapshot", path=cfg["initial.snapshot"])
+            initial = _snapshot_datum(cfg["initial.snapshot"], self.grid, self.coeff)
         else:
-            initial = InitialSpec(
-                amplitude=cfg["initial.amplitude"],
-                width=cfg["initial.width"],
-                modulation=cfg["initial.modulation"],
+            initial = gaussian_datum(
+                self.grid, cfg["initial.amplitude"], cfg["initial.width"], cfg["initial.modulation"]
             )
         try:
             return SimConfig(
-                grid=self.grid,
                 coeff=self.coeff,
                 initial=initial,
                 t_end=cfg["run.t_end"],
@@ -271,7 +290,7 @@ _SECTIONS = {"coeff": CoefficientSpec, "constants": BootstrapConstants}
 _COMMON_DEFAULTS = {f"{p}.{f.name}": f.default for p, cls in _SECTIONS.items() for f in fields(cls)}
 
 # keys with no default, read only by the studies that integrate (those with a run.t_end)
-_INTEGRATOR_KEYS = {"initial.snapshot": str, "run.dt_init": float}
+_INTEGRATOR_KEYS = {"initial.snapshot": str, "run.dt_init": _finite_float}
 
 # the frequency-side studies record this placeholder grid in their metadata
 _DESK_GRID = (16, 2.0 * math.pi)
@@ -411,10 +430,9 @@ def _decay(ctx: _Context) -> dict:
     h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
     sizes = profile_sizes(h)
     h1 = fractional_abs_derivative(h, 1.0)
-    xi3 = lin_grid.half_xi**3
     rows = []
     for t in map(float, times):
-        airy = np.exp(1j * t * xi3)  # e^{-t d_x^3}, as free_evolve forms it, once per time
+        airy = airy_factor(lin_grid, t)  # e^{-t d_x^3}, as free_evolve forms it, once per time
         phi_t = h.with_coeffs(airy * h.coeffs, time=t)
         vals = np.abs(synthesize(phi_t))  # also the beta = 0 left-hand side
         dx_vals = np.abs(synthesize(derivative(phi_t, 1)))
@@ -667,11 +685,11 @@ STUDIES = tuple(_STUDIES)
 
 
 def _key_parsers() -> dict:
-    """Each config key's parser: the type of its default, the same in every study."""
+    """Each config key's parser, by the type of its default (floats finite), the same in every study."""
     parsers = {"study.kind": str, **_INTEGRATOR_KEYS}
     for study in _STUDIES.values():
         for key, default in study.defaults.items():
-            parser = _float_list if isinstance(default, tuple) else type(default)
+            parser = {tuple: _float_list, float: _finite_float}.get(type(default), type(default))
             if parsers.setdefault(key, parser) is not parser:
                 raise TypeError(f"config key {key!r} has defaults of different types")
     return parsers

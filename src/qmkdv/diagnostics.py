@@ -45,6 +45,7 @@ from .littlewood_paley import _smooth_step
 from .spectral_core import (
     GridSpec,
     SpectralField,
+    airy_factor,
     antiderivative,
     mass_fraction_inside,
     norm,
@@ -128,7 +129,7 @@ def energy(
     """The six-summand energy and the Z-norm at one time."""
     e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
     xi = phi.grid.half_xi
-    airy = np.exp(1j * t * xi**3)
+    airy = airy_factor(phi.grid, t)
     # the profile's e^{-i t xi^3} is airy's conjugate, bitwise bar the sign of a zero imaginary part
     h = phi.with_coeffs(np.conj(airy) * phi.coeffs, time=t)
     dh = xi_derivative_coefficients(h)

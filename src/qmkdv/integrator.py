@@ -16,6 +16,9 @@ array, bitwise the single-expression form of the scheme.
 The state holds only the coefficients of a real field (see `spectral_core`),
 so a step needs no projection back onto real, zero-mean fields: both are
 properties of the representation and of N(phi)'s divergence form.
+
+The datum is given: `SimConfig.initial` is the initial field, whose grid and
+time are the run's, built by the caller (`gaussian_datum`, or a snapshot).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .model import CoefficientSpec, hamiltonian, mass, nonlinearity_full
 from .spectral_core import (
     GridSpec,
     SpectralField,
-    _multipliers,
+    airy_factor,
     norm,
     synthesize,
     transform,
@@ -36,10 +39,9 @@ from .spectral_core import (
 
 __all__ = [
     "StepUnderflow",
-    "InitialSpec",
     "SimConfig",
     "SimState",
-    "initial_field",
+    "gaussian_datum",
     "default_dt_init",
     "lawson_step",
     "step",
@@ -55,21 +57,11 @@ class StepUnderflow(RuntimeError):
 
 
 @dataclass(frozen=True)
-class InitialSpec:
-    """Initial data: a modulated Gaussian or a snapshot file."""
-
-    kind: str = "gaussian"
-    amplitude: float = 0.01
-    width: float = 1.0
-    modulation: float = 0.0
-    path: str | None = None
-
-
-@dataclass(frozen=True)
 class SimConfig:
-    grid: GridSpec
+    """An integrator run: from the field `initial`, on its grid and at its time, to `t_end`."""
+
     coeff: CoefficientSpec
-    initial: InitialSpec
+    initial: SpectralField
     t_end: float
     eps_tol: float = 1e-9
     dt_init: float | None = None
@@ -77,8 +69,10 @@ class SimConfig:
     linear_only: bool = False
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
+        if not self.initial.time < self.t_end:
+            raise ValueError(f"initial time {self.initial.time} is not before t_end {self.t_end}")
         if not 1e-12 <= self.eps_tol <= 1e-4:
             raise ValueError("eps_tol must lie in [1e-12, 1e-4]")
         if self.dt_init is not None and not (np.isfinite(self.dt_init) and self.dt_init > 0):
@@ -94,27 +88,14 @@ class SimState:
     rhs_evals: int = 0  # N(phi) evaluations, rejected attempts included
 
 
-def initial_field(cfg: SimConfig) -> SpectralField:
-    """Build the initial field, its zero mode set to 0 (zero mean)."""
-    init = cfg.initial
-    if init.kind == "gaussian":
-        x = cfg.grid.x
-        u = init.amplitude * np.exp(-((x / init.width) ** 2))
-        if init.modulation != 0.0:
-            u = u * np.cos(init.modulation * x)
-        f = transform(cfg.grid, u, time=0.0)
-    elif init.kind == "snapshot":
-        from .spectral_core import load_snapshot
-
-        f, coeff_id = load_snapshot(init.path)
-        if f.grid != cfg.grid:
-            raise ValueError("snapshot grid does not match configured grid")
-        if coeff_id != cfg.coeff.identifier():
-            raise ValueError(
-                f"snapshot coefficients {coeff_id!r} do not match configured {cfg.coeff.identifier()!r}"
-            )
-    else:
-        raise ValueError(f"unknown initial-data kind {init.kind!r}")
+def gaussian_datum(grid: GridSpec, amplitude: float, width: float, modulation: float = 0.0) -> SpectralField:
+    """amplitude * exp(-(x/width)^2) * cos(modulation * x) at time 0, its zero
+    mode set to 0 (zero mean)."""
+    x = grid.x
+    u = amplitude * np.exp(-((x / width) ** 2))
+    if modulation != 0.0:
+        u = u * np.cos(modulation * x)
+    f = transform(grid, u, time=0.0)
     f.coeffs[0] = 0.0
     return f
 
@@ -134,12 +115,6 @@ def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool, evals: li
     if evals is not None:
         evals[0] += 1
     return np.negative(g, out=g)
-
-
-def _free_flow_factors(grid: GridSpec, *steps: float) -> tuple[np.ndarray, ...]:
-    """exp(i xi^3 h) for each step length h."""
-    lam = _multipliers(grid.n, grid.box_length)[1]
-    return tuple(np.exp(lam * h) for h in steps)
 
 
 def lawson_step(
@@ -167,7 +142,7 @@ def lawson_step(
     operand order of this formula: numpy's complex product is not bitwise
     commutative.
     """
-    e_full, e_half = factors or _free_flow_factors(phi.grid, dt, 0.5 * dt)
+    e_full, e_half = factors or (airy_factor(phi.grid, dt), airy_factor(phi.grid, 0.5 * dt))
     y = phi.coeffs
     t = phi.time
     h = 0.5 * dt
@@ -212,7 +187,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         # the half steps' exp(i xi^3 h) and exp(i xi^3 h/2) are the full step's
         # exp(i xi^3 dt/2) and exp(i xi^3 dt/4), bit for bit
         h = 0.5 * dt_try
-        e_full, e_half, e_quarter = _free_flow_factors(phi.grid, dt_try, h, 0.5 * h)
+        e_full, e_half, e_quarter = (airy_factor(phi.grid, s) for s in (dt_try, h, 0.5 * h))
         full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, (e_full, e_half), evals)
         half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter), evals)
         pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter), evals)
@@ -257,13 +232,12 @@ def run(cfg: SimConfig, observer=None) -> tuple[SimState, list[dict]]:
 
     `observer(phi, record)`, when given, is called at every monitor time and
     may extend the record dict in place (diagnostics, snapshot writing).
-    The run starts at the initial field's time t0 (0, or a snapshot's time).
-    Records are also emitted at t0 and t_end; monitor times outside
-    (t0, t_end] are ignored.
+    The run integrates the given field `cfg.initial` from its time t0 (0, or
+    a snapshot's time), which `SimConfig` holds before t_end.  Records are
+    also emitted at t0 and t_end; monitor times outside (t0, t_end] are
+    ignored.
     """
-    phi0 = initial_field(cfg)
-    if not phi0.time < cfg.t_end:
-        raise ValueError(f"initial time {phi0.time} is not before t_end {cfg.t_end}")
+    phi0 = cfg.initial
     dt0 = cfg.dt_init if cfg.dt_init is not None else default_dt_init(phi0, cfg.coeff)
     state = SimState(phi=phi0, dt=max(dt0, DT_FLOOR))
     stops = sorted({float(t) for t in cfg.monitor_times if phi0.time < t <= cfg.t_end} | {cfg.t_end})

@@ -61,6 +61,7 @@ __all__ = [
     "derivative",
     "fractional_abs_derivative",
     "antiderivative",
+    "airy_factor",
     "profile_from_solution",
     "free_evolve",
     "norm",
@@ -131,8 +132,8 @@ class GridSpec:
 def _multipliers(n: int, box_length: float) -> tuple[np.ndarray, np.ndarray]:
     """(i*xi, i*xi^3) at the n/2 coefficient frequencies, read-only.
 
-    Memoized for the time-stepping hot path only (the nonlinearity and the
-    Lawson step), which evaluates them thousands of times on one grid.
+    Memoized for the nonlinearity and `airy_factor` (each Lawson step, energy,
+    profile and Airy-sweep time), which evaluate them many times on one grid.
     GridSpec's own properties stay uncached: a cache there would also keep
     the large one-shot grids of the quadrature studies alive.
     """
@@ -215,14 +216,19 @@ def antiderivative(f: SpectralField) -> SpectralField:
     return f.with_coeffs(out)
 
 
+def airy_factor(grid: GridSpec, t: float) -> np.ndarray:
+    """e^{i t xi^3} at the n/2 coefficient frequencies: the Airy group e^{-t d_x^3}, any sign of t."""
+    return np.exp(_multipliers(grid.n, grid.box_length)[1] * t)
+
+
 def profile_from_solution(phi: SpectralField, t: float) -> SpectralField:
     """Factor out the Airy group: hhat(xi) = e^{-i t xi^3} phihat(xi)."""
-    return phi.with_coeffs(np.exp(-1j * t * phi.grid.half_xi**3) * phi.coeffs, time=t)
+    return phi.with_coeffs(airy_factor(phi.grid, -t) * phi.coeffs, time=t)
 
 
 def free_evolve(h: SpectralField, t: float) -> SpectralField:
     """Airy evolution of a profile: phihat(xi) = e^{+i t xi^3} hhat(xi)."""
-    return h.with_coeffs(np.exp(1j * t * h.grid.half_xi**3) * h.coeffs, time=t)
+    return h.with_coeffs(airy_factor(h.grid, t) * h.coeffs, time=t)
 
 
 def _band_sum(w: np.ndarray) -> float:

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from qmkdv import cli, identities
-from qmkdv.spectral_core import (GridSpec, derivative, fractional_abs_derivative, free_evolve, norm, synthesize,
-                                 transform)
+from qmkdv.model import CoefficientSpec
+from qmkdv.spectral_core import (GridSpec, derivative, fractional_abs_derivative, free_evolve, norm, save_snapshot,
+                                 synthesize, transform)
 
 SIMULATE_CONFIG = """study.kind = simulate
 grid.n = 64
@@ -365,9 +366,36 @@ def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
     assert not out.exists()
 
 
+def _write_snapshots(where: Path) -> None:
+    """Snapshot files that SIMULATE_CONFIG's run refuses, each named for its fault."""
+    grid = GridSpec(64, 20.0)
+    phi = transform(grid, 0.3 * np.exp(-(grid.x**2)))
+    ident = CoefficientSpec().identifier()  # cubic_poly at its defaults, as SIMULATE_CONFIG
+    save_snapshot(where / "at_t_end.bin", phi.with_coeffs(phi.coeffs, time=0.2), ident)
+    save_snapshot(where / "after_t_end.bin", phi.with_coeffs(phi.coeffs, time=0.3), ident)
+    save_snapshot(where / "other_grid.bin", transform(GridSpec(64, 30.0), np.exp(-(grid.x**2))), ident)
+    save_snapshot(where / "other_coeff.bin", phi, CoefficientSpec("linear", b=0.0).identifier())
+    data = (where / "at_t_end.bin").read_bytes()
+    (where / "truncated.bin").write_bytes(data[:-8])
+    (where / "wrong_magic.bin").write_bytes(b"QMKDV1" + data[6:])
+
+
+SNAPSHOT_FAULTS = ("missing", "wrong_magic", "truncated", "other_grid", "other_coeff")
+
+
 @pytest.mark.parametrize(
     "study, config, named",
     [
+        *[("simulate", SIMULATE_CONFIG + f"initial.snapshot = {{dir}}/{name}.bin\n", "initial.snapshot")
+          for name in SNAPSHOT_FAULTS],
+        ("simulate", SIMULATE_CONFIG + "initial.snapshot = {dir}/at_t_end.bin\n", "t_end"),
+        ("simulate", SIMULATE_CONFIG + "initial.snapshot = {dir}/after_t_end.bin\n", "t_end"),
+        ("simulate", SIMULATE_CONFIG.replace("run.t_end = 0.2", "run.t_end = inf"), "run.t_end"),
+        ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = inf"), "run.t_end"),
+        ("simulate", SIMULATE_CONFIG + "run.dt_init = nan\n", "run.dt_init"),
+        ("simulate", SIMULATE_CONFIG + "initial.width = 0.0\n", "initial.width"),
+        ("oscillatory", "oscillatory.t_max = nan\n", "oscillatory.t_max"),
+        ("oscillatory", "oscillatory.b_values = 8.0, nan\n", "oscillatory.b_values"),
         ("decay", DECAY_CONFIG.replace("run.t_end = 3.0", "run.t_end = -1.0"), "run.t_end"),
         ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = -1.0"), "run.t_end"),
         ("decay", DECAY_CONFIG.replace("decay.t_min = 2.0", "decay.t_min = 0.0"), "decay.t_min"),
@@ -377,16 +405,21 @@ def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
         ("resonance", RESONANCE_CONFIG + "constants.s = 4.0\n", "s + 1 - 2 gamma_h"),
         ("resonance", RESONANCE_CONFIG + "constants.s = 3.0\n", "s + 1 - 2 gamma_h"),
     ],
-    ids=["decay-t-end", "scattering-t-end", "decay-t-min-zero", "decay-t-min-below-1", "oscillatory-t-min",
+    ids=[*(f"snapshot-{name}" for name in SNAPSHOT_FAULTS), "snapshot-at-t-end", "snapshot-after-t-end",
+         "simulate-infinite-t-end", "scattering-infinite-t-end", "nan-dt-init", "zero-width", "nan-float", "nan-in-float-list",
+         "decay-t-end", "scattering-t-end", "decay-t-min-zero", "decay-t-min-below-1", "oscillatory-t-min",
          "negative-dt-init", "p1-bound-denominator-zero", "p1-bound-denominator-negative"],
 )
 def test_out_of_range_values_exit_2_naming_them(tmp_path, capsys, study, config, named):
     """Each value would fail only once work had started (a math domain
     error, a division by zero, t < 1 in the dispersive ratio after the whole
-    Airy sweep) or be taken silently (a negative first step): each is
-    refused before anything runs, by a message that names it."""
+    Airy sweep, an overflow at an infinite horizon) or be taken silently (a
+    negative first step, a run of no steps to t = inf): each is refused
+    before anything runs, by a message that names it.  A snapshot that
+    cannot start the run is such a value."""
+    _write_snapshots(tmp_path)
     out = tmp_path / "out"
-    assert _main(tmp_path, study, config, out) == 2
+    assert _main(tmp_path, study, config.replace("{dir}", str(tmp_path)), out) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert not out.exists()

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from qmkdv import integrator
+from qmkdv.cli import ConfigError, _snapshot_datum
 from qmkdv.integrator import (
     DT_FLOOR,
-    InitialSpec,
     SimConfig,
     SimState,
     StepUnderflow,
     default_dt_init,
-    initial_field,
+    gaussian_datum,
     lawson_step,
     monitor_record,
     run,
@@ -29,6 +29,7 @@ from qmkdv.integrator import (
 from qmkdv.model import CoefficientSpec, nonlinearity_full
 from qmkdv.spectral_core import (
     GridSpec,
+    airy_factor,
     free_evolve,
     norm,
     save_snapshot,
@@ -58,7 +59,7 @@ def relative_l2(a, b):
 def lawson_step_expression(phi, spec, dt, linear_only=False):
     """`lawson_step` as one expression per stage on fresh temporaries, the
     form the in-place stages must reproduce bit for bit."""
-    e_full, e_half = integrator._free_flow_factors(phi.grid, dt, 0.5 * dt)
+    e_full, e_half = airy_factor(phi.grid, dt), airy_factor(phi.grid, 0.5 * dt)
     y = phi.coeffs
     t = phi.time
 
@@ -75,32 +76,27 @@ def lawson_step_expression(phi, spec, dt, linear_only=False):
     return phi.with_coeffs(out, time=t + dt)
 
 
-def small_config(grid, **kw):
-    defaults = dict(
-        grid=grid,
-        coeff=LINEAR,
-        initial=InitialSpec(kind="gaussian", amplitude=0.01, width=1.0),
-        t_end=1.0,
-    )
+def small_config(grid, amplitude=0.01, width=1.0, **kw):
+    """A run on `grid` from a Gaussian datum, unless `initial` is given."""
+    defaults = dict(coeff=LINEAR, initial=gaussian_datum(grid, amplitude, width), t_end=1.0)
     defaults.update(kw)
     return SimConfig(**defaults)
 
 
 class TestInitialData:
-    """Gaussian and snapshot initial data, always real with zero mean."""
+    """The Gaussian datum and a snapshot as the CLI reads it, always real with zero mean."""
 
     def test_gaussian_profile(self, grid):
-        cfg = small_config(grid, initial=InitialSpec("gaussian", 0.2, 1.5))
-        phi = initial_field(cfg)
+        phi = gaussian_datum(grid, 0.2, 1.5)
         u = 0.2 * np.exp(-((grid.x / 1.5) ** 2))
         want = u - np.mean(u)  # zero-mean projection removes the box average
         assert np.max(np.abs(synthesize(phi) - want)) <= 1e-14
         assert phi.coeffs[0] == 0.0
+        assert phi.grid == grid and phi.time == 0.0
 
     def test_modulated_gaussian(self, grid):
         nu = 8 * grid.dxi
-        cfg = small_config(grid, initial=InitialSpec("gaussian", 0.2, 2.0, modulation=nu))
-        phi = initial_field(cfg)
+        phi = gaussian_datum(grid, 0.2, 2.0, modulation=nu)
         u = 0.2 * np.exp(-((grid.x / 2.0) ** 2)) * np.cos(nu * grid.x)
         want = u - np.mean(u)
         assert np.max(np.abs(synthesize(phi) - want)) <= 1e-14
@@ -108,30 +104,23 @@ class TestInitialData:
     def test_snapshot_roundtrip(self, grid, tmp_path):
         f = random_real_field(grid, 5)
         path = tmp_path / "state.bin"
-        save_snapshot(path, f, LINEAR.identifier())
-        cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)))
-        phi = initial_field(cfg)
+        save_snapshot(path, f.with_coeffs(f.coeffs, time=2.5), LINEAR.identifier())
+        phi = _snapshot_datum(str(path), grid, LINEAR)
         assert np.max(np.abs(phi.coeffs - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
+        assert phi.time == 2.5
 
     def test_snapshot_grid_mismatch(self, grid, tmp_path):
         f = random_real_field(GridSpec(n=128, box_length=40.0), 5)
         path = tmp_path / "state.bin"
         save_snapshot(path, f, "test")
-        cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)))
-        with pytest.raises(ValueError, match="grid"):
-            initial_field(cfg)
+        with pytest.raises(ConfigError, match="grid"):
+            _snapshot_datum(str(path), grid, LINEAR)
 
     def test_snapshot_coefficient_mismatch(self, grid, tmp_path):
         path = tmp_path / "state.bin"
         save_snapshot(path, random_real_field(grid, 5), CUBIC.identifier())
-        cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)))
-        with pytest.raises(ValueError, match="coefficients"):
-            initial_field(cfg)
-
-    def test_unknown_kind(self, grid):
-        cfg = small_config(grid, initial=InitialSpec(kind="soliton"))
-        with pytest.raises(ValueError, match="soliton"):
-            initial_field(cfg)
+        with pytest.raises(ConfigError, match="coefficients"):
+            _snapshot_datum(str(path), grid, LINEAR)
 
 
 class TestSimConfig:
@@ -142,6 +131,12 @@ class TestSimConfig:
             small_config(grid, t_end=0.0)
         with pytest.raises(ValueError, match="t_end"):
             small_config(grid, t_end=-1.0)
+
+    @pytest.mark.parametrize("t_end", [float("inf"), float("nan")])
+    def test_t_end_finite(self, grid, t_end):
+        """An infinite horizon would run no step at all; a NaN one compares false everywhere."""
+        with pytest.raises(ValueError, match="t_end"):
+            small_config(grid, t_end=t_end)
 
     @pytest.mark.parametrize("eps", [1e-13, 1e-3])
     def test_eps_tol_window(self, grid, eps):
@@ -164,8 +159,7 @@ class TestDefaultDtInit:
     """First-step guard 0.5 dx^2 / max(1, max|c(phi)|^2)."""
 
     def test_small_amplitude_branch(self, grid):
-        cfg = small_config(grid)
-        phi = initial_field(cfg)
+        phi = gaussian_datum(grid, 0.01, 1.0)
         assert default_dt_init(phi, LINEAR) == 0.5 * grid.dx**2
 
     def test_large_amplitude_branch(self, grid):
@@ -217,10 +211,10 @@ class TestOrderOfAccuracy:
         controller does not see, as a per-step real projection does, leaves
         an error floor near 1e-10 that fails this bound."""
         grid = GridSpec(n=256, box_length=50.0)
-        cfg = small_config(grid, coeff=CoefficientSpec(), initial=InitialSpec("gaussian", 0.3, 1.0), t_end=0.5)
-        phi0 = initial_field(cfg)
-        ref = fixed_step_run(phi0, cfg.coeff, 0.5 / 8192, 8192)
-        errors = [relative_l2(fixed_step_run(phi0, cfg.coeff, 0.5 / k, k), ref) for k in (512, 1024, 2048, 4096)]
+        phi0 = gaussian_datum(grid, 0.3, 1.0)
+        spec = CoefficientSpec()
+        ref = fixed_step_run(phi0, spec, 0.5 / 8192, 8192)
+        errors = [relative_l2(fixed_step_run(phi0, spec, 0.5 / k, k), ref) for k in (512, 1024, 2048, 4096)]
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert min(ratios) >= 12.0, (errors, ratios)
 
@@ -257,7 +251,7 @@ class TestInPlaceStages:
             assert np.array_equal(got.coeffs, want.coeffs)
             assert got.time == want.time
         # the factors step() passes give the same bits as the step's own
-        factors = integrator._free_flow_factors(phi.grid, 0.05, 0.025)
+        factors = airy_factor(phi.grid, 0.05), airy_factor(phi.grid, 0.025)
         assert np.array_equal(lawson_step(phi, spec, 0.05, linear_only, factors).coeffs, want.coeffs)
         assert np.array_equal(phi.coeffs, before)  # the input is left alone
 
@@ -269,7 +263,7 @@ class TestInPlaceStages:
         grid = GridSpec(n=1024, box_length=120.0)
         phi = random_real_field(grid, 95, decay=2.0)
         spec = CoefficientSpec()
-        factors = integrator._free_flow_factors(grid, 1e-3, 5e-4)
+        factors = airy_factor(grid, 1e-3), airy_factor(grid, 5e-4)
         lawson_step(phi, spec, 1e-3, False, factors)
         tracemalloc.start()
         try:
@@ -284,7 +278,7 @@ class TestAdaptiveStep:
     """Step doubling: acceptance, rejection, caps, and the underflow guard."""
 
     def test_zero_data_stays_zero(self, grid):
-        cfg = small_config(grid, initial=InitialSpec("gaussian", 0.0), t_end=0.5)
+        cfg = small_config(grid, amplitude=0.0, t_end=0.5)
         state, records = run(cfg)
         assert np.all(state.phi.coeffs == 0.0)
         assert records[-1]["l2"] == 0.0
@@ -310,8 +304,7 @@ class TestAdaptiveStep:
 
     def test_capped_step_keeps_controller_length(self, grid):
         cfg = small_config(grid, coeff=CUBIC, eps_tol=1e-8)
-        phi = initial_field(cfg)
-        state = SimState(phi=phi, dt=1e-2)
+        state = SimState(phi=cfg.initial, dt=1e-2)
         out = step(state, cfg, dt_cap=1e-4)
         assert out.phi.time == pytest.approx(1e-4)
         assert out.dt >= 1e-2  # the cap must not erode the controller's dt
@@ -332,7 +325,7 @@ class TestAdaptiveStep:
 
         monkeypatch.setattr(integrator, "lawson_step", counted("lawson", integrator.lawson_step))
         monkeypatch.setattr(integrator, "nonlinearity_full", counted("rhs", integrator.nonlinearity_full))
-        phi = initial_field(small_config(grid, initial=InitialSpec("gaussian", 0.3)))
+        phi = gaussian_datum(grid, 0.3, 1.0)
         out = step(SimState(phi=phi, dt=dt), small_config(grid, coeff=CUBIC, eps_tol=1e-8))
         attempted = out.steps + out.rejected
         assert (out.rejected > 0) == rejects
@@ -342,7 +335,7 @@ class TestAdaptiveStep:
         """N(phi) is a derivative, so its zero mode is exactly 0 and the mean
         stays 0 with no projection."""
         cfg = small_config(grid, coeff=CUBIC, eps_tol=1e-8)
-        phi = initial_field(small_config(grid, initial=InitialSpec("gaussian", 0.3)))
+        phi = gaussian_datum(grid, 0.3, 1.0)
         out = step(SimState(phi=phi, dt=1e-3), cfg)
         assert out.phi.coeffs[0] == 0.0
 
@@ -379,12 +372,12 @@ class TestRun:
     def test_resume_from_snapshot_starts_at_its_time(self, grid, tmp_path):
         cfg = small_config(grid, t_end=1.0, monitor_times=(0.5,), eps_tol=1e-7)
         fresh, _ = run(cfg)
-        phi0 = initial_field(cfg)
+        phi0 = cfg.initial
         path = tmp_path / "state.bin"
         save_snapshot(path, phi0.with_coeffs(phi0.coeffs, time=5.0), LINEAR.identifier())
         resumed = small_config(
             grid,
-            initial=InitialSpec(kind="snapshot", path=str(path)),
+            initial=_snapshot_datum(str(path), grid, LINEAR),
             t_end=6.0,
             monitor_times=(1.0, 2.0, 5.5),
             eps_tol=1e-7,
@@ -398,17 +391,16 @@ class TestRun:
     def test_snapshot_at_or_after_t_end_rejected(self, grid, tmp_path):
         path = tmp_path / "state.bin"
         phi = random_real_field(grid, 5)
-        save_snapshot(path, phi.with_coeffs(phi.coeffs, time=5.0), LINEAR.identifier())
-        cfg = small_config(grid, initial=InitialSpec(kind="snapshot", path=str(path)), t_end=4.0)
-        with pytest.raises(ValueError, match="t_end"):
-            run(cfg)
+        for t0 in (4.0, 5.0):
+            save_snapshot(path, phi.with_coeffs(phi.coeffs, time=t0), LINEAR.identifier())
+            with pytest.raises(ValueError, match="t_end"):
+                small_config(grid, initial=_snapshot_datum(str(path), grid, LINEAR), t_end=4.0)
 
     def test_short_run_conserves_invariants(self):
         grid = GridSpec(n=256, box_length=50.0)
         cfg = SimConfig(
-            grid=grid,
             coeff=CUBIC,
-            initial=InitialSpec("gaussian", amplitude=0.05, width=1.0),
+            initial=gaussian_datum(grid, amplitude=0.05, width=1.0),
             t_end=2.0,
             eps_tol=1e-9,
         )
@@ -431,7 +423,7 @@ class TestRun:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(integrator, "nonlinearity_full", counted)
-        cfg = small_config(grid, coeff=CUBIC, initial=InitialSpec("gaussian", 0.3), t_end=0.05, eps_tol=1e-8,
+        cfg = small_config(grid, amplitude=0.3, coeff=CUBIC, t_end=0.05, eps_tol=1e-8,
                            dt_init=0.05, monitor_times=(0.02,))
         state, _ = run(cfg)
         assert state.steps > 1 and state.rejected > 0

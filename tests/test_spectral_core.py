@@ -21,6 +21,7 @@ from qmkdv.spectral_core import (
     GridSpec,
     NonZeroMean,
     SpectralField,
+    airy_factor,
     antiderivative,
     derivative,
     fractional_abs_derivative,
@@ -233,6 +234,16 @@ class TestProfileAndFreeEvolution:
         one = free_evolve(h, 5.0 + 2.0)
         two = free_evolve(free_evolve(h, 5.0), 2.0)
         np.testing.assert_allclose(one.coeffs, two.coeffs, atol=1e-12 * np.max(np.abs(h.coeffs)))
+
+    @pytest.mark.parametrize("n, box", [(256, 50.0), (6144, 4500.0), (8192, 6000.0), (16384, 12000.0)])
+    def test_airy_factor_is_the_per_call_exponential(self, n, box):
+        """The factor from the memoized i xi^3 has the bits of exp(i t xi^3)
+        formed at each call, for both signs of t: the studies' outputs do not
+        depend on which form made them."""
+        xi = GridSpec(n, box).half_xi
+        for t in (1e-3, 0.37, 5.0, 128.0, 500.0):
+            for sign in (1.0, -1.0):
+                assert np.array_equal(airy_factor(GridSpec(n, box), sign * t), np.exp(sign * 1j * t * xi**3))
 
 
 class TestNorms:
