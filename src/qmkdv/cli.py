@@ -264,9 +264,7 @@ class _Context:
                 initial=initial,
                 t_end=cfg["run.t_end"],
                 eps_tol=cfg["run.eps_tol"],
-                dt_init=cfg.get("run.dt_init"),
                 monitor_times=monitor_times,
-                linear_only=self.args.linear_only,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -290,7 +288,7 @@ _SECTIONS = {"coeff": CoefficientSpec, "constants": BootstrapConstants}
 _COMMON_DEFAULTS = {f"{p}.{f.name}": f.default for p, cls in _SECTIONS.items() for f in fields(cls)}
 
 # keys with no default, read only by the studies that integrate (those with a run.t_end)
-_INTEGRATOR_KEYS = {"initial.snapshot": str, "run.dt_init": _finite_float}
+_INTEGRATOR_KEYS = {"initial.snapshot": str}
 
 # the frequency-side studies record this placeholder grid in their metadata
 _DESK_GRID = (16, 2.0 * math.pi)
@@ -421,11 +419,10 @@ def _decay(ctx: _Context) -> dict:
     times = np.exp(np.linspace(math.log(t_min), math.log(t_max), cfg["decay.samples"]))
     _require_samples("decay.samples/t_min/t_max: samples", times, t_min, t_max, MIN_DECAY_FIT_SAMPLES)
     t_end = cfg["run.t_end"]
-    if not ctx.args.linear_only:
-        monitor = tuple(float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40)))
-        _require_samples("decay.fit_t_min: monitor times", {*monitor, t_end}, cfg["decay.fit_t_min"], t_end,
-                         MIN_DECAY_FIT_SAMPLES)
-        sim = ctx.sim(monitor)
+    monitor = tuple(float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40)))
+    _require_samples("decay.fit_t_min: monitor times", {*monitor, t_end}, cfg["decay.fit_t_min"], t_end,
+                     MIN_DECAY_FIT_SAMPLES)
+    sim = ctx.sim(monitor)
 
     h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
     sizes = profile_sizes(h)
@@ -459,15 +456,13 @@ def _decay(ctx: _Context) -> dict:
             "ratios_ok": bool(max(r0) / min(r0) <= 2.0 and max(r1) / min(r1) <= 2.0),
         },
     }
-    if ctx.args.linear_only:
-        return report
 
     def observer(phi, rec):
         d = [synthesize(derivative(phi, j)) for j in range(4)]
         rec["linf_dx"] = float(np.max(np.abs(d[1])))
         rec["linf_dxx"] = float(np.max(np.abs(d[2])))
         rec["sharp_product"] = sharp_decay_product(d)
-        eb = energy(phi, phi.time, ctx.coeff, bc)
+        eb = energy(phi, ctx.coeff, bc)
         rec["z_norm"] = eb.z_norm
         rec["energy_total"] = eb.total
         rec["h_mass_fraction"] = eb.h_mass_fraction
@@ -553,7 +548,7 @@ def _scattering(ctx: _Context) -> dict:
     def observer(phi, rec):
         if phi.time >= 1.0:
             times.append(phi.time)
-            samples.append(profile_from_solution(phi, phi.time).coeffs[idx])
+            samples.append(profile_from_solution(phi).coeffs[idx])
 
     run(sim, observer=observer)
     hhat = np.stack(samples)
@@ -645,14 +640,14 @@ def _oscillatory(ctx: _Context) -> dict:
         _require_samples(f"oscillatory.samples: {region} envelope points", env, *window, MIN_DECAY_FIT_SAMPLES)
         t_lists[region] = ts
     results = _map(two_pi_identity, b_values, ctx.args.threads)
-    columns = ["parameter", "value_re", "value_im", "error"]
-    ctx.csv("two_pi.csv", columns, [[r.parameter, r.value.real, r.value.imag, r.error] for r in results])
+    ctx.csv("two_pi.csv", ["parameter", "value_re", "value_im", "error"],
+            [[r.parameter, r.value.real, r.value.imag, r.error] for r in results])
 
     self_tests = [gaussian_two_pi_selftest(b) for b in (8.0, 16.0)]
     separated = nonresonant_decay_study(t_lists["separated"], region="separated", alpha2=alpha2)
     resonant = nonresonant_decay_study(t_lists["resonant"], region="resonant", alpha2=alpha2)
     for name, study in (("separated", separated), ("resonant", resonant)):
-        ctx.csv(f"{name}.csv", columns, [[t, v, 0.0, 0.0] for t, v in study["series"]])
+        ctx.csv(f"{name}.csv", ["t", "max_abs_i"], study["series"])  # the largest |I(t; xi)| over the sampled xi
 
     weighted = [r.error * math.sqrt(r.parameter) for r in results]
     return {
@@ -709,7 +704,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key=value configuration file")
         p.add_argument("--out", default=None, help="output directory (default: qmkdv_out/<study>)")
         p.add_argument("--seed", type=int, default=1, help="64-bit seed for randomized suites")
-        p.add_argument("--linear-only", action="store_true", help="disable the nonlinearity")
         p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     return parser
 

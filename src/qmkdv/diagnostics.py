@@ -105,35 +105,28 @@ def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) ->
     return float(np.max(weight * np.abs(phi.coeffs)))
 
 
-def _scaling_field(
-    phi: SpectralField, t: float, spec: CoefficientSpec, dh: np.ndarray, airy: np.ndarray
-) -> SpectralField:
-    """S phi given dh, the xi-derivative of the profile at time t, and
-    airy = e^{i t xi^3} on the grid.
+def _scaling_field(phi: SpectralField, spec: CoefficientSpec, dh: np.ndarray, airy: np.ndarray) -> SpectralField:
+    """S phi at t = phi.time, given dh, the xi-derivative of the profile at
+    time t, and airy = e^{i t xi^3} on the grid.
 
     F[S phi] = -e^{i t xi^3} xi dh - 3t F[N(phi)] - phihat; at t=0 this
     reduces to F[x d_x phi] = -d_xi(xi phihat).
     """
     out = -airy * phi.grid.half_xi * dh - phi.coeffs
-    if t != 0.0:
-        out = out - 3.0 * t * nonlinearity_full(phi, spec).coeffs
+    if phi.time != 0.0:
+        out = out - 3.0 * phi.time * nonlinearity_full(phi, spec).coeffs
     return phi.with_coeffs(out)
 
 
-def energy(
-    phi: SpectralField,
-    t: float,
-    spec: CoefficientSpec,
-    bc: BootstrapConstants = BootstrapConstants(),
-) -> EnergyBreakdown:
-    """The six-summand energy and the Z-norm at one time."""
+def energy(phi: SpectralField, spec: CoefficientSpec, bc: BootstrapConstants = BootstrapConstants()) -> EnergyBreakdown:
+    """The six-summand energy and the Z-norm at phi's time."""
     e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
     xi = phi.grid.half_xi
-    airy = airy_factor(phi.grid, t)
+    airy = airy_factor(phi.grid, phi.time)
     # the profile's e^{-i t xi^3} is airy's conjugate, bitwise bar the sign of a zero imaginary part
-    h = phi.with_coeffs(np.conj(airy) * phi.coeffs, time=t)
+    h = phi.with_coeffs(np.conj(airy) * phi.coeffs)
     dh = xi_derivative_coefficients(h)
-    s_phi = _scaling_field(phi, t, spec, dh, airy)
+    s_phi = _scaling_field(phi, spec, dh, airy)
     e2 = norm(phi, "Hs", s=bc.s) ** 2
     e3 = norm(antiderivative(s_phi), "L2") ** 2
     e4 = norm(s_phi, "L2") ** 2

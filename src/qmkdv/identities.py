@@ -85,10 +85,10 @@ def commutator_errors(grid: GridSpec, u: np.ndarray, spec: CoefficientSpec) -> t
     errors relative to the right side of [S, d_x] = -d_x and [S, d_x^3] = -3 d_x^3
     (spectrally), and of d_x(3 u^2 S u) - x d_x^2 (u^3) = 3 u^2 u_x (on the grid)."""
     f = transform(grid, u)
-    s_f = scaling_field_direct(f, 0.0, spec)
+    s_f = scaling_field_direct(f, spec)
     errors = []
     for order, factor in ((1, 1.0), (3, 3.0)):
-        lhs = scaling_field_direct(derivative(f, order), 0.0, spec).coeffs - derivative(s_f, order).coeffs
+        lhs = scaling_field_direct(derivative(f, order), spec).coeffs - derivative(s_f, order).coeffs
         rhs = -factor * derivative(f, order).coeffs
         errors.append(norm(f.with_coeffs(lhs - rhs), "L2") / norm(f.with_coeffs(rhs), "L2"))
     ux = synthesize(derivative(f, 1))

@@ -64,9 +64,7 @@ class SimConfig:
     initial: SpectralField
     t_end: float
     eps_tol: float = 1e-9
-    dt_init: float | None = None
     monitor_times: tuple = ()
-    linear_only: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0):
@@ -75,8 +73,6 @@ class SimConfig:
             raise ValueError(f"initial time {self.initial.time} is not before t_end {self.t_end}")
         if not 1e-12 <= self.eps_tol <= 1e-4:
             raise ValueError("eps_tol must lie in [1e-12, 1e-4]")
-        if self.dt_init is not None and not (np.isfinite(self.dt_init) and self.dt_init > 0):
-            raise ValueError(f"dt_init must be finite and positive, got {self.dt_init}")
 
 
 @dataclass
@@ -103,14 +99,12 @@ def gaussian_datum(grid: GridSpec, amplitude: float, width: float, modulation: f
 def default_dt_init(phi0: SpectralField, spec: CoefficientSpec) -> float:
     """Parabolic-style guard for the first step; the controller takes over."""
     u = synthesize(phi0)
-    cmax = float(np.max(np.abs(spec.c_of(u)))) if u.size else 0.0
+    cmax = float(np.max(np.abs(spec.c_of(u))))
     return 0.5 * phi0.grid.dx**2 / max(1.0, cmax**2)
 
 
-def _rhs(phi: SpectralField, spec: CoefficientSpec, linear_only: bool, evals: list | None) -> np.ndarray:
+def _rhs(phi: SpectralField, spec: CoefficientSpec, evals: list | None) -> np.ndarray:
     """G(phi) = -F[N(phi)] in a fresh array the caller owns; counts N(phi) in evals[0]."""
-    if linear_only:
-        return np.zeros_like(phi.coeffs)
     g = nonlinearity_full(phi, spec).coeffs
     if evals is not None:
         evals[0] += 1
@@ -121,7 +115,6 @@ def lawson_step(
     phi: SpectralField,
     spec: CoefficientSpec,
     dt: float,
-    linear_only: bool = False,
     factors: tuple[np.ndarray, np.ndarray] | None = None,
     evals: list | None = None,
 ) -> SpectralField:
@@ -148,7 +141,7 @@ def lawson_step(
     h = 0.5 * dt
 
     def G(coeffs, time):
-        return _rhs(phi.with_coeffs(coeffs, time=time), spec, linear_only, evals)
+        return _rhs(phi.with_coeffs(coeffs, time=time), spec, evals)
 
     w = np.empty_like(y)  # each stage's input, then 2 e
     ey = np.empty_like(y)  # h b, then E y
@@ -188,9 +181,9 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         # exp(i xi^3 dt/2) and exp(i xi^3 dt/4), bit for bit
         h = 0.5 * dt_try
         e_full, e_half, e_quarter = (airy_factor(phi.grid, s) for s in (dt_try, h, 0.5 * h))
-        full = lawson_step(phi, cfg.coeff, dt_try, cfg.linear_only, (e_full, e_half), evals)
-        half = lawson_step(phi, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter), evals)
-        pair = lawson_step(half, cfg.coeff, h, cfg.linear_only, (e_half, e_quarter), evals)
+        full = lawson_step(phi, cfg.coeff, dt_try, (e_full, e_half), evals)
+        half = lawson_step(phi, cfg.coeff, h, (e_half, e_quarter), evals)
+        pair = lawson_step(half, cfg.coeff, h, (e_half, e_quarter), evals)
         err = norm(pair.with_coeffs(pair.coeffs - full.coeffs), "L2")
         tol = cfg.eps_tol * base
         if not np.isfinite(err):
@@ -238,8 +231,7 @@ def run(cfg: SimConfig, observer=None) -> tuple[SimState, list[dict]]:
     ignored.
     """
     phi0 = cfg.initial
-    dt0 = cfg.dt_init if cfg.dt_init is not None else default_dt_init(phi0, cfg.coeff)
-    state = SimState(phi=phi0, dt=max(dt0, DT_FLOOR))
+    state = SimState(phi=phi0, dt=max(default_dt_init(phi0, cfg.coeff), DT_FLOOR))
     stops = sorted({float(t) for t in cfg.monitor_times if phi0.time < t <= cfg.t_end} | {cfg.t_end})
 
     records = []

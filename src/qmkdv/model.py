@@ -332,8 +332,8 @@ def dyadic_symbol_bound(
 # ---------------------------------------------------------------------------
 
 
-def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) -> SpectralField:
-    """S phi = x d_x phi + 3 t d_t phi with d_t phi = -phi_xxx - N(phi).
+def scaling_field_direct(phi: SpectralField, spec: CoefficientSpec) -> SpectralField:
+    """S phi = x d_x phi + 3 t d_t phi at t = phi.time, with d_t phi = -phi_xxx - N(phi).
 
     phi is a real field; the x factor is the centered sawtooth coordinate,
     so the result is faithful only for fields concentrated well inside the
@@ -342,9 +342,9 @@ def scaling_field_direct(phi: SpectralField, t: float, spec: CoefficientSpec) ->
     g = phi.grid
     ux = synthesize(derivative(phi, 1))
     out = transform(g, g.x * ux, phi.time)
-    if t != 0.0:
+    if phi.time != 0.0:
         dt_phi = -derivative(phi, 3).coeffs - nonlinearity_full(phi, spec).coeffs
-        out = out.with_coeffs(out.coeffs + 3.0 * t * dt_phi)
+        out = out.with_coeffs(out.coeffs + 3.0 * phi.time * dt_phi)
     return out
 
 

@@ -350,16 +350,17 @@ def resonant_drift_measurement(
     u = amplitude * np.exp(-((grid.x / width) ** 2))
     h = transform(grid, u)
     idx = [int(round(x / grid.dxi)) for x in targets]
+    xs, hh = grid.xi[idx], h.coeffs[idx]
+    xi3 = xs**3
     ts = np.linspace(grid.box_length / 54.0, grid.box_length / 18.0, 96)
     acc = np.zeros((len(idx), ts.size))
     for s, t in enumerate(ts):
         phi = free_evolve(h, float(t))
-        i_vals = -np.exp(-1j * t * grid.xi[idx] ** 3) * nonlinearity_full(phi, spec).coeffs[idx]
-        hh = h.coeffs[idx]
+        i_vals = -np.exp(-1j * t * xi3) * nonlinearity_full(phi, spec).coeffs[idx]
         acc[:, s] = t * np.real(i_vals / (1j * np.abs(hh) ** 2 * hh))
     out = []
     for row, j in enumerate(idx):
-        xi = float(grid.xi[j])
+        xi = float(xs[row])
         regressed, rms = _drift_regression(ts, acc[row], phase_phi(xi, *resonance_points(xi).space_only))
         out.append(
             {

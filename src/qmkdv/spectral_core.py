@@ -221,9 +221,9 @@ def airy_factor(grid: GridSpec, t: float) -> np.ndarray:
     return np.exp(_multipliers(grid.n, grid.box_length)[1] * t)
 
 
-def profile_from_solution(phi: SpectralField, t: float) -> SpectralField:
-    """Factor out the Airy group: hhat(xi) = e^{-i t xi^3} phihat(xi)."""
-    return phi.with_coeffs(airy_factor(phi.grid, -t) * phi.coeffs, time=t)
+def profile_from_solution(phi: SpectralField) -> SpectralField:
+    """Factor out the Airy group at t = phi.time: hhat(xi) = e^{-i t xi^3} phihat(xi)."""
+    return phi.with_coeffs(airy_factor(phi.grid, -phi.time) * phi.coeffs)
 
 
 def free_evolve(h: SpectralField, t: float) -> SpectralField:

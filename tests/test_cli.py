@@ -1,6 +1,7 @@
 """Batch front door: the byte-identical output promise, the exit-code contract,
 and the six studies' reach over the package's public functions."""
 
+import argparse
 import functools
 import importlib
 import inspect
@@ -101,13 +102,6 @@ def test_decay_output_is_byte_identical(tmp_path):
     assert nonlinear["rhs_evals"] == 12 * (nonlinear["steps"] + nonlinear["rejected_steps"])
 
 
-def test_decay_linear_only_output_is_byte_identical(tmp_path):
-    out = _assert_identical_runs(
-        tmp_path, "decay", DECAY_CONFIG, ["linear_decay.csv", "decay_report.json"], "--linear-only"
-    )
-    assert "nonlinear" not in json.loads((out / "decay_report.json").read_text(encoding="utf-8"))
-
-
 def _dispersive_ratio_per_call(h, t, beta):
     """The dispersive ratio as one self-contained call per (t, beta): the
     oracle for the sweep, which shares e^{-t d_x^3} and the profile's sizes."""
@@ -121,10 +115,12 @@ def _dispersive_ratio_per_call(h, t, beta):
     return float(np.max(lhs / rhs))
 
 
-@pytest.mark.parametrize("config", [DECAY_CONFIG, "study.kind = decay\n"], ids=["test-config", "defaults"])
+# "defaults" keeps the Airy part's defaults and shortens the nonlinear run, as the CI short config does
+@pytest.mark.parametrize("config", [DECAY_CONFIG, "study.kind = decay\nrun.t_end = 4\ndecay.fit_t_min = 1.2\n"],
+                         ids=["test-config", "defaults"])
 def test_linear_decay_rows_equal_the_per_call_form(tmp_path, config):
     out = tmp_path / "out"
-    assert _main(tmp_path, "decay", config, out, "--linear-only") == 0
+    assert _main(tmp_path, "decay", config, out) == 0
     lines = (out / "linear_decay.csv").read_text(encoding="utf-8").splitlines()
     got = [[float(v) for v in line.split(",")] for line in [ln for ln in lines if not ln.startswith("#")][1:]]
     cfg = {**cli._STUDIES["decay"].defaults, **cli.parse_config(str(tmp_path / "decay.cfg"))}
@@ -224,12 +220,17 @@ def test_oscillatory_false_gate_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_oscillatory_passing_gates_exit_0(tmp_path):
-    _assert_identical_runs(
+    out = _assert_identical_runs(
         tmp_path,
         "oscillatory",
         "study.kind = oscillatory\noscillatory.b_values = 8.0\n",
         OSCILLATORY_FILES,
     )
+    # each region's series: the time and the largest |I(t; xi)| over its sampled xi
+    for name in ("separated.csv", "resonant.csv"):
+        lines = [ln for ln in (out / name).read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
+        assert lines[0] == "t,max_abs_i"
+        assert all(len(ln.split(",")) == 2 for ln in lines[1:])
 
 
 def test_oscillatory_output_is_the_same_at_one_and_two_threads(tmp_path):
@@ -239,6 +240,16 @@ def test_oscillatory_output_is_the_same_at_one_and_two_threads(tmp_path):
         assert _main(tmp_path, "oscillatory", config, out, "--threads", str(k)) == 0
     for name in OSCILLATORY_FILES:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_study_flags_are_pinned():
+    """Every study takes exactly these flags: a new one changes this test."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli.STUDIES)
+    for name, p in sub.choices.items():
+        flags = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--config", "--out", "--seed", "--threads"}, name
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -275,7 +286,7 @@ IDENTITY_FAULTS = {
     "grad_phase_phi": (lambda real: lambda xi, *eta: tuple(g + (math.nan if xi > 0 else 0.0) for g in real(xi, *eta)),
                        ["resonance_gradients"]),
     "symbol_t2": (lambda real: lambda *eta: real(*eta) + 1.0, ["t2_spot_values"]),
-    "scaling_field_direct": (lambda real: lambda phi, t, spec: phi.with_coeffs(2.0 * real(phi, t, spec).coeffs),
+    "scaling_field_direct": (lambda real: lambda phi, spec: phi.with_coeffs(2.0 * real(phi, spec).coeffs),
                              ["commutator_s_dx", "commutator_s_dx3"]),
     "lp.bump": (lambda real: lambda xi: real(2.0 * np.asarray(xi)), ["lp_partition"]),  # a stretched mother bump
 }
@@ -414,9 +425,10 @@ def test_out_of_range_values_exit_2_naming_them(tmp_path, capsys, study, config,
     """Each value would fail only once work had started (a math domain
     error, a division by zero, t < 1 in the dispersive ratio after the whole
     Airy sweep, an overflow at an infinite horizon) or be taken silently (a
-    negative first step, a run of no steps to t = inf): each is refused
-    before anything runs, by a message that names it.  A snapshot that
-    cannot start the run is such a value."""
+    run of no steps to t = inf): each is refused before anything runs, by a
+    message that names it.  A snapshot that cannot start the run is such a
+    value.  run.dt_init is no longer a key: any value of it is refused by
+    name, as every unknown key is."""
     _write_snapshots(tmp_path)
     out = tmp_path / "out"
     assert _main(tmp_path, study, config.replace("{dir}", str(tmp_path)), out) == 2

@@ -34,16 +34,16 @@ def concentrated_field(grid: GridSpec, t: float):
     return phi.with_coeffs(phi.coeffs, time=t)
 
 
-def spectral_scaling_field(phi, t: float):
+def spectral_scaling_field(phi):
     """S phi by the wrap-safe frequency-side route that energy takes."""
-    airy = np.exp(1j * t * phi.grid.half_xi**3)
-    return _scaling_field(phi, t, SPEC, xi_derivative_coefficients(profile_from_solution(phi, t)), airy)
+    airy = np.exp(1j * phi.time * phi.grid.half_xi**3)
+    return _scaling_field(phi, SPEC, xi_derivative_coefficients(profile_from_solution(phi)), airy)
 
 
 def relative_gap(grid: GridSpec, t: float) -> float:
     phi = concentrated_field(grid, t)
-    spectral = spectral_scaling_field(phi, t)
-    direct = scaling_field_direct(phi, t, SPEC)
+    spectral = spectral_scaling_field(phi)
+    direct = scaling_field_direct(phi, SPEC)
     return norm(spectral.with_coeffs(spectral.coeffs - direct.coeffs), "L2") / norm(direct, "L2")
 
 
@@ -64,8 +64,8 @@ def test_energy_shares_the_scaling_field_and_z_norm():
     grid = GridSpec(1024, 240.0)
     bc = BootstrapConstants()
     phi = concentrated_field(grid, 2.0)
-    eb = energy(phi, 2.0, SPEC, bc)
-    s_phi = spectral_scaling_field(phi, 2.0)
+    eb = energy(phi, SPEC, bc)
+    s_phi = spectral_scaling_field(phi)
     assert eb.scaling_sq == norm(s_phi, "L2") ** 2
     assert eb.z_norm == z_norm(phi, bc)
     summands = (eb.antiderivative_sq, eb.sobolev_sq, eb.scaling_antiderivative_sq, eb.scaling_sq,
@@ -77,7 +77,7 @@ def test_nonzero_mean_is_refused():
     grid = GridSpec(256, 40.0)
     phi = transform(grid, np.exp(-(grid.x**2)))
     with pytest.raises(NonZeroMean):
-        energy(phi, 1.0, SPEC)
+        energy(phi, SPEC)
 
 
 # ---------------------------------------------------------------------------

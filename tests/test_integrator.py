@@ -26,7 +26,7 @@ from qmkdv.integrator import (
     run,
     step,
 )
-from qmkdv.model import CoefficientSpec, nonlinearity_full
+from qmkdv.model import CoefficientSpec
 from qmkdv.spectral_core import (
     GridSpec,
     airy_factor,
@@ -43,12 +43,17 @@ LINEAR = CoefficientSpec("linear", a=1.0, b=0.0, c=0.0)
 CUBIC = CoefficientSpec("cubic_poly", a=1.0, b=1.0, c=0.0)
 
 
-def fixed_step_run(phi0, spec, dt, n_steps, linear_only=False):
+def fixed_step_run(phi0, spec, dt, n_steps):
     """n_steps equal Lawson steps without error control."""
     phi = phi0
     for _ in range(n_steps):
-        phi = lawson_step(phi, spec, dt, linear_only)
+        phi = lawson_step(phi, spec, dt)
     return phi
+
+
+def zero_nonlinearity(monkeypatch):
+    """Make N(phi) = 0 inside the integrator: its steps are then the free Airy flow."""
+    monkeypatch.setattr(integrator, "nonlinearity_full", lambda phi, spec: phi.with_coeffs(np.zeros_like(phi.coeffs)))
 
 
 def relative_l2(a, b):
@@ -56,17 +61,16 @@ def relative_l2(a, b):
     return norm(a.with_coeffs(a.coeffs - b.coeffs), "L2") / norm(b, "L2")
 
 
-def lawson_step_expression(phi, spec, dt, linear_only=False):
+def lawson_step_expression(phi, spec, dt):
     """`lawson_step` as one expression per stage on fresh temporaries, the
-    form the in-place stages must reproduce bit for bit."""
+    form the in-place stages must reproduce bit for bit.  It reads N(phi)
+    from `integrator`, so a test that replaces it there replaces it here."""
     e_full, e_half = airy_factor(phi.grid, dt), airy_factor(phi.grid, 0.5 * dt)
     y = phi.coeffs
     t = phi.time
 
     def G(coeffs, time):
-        if linear_only:
-            return np.zeros_like(coeffs)
-        return -nonlinearity_full(phi.with_coeffs(coeffs, time=time), spec).coeffs
+        return -integrator.nonlinearity_full(phi.with_coeffs(coeffs, time=time), spec).coeffs
 
     a = G(y, t)
     b = G(e_half * (y + 0.5 * dt * a), t + 0.5 * dt)
@@ -147,13 +151,6 @@ class TestSimConfig:
         cfg = small_config(grid, eps_tol=1e-8)
         assert cfg.eps_tol == 1e-8
 
-    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_dt_init_finite_and_positive(self, grid, dt):
-        """A NaN first step makes every attempt's dt NaN, so the controller
-        would reject forever; a first step <= 0 is no step length at all."""
-        with pytest.raises(ValueError, match="dt_init"):
-            small_config(grid, dt_init=dt)
-
 
 class TestDefaultDtInit:
     """First-step guard 0.5 dx^2 / max(1, max|c(phi)|^2)."""
@@ -171,18 +168,20 @@ class TestDefaultDtInit:
 
 
 class TestFreeFlow:
-    """The integrating factor reproduces the Airy group exactly."""
+    """With N(phi) = 0 the integrating factor reproduces the Airy group exactly."""
 
-    def test_single_linear_step_is_exact(self, grid):
+    def test_single_linear_step_is_exact(self, grid, monkeypatch):
+        zero_nonlinearity(monkeypatch)
         phi = random_real_field(grid, 3)
-        out = lawson_step(phi, LINEAR, 0.7, linear_only=True)
+        out = lawson_step(phi, LINEAR, 0.7)
         want = free_evolve(phi, 0.7)
         assert np.max(np.abs(out.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
         assert out.time == pytest.approx(0.7)
 
-    def test_linear_run_matches_airy_solution(self, grid):
+    def test_linear_run_matches_airy_solution(self, grid, monkeypatch):
+        zero_nonlinearity(monkeypatch)
         phi0 = random_real_field(grid, 4)
-        out = fixed_step_run(phi0, LINEAR, dt=1e-2, n_steps=100, linear_only=True)
+        out = fixed_step_run(phi0, LINEAR, dt=1e-2, n_steps=100)
         assert relative_l2(out, free_evolve(phi0, 1.0)) <= 1e-11
 
 
@@ -240,19 +239,22 @@ class TestInPlaceStages:
     the formula's operand order, so the step is bitwise the expression form."""
 
     @pytest.mark.parametrize("n", [64, 6144])
-    @pytest.mark.parametrize("linear_only", [False, True], ids=["nonlinear", "linear_only"])
+    # "linear_only": N(phi) = 0, the free flow
+    @pytest.mark.parametrize("free", [False, True], ids=["nonlinear", "linear_only"])
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
-    def test_matches_expression_form(self, spec, linear_only, n):
+    def test_matches_expression_form(self, spec, free, n, monkeypatch):
+        if free:
+            zero_nonlinearity(monkeypatch)
         phi = stage_field(n).with_coeffs(stage_field(n).coeffs.copy(), time=0.3)
         before = phi.coeffs.copy()
         for dt in (1e-3, 0.05):
-            got = lawson_step(phi, spec, dt, linear_only)
-            want = lawson_step_expression(phi, spec, dt, linear_only)
+            got = lawson_step(phi, spec, dt)
+            want = lawson_step_expression(phi, spec, dt)
             assert np.array_equal(got.coeffs, want.coeffs)
             assert got.time == want.time
         # the factors step() passes give the same bits as the step's own
         factors = airy_factor(phi.grid, 0.05), airy_factor(phi.grid, 0.025)
-        assert np.array_equal(lawson_step(phi, spec, 0.05, linear_only, factors).coeffs, want.coeffs)
+        assert np.array_equal(lawson_step(phi, spec, 0.05, factors).coeffs, want.coeffs)
         assert np.array_equal(phi.coeffs, before)  # the input is left alone
 
     def test_warm_step_allocates_six_arrays(self):
@@ -264,10 +266,10 @@ class TestInPlaceStages:
         phi = random_real_field(grid, 95, decay=2.0)
         spec = CoefficientSpec()
         factors = airy_factor(grid, 1e-3), airy_factor(grid, 5e-4)
-        lawson_step(phi, spec, 1e-3, False, factors)
+        lawson_step(phi, spec, 1e-3, factors)
         tracemalloc.start()
         try:
-            lawson_step(phi, spec, 1e-3, False, factors)
+            lawson_step(phi, spec, 1e-3, factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,7 +416,9 @@ class TestRun:
 
     def test_rhs_evals_count_every_nonlinearity_call(self, grid, monkeypatch):
         """The counter is raised where N(phi) is called, rejected attempts
-        included, and so reads 12 per attempted step."""
+        included, and so reads 12 per attempted step.  A first step of 0.05
+        is too long for eps_tol at amplitude 0.3, so the first attempts are
+        rejected."""
         calls = []
         real = integrator.nonlinearity_full
 
@@ -423,10 +427,11 @@ class TestRun:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(integrator, "nonlinearity_full", counted)
-        cfg = small_config(grid, amplitude=0.3, coeff=CUBIC, t_end=0.05, eps_tol=1e-8,
-                           dt_init=0.05, monitor_times=(0.02,))
-        state, _ = run(cfg)
-        assert state.steps > 1 and state.rejected > 0
+        cfg = small_config(grid, amplitude=0.3, coeff=CUBIC, eps_tol=1e-8)
+        state = SimState(phi=cfg.initial, dt=0.05)
+        for cap in (None, 0.01, None):
+            state = step(state, cfg, dt_cap=cap)
+        assert state.steps == 3 and state.rejected > 0
         assert state.rhs_evals == len(calls) == 12 * (state.steps + state.rejected)
 
     def test_monitor_record_fields(self, grid):

@@ -630,15 +630,15 @@ class TestScalingField:
     def test_pure_dilation_on_gaussian(self, grid):
         amp, w = 0.5, 1.5
         phi = gaussian_field(grid, amp, w)
-        out = synthesize(scaling_field_direct(phi, 0.0, FAMILIES[0]))
+        out = synthesize(scaling_field_direct(phi, FAMILIES[0]))
         want = grid.x * (-2.0 * grid.x / w**2) * amp * np.exp(-((grid.x / w) ** 2))
         assert np.max(np.abs(out - want)) <= 1e-10
 
     def test_time_term_uses_the_equation(self, grid):
         phi = moderate_field(grid, 23, peak=0.4)
         spec = FAMILIES[2]
-        s0 = scaling_field_direct(phi, 0.0, spec)
-        s1 = scaling_field_direct(phi, 0.5, spec)
+        s0 = scaling_field_direct(phi, spec)
+        s1 = scaling_field_direct(phi.with_coeffs(phi.coeffs, time=0.5), spec)
         dt_phi = -derivative(phi, 3).coeffs - nonlinearity_full(phi, spec).coeffs
         want = s0.coeffs + 1.5 * dt_phi
         assert np.max(np.abs(s1.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
