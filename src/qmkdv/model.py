@@ -85,6 +85,9 @@ class CoefficientSpec:
             return np.multiply(self.a, v, out=out)
         if self.family == "sine":
             return np.sin(np.multiply(self.a, v, out=out), out=out)
+        if self.c == 0.0:  # v * (a + b * v): the form below bitwise, as b + c * v = b
+            w = np.multiply(self.b, v, out=out)
+            return np.multiply(v, np.add(self.a, w, out=out), out=out)
         # v * (a + v * (b + c * v)), operation for operation
         w = np.multiply(self.c, v, out=out)
         w = np.multiply(v, np.add(self.b, w, out=out), out=out)
@@ -96,6 +99,8 @@ class CoefficientSpec:
             return self.a
         if self.family == "sine":
             return np.multiply(self.a, np.cos(np.multiply(self.a, v, out=out), out=out), out=out)
+        if self.c == 0.0:  # a + v * 2b: the form below bitwise, as 2b + 3c * v = 2b
+            return np.add(self.a, np.multiply(v, 2.0 * self.b, out=out), out=out)
         # a + v * (2b + 3c * v), operation for operation
         w = np.multiply(3.0 * self.c, v, out=out)
         return np.add(self.a, np.multiply(v, np.add(2.0 * self.b, w, out=out), out=out), out=out)
@@ -147,10 +152,12 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralFiel
     The flux is phi^3 + c(phi) (c'(phi) phi_x^2 + c(phi) phi_xx) by the
     product rule, formed in real arithmetic from the samples of phi, phi_x
     and phi_xx on the grid refined by the family's padding factor
-    ``spec.pad``: four real FFTs, no derivative taken on the refined grid.
-    The samples, c(u) and c'(u) are rows of this thread's workspace for
-    (n, pad), overwritten by its next call, and the flux is formed in place on
-    them; the outer i xi multiplies the truncated spectrum in place.  For c of
+    ``spec.pad``: four real FFTs, no derivative taken on the refined grid,
+    each padded head and the truncated spectrum written in one multiply by
+    a memoized table that folds in the parity and the scale.  The samples,
+    c(u) and c'(u) are rows of this thread's workspace for (n, pad),
+    overwritten by its next call, and the flux is formed in place on them;
+    the outer i xi multiplies the truncated spectrum in place.  For c of
     degree d the flux has degree 2d + 1, and pad p leaves a product of degree
     at most 2p - 1 alias-free: `linear` (d = 1) at its pad 2 and `cubic_poly`
     with c = 0 (d = 2) at its pad 3, which covers every default.  At pad 3
@@ -349,13 +356,15 @@ def scaling_field_direct(phi: SpectralField, spec: CoefficientSpec) -> SpectralF
 
 
 def hamiltonian(phi: SpectralField, spec: CoefficientSpec) -> float:
-    """Conserved energy H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx, from workspace rows as N(phi)."""
-    u, ux = _padded_rows(phi, spec.pad, (0, 1))
-    u2 = u * u
-    cu = spec.c_of(u)
-    integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux)
-    fine_dx = phi.grid.box_length / u.size
-    return float(fine_dx * np.sum(integrand))
+    """Conserved energy H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx, formed in place in workspace rows."""
+    u, ux, u2, cu = _padded_rows(phi, spec.pad, (0, 1), scratch=2)
+    # integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux), u2 = u * u, cu = c(u)
+    np.multiply(u, u, out=u2)
+    np.multiply(-0.25, np.multiply(u2, u2, out=u2), out=u2)
+    np.multiply(spec.c_of(u, out=cu), cu, out=cu)
+    np.multiply(0.5, np.add(cu, 1.0, out=cu), out=cu)
+    u2 += np.multiply(cu, np.multiply(ux, ux, out=ux), out=ux)
+    return float(phi.grid.box_length / u.size * np.sum(u2))
 
 
 def mass(phi: SpectralField) -> float:

@@ -21,24 +21,24 @@ twice.  The Nyquist mode j = n/2 is not represented: it is zero, as in the
 real band-limited interpolant, whose odd derivatives have a zero multiplier
 there (Trefethen, Spectral Methods in MATLAB, ch. 3).  Relative to numpy's
 transforms the centered grid contributes a phase (-1)^j, so analysis and
-synthesis are one real FFT, a parity sign and a scale.  The parity is
-applied by negating the odd entries in place; `GridSpec.parity` and
-`GridSpec.xi` remain, in full FFT order, for the frequency-side studies that
-sample whole lattices.
+synthesis are one real FFT, a parity sign and a scale, the parity (and the
+analysis scale) taken from memoized per-grid tables in one multiply.
+`GridSpec.parity` and `GridSpec.xi` remain, in full FFT order, for the
+frequency-side studies that sample whole lattices.
 
 Products of real fields are formed on a refined grid in real arithmetic:
-d_x^k of a real field is sampled on pad_factor * n points (the zero-padded
-half spectra of up to three orders k filled by one broadcast copy, multiplied
-by a memoized (i xi)^k table, the parity applied to their n/2 head entries
-only, then inverse real FFTs, batched into one call on refined grids of up
-to `_BATCHED_IRFFT_MAX` points), the samples are multiplied there, and
-`transform_from_padded` analyzes the real product with a real FFT and
-truncates it to the n/2 stored coefficients.  Half spectra, five sample rows
-(three for the orders, two for the caller's own products) and the product
-spectrum live in a workspace kept per thread and per (n, pad_factor), not
-allocated per call; the rows are valid until the thread's next padded
-product on that grid.  A pad factor p >= 2 represents products of total
-degree <= 2p - 1 exactly.
+d_x^k of a real field is sampled on pad_factor * n points (the n/2 head of
+each order's zero-padded half spectrum written as the coefficients times a
+memoized (-1)^j (i xi)^k table, then inverse real FFTs, batched into one
+call on refined grids of up to `_BATCHED_IRFFT_MAX` points), the samples
+are multiplied there, and `transform_from_padded` analyzes the real product
+with a real FFT, truncates it to the n/2 stored coefficients and multiplies
+them by a (-1)^j L/(2 pi m) table.  Half spectra, five sample rows (three
+for the orders, two for the caller's own products) and the product spectrum
+live in a workspace kept per thread and per (n, pad_factor), not allocated
+per call; the rows are valid until the thread's next padded product on that
+grid.  A pad factor p >= 2 represents products of total degree <= 2p - 1
+exactly.
 """
 
 from __future__ import annotations
@@ -156,13 +156,6 @@ class SpectralField:
         return SpectralField(self.grid, coeffs, self.time if time is None else time)
 
 
-def _alternate_signs(a: np.ndarray) -> np.ndarray:
-    """`a` times (-1)^k, in place: the odd entries negated, no sign array built."""
-    odd = a[1::2]
-    np.negative(odd, out=odd)
-    return a
-
-
 def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
     """Analyze real samples on the centered grid into coefficients; complex
     samples raise ComplexSamples."""
@@ -171,14 +164,14 @@ def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
         raise ComplexSamples(f"transform takes real samples, got {u.dtype}")
     if u.shape != (grid.n,):
         raise GridMismatch(f"expected {grid.n} samples, got shape {u.shape}")
-    scale = grid.box_length / (2.0 * np.pi * grid.n)
-    return SpectralField(grid, _alternate_signs(scale * np.fft.rfft(u)[: grid.n // 2]), time)
+    head = np.fft.rfft(u)[: grid.n // 2]
+    return SpectralField(grid, head * _analysis_table(grid.n, grid.box_length, grid.n), time)
 
 
 def synthesize(f: SpectralField) -> np.ndarray:
     """Evaluate the field at the grid points (real samples)."""
     g = f.grid
-    return np.fft.irfft(_alternate_signs(f.coeffs.copy()), g.n) * (g.n * g.dxi)
+    return np.fft.irfft(f.coeffs * _derivative_table(g.n, g.box_length, 0), g.n) * (g.n * g.dxi)
 
 
 def derivative(f: SpectralField, n: int) -> SpectralField:
@@ -288,21 +281,29 @@ def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, np.nda
 
 
 @functools.lru_cache(maxsize=16)
-def _derivative_table(n: int, box_length: float, orders: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    """(lead, (i xi)^k on j = 0..n/2-1 for each order k past the `lead` leading
-    zero orders), read-only: the multipliers `_padded_rows` applies."""
-    lead = orders.count(0)
-    if 0 in orders[lead:]:
-        raise ValueError(f"zero orders must come first, got {orders}")
-    ixi = _multipliers(n, box_length)[0]
-    table = np.array([ixi**k for k in orders[lead:]]).reshape(-1, ixi.size)
+def _derivative_table(n: int, box_length: float, order: int) -> np.ndarray:
+    """(-1)^j (i xi_j)^order on j = 0..n/2-1 (order 0 the parity alone),
+    read-only: the multipliers of `_padded_rows` and `synthesize`."""
+    table = _multipliers(n, box_length)[0] ** order
+    np.negative(table[1::2], out=table[1::2])
     table.flags.writeable = False
-    return lead, table
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _analysis_table(n: int, box_length: float, m: int) -> np.ndarray:
+    """(-1)^j L/(2 pi m) on j = 0..n/2-1, read-only: the parity and scale taking
+    an m-point real FFT's head to n/2 coefficients.  Complex, so numpy needs
+    no cast buffer to multiply a spectrum by it."""
+    table = np.full(n // 2, box_length / (2.0 * np.pi * m), np.complex128)
+    np.negative(table[1::2], out=table[1::2])
+    table.flags.writeable = False
+    return table
 
 
 def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...], scratch: int = 0) -> np.ndarray:
-    """float64 samples of d_x^k f, k in `orders` (at most three, zero orders
-    first), on the pad_factor-refined grid, followed by `scratch` rows for the
+    """float64 samples of d_x^k f, k in `orders` (at most three, in any order),
+    on the pad_factor-refined grid, followed by `scratch` rows for the
     caller's products: rows of this thread's workspace for (n, pad_factor),
     valid until its next padded product there.
     """
@@ -312,12 +313,8 @@ def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...], scr
     m = pad_factor * g.n
     half, rows, _ = _workspace(threading.get_ident(), g.n, pad_factor)
     count = len(orders)
-    heads = half[:count, : g.n // 2]
-    heads[...] = f.coeffs
-    lead, table = _derivative_table(g.n, g.box_length, orders)
-    np.multiply(heads[lead:], table, out=heads[lead:])
-    for head in heads:  # row by row: numpy copies a strided 2-D operand that is its own output
-        _alternate_signs(head)
+    for head, k in zip(half, orders):
+        np.multiply(f.coeffs, _derivative_table(g.n, g.box_length, k), out=head[: g.n // 2])
     if m <= _BATCHED_IRFFT_MAX:
         np.fft.irfft(half[:count], m, axis=-1, out=rows[:count])
     else:
@@ -338,8 +335,7 @@ def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> S
         raise GridMismatch("padded length must be a multiple of grid.n")
     n = grid.n
     half = np.fft.rfft(w, out=_workspace(threading.get_ident(), n, m // n)[2])
-    kept = half[: n // 2] * (grid.box_length / (2.0 * np.pi * m))
-    return SpectralField(grid, _alternate_signs(kept), time)
+    return SpectralField(grid, half[: n // 2] * _analysis_table(n, grid.box_length, m), time)
 
 
 def xi_derivative_coefficients(f: SpectralField) -> np.ndarray:

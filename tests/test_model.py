@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmkdv import littlewood_paley as lp
+from qmkdv import spectral_core
 from qmkdv.identities import (commutator_errors, local_phase_residual, phase_factorization_error, resonance_errors,
                               t1_reduced_form_error, t1_symmetry_error, t2_spot_error)
 from qmkdv.model import (
@@ -63,6 +64,13 @@ FAMILIES = (
     CoefficientSpec("sine", a=1.1, b=0.0, c=0.0),
     CoefficientSpec("cubic_poly", a=0.8, b=0.5, c=1.0),
 )
+# the families and every study's default c (a = 1, b = 1, c = 0), which takes
+# the c == 0 forms of c_of and c_prime_of
+WITH_DEFAULT = FAMILIES + (CoefficientSpec(),)
+
+
+def spec_id(spec):
+    return "default" if spec == CoefficientSpec() else spec.family
 
 
 def moderate_field(grid, seed, peak=0.8):
@@ -104,7 +112,7 @@ class TestCoefficientSpec:
         diff = (spec.c_of(v + h) - spec.c_of(v - h)) / (2.0 * h)
         assert np.max(np.abs(spec.c_prime_of(v) - diff)) <= 1e-9
 
-    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    @pytest.mark.parametrize("spec", WITH_DEFAULT, ids=spec_id)
     def test_out_gives_the_expression_forms_bits(self, spec):
         v = np.linspace(-1.5, 1.5, 61)
         if spec.family == "linear":
@@ -380,6 +388,23 @@ class TestPaddedWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * (grid.n // 2) + 8 * 3 * grid.n / 8  # the output and an eighth of a row
+
+    def test_warm_hamiltonian_allocates_no_padded_rows(self):
+        """A warm H at n = 1024, pad 3 forms its integrand in two scratch rows
+        of the workspace and peaks at 0.08 rows, numpy's small buffers.  With
+        u*u, c(u) and the integrand as fresh arrays the peak was 6.03 rows."""
+        grid = GridSpec(n=1024, box_length=120.0)
+        phi = moderate_field(grid, 95)
+        spec = CoefficientSpec()
+        assert spec.pad == 3
+        hamiltonian(phi, spec)
+        tracemalloc.start()
+        try:
+            hamiltonian(phi, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 3 * grid.n / 8  # an eighth of a row
 
 
 class TestInteractionSymbols:
@@ -762,12 +787,31 @@ class TestHotPathMatchesUnfusedReference:
         assert np.array_equal(transform_from_padded(grid, w).coeffs, _ref_transform_from_padded(grid, w))
 
     @pytest.mark.parametrize("pad", [2, 3, 4])
-    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    @pytest.mark.parametrize("spec", WITH_DEFAULT, ids=spec_id)
     def test_nonlinearity_full(self, grid, spec, pad):
-        """Every family at pads 2-4, its own (spec.pad) among them."""
+        """Every family and the default c at pads 2-4, its own (spec.pad) among them."""
         phi = moderate_field(grid, 70 + pad)
         got = nonlinearity_full(phi, at_pad(spec, pad)).coeffs
         assert np.array_equal(got, _ref_nonlinearity_full(phi, spec, pad))
+
+    @pytest.mark.parametrize("spec", WITH_DEFAULT, ids=spec_id)
+    def test_nonlinearity_full_above_the_batching_bound(self, spec):
+        """At n = 2048, pad 3 the refined grid passes _BATCHED_IRFFT_MAX, and
+        the rows come from one inverse FFT each."""
+        grid = GridSpec(n=2048, box_length=240.0)
+        assert 3 * grid.n > spectral_core._BATCHED_IRFFT_MAX
+        phi = moderate_field(grid, 75)
+        assert np.array_equal(nonlinearity_full(phi, at_pad(spec, 3)).coeffs, _ref_nonlinearity_full(phi, spec, 3))
+
+    @pytest.mark.parametrize("spec", WITH_DEFAULT, ids=spec_id)
+    def test_hamiltonian(self, grid, spec):
+        """H formed in workspace rows is bitwise the expression on fresh samples."""
+        phi = moderate_field(grid, 76)
+        u, ux = (_ref_padded_values(grid, _ref_derivative(grid, phi.coeffs, k), spec.pad) for k in range(2))
+        u2 = u * u
+        cu = spec.c_of(u)
+        integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux)
+        assert hamiltonian(phi, spec) == float(grid.box_length / u.size * np.sum(integrand))
 
 
 def _complex_padded_values(grid, coeffs, pad):

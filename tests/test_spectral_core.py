@@ -359,7 +359,7 @@ class TestPointwiseProduct:
         assert rows.shape == (3, pad * 64)
         for order, row in zip((3, 1, 2), rows):
             assert np.array_equal(row, padded_values(f, pad, order))
-        # zero orders first, then two scratch rows that the samples leave alone
+        # repeated orders, then two scratch rows that the samples leave alone
         rows = _padded_rows(f, pad, (0, 0, 2), scratch=2)
         assert rows.shape == (5, pad * 64)
         rows[3:] = 7.0
@@ -377,10 +377,14 @@ class TestPointwiseProduct:
         for order, row in zip((0, 1, 2), _padded_rows(f, 3, (0, 1, 2))):
             assert np.array_equal(row, padded_values(f, 3, order))
 
-    def test_zero_order_after_a_derivative_refused(self):
-        """Order 0 takes no multiplier, so it must lead the tuple."""
-        with pytest.raises(ValueError, match="zero orders"):
-            _padded_rows(random_real_field(GridSpec(n=64, box_length=20.0), 26), 3, (1, 0))
+    def test_zero_order_after_a_derivative(self):
+        """Order 0 is a table row like any other (the parity alone), so it
+        may follow a derivative: the rows come back in the order asked."""
+        f = random_real_field(GridSpec(n=64, box_length=20.0), 26)
+        rows = _padded_rows(f, 3, (1, 0))
+        assert rows.shape == (2, 3 * 64)
+        for order, row in zip((1, 0), rows):
+            assert np.array_equal(row, padded_values(f, 3, order))
 
     def test_pad_factor_below_two_rejected(self):
         """A pad factor of 1 forms no dealiased product, and its Nyquist bin
