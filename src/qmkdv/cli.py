@@ -44,7 +44,7 @@ from .diagnostics import (
     sharp_decay_product,
     theta_series,
 )
-from .integrator import SimConfig, gaussian_datum, run
+from .integrator import SimConfig, distinct_times, gaussian_datum, run
 from .model import BootstrapConstants, CoefficientSpec, dyadic_symbol_bound
 from .oscillatory import (_envelope_times, _fit_window, gaussian_two_pi_selftest, nonresonant_decay_study,
                           resonant_drift_measurement, stationary_phase_drift, two_pi_identity)
@@ -420,8 +420,8 @@ def _decay(ctx: _Context) -> dict:
     _require_samples("decay.samples/t_min/t_max: samples", times, t_min, t_max, MIN_DECAY_FIT_SAMPLES)
     t_end = cfg["run.t_end"]
     monitor = tuple(float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40)))
-    _require_samples("decay.fit_t_min: monitor times", {*monitor, t_end}, cfg["decay.fit_t_min"], t_end,
-                     MIN_DECAY_FIT_SAMPLES)
+    _require_samples("decay.fit_t_min: monitor times", distinct_times([*monitor, t_end]), cfg["decay.fit_t_min"],
+                     t_end, MIN_DECAY_FIT_SAMPLES)
     sim = ctx.sim(monitor)
 
     h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
@@ -538,7 +538,7 @@ def _scattering(ctx: _Context) -> dict:
         float(t)
         for t in np.exp(np.linspace(0.0, math.log(t_end), cfg["scattering.samples"]))[1:-1]
     }
-    planned = sorted(dyadics | geom | {1.0, float(t_end)})
+    planned = distinct_times(dyadics | geom | {1.0, float(t_end)})
     _require_samples("run.t_end: dyadic times", dyadics, 1.0, t_end, MIN_DYADIC_SAMPLES)
     _require_samples("scattering.fit_t_min: samples", planned, max(fit_t_min, 1.0), t_end, MIN_DRIFT_FIT_SAMPLES)
     sim = ctx.sim(tuple(planned))
@@ -550,7 +550,7 @@ def _scattering(ctx: _Context) -> dict:
             times.append(phi.time)
             samples.append(profile_from_solution(phi).coeffs[idx])
 
-    run(sim, observer=observer)
+    state, _ = run(sim, observer=observer)
     hhat = np.stack(samples)
     frequencies = [float(x) for x in probe_xi]
     drift = [stationary_phase_drift(x, coeff.alpha2) for x in frequencies]
@@ -563,6 +563,9 @@ def _scattering(ctx: _Context) -> dict:
     ctx.csv("theta.csv", header, rows)
 
     return {
+        "steps": state.steps,
+        "rejected_steps": state.rejected,
+        "rhs_evals": state.rhs_evals,
         "probe_frequencies": frequencies,
         "window_floor": min(float(np.min(frequency_window(t, probe_xi, ctx.bc))) for t in (fit_t_min, t_end)),
         "per_frequency": scattering_monitor(times, hhat, drift, fit_t_min),

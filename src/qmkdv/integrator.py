@@ -46,10 +46,13 @@ __all__ = [
     "lawson_step",
     "step",
     "monitor_record",
+    "distinct_times",
     "run",
 ]
 
 DT_FLOOR = 1e-12
+# planned times closer than this, relative, differ only by rounding
+TIME_MERGE = 1e-9
 
 
 class StepUnderflow(RuntimeError):
@@ -220,6 +223,14 @@ def monitor_record(phi: SpectralField, spec: CoefficientSpec) -> dict:
     }
 
 
+def distinct_times(times) -> list[float]:
+    """`times` ascending, each dropped that lies within TIME_MERGE relative of
+    the next: of times that differ only by rounding (a geometric time
+    exp(k log(T)/K) next to T or to a power of two) the latest is kept."""
+    ts = sorted({float(t) for t in times})
+    return [t for t, later in zip(ts, ts[1:]) if later - t > TIME_MERGE * abs(later)] + ts[-1:]
+
+
 def run(cfg: SimConfig, observer=None) -> tuple[SimState, list[dict]]:
     """Integrate to t_end, emitting a monitor record at each monitor time.
 
@@ -228,11 +239,12 @@ def run(cfg: SimConfig, observer=None) -> tuple[SimState, list[dict]]:
     The run integrates the given field `cfg.initial` from its time t0 (0, or
     a snapshot's time), which `SimConfig` holds before t_end.  Records are
     also emitted at t0 and t_end; monitor times outside (t0, t_end] are
-    ignored.
+    ignored, and the others merged by `distinct_times`, so that no state is
+    recorded twice.
     """
     phi0 = cfg.initial
     state = SimState(phi=phi0, dt=max(default_dt_init(phi0, cfg.coeff), DT_FLOOR))
-    stops = sorted({float(t) for t in cfg.monitor_times if phi0.time < t <= cfg.t_end} | {cfg.t_end})
+    stops = distinct_times([t for t in cfg.monitor_times if phi0.time < t <= cfg.t_end] + [cfg.t_end])
 
     records = []
 

@@ -152,12 +152,16 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralFiel
     The flux is phi^3 + c(phi) (c'(phi) phi_x^2 + c(phi) phi_xx) by the
     product rule, formed in real arithmetic from the samples of phi, phi_x
     and phi_xx on the grid refined by the family's padding factor
-    ``spec.pad``: four real FFTs, no derivative taken on the refined grid,
-    each padded head and the truncated spectrum written in one multiply by
-    a memoized table that folds in the parity and the scale.  The samples,
-    c(u) and c'(u) are rows of this thread's workspace for (n, pad),
-    overwritten by its next call, and the flux is formed in place on them;
-    the outer i xi multiplies the truncated spectrum in place.  For c of
+    ``spec.pad``, held as pad phase rows of n points (see `spectral_core`):
+    two batched n-point real FFTs, the inverse over the 3 pad rows of the
+    three orders and the forward over the pad rows of the flux, and no
+    derivative taken on the refined grid.  Each order's heads are written in
+    one multiply by a memoized table that folds in the twiddle, the parity
+    and the scale, and the rows' product spectra are weighted by another
+    and summed.  The samples, c(u) and c'(u) are stacks of rows of this
+    thread's workspace for (n, pad), overwritten by its next call, and the
+    flux is formed in place on them, pointwise and so in any layout; the
+    outer i xi multiplies the truncated spectrum in place.  For c of
     degree d the flux has degree 2d + 1, and pad p leaves a product of degree
     at most 2p - 1 alias-free: `linear` (d = 1) at its pad 2 and `cubic_poly`
     with c = 0 (d = 2) at its pad 3, which covers every default.  At pad 3

@@ -26,19 +26,25 @@ analysis scale) taken from memoized per-grid tables in one multiply.
 `GridSpec.parity` and `GridSpec.xi` remain, in full FFT order, for the
 frequency-side studies that sample whole lattices.
 
-Products of real fields are formed on a refined grid in real arithmetic:
-d_x^k of a real field is sampled on pad_factor * n points (the n/2 head of
-each order's zero-padded half spectrum written as the coefficients times a
-memoized (-1)^j (i xi)^k table, then inverse real FFTs, batched into one
-call on refined grids of up to `_BATCHED_IRFFT_MAX` points), the samples
-are multiplied there, and `transform_from_padded` analyzes the real product
-with a real FFT, truncates it to the n/2 stored coefficients and multiplies
-them by a (-1)^j L/(2 pi m) table.  Half spectra, five sample rows (three
-for the orders, two for the caller's own products) and the product spectrum
-live in a workspace kept per thread and per (n, pad_factor), not allocated
-per call; the rows are valid until the thread's next padded product on that
-grid.  A pad factor p >= 2 represents products of total degree <= 2p - 1
-exactly.
+Products of real fields are formed on a refined grid in real arithmetic.
+The refined grid's m = p n points x_q + r dx/p (q < n, r < p, pad factor p)
+are held as p phase rows of n points, row r the grid shifted by r dx/p.
+The zero-padded spectrum vanishes above n/2, so each m-point transform
+splits exactly into n-point ones (the decimation of a zero-padded DFT):
+row r of d_x^k f is the unscaled n-point inverse real FFT of
+dxi c_j (-1)^j (i xi_j)^k e^{2 pi i j r/m}, and the analysis of real
+samples w is c_j = sum_r (-1)^j L/(2 pi m) e^{-2 pi i j r/m} rfft_n(w_r)[j].
+The products are formed by d_x^k f sampled on the rows (each order's p
+heads written in one multiply by a memoized table that holds the twiddle,
+the parity, (i xi)^k and the scale; then one batched inverse real FFT over
+all rows), multiplied there pointwise, and analyzed by
+`transform_from_padded` (one batched real FFT over the p rows, whose
+spectra are weighted by a memoized table and summed).  The heads, five
+stacks of sample rows (three for the orders, two for the caller's own
+products) and the product spectra live in a workspace kept per thread and
+per (n, pad_factor), not allocated per call; the rows are valid until the
+thread's next padded product on that grid.  A pad factor p >= 2 represents
+products of total degree <= 2p - 1 exactly.
 """
 
 from __future__ import annotations
@@ -165,7 +171,7 @@ def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
     if u.shape != (grid.n,):
         raise GridMismatch(f"expected {grid.n} samples, got shape {u.shape}")
     head = np.fft.rfft(u)[: grid.n // 2]
-    return SpectralField(grid, head * _analysis_table(grid.n, grid.box_length, grid.n), time)
+    return SpectralField(grid, head * _analysis_table(grid.n, grid.box_length, 1)[0, : grid.n // 2], time)
 
 
 def synthesize(f: SpectralField) -> np.ndarray:
@@ -262,80 +268,104 @@ def xi_l2_norm(a: np.ndarray, grid: GridSpec) -> float:
     return float(np.sqrt(grid.dxi * _band_sum(np.abs(a) ** 2)))
 
 
-# numpy's inverse real FFT of several rows takes a scratch of about 25 bytes
-# per point on every call.  Up to 4096 points it stays below glibc's 128 KiB
-# mmap threshold and the one batched call beats one call per row; above, it
-# can map fresh pages on each call (with numpy 2.4.6, 112 minor faults per call
-# at 18,432 points, the decay study's pad-3 grid), and one call per row,
-# which takes no such scratch, is faster.  Both give the same bits.
-_BATCHED_IRFFT_MAX = 4096
-
-
+# The multiplies below take operands of one shape, all contiguous: numpy
+# gives a ufunc on broadcast or strided 2-D operands iterator buffers of up
+# to 8192 items each (128 KiB of complex values) on every call.
 @functools.lru_cache(maxsize=8)
-def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One thread's padded-product buffers on (n, pad_factor): three half spectra
-    (zeroed once; only their n/2 heads are rewritten), five rows (three orders
-    and two for the caller), one spectrum."""
-    m = pad_factor * n
-    return np.zeros((3, m // 2 + 1), np.complex128), np.empty((5, m)), np.empty(m // 2 + 1, np.complex128)
+def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, ...]:
+    """One thread's padded-product buffers on (n, pad_factor), each a stack of
+    pad_factor phase rows: three stacks of n/2-point heads (the inverse FFT
+    takes the Nyquist entry as 0), five stacks of n-point sample rows (three
+    orders and two for the caller), and the product's n/2 + 1-point spectra."""
+    return (
+        np.empty((3, pad_factor, n // 2), np.complex128),
+        np.empty((5, pad_factor, n)),
+        np.empty((pad_factor, n // 2 + 1), np.complex128),
+    )
 
 
 @functools.lru_cache(maxsize=16)
 def _derivative_table(n: int, box_length: float, order: int) -> np.ndarray:
     """(-1)^j (i xi_j)^order on j = 0..n/2-1 (order 0 the parity alone),
-    read-only: the multipliers of `_padded_rows` and `synthesize`."""
+    read-only: the multipliers of `synthesize` and `_synthesis_table`."""
     table = _multipliers(n, box_length)[0] ** order
     np.negative(table[1::2], out=table[1::2])
     table.flags.writeable = False
     return table
 
 
+def _twiddles(n: int, pad_factor: int, sign: float) -> np.ndarray:
+    """e^{sign 2 pi i j r/(pad_factor n)} on r = 1..pad_factor-1, j = 0..n/2-1."""
+    angle = np.outer(np.arange(1, pad_factor), np.arange(n // 2) * (sign * 2.0 * np.pi / (pad_factor * n)))
+    return np.exp(1j * angle)
+
+
 @functools.lru_cache(maxsize=16)
-def _analysis_table(n: int, box_length: float, m: int) -> np.ndarray:
-    """(-1)^j L/(2 pi m) on j = 0..n/2-1, read-only: the parity and scale taking
-    an m-point real FFT's head to n/2 coefficients.  Complex, so numpy needs
-    no cast buffer to multiply a spectrum by it."""
-    table = np.full(n // 2, box_length / (2.0 * np.pi * m), np.complex128)
-    np.negative(table[1::2], out=table[1::2])
+def _synthesis_table(n: int, box_length: float, pad_factor: int, order: int) -> np.ndarray:
+    """dxi (-1)^j (i xi_j)^order e^{2 pi i j r/(pad_factor n)} on the phase
+    rows r < pad_factor and j = 0..n/2-1, read-only: the multipliers of
+    `_padded_rows`, whose unscaled n-point inverse real FFT of row r is
+    d_x^order of the field at x_q + r dx/pad_factor."""
+    table = np.empty((pad_factor, n // 2), np.complex128)
+    np.multiply(_derivative_table(n, box_length, order), 2.0 * np.pi / box_length, out=table[0])
+    np.multiply(_twiddles(n, pad_factor, 1.0), table[0], out=table[1:])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _analysis_table(n: int, box_length: float, pad_factor: int) -> np.ndarray:
+    """(-1)^j L/(2 pi m) e^{-2 pi i j r/m}, m = pad_factor n, on the phase rows
+    r < pad_factor and j = 0..n/2-1, and 0 at j = n/2, read-only: the weights
+    whose sum over the rows takes their n-point real FFTs to n/2
+    coefficients.  Complex, so numpy needs no cast buffer to multiply a
+    spectrum by it; row 0 has no twiddle, and at pad_factor 1 is the table
+    of `transform`."""
+    h = n // 2
+    table = np.zeros((pad_factor, h + 1), np.complex128)
+    table[0, :h] = box_length / (2.0 * np.pi * pad_factor * n)
+    np.negative(table[0, 1:h:2], out=table[0, 1:h:2])
+    np.multiply(_twiddles(n, pad_factor, -1.0), table[0, :h], out=table[1:, :h])
     table.flags.writeable = False
     return table
 
 
 def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...], scratch: int = 0) -> np.ndarray:
     """float64 samples of d_x^k f, k in `orders` (at most three, in any order),
-    on the pad_factor-refined grid, followed by `scratch` rows for the
-    caller's products: rows of this thread's workspace for (n, pad_factor),
-    valid until its next padded product there.
+    on the pad_factor-refined grid as (pad_factor, n) phase rows, followed by
+    `scratch` such stacks for the caller's products: stacks of this thread's
+    workspace for (n, pad_factor), valid until its next padded product there.
     """
     if pad_factor < 2:
         raise ValueError("pad_factor must be >= 2")
     g = f.grid
-    m = pad_factor * g.n
-    half, rows, _ = _workspace(threading.get_ident(), g.n, pad_factor)
+    heads, rows, _ = _workspace(threading.get_ident(), g.n, pad_factor)
     count = len(orders)
-    for head, k in zip(half, orders):
-        np.multiply(f.coeffs, _derivative_table(g.n, g.box_length, k), out=head[: g.n // 2])
-    if m <= _BATCHED_IRFFT_MAX:
-        np.fft.irfft(half[:count], m, axis=-1, out=rows[:count])
-    else:
-        for k in range(count):
-            np.fft.irfft(half[k], m, out=rows[k])
-    rows[:count] *= m * g.dxi
+    # the last head holds the coefficients' copies until its own multiply
+    *front, last = heads[:count]
+    last[...] = f.coeffs
+    for head, k in zip(front, orders):
+        np.multiply(last, _synthesis_table(g.n, g.box_length, pad_factor, k), out=head)
+    last *= _synthesis_table(g.n, g.box_length, pad_factor, orders[-1])
+    np.fft.irfft(heads[:count], g.n, axis=-1, norm="forward", out=rows[:count])
     return rows[: count + scratch]
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:
-    """Analyze real samples from a refined grid and truncate to `grid`'s
-    n/2 coefficients.  Complex samples raise ComplexSamples."""
+    """Analyze real samples on a refined grid, given as (pad_factor, n) phase
+    rows (row r at x_q + r dx/pad_factor, as `_padded_rows` lays them out),
+    and truncate to `grid`'s n/2 coefficients: one batched n-point real FFT
+    of the rows, whose spectra are weighted by a memoized table and summed.
+    Complex samples raise ComplexSamples."""
     w = np.asarray(w)
     if np.iscomplexobj(w):
         raise ComplexSamples(f"transform_from_padded takes real samples, got {w.dtype}")
-    m = w.shape[0]
-    if m % grid.n != 0:
-        raise GridMismatch("padded length must be a multiple of grid.n")
-    n = grid.n
-    half = np.fft.rfft(w, out=_workspace(threading.get_ident(), n, m // n)[2])
-    return SpectralField(grid, half[: n // 2] * _analysis_table(n, grid.box_length, m), time)
+    if w.ndim != 2 or w.shape[1] != grid.n:
+        raise GridMismatch(f"expected phase rows of {grid.n} samples, got shape {w.shape}")
+    n, pad_factor = grid.n, w.shape[0]
+    spectra = np.fft.rfft(w, axis=-1, out=_workspace(threading.get_ident(), n, pad_factor)[2])
+    np.multiply(spectra, _analysis_table(n, grid.box_length, pad_factor), out=spectra)
+    return SpectralField(grid, np.add.reduce(spectra[:, : n // 2], axis=0), time)
 
 
 def xi_derivative_coefficients(f: SpectralField) -> np.ndarray:

@@ -155,6 +155,7 @@ def test_scattering_output_is_byte_identical(tmp_path):
     text = (out / "scattering_report.json").read_text(encoding="utf-8")
     assert "variant" not in text
     report = json.loads(text)
+    assert report["steps"] > 0 and report["rhs_evals"] == 12 * (report["steps"] + report["rejected_steps"])
     assert len(report["per_frequency"]) == len(report["frozen_profile_drift"]) == 1
     for monitor, frozen in zip(report["per_frequency"], report["frozen_profile_drift"]):
         assert monitor["predicted_slope"] == pytest.approx(frozen["stationary_phase"] * abs_h_end**2, rel=1e-12)

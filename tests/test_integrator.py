@@ -7,6 +7,7 @@ the exact Airy propagator).
 """
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -358,6 +359,25 @@ class TestRun:
         )
         _, records = run(cfg)
         assert [r["t"] for r in records] == [0.0, 0.3, 0.5]
+
+    @pytest.mark.parametrize("t_end", [512.0, 500.0], ids=["scattering-512", "decay-500"])
+    def test_times_equal_up_to_rounding_are_recorded_once(self, t_end):
+        """Planned times that differ only by rounding give one record: the
+        scattering plan at t_end = 512 (dyadic and 121 geometric times) holds
+        7.999999999999998 next to 8.0 and 63.99999999999998 next to 64.0, and
+        decay's 40 geometric times to 500 end at 499.99999999999983."""
+        if t_end == 512.0:
+            geometric = np.exp(np.linspace(0.0, math.log(t_end), 121))[1:-1]
+            times = {2.0**k for k in range(10)} | {float(t) for t in geometric}
+        else:
+            times = {float(t) for t in np.exp(np.linspace(0.0, math.log(t_end), 40))}
+        planned = sorted(times | {t_end})
+        assert any(b - a <= 1e-9 * b for a, b in zip(planned, planned[1:]))
+        cfg = small_config(GridSpec(n=32, box_length=10.0), amplitude=0.0, t_end=t_end, monitor_times=tuple(times))
+        _, records = run(cfg)
+        recorded = [r["t"] for r in records]
+        assert all(b - a > 1e-9 * b for a, b in zip(recorded, recorded[1:]))
+        assert recorded[-1] == t_end
 
     def test_observer_extends_records(self, grid):
         seen = []
