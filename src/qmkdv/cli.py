@@ -250,7 +250,8 @@ class _Context:
 
     def sim(self, monitor_times: tuple) -> SimConfig:
         """The integrator run the config describes, from the snapshot at
-        ``initial.snapshot`` or else the ``initial.*`` Gaussian, ending at ``run.t_end``."""
+        ``initial.snapshot`` or else the ``initial.*`` Gaussian, ending at
+        ``run.t_end``; a field with no nonzero coefficient is refused."""
         cfg = self.cfg
         if "initial.snapshot" in cfg:
             initial = _snapshot_datum(cfg["initial.snapshot"], self.grid, self.coeff)
@@ -258,6 +259,8 @@ class _Context:
             initial = gaussian_datum(
                 self.grid, cfg["initial.amplitude"], cfg["initial.width"], cfg["initial.modulation"]
             )
+        if not np.any(initial.coeffs):
+            raise ConfigError("the initial field is zero: every coefficient vanishes")
         try:
             return SimConfig(
                 coeff=self.coeff,
@@ -568,7 +571,7 @@ def _scattering(ctx: _Context) -> dict:
         "rhs_evals": state.rhs_evals,
         "probe_frequencies": frequencies,
         "window_floor": min(float(np.min(frequency_window(t, probe_xi, ctx.bc))) for t in (fit_t_min, t_end)),
-        "per_frequency": scattering_monitor(times, hhat, drift, fit_t_min),
+        "per_frequency": scattering_monitor(times, hhat, drift, theta, fit_t_min),
         "frozen_profile_drift": resonant_drift_measurement(
             frequencies, grid, alpha2=coeff.alpha2, amplitude=cfg["initial.amplitude"], width=cfg["initial.width"]
         ),

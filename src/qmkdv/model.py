@@ -264,38 +264,22 @@ def resonance_points(xi: float) -> ResonanceSet:
 def _dyadic_s_infty(js: tuple[int, int, int], alpha2: float, which: str, n_axis: int) -> float:
     """S_infty of which(eta)*psi_{j1}(eta1)psi_{j2}(eta2)psi_{j3}(eta3).
 
-    Both T1 and its first-argument derivative are short sums of monomials, so
-    the cutoff product is a sum of tensor products of the per-axis factors
-    psi, eta psi, eta^2 psi; the separable evaluator then reaches y-lattices
-    far beyond what a dense 3D transform could hold in memory.
+    Both T1 and its first-argument derivative are short sums of monomials,
+    passed to the separable evaluator as coefficients and powers; it then
+    reaches y-lattices far beyond what a dense 3D transform could hold in
+    memory.
     """
     if which == "T1":
-        third = alpha2 / 3.0
-        terms = [
-            (third, (2, 0, 0)),
-            (third, (0, 2, 0)),
-            (third, (0, 0, 2)),
-            (third, (1, 1, 0)),
-            (third, (1, 0, 1)),
-            (third, (0, 1, 1)),
-            (-1.0, (0, 0, 0)),
-        ]
+        coeffs = [alpha2 / 3.0] * 6 + [-1.0]
+        powers = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0)]
     else:
-        terms = [
-            (2.0 * alpha2 / 3.0, (1, 0, 0)),
-            (alpha2 / 3.0, (0, 1, 0)),
-            (alpha2 / 3.0, (0, 0, 1)),
-        ]
+        coeffs = [2.0 * alpha2 / 3.0, alpha2 / 3.0, alpha2 / 3.0]
+        powers = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     extents = tuple(4.0 * 2.0 * lp.SUPPORT_EDGE * 2.0**j for j in js)
     axes = tuple(
         GridSpec(n=n_axis, box_length=2.0 * np.pi * n_axis / extent) for extent in extents
     )
-    coeffs = [c for c, _ in terms]
-    factors = []
-    for axis, (ax, j) in enumerate(zip(axes, js)):
-        psi = lp.psi_k(ax.xi, j)
-        factors.append(np.stack([psi * ax.xi ** powers[axis] for _, powers in terms]))
-    return lp.s_infty_separable(axes, coeffs, factors)
+    return lp.s_infty_separable(axes, coeffs, powers, js)
 
 
 def dyadic_symbol_bound(
@@ -303,8 +287,8 @@ def dyadic_symbol_bound(
     j2: int,
     j3: int,
     alpha2: float,
+    n_axis: int,
     which: str = "T1",
-    n_axis: int = 384,
     refine: bool = False,
 ):
     """Multiplier-norm ratio for the cubic symbol on a dyadic frequency cell.
@@ -312,9 +296,9 @@ def dyadic_symbol_bound(
     Computes S_infty( which(eta) * psi_{j1}(eta1) psi_{j2}(eta2) psi_{j3}(eta3) )
     divided by the dyadic reference weight: 2^{max(2 j1, 0)} for the symbol
     itself ("T1"), 2^{j1} for its first-argument derivative ("dT1").  The
-    tensor grid extends 4x each cutoff's support per axis.  With refine=True
-    a per-axis resolution-doubling report is returned instead of the bare
-    ratio.
+    tensor grid extends 4x each cutoff's support per axis, in n_axis points.
+    With refine=True a per-axis resolution-doubling report is returned
+    instead of the bare ratio.
     """
     if not (j1 >= j2 >= j3):
         raise ValueError("requires j1 >= j2 >= j3")

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import littlewood_paley as lp
+from .diagnostics import MIN_DECAY_FIT_SAMPLES, InsufficientData, decay_fit
 from .model import CoefficientSpec, nonlinearity_full, phase_phi, resonance_points, symbol_t1
 from .spectral_core import GridSpec, free_evolve, transform
 
@@ -272,11 +273,9 @@ def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1
     then fits a log-log slope over the region's fit window (all of the
     envelope when the region has none), on the region's calibrated lattice.
     """
-    from .diagnostics import InsufficientData, decay_fit
-
     t_list = sorted(float(t) for t in t_list)
-    if len(t_list) < 8:
-        raise InsufficientData("need at least 8 times")
+    if len(t_list) < MIN_DECAY_FIT_SAMPLES:
+        raise InsufficientData(f"need at least {MIN_DECAY_FIT_SAMPLES} times")
     spec = _REGIONS[region]
     grid = GridSpec(n=spec["n"], box_length=spec["box"])
     h1, h2, h3 = (_band(*spec[k]) for k in ("h1", "h2", "h3"))
@@ -317,13 +316,12 @@ def _drift_regression(ts, series, omega: float) -> tuple[float, float]:
     return float(coef[0]), float(np.sqrt(np.mean((series - basis @ coef) ** 2)))
 
 
-def resonant_drift_measurement(
-    targets, grid: GridSpec, alpha2: float = 1.0, amplitude: float = 0.35, width: float = 2.0
-) -> list[dict]:
+def resonant_drift_measurement(targets, grid: GridSpec, alpha2: float, amplitude: float, width: float) -> list[dict]:
     """Measured drift coefficient from a frozen profile, by FFT.
 
-    For a fixed real profile h, the cubic contribution to d(arg hhat)/dt at
-    frequency xi equals Re[ I(t; xi) / (i hhat(xi)) ] / |hhat(xi)|^2 with
+    For the fixed real profile h = amplitude e^{-(x/width)^2}, the cubic
+    contribution to d(arg hhat)/dt at frequency xi equals
+    Re[ I(t; xi) / (i hhat(xi)) ] / |hhat(xi)|^2 with
 
         I(t; xi) = -e^{-i t xi^3} F[N3(e^{-t d_x^3} h)](xi) ,
 
@@ -340,9 +338,9 @@ def resonant_drift_measurement(
 
     The window must stay clear of periodic wrap-around: the Airy group
     velocity is 3 eta^2, so radiation carried by the profile (|eta| up to
-    about 2 for the default width) re-enters after t ~ box_length/24.  The
-    window is (box/54, box/18), balancing the O(1/t) systematic error
-    against wrap contamination.
+    about 2 for width 2, the `scattering` study's) re-enters after
+    t ~ box_length/24.  The window is (box/54, box/18), balancing the O(1/t)
+    systematic error against wrap contamination.
     """
     if alpha2 < 0:
         raise ValueError("alpha2 must be nonnegative")

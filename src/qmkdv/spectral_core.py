@@ -177,7 +177,7 @@ def transform(grid: GridSpec, u, time: float = 0.0) -> SpectralField:
 def synthesize(f: SpectralField) -> np.ndarray:
     """Evaluate the field at the grid points (real samples)."""
     g = f.grid
-    return np.fft.irfft(f.coeffs * _derivative_table(g.n, g.box_length, 0), g.n) * (g.n * g.dxi)
+    return np.fft.irfft(f.coeffs * _parity_table(g.n, g.box_length), g.n) * (g.n * g.dxi)
 
 
 def derivative(f: SpectralField, n: int) -> SpectralField:
@@ -284,12 +284,18 @@ def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, ...]:
     )
 
 
-@functools.lru_cache(maxsize=16)
 def _derivative_table(n: int, box_length: float, order: int) -> np.ndarray:
-    """(-1)^j (i xi_j)^order on j = 0..n/2-1 (order 0 the parity alone),
-    read-only: the multipliers of `synthesize` and `_synthesis_table`."""
+    """(-1)^j (i xi_j)^order on j = 0..n/2-1 (order 0 the parity alone): the
+    rows of `_synthesis_table` and `_parity_table`, memoized only there."""
     table = _multipliers(n, box_length)[0] ** order
     np.negative(table[1::2], out=table[1::2])
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _parity_table(n: int, box_length: float) -> np.ndarray:
+    """(-1)^j on j = 0..n/2-1, complex and read-only: the multiplier of `synthesize`."""
+    table = _derivative_table(n, box_length, 0)
     table.flags.writeable = False
     return table
 

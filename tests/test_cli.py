@@ -339,6 +339,7 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("simulate", "run.monitor_count = -1\n"),
         ("resonance", "decay.t_min = 7.0\n"),
         ("identities", "initial.snapshot = /nonexistent\n"),
+        ("simulate", SIMULATE_CONFIG.replace("initial.amplitude = 0.3", "initial.amplitude = 0.0")),
     ],
     ids=[
         "unknown-key",
@@ -369,6 +370,7 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "negative-monitor-count",
         "key-of-another-study",
         "snapshot-outside-an-integrator-study",
+        "zero-datum",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):

@@ -98,6 +98,11 @@ def log_phase_series(slope):
     return AMP * np.exp(1j * (0.3 + slope * np.log(TIMES)[:, None]))
 
 
+def monitor(times, hhat, fit_t_min):
+    """scattering_monitor given the Theta of the same series, as `scattering` hands it over."""
+    return scattering_monitor(times, hhat, DRIFT, theta_series(times, hhat, DRIFT), fit_t_min)
+
+
 @pytest.mark.parametrize("growth", [0.0, 0.02], ids=["constant-modulus", "modulus-squared-linear-in-log-t"])
 def test_theta_integrates_the_modulus_squared_in_log_time(growth):
     # |hhat|^2 = AMP^2 + growth * log t: the trapezoid rule in log t is exact,
@@ -112,7 +117,7 @@ def test_theta_integrates_the_modulus_squared_in_log_time(growth):
 
 def test_monitor_matches_the_law_whose_correction_cancels_the_drift():
     b = DRIFT * AMP**2
-    reports = scattering_monitor(TIMES, log_phase_series(b), DRIFT, fit_t_min=4.0)
+    reports = monitor(TIMES, log_phase_series(b), fit_t_min=4.0)
     assert len(reports) == XI.size
     for i, r in enumerate(reports):
         assert "xi" not in r and "variant" not in r
@@ -134,7 +139,7 @@ OLD_DRIFTS = {"one-sixth": DRIFT / 6.0, "two-xi-squared-minus-one": np.pi * (2.0
 
 @pytest.mark.parametrize("old", OLD_DRIFTS.values(), ids=OLD_DRIFTS.keys())
 def test_monitor_does_not_match_a_drift_off_the_law(old):
-    reports = scattering_monitor(TIMES, log_phase_series(old * AMP**2), DRIFT, fit_t_min=4.0)
+    reports = monitor(TIMES, log_phase_series(old * AMP**2), fit_t_min=4.0)
     for i, r in enumerate(reports):
         assert r["drift_slope"] == pytest.approx(old[i] * AMP[i] ** 2, rel=1e-10)
         assert not r["matched"]
@@ -143,14 +148,14 @@ def test_monitor_does_not_match_a_drift_off_the_law(old):
 def test_monitor_refuses_too_few_samples():
     hhat = log_phase_series(np.zeros(2))
     three_dyadic = TIMES < 5.0  # t = 1, 2 and 4
-    scattering_monitor(TIMES[three_dyadic], hhat[three_dyadic], DRIFT, fit_t_min=1.0)
+    monitor(TIMES[three_dyadic], hhat[three_dyadic], fit_t_min=1.0)
     two_dyadic = TIMES < 3.0
     with pytest.raises(InsufficientData, match="dyadic"):
-        scattering_monitor(TIMES[two_dyadic], hhat[two_dyadic], DRIFT, fit_t_min=1.0)
+        monitor(TIMES[two_dyadic], hhat[two_dyadic], fit_t_min=1.0)
     assert np.count_nonzero(TIMES >= 23.0) == 4 and np.count_nonzero(TIMES >= 25.0) == 3
-    scattering_monitor(TIMES, hhat, DRIFT, fit_t_min=23.0)
+    monitor(TIMES, hhat, fit_t_min=23.0)
     with pytest.raises(InsufficientData, match="fit_t_min"):
-        scattering_monitor(TIMES, hhat, DRIFT, fit_t_min=25.0)
+        monitor(TIMES, hhat, fit_t_min=25.0)
 
 
 @pytest.mark.parametrize("times", [[1.0, 2.0, 2.0, 4.0], [1.0, 4.0, 2.0, 8.0]], ids=["repeated", "decreasing"])

@@ -86,18 +86,29 @@ def materialized_abs_sum(lead, pair):
     return total
 
 
-def materialized_s_infty(axes, coeffs, factors):
+def materialized_s_infty(axes, coeffs, powers, js):
     """`s_infty_separable` with every pair column built before the contraction:
     the strict upper triangle of the (y2, y3) plane, row-major, and its
     diagonal when exchange symmetric, the full plane otherwise."""
-    lead, rest, symmetric = littlewood_paley._kernel_factors(axes, coeffs, factors)
-    if len(rest) < 2:
-        return materialized_abs_sum(lead, rest[0] if rest else np.ones((lead.shape[1], 1)))
-    left, right = rest
+    lead, left, right, symmetric = littlewood_paley._kernel_factors(axes, coeffs, powers, js)
     if symmetric:
         upper = np.concatenate([left[:, k, None] * right[:, k + 1 :] for k in range(left.shape[1] - 1)], axis=1)
         return 2.0 * materialized_abs_sum(lead, upper) + materialized_abs_sum(lead, left * right)
     return materialized_abs_sum(lead, (left[:, :, None] * right[:, None, :]).reshape(lead.shape[1], -1))
+
+
+def cell_axes(js, n_axis):
+    """The axes `model` builds for the cell js: each spans 4x its cutoff's support."""
+    return symbol_axes(tuple(8.0 * SUPPORT_EDGE * 2.0**j for j in js), n_axis)
+
+
+def cell_symbol(coeffs, powers, js):
+    """The assembled symbol sum_m c_m prod_i x_i^p_mi psi_{j_i}(x_i), for `dense_s_infty`."""
+    def fn(x, y, z):
+        cutoff = psi_k(x, js[0]) * psi_k(y, js[1]) * psi_k(z, js[2])
+        return sum(c * x ** p[0] * y ** p[1] * z ** p[2] for c, p in zip(coeffs, powers)) * cutoff
+
+    return fn
 
 
 class TestBump:
@@ -321,45 +332,40 @@ class TestSInftyNorm:
             assert ab <= a * b * (1.0 + 1e-12)
 
     def test_separable_matches_dense(self):
-        """Rank-2 tensor symbol: GEMM route equals the dense 3D route."""
-        w = lambda u: np.exp(-u * u)
-        fn = lambda x, y, z: 2.0 * x**2 * w(x) * w(y) * w(z) - x * y * w(x) * w(y) * w(z)
-        axes = symbol_axes((16.0, 16.0, 16.0), 48)
-        dense = dense_s_infty(fn, axes)
-        rows = lambda ax, ps: np.array([ax.xi**p * w(ax.xi) for p in ps])
-        sep = s_infty_separable(
-            axes,
-            [2.0, -1.0],
-            [rows(axes[0], (2, 1)), rows(axes[1], (0, 1)), rows(axes[2], (0, 0))],
-        )
-        assert sep == pytest.approx(dense, rel=1e-12)
+        """Two terms, one folding a -1 phase, on a cell of three unequal bands:
+        the contraction equals the dense 3D route."""
+        coeffs, powers, js = [2.0, -1.0], [(2, 0, 0), (1, 1, 0)], (1, 0, -1)
+        axes = cell_axes(js, 48)
+        sep = s_infty_separable(axes, coeffs, powers, js)
+        assert sep == pytest.approx(dense_s_infty(cell_symbol(coeffs, powers, js), axes), rel=1e-12)
 
     @pytest.mark.parametrize("which", ["T1", "dT1"])
-    @pytest.mark.parametrize("js", [(0, 0, 0), (1, 0, 0)])
+    @pytest.mark.parametrize("js", [(0, 0, 0), (1, 0, 0), (1, 1, 0)])
     def test_dyadic_cells_match_dense(self, js, which):
         """The model's cell sums equal the dense transform of the assembled symbol.
 
-        Both symbols have rows of mixed parity (T1 folds a -1 phase into its
-        cross terms, dT1 has one odd row per term), and (1,0,0) has unequal
-        axes, so this checks the half-lattice weights and the sign fold.
+        Both symbols mix even and odd powers (T1 folds a -1 phase into its
+        cross terms, dT1 has one odd power per term), (1,0,0) has unequal
+        axes, and (1,1,0) has j2 != j3, so it takes the full (y2, y3) plane:
+        this checks the half-lattice weights, the sign fold and both paths.
         """
         alpha2 = 1.0
         symbol = model.symbol_t1 if which == "T1" else symbol_t1_d1
-        extents = tuple(8.0 * SUPPORT_EDGE * 2.0**j for j in js)
         dense = dense_s_infty(
             lambda e1, e2, e3: symbol(e1, e2, e3, alpha2)
             * psi_k(e1, js[0])
             * psi_k(e2, js[1])
             * psi_k(e3, js[2]),
-            symbol_axes(extents, 48),
+            cell_axes(js, 48),
         )
         assert model._dyadic_s_infty(js, alpha2, which, 48) == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("which", ["T1", "dT1"])
     def test_dyadic_cell_has_the_bits_of_materialized_pairs(self, monkeypatch, which):
-        streamed = model._dyadic_s_infty((0, 0, 0), 1.0, which, 384)
+        cells = [(0, 0, 0), (1, 1, 0)]  # the half plane and the full plane
+        streamed = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
         monkeypatch.setattr(littlewood_paley, "s_infty_separable", materialized_s_infty)
-        assert streamed == model._dyadic_s_infty((0, 0, 0), 1.0, which, 384)
+        assert streamed == [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
 
     def test_contraction_memory_is_tile_sized(self):
         """The (y2, y3) pair matrix of T1 at n_axis 768 would be 7 x 294,528
@@ -372,10 +378,13 @@ class TestSInftyNorm:
             tracemalloc.stop()
         assert peak < 8e6
 
-    # Terms (coeff, powers of eta1, eta2, eta3), each with the bump on every
-    # axis; swapping the powers of eta2 and eta3 permutes the list by SWAP.
-    # The bump's kernel stays above 1e-5 out to the lattice edge, so every
-    # tile of the contraction counts.
+    def test_contraction_buffers_start_on_a_cache_line(self):
+        for size in (1, 7, 2048, 7 * 2048, 1 << 16):
+            buf = littlewood_paley._cache_aligned(size)
+            assert buf.ctypes.data % 64 == 0 and buf.shape == (size,) and buf.dtype == np.float64
+
+    # Terms (coeff, powers of eta1, eta2, eta3); swapping the powers of eta2
+    # and eta3 maps the list to itself.
     SWAP_CLOSED = [
         (1.5, (2, 0, 0)),
         (0.7, (0, 2, 0)),
@@ -385,14 +394,11 @@ class TestSInftyNorm:
         (0.9, (0, 1, 1)),
         (-1.0, (0, 0, 0)),
     ]
-    SWAP = [0, 2, 1, 4, 3, 5, 6]
 
-    def _swap_case(self, monkeypatch, terms, scale3, n=128):
-        """Separable and dense S_infty of sum c x^p y^q (s z)^r b(x) b(y) b(s z)
-        on axes of extent 6.4, 6.4 and 6.4 / s, with the column counts of each
-        tiled contraction.  The axis-3 rows are the axis-2 rows permuted by
-        SWAP, bytewise, also for s = 2 (its xi are exactly half of theirs).
-        The separable value must have the bits of the materialized pairs'."""
+    def _swap_case(self, monkeypatch, terms, js, axes):
+        """Separable and dense S_infty of the terms on the cell js, with the
+        column counts of each tiled contraction.  The separable value must
+        have the bits of the materialized pairs'."""
         calls = []
         real = littlewood_paley._abs_sum
 
@@ -401,93 +407,42 @@ class TestSInftyNorm:
             return real(lead, left, right, lo, hi)
 
         monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
-        scales = (1.0, 1.0, scale3)
-        axes = symbol_axes(tuple(6.4 / s for s in scales), n)
-        rows = [
-            np.array([(s * ax.xi) ** p[i] * bump(s * ax.xi) for _, p in terms])
-            for i, (ax, s) in enumerate(zip(axes, scales))
-        ]
-        assert np.array_equal(rows[1], rows[2][self.SWAP])
-        fn = lambda x, y, z: sum(
-            c * x ** p[0] * y ** p[1] * (scale3 * z) ** p[2] * bump(x) * bump(y) * bump(scale3 * z) for c, p in terms
-        )
-        sep = s_infty_separable(axes, [c for c, _ in terms], rows)
-        assert sep == materialized_s_infty(axes, [c for c, _ in terms], rows)
-        return axes, calls, sep, dense_s_infty(fn, axes)
+        coeffs, powers = [c for c, _ in terms], [p for _, p in terms]
+        sep = s_infty_separable(axes, coeffs, powers, js)
+        assert sep == materialized_s_infty(axes, coeffs, powers, js)
+        return calls, sep, dense_s_infty(cell_symbol(coeffs, powers, js), axes)
 
     def test_exchange_symmetric_sum_matches_dense(self, monkeypatch):
         """n = 128: several column tiles with a partial last one, and row tiles."""
-        _, calls, sep, dense = self._swap_case(monkeypatch, self.SWAP_CLOSED, 1.0)
+        calls, sep, dense = self._swap_case(monkeypatch, self.SWAP_CLOSED, (0, 0, 0), cell_axes((0, 0, 0), 128))
         # the strict upper triangle of the (y2, y3) plane, then its diagonal
         assert calls == [128 * 127 // 2, 128]
         assert sep == pytest.approx(dense, rel=1e-12)
 
     def test_unequal_swap_partners_take_the_full_plane(self, monkeypatch):
         terms = [(c * (1.25 if p == (0, 0, 2) else 1.0), p) for c, p in self.SWAP_CLOSED]
-        _, calls, sep, dense = self._swap_case(monkeypatch, terms, 1.0)
+        calls, sep, dense = self._swap_case(monkeypatch, terms, (0, 0, 0), cell_axes((0, 0, 0), 128))
         assert calls == [128 * 128]
         assert sep == pytest.approx(dense, rel=1e-12)
 
-    def test_identical_rows_on_unequal_axes_take_the_full_plane(self, monkeypatch):
-        axes, calls, sep, dense = self._swap_case(monkeypatch, self.SWAP_CLOSED, 2.0)
-        assert axes[1] != axes[2]
-        assert calls == [128 * 128]
-        assert sep == pytest.approx(dense, rel=1e-12)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_separable_low_dimensions_match_dense(self, d):
-        w = lambda u: np.exp(-u * u)
-        if d == 1:
-            fn, powers = (lambda x: (1.5 * x**2 - x**2) * w(x)), [(2, 2)]
-        else:
-            fn, powers = (lambda x, y: (1.5 * x**2 - x * y) * w(x) * w(y)), [(2, 1), (0, 1)]
-        axes = symbol_axes((16.0,) * d, 64)
-        rows = lambda ax, ps: np.array([ax.xi**p * w(ax.xi) for p in ps])
-        coeffs = [1.5, -1.0]
-        factors = [rows(ax, ps) for ax, ps in zip(axes, powers)]
-        sep = s_infty_separable(axes, coeffs, factors)
-        assert sep == materialized_s_infty(axes, coeffs, factors)
-        assert sep == pytest.approx(dense_s_infty(fn, axes), rel=1e-12)
-
-    def _bump_axis(self):
-        return symbol_axes((6.4,), 64)[0]
-
-    def test_separable_rejects_complex_input(self):
-        ax = self._bump_axis()
-        rows = np.array([bump(ax.xi)])
-        with pytest.raises(ValueError, match="real coefficients"):
-            s_infty_separable([ax], [1.0 + 0.5j], [rows])
-        with pytest.raises(ValueError, match="real axis factors"):
-            s_infty_separable([ax], [1.0], [rows * (1.0 + 0.5j)])
-
-    def test_separable_rejects_row_without_parity(self):
-        ax = self._bump_axis()
-        rows = np.array([bump(ax.xi - 0.5)])
-        with pytest.raises(ValueError, match="even or odd"):
-            s_infty_separable([ax], [1.0], [rows])
+    def test_unequal_cells_take_the_full_plane(self, monkeypatch):
+        """Swap-closed terms whose axes 2 and 3 differ, by band (j2 != j3), by
+        grid spacing or by both, take the full (y2, y3) plane."""
+        # (js, the cell whose axes are used)
+        for js, grid in [((0, 0, -1), (0, 0, 0)), ((0, 0, 0), (0, 0, -1)), ((0, 0, -1), (0, 0, -1))]:
+            calls, sep, dense = self._swap_case(monkeypatch, self.SWAP_CLOSED, js, cell_axes(grid, 128))
+            assert calls == [128 * 128]
+            assert sep == pytest.approx(dense, rel=1e-12)
 
     def test_separable_rejects_mixed_phase_terms(self):
-        # a T1 term (three even rows) beside a dT1 term (one odd row)
-        ax = self._bump_axis()
-        even, odd = bump(ax.xi), ax.xi * bump(ax.xi)
+        # a T1 term (no odd power) beside a dT1 term (one odd power)
         with pytest.raises(ValueError, match="phase"):
-            s_infty_separable(
-                [ax, ax, ax],
-                [1.0, 1.0],
-                [np.array([even, odd]), np.array([even, even]), np.array([even, even])],
-            )
-
-    def test_separable_axis_count_enforced(self):
-        ax = self._bump_axis()
-        rows = np.array([bump(ax.xi)])
-        with pytest.raises(ValueError):
-            s_infty_separable([ax, ax, ax, ax], [1.0], [rows, rows, rows, rows])
+            s_infty_separable(cell_axes((0, 0, 0), 64), [1.0, 1.0], [(0, 0, 0), (1, 0, 0)], (0, 0, 0))
 
     def test_separable_boundary_defect_enforced(self):
-        ax = self._bump_axis()
-        rows = np.array([np.ones(ax.n)])
+        # psi_0 is 1 at the edge xi = -1 of an axis spanning [-1, 1)
         with pytest.raises(UnresolvedSymbol):
-            s_infty_separable([ax], [1.0], [rows])
+            s_infty_separable(symbol_axes((2.0,) * 3, 64), [1.0], [(0, 0, 0)], (0, 0, 0))
 
 
 class TestInterpolationRatio:

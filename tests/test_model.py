@@ -602,11 +602,11 @@ class TestDyadicSymbolBound:
 
     def test_ordering_precondition(self):
         with pytest.raises(ValueError, match="j1 >= j2 >= j3"):
-            dyadic_symbol_bound(0, 1, 0, 1.0)
+            dyadic_symbol_bound(0, 1, 0, 1.0, n_axis=48)
 
     def test_unknown_symbol_choice(self):
         with pytest.raises(ValueError, match="T1"):
-            dyadic_symbol_bound(0, 0, 0, 1.0, which="T3")
+            dyadic_symbol_bound(0, 0, 0, 1.0, n_axis=48, which="T3")
 
     def test_constant_symbol_factorizes(self):
         # With alpha2 = 0 the symbol is the constant -1, so the multiplier

@@ -116,7 +116,9 @@ def test_regressed_drift_meets_the_law_on_the_scattering_grid(alpha2):
     # at alpha2 = 0 (plain mKdV) the law is -pi at every xi > 0
     defaults = cli._STUDIES["scattering"].defaults
     grid = GridSpec(n=defaults["grid.n"], box_length=defaults["grid.box_length"])
-    rows = resonant_drift_measurement([0.5, 1.0], grid, alpha2=alpha2)
+    rows = resonant_drift_measurement(
+        [0.5, 1.0], grid, alpha2=alpha2, amplitude=defaults["initial.amplitude"], width=defaults["initial.width"]
+    )
     for row in rows:
         assert abs(row["regressed"] - row["stationary_phase"]) <= 0.01 * abs(row["stationary_phase"])
         assert row["regression_rms"] < 0.05
