@@ -638,6 +638,8 @@ def _oscillatory(ctx: _Context) -> dict:
     b_values = ctx.cfg["oscillatory.b_values"]
     if min(b_values) < 4.0:
         raise ConfigError(f"oscillatory.b_values must all be >= 4, got {b_values}")
+    if any(a >= b for a, b in zip(b_values, b_values[1:])):  # the gates read the first and last B
+        raise ConfigError(f"oscillatory.b_values must increase strictly, got {b_values}")
     t_lists = {}
     for region, hi in (("separated", t_max), ("resonant", 3.0 * t_max)):
         ts = [float(t) for t in np.exp(np.linspace(math.log(t_min), math.log(hi), ctx.cfg["oscillatory.samples"]))]

@@ -245,8 +245,8 @@ def scattering_monitor(times, hhat, drift, theta, fit_t_min: float) -> list:
                 "cauchy_increments": [float(x) for x in inc],
                 "drift_slope": slope,
                 "predicted_slope": predicted,
-                "matched": bool(abs(slope - predicted) <= 0.2 * abs(predicted)),
-                "monotone_decrease": monotone,
+                "matched_ok": bool(abs(slope - predicted) <= 0.2 * abs(predicted)),
+                "monotone_ok": monotone,
             }
         )
     return reports

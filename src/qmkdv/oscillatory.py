@@ -7,12 +7,12 @@ analysis:
   -> 2pi  as B grows, evaluated through the exact 1D reduction
   (the inner integral is B * psihat_check(B x2), so the double integral is
   int psi(u/B^2) psicheck(u) du with psicheck the inverse transform of the
-  bump), plus a closed-form Gaussian self-test of the same pipeline.  One
-  inverse real FFT gives psicheck, and the bump is evaluated only where it
-  is neither 0 nor 1 (its two transition bands, on the spectrum head and on
-  the u-grid), so the FFT is most of the cost.  The resolution-doubling
-  check takes the 2n-point sum as the mean of the n-point sum and the sum
-  at the n midpoints, from a second n-point inverse real FFT;
+  bump), plus a closed-form Gaussian self-test.  The bump's spectrum head
+  ends below k = n/32 (32 points per oscillation), so psicheck is exact on
+  phase rows of n/p points, each one short inverse real FFT, summed a row
+  at a time against the u-side cutoff, which like the head is evaluated on
+  its transition bands only.  The odd rows are the n midpoints, so the
+  resolution-doubling check's 2n-point sum is the mean of two n-point sums;
 
 * direct small-n evaluations of the trilinear oscillatory integral
 
@@ -91,10 +91,7 @@ def _even_inverse_transform(head: np.ndarray, grid: GridSpec) -> np.ndarray:
     controlled by the transform's decay over the period 2 pi / dxi = the box
     length.  Evenness gives the negative frequencies, and a real, even
     spectrum has a real transform, so one inverse real FFT, with the (-1)^k
-    of the centred grid (x_0 = -L/2), sums it.  A complex head f(k dxi)
-    e^{i k dxi s} gives the values at the points shifted by s instead, if
-    f(n/2 dxi) = 0 (irfft drops the imaginary part of that entry).
-    `head` is overwritten.
+    of the centred grid (x_0 = -L/2), sums it.  `head` is overwritten.
     """
     head[1::2] *= -1.0
     out = np.fft.irfft(head, grid.n)
@@ -104,29 +101,35 @@ def _even_inverse_transform(head: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def _two_pi_values(B: float, u_extent: float, n: int) -> tuple[complex, complex]:
     """int psi(u / B^2) psicheck(u) du (the 1D reduction) by the trapezoid
-    sums on the centred n-point and 2n-point u-grids of length u_extent.
+    sums T_n and T_2n on the centred n-point and 2n-point u-grids of length
+    u_extent, summed a row at a time so that no array is longer than a row.
 
-    The 2n-point sum is the mean of the n-point sum and the sum at the n
-    midpoints u_q + du/2, where psicheck is one n-point inverse real FFT of
-    the head twiddled by e^{i k dxi du/2} = e^{i pi k/n}.  That is the 2n sum
-    only while the 2n-point head is the n-point head zero-padded, so a head
-    reaching k = n/2 raises UnresolvedOscillation.  Both cutoffs are sampled
-    on their transition bands and the twiddle on the head's support only;
-    the products and sums still run over the whole grid, since a sum over
-    the support alone would reorder numpy's pairwise sum and move bits."""
+    Row r < 2p holds the m = n/p points -u_extent/2 + r du/2 + p du q: one
+    m-point inverse real FFT of the head's `support` nonzero entries times
+    (-1)^k e^{i pi k r/n} m dxi, exact while support < m/2 (p is the largest
+    power of two dividing n with m >= 4 support).  The even rows sum to T_n
+    and the odd rows to the midpoint sum M_n, and T_2n = (T_n + M_n) / 2
+    only while the 2n-point head is the n-point one zero-padded, so a head
+    reaching k = n/2 raises UnresolvedOscillation."""
     grid = GridSpec(n=n, box_length=u_extent)
     support = math.ceil(lp.SUPPORT_EDGE / grid.dxi)  # psi(k dxi) = 0 from here on
     if support >= n // 2:
         raise UnresolvedOscillation(f"B={B}: the spectrum head reaches the n={n} band edge")
-    head = _bump_samples(0.0, grid.dxi, 1.0, n // 2 + 1)
-    mid_head = np.zeros(n // 2 + 1, dtype=np.complex128)
-    mid_head[:support] = head[:support] * np.exp(1j * math.pi / n * np.arange(support))
-    sums = []
-    for h, start in ((head, -0.5 * u_extent), (mid_head, 0.5 * grid.dx - 0.5 * u_extent)):
-        psicheck = _even_inverse_transform(h, grid)
-        sums.append(np.sum(np.multiply(psicheck, _bump_samples(start, grid.dx, B**2, n), out=psicheck)))
-    du = u_extent / n
-    return complex(du * sums[0]), complex(0.5 * du * (sums[0] + sums[1]))
+    p = 1
+    while n % (2 * p) == 0 and n // (2 * p) >= 4 * support:
+        p *= 2
+    m = n // p
+    head = _bump_samples(0.0, grid.dxi, 1.0, support) * (m * grid.dxi)
+    head[1::2] *= -1.0
+    row_head = np.zeros(m // 2 + 1, dtype=np.complex128)
+    angle = math.pi / n * np.arange(support)
+    sums = [0.0, 0.0]
+    for r in range(2 * p):
+        np.multiply(head, np.exp(1j * r * angle), out=row_head[:support])
+        row = np.fft.irfft(row_head, m)
+        cutoff = _bump_samples(0.5 * r * grid.dx - 0.5 * u_extent, p * grid.dx, B**2, m)
+        sums[r % 2] += np.sum(np.multiply(row, cutoff, out=row))
+    return complex(grid.dx * sums[0]), complex(0.5 * grid.dx * (sums[0] + sums[1]))
 
 
 def two_pi_identity(B: float) -> OscillatoryResult:
@@ -137,9 +140,9 @@ def two_pi_identity(B: float) -> OscillatoryResult:
     Doubling the resolution must move the value by less than 10% of the
     reported error; once both are at the round-off floor the gate is
     considered satisfied (float64 cannot resolve below ~1e-12 here).  The
-    doubled value is (T_n + M_n) / 2, the n-point sum and the n-midpoint sum,
-    exact since the head (up to 8/5) lies inside the n-point band (n/2 dxi
-    >= 25.6 for every B >= 4).
+    n-point sum T_n and the doubled value (T_n + M_n) / 2 come from the phase
+    rows of `_two_pi_values`, exact since the head (up to 8/5) lies inside
+    the n-point band (n/2 dxi >= 25.6 for every B >= 4) and each row's band.
     """
     if B < 4.0:
         raise ValueError("B must be >= 4")
@@ -157,7 +160,9 @@ def two_pi_identity(B: float) -> OscillatoryResult:
 
 
 def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
-    """Same pipeline with a Gaussian cutoff, checked against the closed form.
+    """The 1D reduction with a Gaussian cutoff, checked against the closed form.
+    Its head is not compactly supported, so it keeps the n-point
+    `_even_inverse_transform`; the tests check the rows against that form.
 
     iint e^{-i x1 x2} e^{-x1^2/B^2} e^{-x2^2/B^2} dx1 dx2
         = sqrt(pi) B int e^{-x2^2/B^2} e^{-B^2 x2^2 / 4} dx2

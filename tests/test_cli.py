@@ -322,6 +322,8 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("scattering", SCATTERING_CONFIG.replace("= 1.0\n", "= 1000.0\n")),
         ("decay", "decay.linear_n = 63\n"),
         ("oscillatory", "oscillatory.b_values = 8.0, 2.0\n"),
+        ("oscillatory", "oscillatory.b_values = 64.0, 4.0\n"),
+        ("oscillatory", "oscillatory.b_values = 8.0, 16.0, 16.0\n"),
         ("resonance", "constants.delta = -1.0\n"),
         ("resonance", "resonance.j_min = 0\nresonance.j_max = 0\nresonance.n_axis = 47\n"),
         ("decay", "decay.samples = 5\n"),
@@ -353,6 +355,8 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "unrepresentable-frequency",
         "odd-linear-grid",
         "b-value-below-4",
+        "b-values-decreasing",
+        "b-values-repeated",
         "negative-delta",
         "odd-n-axis",
         "linear-decay-window",

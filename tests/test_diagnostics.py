@@ -4,6 +4,7 @@ scattering estimator."""
 import numpy as np
 import pytest
 
+from qmkdv import cli
 from qmkdv.diagnostics import (
     InsufficientData,
     _scaling_field,
@@ -123,11 +124,11 @@ def test_monitor_matches_the_law_whose_correction_cancels_the_drift():
         assert "xi" not in r and "variant" not in r
         assert r["drift_slope"] == pytest.approx(b[i], rel=1e-10)
         assert r["predicted_slope"] == pytest.approx(b[i], rel=1e-14)
-        assert r["matched"]
+        assert r["matched_ok"]
         # e^{i Theta} hhat is constant: its dyadic increments are round-off
         assert len(r["cauchy_increments"]) == 5
         assert max(r["cauchy_increments"]) < 1e-14
-        assert r["monotone_decrease"]
+        assert r["monotone_ok"]
 
 
 # The two coefficients the law replaced, as drift slopes per |hhat|^2: one
@@ -142,7 +143,16 @@ def test_monitor_does_not_match_a_drift_off_the_law(old):
     reports = monitor(TIMES, log_phase_series(old * AMP**2), fit_t_min=4.0)
     for i, r in enumerate(reports):
         assert r["drift_slope"] == pytest.approx(old[i] * AMP[i] ** 2, rel=1e-10)
-        assert not r["matched"]
+        assert not r["matched_ok"]
+
+
+def test_false_monitor_flags_are_named_as_gates():
+    # a growing modulus at a fixed phase: no drift slope, and increments
+    # that double with each dyadic time
+    reports = monitor(TIMES, AMP * TIMES[:, None] + 0j, fit_t_min=4.0)
+    assert cli._false_gates({"per_frequency": reports}) == [
+        f"per_frequency.{i}.{flag}" for i in range(XI.size) for flag in ("matched_ok", "monotone_ok")
+    ]
 
 
 def test_monitor_refuses_too_few_samples():

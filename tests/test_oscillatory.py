@@ -189,13 +189,16 @@ def _assert_bump_samples_exact(start, step, scale, count):
 
 
 @pytest.mark.parametrize("B", [8.0, 16.0])
-@pytest.mark.parametrize("points", ["n", "midpoints"])
+@pytest.mark.parametrize("points", ["n", "midpoints", "row"])
 def test_bump_samples_on_the_two_pi_grids(B, points):
     u_extent, n = _two_pi_grid(B)
     grid = GridSpec(n=n, box_length=u_extent)
-    shift = 0.5 * grid.dx if points == "midpoints" else 0.0
     _assert_bump_samples_exact(0.0, grid.dxi, 1.0, n // 2 + 1)  # the spectrum head
-    _assert_bump_samples_exact(shift - 0.5 * u_extent, grid.dx, B**2, n)  # the u-side cutoff
+    if points == "row":  # odd row 3 of 16, as _two_pi_values lays out p = 8
+        _assert_bump_samples_exact(1.5 * grid.dx - 0.5 * u_extent, 8 * grid.dx, B**2, n // 8)
+    else:  # the u-side cutoff
+        shift = 0.5 * grid.dx if points == "midpoints" else 0.0
+        _assert_bump_samples_exact(shift - 0.5 * u_extent, grid.dx, B**2, n)
 
 
 @pytest.mark.parametrize("scale", [1.0, 64.0, 256.0])
@@ -220,13 +223,15 @@ def test_bump_samples_on_grids_ending_in_a_band_or_a_constant_piece(start, step,
     _assert_bump_samples_exact(start, step, 1.0, count)
 
 
-@pytest.mark.parametrize("B", [8.0, 16.0])
-def test_two_pi_value_has_the_bits_of_the_plain_form(B):
+@pytest.mark.parametrize("B", [8.0, 16.0, 32.0, 64.0])
+def test_two_pi_value_matches_the_plain_form(B):
+    # the phase rows (p = 8 at each B) and the plain n-point sum add the same
+    # terms in different orders: equal up to the rounding of two sums
     u_extent, n = _two_pi_grid(B)
-    assert oscillatory._two_pi_values(B, u_extent, n)[0] == _plain_two_pi_value(B, u_extent, n)
+    assert abs(oscillatory._two_pi_values(B, u_extent, n)[0] - _plain_two_pi_value(B, u_extent, n)) <= 1e-14
 
 
-@pytest.mark.parametrize("B", [8.0, 16.0, 32.0])
+@pytest.mark.parametrize("B", [8.0, 16.0, 32.0, 64.0])
 def test_doubled_two_pi_value_is_the_2n_point_sum(B):
     # the mean of the n-point and the midpoint sums, against the plain form on
     # the 2n-point grid: equal up to the rounding of two different sums
@@ -246,12 +251,11 @@ def test_two_pi_values_refuse_a_head_reaching_the_band_edge():
     oscillatory._two_pi_values(8.0, u_extent, 2 * support + 2)
 
 
-def test_two_pi_values_peak_under_five_arrays():
-    """tracemalloc sees numpy's data buffers: at B = 32 the two values peak
-    at 4.3 arrays of n float64, while each inverse FFT holds its head, the
-    head's complex copy and the output.  Computing the 2n-point value by a
-    2n-point transform, as before, peaked at 5.6."""
-    B = 32.0
+@pytest.mark.parametrize("B", [32.0, 128.0])
+def test_two_pi_values_peak_under_one_array(B):
+    """tracemalloc sees numpy's data buffers: the phase rows peak at about
+    0.6 arrays of n float64, a row of n/8 points with its head, FFT and
+    cutoff.  The two n-point inverse FFTs they replaced peaked at 4.3."""
     u_extent, n = _two_pi_grid(B)
     oscillatory._two_pi_values(B, u_extent, n)
     tracemalloc.start()
@@ -260,7 +264,7 @@ def test_two_pi_values_peak_under_five_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8 * n
+    assert peak < 8 * n
 
 
 def _dense_trilinear(grid, h1, h2, h3, alpha2, xi, t_values):
