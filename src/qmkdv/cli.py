@@ -202,10 +202,10 @@ def _map(fn, items, threads: int) -> list:
 
 
 def _require_samples(what: str, times, lo: float, hi: float, needed: int) -> None:
-    """Refuse, before anything runs, a plan whose fit window holds too few times."""
-    have = sum(lo <= t <= hi for t in times)
+    """Refuse, before anything runs, a plan whose fit window holds too few distinct times."""
+    have = len({t for t in times if lo <= t <= hi})
     if have < needed:
-        raise ConfigError(f"{what} in [{lo}, {hi}]: {have} planned, need >= {needed}")
+        raise ConfigError(f"{what} in [{lo}, {hi}]: {have} distinct planned, need >= {needed}")
 
 
 def _snapshot_datum(path: str, grid: GridSpec, coeff: CoefficientSpec) -> SpectralField:
@@ -587,6 +587,8 @@ def _scattering(ctx: _Context) -> dict:
 def _resonance(ctx: _Context) -> dict:
     j_min, j_max = ctx.cfg["resonance.j_min"], ctx.cfg["resonance.j_max"]
     n_axis = ctx.cfg["resonance.n_axis"]
+    if ctx.coeff.alpha2 == 0.0:  # dT1 would vanish identically, its ratio spread 0/0
+        raise ConfigError(f"coeff.a: resonance needs alpha2 = a^2 > 0, got {ctx.coeff.alpha2!r}")
     if j_min > j_max:
         raise ConfigError("resonance.j_min must be <= resonance.j_max")
     try:

@@ -260,12 +260,14 @@ def scattering_monitor(times, hhat, drift, theta, fit_t_min: float) -> list:
 def decay_fit(series, window) -> tuple[float, float]:
     """Least-squares slope of log(value) against log(t) inside the window.
 
-    Returns (exponent, standard error of the exponent).
+    Returns (exponent, standard error of the exponent).  The window must
+    hold MIN_DECAY_FIT_SAMPLES distinct times: repeats of one time fit no slope.
     """
     t_lo, t_hi = window
     pts = [(t, v) for t, v in series if t_lo <= t <= t_hi]
-    if len(pts) < MIN_DECAY_FIT_SAMPLES:
-        raise InsufficientData(f"need >= {MIN_DECAY_FIT_SAMPLES} samples in [{t_lo}, {t_hi}], have {len(pts)}")
+    distinct = len({t for t, _ in pts})
+    if distinct < MIN_DECAY_FIT_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DECAY_FIT_SAMPLES} distinct times in [{t_lo}, {t_hi}], have {distinct}")
     if any(v <= 0.0 for _, v in pts):
         raise InsufficientData("decay fit requires strictly positive values")
     logt = np.log([t for t, _ in pts])

@@ -21,10 +21,10 @@ is taken).  The symbols met here are monomials cut off to a dyadic cell,
 
 so the inverse transform is a sum of tensor products of one 1D kernel per
 axis and distinct power, contracted one axis at a time
-(:func:`s_infty_separable`) and never assembled as a dense 3D array: it is
-summed in L2-sized tiles, over half the (y2, y3) plane when exchange symmetric,
-and the (y2, y3) pair columns are formed one tile's block at a time, so the
-memory taken is O(tile), not O(m n^2) for m terms on n-point axes.
+(:func:`s_infty_separable`) and never assembled as a dense 3D array: the
+(y2, y3) pair columns are formed one y2 row at a time, over half the plane
+when exchange symmetric, and each row's block is summed in L2-sized tiles, so
+the memory taken is O(tile + m n), not O(m n^2) for m terms on n-point axes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
 
 PLATEAU_EDGE = 1.25  # psi == 1 for |xi| <= 5/4
 SUPPORT_EDGE = 1.6  # psi == 0 for |xi| >= 8/5
-_TILE, _TILE_WIDTH = 1 << 16, 2048  # S_infty GEMM tile: 512 KiB, at most 2048 columns
+_TILE = 1 << 16  # S_infty GEMM tile: 512 KiB
 
 
 class UnresolvedSymbol(ValueError):
@@ -156,18 +156,19 @@ def s_infty_separable(axes, coeffs, powers, js) -> float:
     powers carries the phase i^k, and all terms must share it up to a sign
     (ValueError otherwise), which is folded into the real coefficient.  As
     |K(-y)| = |K(y)|, only the lead-axis rows 0..n/2 are summed, rows
-    1..n/2-1 with weight 2.  K is summed in L2-sized tiles, each block of
-    (y2, y3) pair columns formed only when its tile is summed, so the memory
-    taken is O(tile), not O(m n^2).  When js[1] == js[2] on equal axes 2 and
-    3 and the terms map to themselves when powers 2 and 3 swap,
-    |K(y1, y2, y3)| = |K(y1, y3, y2)|: only y2 = y3 (once) and y2 < y3
-    (twice) are summed.
+    1..n/2-1 with weight 2.  The (y2, y3) pair columns are formed one y2 row
+    k at a time, left[:, k] * right, so the memory taken is O(tile + m n),
+    not O(m n^2).  When js[1] == js[2] on equal axes 2 and 3 and the terms
+    map to themselves when powers 2 and 3 swap, |K(y1, y2, y3)| =
+    |K(y1, y3, y2)|: only y2 < y3 (twice, row k from column k + 1 on) and
+    y2 = y3 (once, as one block left * right) are summed.
     """
     lead, left, right, symmetric = _kernel_factors(axes, coeffs, powers, js)
-    k, n2 = np.arange(left.shape[1]), right.shape[1]
+    n2 = right.shape[1]
     if symmetric:
-        return 2.0 * _abs_sum(lead, left, right, k + 1, n2) + _abs_sum(lead, left, right, k, k + 1)
-    return _abs_sum(lead, left, right, 0, n2)
+        upper = (left[:, k, None] * right[:, k + 1 :] for k in range(n2 - 1))
+        return 2.0 * _abs_sum(lead, upper, n2) + _abs_sum(lead, [left * right], n2)
+    return _abs_sum(lead, (left[:, k, None] * right for k in range(left.shape[1])), n2)
 
 
 def _kernel_factors(axes, coeffs, powers, js):
@@ -210,34 +211,14 @@ def _cache_aligned(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-def _abs_sum(lead, left, right, lo, hi) -> float:
-    """sum |lead @ pair|, contracted tile by tile over row and column blocks.
-
-    The columns of pair are left[:, k] * right[:, l] for k ascending and, for
-    each k, l ascending from lo[k] to hi[k] - 1 (lo and hi broadcast over k).
-    Each block of columns is formed in one buffer, row segment by row
-    segment, just before its tiles are summed.
-    """
-    m, rows_k = left.shape
-    lo, hi = (np.broadcast_to(v, rows_k).tolist() for v in (lo, hi))
-    count = sum(hi) - sum(lo)
-    width = min(count, _TILE_WIDTH)
-    height = max(1, _TILE // width)
-    buf = _cache_aligned(min(height, lead.shape[0]) * width)
-    pair = _cache_aligned(m * width)
-    total, k, l = 0.0, 0, lo[0]  # (k, l): the next pair column
-    for c0 in range(0, count, width):
-        cols = pair[: m * min(width, count - c0)].reshape(m, -1)
-        j = 0
-        while j < cols.shape[1]:
-            if l == hi[k]:
-                k += 1
-                l = lo[k]
-                continue
-            step = min(hi[k] - l, cols.shape[1] - j)
-            np.multiply(left[:, k, None], right[:, l : l + step], out=cols[:, j : j + step])
-            j += step
-            l += step
+def _abs_sum(lead, blocks, width: int) -> float:
+    """sum |lead @ cols| over the column blocks, each of at most ``width``
+    columns, contracted in row tiles of at most max(_TILE, width) entries,
+    every tile's product written into one cache-aligned buffer."""
+    buf = _cache_aligned(max(_TILE, width))
+    total = 0.0
+    for cols in blocks:
+        height = max(1, _TILE // cols.shape[1])
         for r0 in range(0, lead.shape[0], height):
             rows = lead[r0 : r0 + height]
             block = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], -1)

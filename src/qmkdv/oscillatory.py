@@ -34,7 +34,7 @@ import numpy as np
 from . import littlewood_paley as lp
 from .diagnostics import MIN_DECAY_FIT_SAMPLES, InsufficientData, decay_fit
 from .model import CoefficientSpec, nonlinearity_full, phase_phi, resonance_points, symbol_t1
-from .spectral_core import GridSpec, free_evolve, transform
+from .spectral_core import GridSpec, SpectralField, free_evolve, synthesize, transform
 
 __all__ = [
     "UnresolvedOscillation",
@@ -80,22 +80,6 @@ def _bump_samples(start: float, step: float, scale: float, count: int) -> np.nda
         k0, k1 = clip(math.floor(index(lo)) - 2), clip(math.ceil(index(hi)) + 3)
         if k0 < k1:
             out[k0:k1] = lp.bump((start + step * np.arange(k0, k1)) / scale)
-    return out
-
-
-def _even_inverse_transform(head: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Values of int f(xi) e^{i xi u} dxi for a real, even f, on the centred
-    x-points of `grid`, from f's head samples f(k dxi), k = 0..n/2.
-
-    The trapezoid sum over the dual frequencies xi_k = k dxi, with aliasing
-    controlled by the transform's decay over the period 2 pi / dxi = the box
-    length.  Evenness gives the negative frequencies, and a real, even
-    spectrum has a real transform, so one inverse real FFT, with the (-1)^k
-    of the centred grid (x_0 = -L/2), sums it.  `head` is overwritten.
-    """
-    head[1::2] *= -1.0
-    out = np.fft.irfft(head, grid.n)
-    out *= grid.n * grid.dxi
     return out
 
 
@@ -161,8 +145,8 @@ def two_pi_identity(B: float) -> OscillatoryResult:
 
 def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
     """The 1D reduction with a Gaussian cutoff, checked against the closed form.
-    Its head is not compactly supported, so it keeps the n-point
-    `_even_inverse_transform`; the tests check the rows against that form.
+    Its head is not compactly supported, so its inner integral is the n-point
+    `synthesize` of the head, whose dropped Nyquist entry is e^{-64} of the peak.
 
     iint e^{-i x1 x2} e^{-x1^2/B^2} e^{-x2^2/B^2} dx1 dx2
         = sqrt(pi) B int e^{-x2^2/B^2} e^{-B^2 x2^2 / 4} dx2
@@ -175,7 +159,7 @@ def gaussian_two_pi_selftest(B: float) -> OscillatoryResult:
     # inner integral over x1, evaluated spectrally on the dual grid:
     # int e^{-x1^2/B^2} e^{i x1 u} dx1 at the grid points u
     grid = GridSpec(n=n, box_length=2.0 * half_width)
-    inner = _even_inverse_transform(np.exp(-((grid.dxi * np.arange(n // 2 + 1)) ** 2) / B**2), grid)
+    inner = synthesize(SpectralField(grid, np.exp(-((grid.dxi * np.arange(n // 2)) ** 2) / B**2)))
     du = 2.0 * half_width / n
     value = complex(du * np.sum(np.exp(-(grid.x**2) / B**2) * inner))
     reference = 2.0 * math.pi / math.sqrt(1.0 + 4.0 / B**4)

@@ -342,6 +342,9 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("resonance", "decay.t_min = 7.0\n"),
         ("identities", "initial.snapshot = /nonexistent\n"),
         ("simulate", SIMULATE_CONFIG.replace("initial.amplitude = 0.3", "initial.amplitude = 0.0")),
+        ("decay", DECAY_CONFIG.replace("t_min = 2.0", "t_min = 4.0").replace("t_max = 20.0", "t_max = 4.0")),
+        ("oscillatory", "oscillatory.t_min = 20.0\noscillatory.t_max = 20.0\n"),
+        ("resonance", RESONANCE_CONFIG + "coeff.a = 0.0\n"),
     ],
     ids=[
         "unknown-key",
@@ -375,6 +378,9 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "key-of-another-study",
         "snapshot-outside-an-integrator-study",
         "zero-datum",
+        "decay-fit-at-one-time",
+        "envelope-fit-at-one-time",
+        "resonance-at-zero-alpha2",
     ],
 )
 def test_configuration_errors_exit_2(tmp_path, capsys, study, config):

@@ -8,6 +8,7 @@ from qmkdv import cli
 from qmkdv.diagnostics import (
     InsufficientData,
     _scaling_field,
+    decay_fit,
     energy,
     probe_indices,
     scattering_monitor,
@@ -186,3 +187,15 @@ def test_probe_indices_are_sorted_distinct_and_representable():
     for bad in (0.4 * grid.dxi, 256 * grid.dxi):  # rounds to index 0, or to n/2
         with pytest.raises(ValueError, match="not representable"):
             probe_indices(grid, (bad,))
+
+
+def test_decay_fit_counts_distinct_times():
+    """A power law on eight distinct times gives its exponent; 25 samples at
+    one time, or seven distinct times each taken twice, fit no slope."""
+    ts = 2.0 ** np.arange(8.0)
+    assert decay_fit([(t, t**-0.5) for t in ts], (1.0, 128.0))[0] == pytest.approx(-0.5, rel=1e-12)
+    with pytest.raises(InsufficientData, match="distinct times"):
+        decay_fit([(4.0, 1.0 + 1e-3 * i) for i in range(25)], (1.0, 8.0))
+    seven = [(t, t**-0.5) for t in ts[:7]]
+    with pytest.raises(InsufficientData, match="distinct times"):
+        decay_fit(seven + seven, (1.0, 128.0))

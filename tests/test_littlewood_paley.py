@@ -8,8 +8,8 @@ against accidental recalibration.
 The oracle for the separable S_infty contraction is the dense route: sample
 the assembled symbol on the full tensor grid and take one n-dimensional
 inverse FFT (`dense_s_infty`).  The oracle for its bits is the contraction
-that builds the whole (y2, y3) pair matrix before it tiles the product
-(`materialized_s_infty`); the package forms those columns block by block.
+of slices of the whole (y2, y3) pair matrix, built first
+(`materialized_s_infty`); the package forms those columns one row at a time.
 """
 
 import math
@@ -70,31 +70,18 @@ def dense_s_infty(fn, axes):
     return float(np.sum(np.abs(np.fft.ifftn(vals))) * scale)
 
 
-def materialized_abs_sum(lead, pair):
-    """sum |lead @ pair| over the tiles of an already built pair matrix."""
-    width = min(pair.shape[1], littlewood_paley._TILE_WIDTH)
-    height = max(1, littlewood_paley._TILE // width)
-    buf = np.empty(min(height, lead.shape[0]) * width)
-    total = 0.0
-    for c0 in range(0, pair.shape[1], width):
-        cols = pair[:, c0 : c0 + width]
-        for r0 in range(0, lead.shape[0], height):
-            rows = lead[r0 : r0 + height]
-            block = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], -1)
-            np.matmul(rows, cols, out=block)
-            total += float(np.sum(np.abs(block, out=block)))
-    return total
-
-
 def materialized_s_infty(axes, coeffs, powers, js):
     """`s_infty_separable` with every pair column built before the contraction:
-    the strict upper triangle of the (y2, y3) plane, row-major, and its
-    diagonal when exchange symmetric, the full plane otherwise."""
+    the whole (y2, y3) pair matrix, whose row slices go through `_abs_sum`,
+    each from column k + 1 on and then the diagonal when exchange symmetric."""
     lead, left, right, symmetric = littlewood_paley._kernel_factors(axes, coeffs, powers, js)
+    n1, n2 = left.shape[1], right.shape[1]
+    pair = (left[:, :, None] * right[:, None, :]).reshape(lead.shape[1], -1)
     if symmetric:
-        upper = np.concatenate([left[:, k, None] * right[:, k + 1 :] for k in range(left.shape[1] - 1)], axis=1)
-        return 2.0 * materialized_abs_sum(lead, upper) + materialized_abs_sum(lead, left * right)
-    return materialized_abs_sum(lead, (left[:, :, None] * right[:, None, :]).reshape(lead.shape[1], -1))
+        upper = [pair[:, k * n2 + k + 1 : (k + 1) * n2] for k in range(n2 - 1)]
+        diagonal = np.ascontiguousarray(pair[:, :: n2 + 1])
+        return 2.0 * littlewood_paley._abs_sum(lead, upper, n2) + littlewood_paley._abs_sum(lead, [diagonal], n2)
+    return littlewood_paley._abs_sum(lead, [pair[:, k * n2 : (k + 1) * n2] for k in range(n1)], n2)
 
 
 def cell_axes(js, n_axis):
@@ -397,27 +384,45 @@ class TestSInftyNorm:
 
     def _swap_case(self, monkeypatch, terms, js, axes):
         """Separable and dense S_infty of the terms on the cell js, with the
-        column counts of each tiled contraction.  The separable value must
+        column count of each contraction's blocks.  The separable value must
         have the bits of the materialized pairs'."""
         calls = []
         real = littlewood_paley._abs_sum
 
-        def counted(lead, left, right, lo, hi):
-            calls.append(int(np.sum(np.broadcast_to(np.subtract(hi, lo), left.shape[1]))))
-            return real(lead, left, right, lo, hi)
+        def counted(lead, blocks, width):
+            blocks = list(blocks)
+            calls.append(sum(cols.shape[1] for cols in blocks))
+            return real(lead, blocks, width)
 
-        monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
         coeffs, powers = [c for c, _ in terms], [p for _, p in terms]
+        materialized = materialized_s_infty(axes, coeffs, powers, js)
+        monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
         sep = s_infty_separable(axes, coeffs, powers, js)
-        assert sep == materialized_s_infty(axes, coeffs, powers, js)
+        assert sep == materialized
         return calls, sep, dense_s_infty(cell_symbol(coeffs, powers, js), axes)
 
     def test_exchange_symmetric_sum_matches_dense(self, monkeypatch):
-        """n = 128: several column tiles with a partial last one, and row tiles."""
+        """n = 128: rows of 127 down to 1 columns, then the diagonal of 128."""
         calls, sep, dense = self._swap_case(monkeypatch, self.SWAP_CLOSED, (0, 0, 0), cell_axes((0, 0, 0), 128))
         # the strict upper triangle of the (y2, y3) plane, then its diagonal
         assert calls == [128 * 127 // 2, 128]
         assert sep == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("tile", [1000, 100])
+    def test_row_tiles_and_blocks_wider_than_a_tile(self, monkeypatch, tile):
+        """A 1000-entry tile cuts the 65 lead rows of a 128-column block into
+        row tiles of 7 with a partial last one; a 100-entry tile is narrower
+        than the blocks, which are then contracted one row at a time.  Both
+        keep the bits of the materialized pairs and the value to round-off."""
+        axes = cell_axes((0, 0, 0), 128)
+        unequal = [(c * (1.25 if p == (0, 0, 2) else 1.0), p) for c, p in self.SWAP_CLOSED]
+        cases = [([c for c, _ in terms], [p for _, p in terms]) for terms in (self.SWAP_CLOSED, unequal)]
+        whole = [s_infty_separable(axes, *case, (0, 0, 0)) for case in cases]
+        monkeypatch.setattr(littlewood_paley, "_TILE", tile)
+        for case, value in zip(cases, whole):
+            tiled = s_infty_separable(axes, *case, (0, 0, 0))
+            assert tiled == materialized_s_infty(axes, *case, (0, 0, 0))
+            assert tiled == pytest.approx(value, rel=1e-14)
 
     def test_unequal_swap_partners_take_the_full_plane(self, monkeypatch):
         terms = [(c * (1.25 if p == (0, 0, 2) else 1.0), p) for c, p in self.SWAP_CLOSED]
