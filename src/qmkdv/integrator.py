@@ -106,14 +106,6 @@ def default_dt_init(phi0: SpectralField, spec: CoefficientSpec) -> float:
     return 0.5 * phi0.grid.dx**2 / max(1.0, cmax**2)
 
 
-def _rhs(phi: SpectralField, spec: CoefficientSpec, evals: list | None) -> np.ndarray:
-    """G(phi) = -F[N(phi)] in a fresh array the caller owns; counts N(phi) in evals[0]."""
-    g = nonlinearity_full(phi, spec).coeffs
-    if evals is not None:
-        evals[0] += 1
-    return np.negative(g, out=g)
-
-
 def lawson_step(
     phi: SpectralField,
     spec: CoefficientSpec,
@@ -133,10 +125,12 @@ def lawson_step(
         a = G(y),  b = G(e (y + h a)),  c = G(e y + h b),  d = G(E y + (dt e) c),
         y' = E y + (dt/6) (E a + (2 e) (b + c) + d),
 
-    formed in one scratch array for the stage inputs, with E y computed once
-    and the stage outputs a and b as accumulators.  Every product keeps the
-    operand order of this formula: numpy's complex product is not bitwise
-    commutative.
+    where G, the stage closure, calls `nonlinearity_full` by this module's
+    name (looked up at each call) on the stage's field, counts the call and
+    negates N's fresh spectrum in place.  The step is formed in one scratch
+    array for the stage inputs, with E y computed once and the stage outputs
+    a and b as accumulators.  Every product keeps the operand order of this
+    formula: numpy's complex product is not bitwise commutative.
     """
     e_full, e_half = factors or (airy_factor(phi.grid, dt), airy_factor(phi.grid, 0.5 * dt))
     y = phi.coeffs
@@ -144,7 +138,10 @@ def lawson_step(
     h = 0.5 * dt
 
     def G(coeffs, time):
-        return _rhs(phi.with_coeffs(coeffs, time=time), spec, evals)
+        g = nonlinearity_full(SpectralField(phi.grid, coeffs, time), spec).coeffs
+        if evals is not None:
+            evals[0] += 1
+        return np.negative(g, out=g)
 
     w = np.empty_like(y)  # each stage's input, then 2 e
     ey = np.empty_like(y)  # h b, then E y
@@ -187,7 +184,8 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         full = lawson_step(phi, cfg.coeff, dt_try, (e_full, e_half), evals)
         half = lawson_step(phi, cfg.coeff, h, (e_half, e_quarter), evals)
         pair = lawson_step(half, cfg.coeff, h, (e_half, e_quarter), evals)
-        err = norm(pair.with_coeffs(pair.coeffs - full.coeffs), "L2")
+        np.subtract(pair.coeffs, full.coeffs, out=full.coeffs)  # the defect, in the full step's array
+        err = norm(full, "L2")
         tol = cfg.eps_tol * base
         if not np.isfinite(err):
             # overflow inside the trial step: reject hard (nan would otherwise
@@ -197,7 +195,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         elif err == 0.0:
             factor = 5.0
         else:
-            factor = float(np.clip(0.9 * (tol / err) ** 0.2, 0.2, 5.0))
+            factor = min(max(0.9 * (tol / err) ** 0.2, 0.2), 5.0)
         if err <= tol:
             next_dt = dt_try * factor
             if capped:

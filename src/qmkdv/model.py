@@ -28,7 +28,6 @@ from . import littlewood_paley as lp
 from .spectral_core import (
     GridSpec,
     SpectralField,
-    _multipliers,
     _padded_rows,
     derivative,
     synthesize,
@@ -150,26 +149,22 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralFiel
     """N(phi) = d_x( phi^3 + c(phi) d_x( c(phi) d_x phi ) ) for a real field phi.
 
     The flux is phi^3 + c(phi) (c'(phi) phi_x^2 + c(phi) phi_xx) by the
-    product rule, formed in real arithmetic from the samples of phi, phi_x
-    and phi_xx on the grid refined by the family's padding factor
-    ``spec.pad``, held as pad phase rows of n points (see `spectral_core`):
-    two batched n-point real FFTs, the inverse over the 3 pad rows of the
-    three orders and the forward over the pad rows of the flux, and no
-    derivative taken on the refined grid.  Each order's heads are written in
-    one multiply by a memoized table that folds in the twiddle, the parity
-    and the scale, and the rows' product spectra are weighted by another
-    and summed.  The samples, c(u) and c'(u) are stacks of rows of this
-    thread's workspace for (n, pad), overwritten by its next call, and the
-    flux is formed in place on them, pointwise and so in any layout; the
-    outer i xi multiplies the truncated spectrum in place.  For c of
-    degree d the flux has degree 2d + 1, and pad p leaves a product of degree
-    at most 2p - 1 alias-free: `linear` (d = 1) at its pad 2 and `cubic_poly`
-    with c = 0 (d = 2) at its pad 3, which covers every default.  At pad 3
-    `cubic_poly` with c != 0 (degree 7) and `sine` (not a polynomial) alias;
-    the test-suite measures them against pad 8.  The outer d_x acts after
-    truncation, so the zero mode of the output vanishes exactly.
+    product rule, formed in real arithmetic, pointwise and so in any layout,
+    in place on this thread's plan rows for (n, L, pad) at the family's
+    padding factor ``spec.pad`` (see `spectral_core`): the samples of phi,
+    phi_x and phi_xx from one batched n-point inverse real FFT, c(u) and
+    c'(u) in the caller's two rows, one batched forward FFT of the flux and
+    the plan's i xi on the truncated spectrum, in place; no derivative is
+    taken on the refined grid.  For c of degree d the flux has degree
+    2d + 1, and pad p leaves a product of degree at most 2p - 1 alias-free:
+    `linear` (d = 1) at its pad 2 and `cubic_poly` with c = 0 (d = 2) at its
+    pad 3, which covers every default.  At pad 3 `cubic_poly` with c != 0
+    (degree 7) and `sine` (not a polynomial) alias; the test-suite measures
+    them against pad 8.  The outer d_x acts after truncation, so the zero
+    mode of the output vanishes exactly.
     """
-    u, ux, uxx, cu, cpu = _padded_rows(phi, spec.pad, (0, 1, 2), scratch=2)
+    plan = _padded_rows(phi, spec.pad, (0, 1, 2))
+    u, ux, uxx, cu, cpu = plan.rows
     spec.c_of(u, out=cu)
     # flux = u*u*u + cu*(c'(u)*(ux*ux) + cu*uxx), in place, operand for operand
     ux *= ux
@@ -178,7 +173,7 @@ def nonlinearity_full(phi: SpectralField, spec: CoefficientSpec) -> SpectralFiel
     ux *= cu
     ux += np.multiply(np.multiply(u, u, out=uxx), u, out=uxx)
     out = transform_from_padded(phi.grid, ux, phi.time)
-    np.multiply(out.coeffs, _multipliers(phi.grid.n, phi.grid.box_length)[0], out=out.coeffs)
+    np.multiply(out.coeffs, plan.ixi, out=out.coeffs)
     return out
 
 
@@ -344,8 +339,8 @@ def scaling_field_direct(phi: SpectralField, spec: CoefficientSpec) -> SpectralF
 
 
 def hamiltonian(phi: SpectralField, spec: CoefficientSpec) -> float:
-    """Conserved energy H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx, formed in place in workspace rows."""
-    u, ux, u2, cu = _padded_rows(phi, spec.pad, (0, 1), scratch=2)
+    """Conserved energy H = int -phi^4/4 + (c(phi)^2 + 1) phi_x^2 / 2 dx, formed in place in the plan's rows."""
+    u, ux, u2, cu, _ = _padded_rows(phi, spec.pad, (0, 1)).rows
     # integrand = -0.25 * (u2 * u2) + 0.5 * (cu * cu + 1.0) * (ux * ux), u2 = u * u, cu = c(u)
     np.multiply(u, u, out=u2)
     np.multiply(-0.25, np.multiply(u2, u2, out=u2), out=u2)

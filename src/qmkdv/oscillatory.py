@@ -91,16 +91,16 @@ def _two_pi_values(B: float, u_extent: float, n: int) -> tuple[complex, complex]
     Row r < 2p holds the m = n/p points -u_extent/2 + r du/2 + p du q: one
     m-point inverse real FFT of the head's `support` nonzero entries times
     (-1)^k e^{i pi k r/n} m dxi, exact while support < m/2 (p is the largest
-    power of two dividing n with m >= 4 support).  The even rows sum to T_n
-    and the odd rows to the midpoint sum M_n, and T_2n = (T_n + M_n) / 2
-    only while the 2n-point head is the n-point one zero-padded, so a head
-    reaching k = n/2 raises UnresolvedOscillation."""
+    power of two dividing n with m >= max(4 support, 4096)).  The even rows
+    sum to T_n and the odd rows to the midpoint sum M_n, and T_2n = (T_n +
+    M_n) / 2 only while the 2n-point head is the n-point one zero-padded, so
+    a head reaching k = n/2 raises UnresolvedOscillation."""
     grid = GridSpec(n=n, box_length=u_extent)
     support = math.ceil(lp.SUPPORT_EDGE / grid.dxi)  # psi(k dxi) = 0 from here on
     if support >= n // 2:
         raise UnresolvedOscillation(f"B={B}: the spectrum head reaches the n={n} band edge")
     p = 1
-    while n % (2 * p) == 0 and n // (2 * p) >= 4 * support:
+    while n % (2 * p) == 0 and n // (2 * p) >= max(4 * support, 4096):  # a shorter row costs more than it saves
         p *= 2
     m = n // p
     head = _bump_samples(0.0, grid.dxi, 1.0, support) * (m * grid.dxi)

@@ -39,12 +39,12 @@ heads written in one multiply by a memoized table that holds the twiddle,
 the parity, (i xi)^k and the scale; then one batched inverse real FFT over
 all rows), multiplied there pointwise, and analyzed by
 `transform_from_padded` (one batched real FFT over the p rows, whose
-spectra are weighted by a memoized table and summed).  The heads, five
-stacks of sample rows (three for the orders, two for the caller's own
-products) and the product spectra live in a workspace kept per thread and
-per (n, pad_factor), not allocated per call; the rows are valid until the
-thread's next padded product on that grid.  A pad factor p >= 2 represents
-products of total degree <= 2p - 1 exactly.
+spectra are weighted by a memoized table and summed).  A plan memoized per
+thread and (n, L, pad_factor) holds the heads, five stacks of sample rows
+(three orders, two for the caller's products), the spectra and the tables,
+so a warm product makes one lookup for its samples and one for its
+analysis; the rows are valid until the thread's next padded product on
+that grid.  A pad factor p >= 2 represents products of degree <= 2p - 1 exactly.
 """
 
 from __future__ import annotations
@@ -136,12 +136,10 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=4)
 def _multipliers(n: int, box_length: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i*xi, i*xi^3) at the n/2 coefficient frequencies, read-only.
-
-    Memoized for the nonlinearity and `airy_factor` (each Lawson step, energy,
-    profile and Airy-sweep time), which evaluate them many times on one grid.
-    GridSpec's own properties stay uncached: a cache there would also keep
-    the large one-shot grids of the quadrature studies alive.
+    """(i*xi, i*xi^3) at the n/2 coefficient frequencies, read-only, memoized
+    for the plans and `airy_factor` (each Lawson step, energy, profile and
+    Airy-sweep time).  GridSpec's own properties stay uncached: a cache there
+    would also keep the large one-shot grids of the quadrature studies alive.
     """
     xi = GridSpec(n, box_length).half_xi
     out = (1j * xi, 1j * xi**3)
@@ -232,8 +230,8 @@ def free_evolve(h: SpectralField, t: float) -> SpectralField:
 
 def _band_sum(w: np.ndarray) -> float:
     """sum over the band j = -n/2+1 .. n/2-1 of a quantity even in j, from its
-    entries at j = 0 .. n/2-1."""
-    return float(w[0] + 2.0 * np.sum(w[1:]))
+    entries at j = 0 .. n/2-1 (`.sum()`: np.sum's reduction, without its wrapper)."""
+    return float(w[0] + 2.0 * w[1:].sum())
 
 
 def norm(f: SpectralField, kind: str, s: float | None = None) -> float:
@@ -266,22 +264,6 @@ def xi_l2_norm(a: np.ndarray, grid: GridSpec) -> float:
     """Plain frequency-side L^2 norm sqrt(dxi * sum |a_j|^2) over the whole band,
     of a real field's frequency-side samples a_j, j = 0 .. n/2-1."""
     return float(np.sqrt(grid.dxi * _band_sum(np.abs(a) ** 2)))
-
-
-# The multiplies below take operands of one shape, all contiguous: numpy
-# gives a ufunc on broadcast or strided 2-D operands iterator buffers of up
-# to 8192 items each (128 KiB of complex values) on every call.
-@functools.lru_cache(maxsize=8)
-def _workspace(thread: int, n: int, pad_factor: int) -> tuple[np.ndarray, ...]:
-    """One thread's padded-product buffers on (n, pad_factor), each a stack of
-    pad_factor phase rows: three stacks of n/2-point heads (the inverse FFT
-    takes the Nyquist entry as 0), five stacks of n-point sample rows (three
-    orders and two for the caller), and the product's n/2 + 1-point spectra."""
-    return (
-        np.empty((3, pad_factor, n // 2), np.complex128),
-        np.empty((5, pad_factor, n)),
-        np.empty((pad_factor, n // 2 + 1), np.complex128),
-    )
 
 
 def _derivative_table(n: int, box_length: float, order: int) -> np.ndarray:
@@ -336,42 +318,67 @@ def _analysis_table(n: int, box_length: float, pad_factor: int) -> np.ndarray:
     return table
 
 
-def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...], scratch: int = 0) -> np.ndarray:
-    """float64 samples of d_x^k f, k in `orders` (at most three, in any order),
-    on the pad_factor-refined grid as (pad_factor, n) phase rows, followed by
-    `scratch` such stacks for the caller's products: stacks of this thread's
-    workspace for (n, pad_factor), valid until its next padded product there.
-    """
+# The multiplies below take operands of one shape, all contiguous: numpy gives a ufunc
+# on broadcast or strided 2-D operands iterator buffers of up to 8192 items per call.
+class _Plan(dict):
+    """One thread's padded products on (n, L, pad_factor): stacks of pad_factor
+    phase rows, three of n/2-point `heads` (the inverse FFT takes the Nyquist
+    entry as 0), five of n-point `rows` and the n/2 + 1-point `spectra`; `ixi`;
+    and the tables `analysis` and plan[order], each looked up when first read."""
+
+    def __init__(self, n: int, box_length: float, pad_factor: int):
+        self.grid = (n, box_length, pad_factor)
+        self.heads = np.empty((3, pad_factor, n // 2), np.complex128)
+        self.rows = np.empty((5, pad_factor, n))
+        self.spectra = np.empty((pad_factor, n // 2 + 1), np.complex128)
+        self.ixi = _multipliers(n, box_length)[0]
+
+    def __missing__(self, order: int) -> np.ndarray:
+        table = self[order] = _synthesis_table(*self.grid, order)
+        return table
+
+    @functools.cached_property
+    def analysis(self) -> np.ndarray:
+        return _analysis_table(*self.grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(thread: int, n: int, box_length: float, pad_factor: int) -> _Plan:
+    return _Plan(n, box_length, pad_factor)
+
+
+def _padded_rows(f: SpectralField, pad_factor: int, orders: tuple[int, ...]) -> _Plan:
+    """This thread's plan for f's grid at pad_factor, its first rows now the
+    float64 samples of d_x^k f, k in `orders` (at most three, in any order),
+    as (pad_factor, n) phase rows of the refined grid; the rest the caller's."""
     if pad_factor < 2:
         raise ValueError("pad_factor must be >= 2")
     g = f.grid
-    heads, rows, _ = _workspace(threading.get_ident(), g.n, pad_factor)
-    count = len(orders)
+    plan = _plan(threading.get_ident(), g.n, g.box_length, pad_factor)
     # the last head holds the coefficients' copies until its own multiply
-    *front, last = heads[:count]
+    *front, last = heads = plan.heads[: len(orders)]
     last[...] = f.coeffs
     for head, k in zip(front, orders):
-        np.multiply(last, _synthesis_table(g.n, g.box_length, pad_factor, k), out=head)
-    last *= _synthesis_table(g.n, g.box_length, pad_factor, orders[-1])
-    np.fft.irfft(heads[:count], g.n, axis=-1, norm="forward", out=rows[:count])
-    return rows[: count + scratch]
+        np.multiply(last, plan[k], out=head)
+    last *= plan[orders[-1]]
+    np.fft.irfft(heads, g.n, axis=-1, norm="forward", out=plan.rows[: len(orders)])
+    return plan
 
 
 def transform_from_padded(grid: GridSpec, w: np.ndarray, time: float = 0.0) -> SpectralField:
     """Analyze real samples on a refined grid, given as (pad_factor, n) phase
     rows (row r at x_q + r dx/pad_factor, as `_padded_rows` lays them out),
-    and truncate to `grid`'s n/2 coefficients: one batched n-point real FFT
-    of the rows, whose spectra are weighted by a memoized table and summed.
-    Complex samples raise ComplexSamples."""
+    truncated to `grid`'s n/2 coefficients: one batched n-point real FFT, the
+    spectra weighted by the plan's table and summed.  Complex samples raise ComplexSamples."""
     w = np.asarray(w)
     if np.iscomplexobj(w):
         raise ComplexSamples(f"transform_from_padded takes real samples, got {w.dtype}")
     if w.ndim != 2 or w.shape[1] != grid.n:
         raise GridMismatch(f"expected phase rows of {grid.n} samples, got shape {w.shape}")
-    n, pad_factor = grid.n, w.shape[0]
-    spectra = np.fft.rfft(w, axis=-1, out=_workspace(threading.get_ident(), n, pad_factor)[2])
-    np.multiply(spectra, _analysis_table(n, grid.box_length, pad_factor), out=spectra)
-    return SpectralField(grid, np.add.reduce(spectra[:, : n // 2], axis=0), time)
+    plan = _plan(threading.get_ident(), grid.n, grid.box_length, w.shape[0])
+    spectra = np.fft.rfft(w, axis=-1, out=plan.spectra)
+    np.multiply(spectra, plan.analysis, out=spectra)
+    return SpectralField(grid, np.add.reduce(spectra[:, : grid.n // 2], axis=0), time)
 
 
 def xi_derivative_coefficients(f: SpectralField) -> np.ndarray:

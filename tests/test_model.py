@@ -8,6 +8,7 @@ just to a padding tolerance.
 """
 
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmkdv import littlewood_paley as lp
+from qmkdv import spectral_core
+from qmkdv.integrator import SimConfig, gaussian_datum, run
 from qmkdv.identities import (commutator_errors, local_phase_residual, phase_factorization_error, resonance_errors,
                               t1_reduced_form_error, t1_symmetry_error, t2_spot_error)
 from qmkdv.model import (
@@ -326,9 +329,9 @@ class TestNonlinearity:
 
 
 class TestPaddedWorkspace:
-    """N(phi) forms its products in a workspace reused per thread and per
-    (n, pad): no result depends on what an earlier call or another thread
-    left there, and a warm call allocates no padded rows of its own."""
+    """N(phi) forms its products in a plan's workspace reused per thread and
+    per (n, L, pad): no result depends on what an earlier call or another
+    thread left there, and a warm call allocates no padded rows of its own."""
 
     def test_other_box_with_same_n_leaves_no_trace(self):
         spec = FAMILIES[2]
@@ -353,14 +356,19 @@ class TestPaddedWorkspace:
 
     def test_threads_keep_their_own_rows(self):
         """More threads than cores, switching often, each 50 times on its own
-        field: every result is bitwise the serial one."""
+        field, N(phi) and H interleaved on the thread's one plan: every result
+        is bitwise the serial one."""
         grid = GridSpec(n=1024, box_length=120.0)
         spec = FAMILIES[2]
         fields = [moderate_field(grid, seed) for seed in range(93, 97)]
-        serial = [nonlinearity_full(phi, spec).coeffs for phi in fields]
+
+        def both(phi):
+            return nonlinearity_full(phi, spec).coeffs.tobytes(), hamiltonian(phi, spec)
+
+        serial = [both(phi) for phi in fields]
 
         def repeat(phi):
-            return [nonlinearity_full(phi, spec).coeffs for _ in range(50)]
+            return [both(phi) for _ in range(50)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -370,7 +378,38 @@ class TestPaddedWorkspace:
         finally:
             sys.setswitchinterval(interval)
         for want, got in zip(serial, runs):
-            assert all(np.array_equal(c, want) for c in got)
+            assert all(pair == want for pair in got)
+
+    def test_warm_calls_make_one_plan_lookup_per_padded_product(self):
+        """A warm N(phi) looks its plan up once for its samples and once for
+        their analysis, a warm H once for its samples; neither makes any other
+        memoized lookup in spectral_core (tables, i xi), hit or miss."""
+        memoized = {name: fn for name, fn in vars(spectral_core).items() if hasattr(fn, "cache_info")}
+        assert "_plan" in memoized
+
+        def counts():
+            return {name: fn.cache_info()[:2] for name, fn in memoized.items()}
+
+        phi = moderate_field(GridSpec(n=256, box_length=45.0), 97)
+        for spec in (FAMILIES[0], FAMILIES[2]):
+            for call, lookups in ((nonlinearity_full, 2), (hamiltonian, 1)):
+                call(phi, spec)
+                before = counts()
+                call(phi, spec)
+                after = counts()
+                hits, misses = before.pop("_plan")
+                assert after.pop("_plan") == (hits + lookups, misses)
+                assert after == before
+
+    def test_plan_holds_only_the_orders_asked_for(self):
+        """A run asks N(phi) for orders 0, 1, 2 and H for 0, 1: its plan holds
+        no order-3 table, which only the tests ask for."""
+        grid = GridSpec(n=64, box_length=21.0)  # a grid no other test uses
+        spec = CoefficientSpec()
+        cfg = SimConfig(coeff=spec, initial=gaussian_datum(grid, 0.5, 1.0), t_end=0.05)
+        run(cfg)
+        plan = spectral_core._plan(threading.get_ident(), grid.n, grid.box_length, spec.pad)
+        assert sorted(plan) == [0, 1, 2]
 
     def test_warm_call_allocates_under_four_padded_rows(self):
         """tracemalloc sees numpy's data buffers: a warm call at pad 3 peaks
@@ -789,7 +828,7 @@ class TestHotPathMatchesUnfusedReference:
     def test_padded_transforms(self, grid, pad):
         phi = random_real_field(grid, 63 + pad)
         w = _ref_padded_values(grid, phi.coeffs, pad)
-        assert_matches_oracle(natural_order(_padded_rows(phi, pad, (0,))[0]), w)
+        assert_matches_oracle(natural_order(_padded_rows(phi, pad, (0,)).rows[0]), w)
         w = w**2
         assert_matches_oracle(transform_from_padded(grid, phase_rows(w, grid.n)).coeffs, _ref_transform_from_padded(grid, w))
 

@@ -193,12 +193,19 @@ def _assert_bump_samples_exact(start, step, scale, count):
 
 @pytest.mark.parametrize("B", [8.0, 16.0])
 @pytest.mark.parametrize("points", ["n", "midpoints", "row"])
-def test_bump_samples_on_the_two_pi_grids(B, points):
+def test_bump_samples_on_the_two_pi_grids(B, points, monkeypatch):
     u_extent, n = _two_pi_grid(B)
     grid = GridSpec(n=n, box_length=u_extent)
     _assert_bump_samples_exact(0.0, grid.dxi, 1.0, n // 2 + 1)  # the spectrum head
-    if points == "row":  # odd row 3 of 16, as _two_pi_values lays out p = 8
-        _assert_bump_samples_exact(1.5 * grid.dx - 0.5 * u_extent, 8 * grid.dx, B**2, n // 8)
+    if points == "row":  # each row cutoff _two_pi_values asks for: 2p rows, p = 1 at B = 8 and 4 at B = 16
+        calls = []
+        bump_samples = oscillatory._bump_samples
+        monkeypatch.setattr(oscillatory, "_bump_samples", lambda *args: calls.append(args) or bump_samples(*args))
+        oscillatory._two_pi_values(B, u_extent, n)
+        monkeypatch.undo()
+        assert len(calls) == 1 + {8.0: 2, 16.0: 8}[B]  # the head, then the rows
+        for args in calls[1:]:
+            _assert_bump_samples_exact(*args)
     else:  # the u-side cutoff
         shift = 0.5 * grid.dx if points == "midpoints" else 0.0
         _assert_bump_samples_exact(shift - 0.5 * u_extent, grid.dx, B**2, n)
@@ -226,15 +233,17 @@ def test_bump_samples_on_grids_ending_in_a_band_or_a_constant_piece(start, step,
     _assert_bump_samples_exact(start, step, 1.0, count)
 
 
-@pytest.mark.parametrize("B", [8.0, 16.0, 32.0, 64.0])
+@pytest.mark.parametrize("B", [4.0, 8.0, 16.0, 32.0, 64.0])
 def test_two_pi_value_matches_the_plain_form(B):
-    # the phase rows (p = 8 at each B) and the plain n-point sum add the same
-    # terms in different orders: equal up to the rounding of two sums
+    # the phase rows (p = 1 at B = 4 and 8, where a row of n/8 points would be
+    # under 4096, p = 4 at B = 16, p = 8 from B = 32 on) and the plain n-point
+    # sum add the same terms in different orders: equal up to the rounding of
+    # two sums
     u_extent, n = _two_pi_grid(B)
     assert abs(oscillatory._two_pi_values(B, u_extent, n)[0] - _plain_two_pi_value(B, u_extent, n)) <= 1e-14
 
 
-@pytest.mark.parametrize("B", [8.0, 16.0, 32.0, 64.0])
+@pytest.mark.parametrize("B", [4.0, 8.0, 16.0, 32.0, 64.0])
 def test_doubled_two_pi_value_is_the_2n_point_sum(B):
     # the mean of the n-point and the midpoint sums, against the plain form on
     # the 2n-point grid: equal up to the rounding of two different sums

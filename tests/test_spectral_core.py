@@ -357,16 +357,15 @@ class TestPointwiseProduct:
         order at a time (0 to 3) and three at once."""
         f = random_real_field(GridSpec(n=64, box_length=20.0), 30 + pad)
         for order in range(4):
-            assert_matches_oracle(natural_order(_padded_rows(f, pad, (order,))[0]), padded_values(f, pad, order))
-        rows = _padded_rows(f, pad, (3, 1, 2))
-        assert rows.shape == (3, pad, 64)
+            assert_matches_oracle(natural_order(_padded_rows(f, pad, (order,)).rows[0]), padded_values(f, pad, order))
+        rows = _padded_rows(f, pad, (3, 1, 2)).rows
+        assert rows.shape == (5, pad, 64)
         for order, row in zip((3, 1, 2), rows):
             assert_matches_oracle(natural_order(row), padded_values(f, pad, order))
-        # repeated orders, then two scratch stacks that the samples leave alone
-        rows = _padded_rows(f, pad, (0, 0, 2), scratch=2)
-        assert rows.shape == (5, pad, 64)
+        # repeated orders, then the caller's two stacks, which the samples leave alone
+        rows = _padded_rows(f, pad, (0, 0, 2)).rows
         rows[3:] = 7.0
-        for order, row in zip((0, 0, 2), _padded_rows(f, pad, (0, 0, 2), scratch=2)):
+        for order, row in zip((0, 0, 2), _padded_rows(f, pad, (0, 0, 2)).rows):
             assert_matches_oracle(natural_order(row), padded_values(f, pad, order))
         assert np.all(rows[3:] == 7.0)
 
@@ -374,8 +373,7 @@ class TestPointwiseProduct:
         """Order 0 is a table row like any other (the parity alone), so it
         may follow a derivative: the rows come back in the order asked."""
         f = random_real_field(GridSpec(n=64, box_length=20.0), 26)
-        rows = _padded_rows(f, 3, (1, 0))
-        assert rows.shape == (2, 3, 64)
+        rows = _padded_rows(f, 3, (1, 0)).rows
         for order, row in zip((1, 0), rows):
             assert_matches_oracle(natural_order(row), padded_values(f, 3, order))
 
