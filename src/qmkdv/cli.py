@@ -723,6 +723,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"argument --threads: must be >= 1, got {args.threads}")  # a usage error: exit 2
+    if not 0 <= args.seed < 2**64:  # SplitMix64 would take it mod 2^64
+        parser.error(f"argument --seed: must be in [0, 2^64), got {args.seed}")
     try:
         cfg = parse_config(args.config)
         kind = cfg.get("study.kind")

@@ -9,10 +9,11 @@ analysis:
   int psi(u/B^2) psicheck(u) du with psicheck the inverse transform of the
   bump), plus a closed-form Gaussian self-test.  The bump's spectrum head
   ends below k = n/32 (32 points per oscillation), so psicheck is exact on
-  phase rows of n/p points, each one short inverse real FFT, summed a row
-  at a time against the u-side cutoff, which like the head is evaluated on
-  its transition bands only.  The odd rows are the n midpoints, so the
-  resolution-doubling check's 2n-point sum is the mean of two n-point sums;
+  phase rows of n/p points, each one short inverse real FFT (p + 1 of the
+  2p rows, as the integrand is even in u), summed a row at a time against
+  the u-side cutoff, which like the head is evaluated on its transition
+  bands only.  The odd rows are the n midpoints, so the resolution-doubling
+  check's 2n-point sum is the mean of two n-point sums;
 
 * direct small-n evaluations of the trilinear oscillatory integral
 
@@ -94,7 +95,10 @@ def _two_pi_values(B: float, u_extent: float, n: int) -> tuple[complex, complex]
     power of two dividing n with m >= max(4 support, 4096)).  The even rows
     sum to T_n and the odd rows to the midpoint sum M_n, and T_2n = (T_n +
     M_n) / 2 only while the 2n-point head is the n-point one zero-padded, so
-    a head reaching k = n/2 raises UnresolvedOscillation."""
+    a head reaching k = n/2 raises UnresolvedOscillation.  psi, psicheck and
+    the cutoff (lp.bump takes |x|) are even, so row 2p - r is row r reversed
+    (q -> m - 1 - q): rows 0 and p, their own mirrors, count once and rows
+    0 < r < p twice, p + 1 row transforms and cutoffs in place of 2p."""
     grid = GridSpec(n=n, box_length=u_extent)
     support = math.ceil(lp.SUPPORT_EDGE / grid.dxi)  # psi(k dxi) = 0 from here on
     if support >= n // 2:
@@ -108,11 +112,11 @@ def _two_pi_values(B: float, u_extent: float, n: int) -> tuple[complex, complex]
     row_head = np.zeros(m // 2 + 1, dtype=np.complex128)
     angle = math.pi / n * np.arange(support)
     sums = [0.0, 0.0]
-    for r in range(2 * p):
+    for r in range(p + 1):  # row 2p - r, of the same parity, is row r mirrored
         np.multiply(head, np.exp(1j * r * angle), out=row_head[:support])
         row = np.fft.irfft(row_head, m)
         cutoff = _bump_samples(0.5 * r * grid.dx - 0.5 * u_extent, p * grid.dx, B**2, m)
-        sums[r % 2] += np.sum(np.multiply(row, cutoff, out=row))
+        sums[r % 2] += (1.0 if r in (0, p) else 2.0) * np.sum(np.multiply(row, cutoff, out=row))
     return complex(grid.dx * sums[0]), complex(0.5 * grid.dx * (sums[0] + sums[1]))
 
 
@@ -126,7 +130,8 @@ def two_pi_identity(B: float) -> OscillatoryResult:
     considered satisfied (float64 cannot resolve below ~1e-12 here).  The
     n-point sum T_n and the doubled value (T_n + M_n) / 2 come from the phase
     rows of `_two_pi_values`, exact since the head (up to 8/5) lies inside
-    the n-point band (n/2 dxi >= 25.6 for every B >= 4) and each row's band.
+    the n-point band (n/2 dxi >= 25.6 for every B >= 4) and each row's band,
+    and p + 1 of the 2p rows give both, the integrand being even in u.
     """
     if B < 4.0:
         raise ValueError("B must be >= 4")

@@ -263,6 +263,24 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
+    # SplitMix64 keeps a seed mod 2^64: 2^64 would run seed 0's stream and -1 that of 2^64 - 1
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        _main(tmp_path, "identities", "identities.samples = 20\n", out, "--seed", seed)
+    assert exit_info.value.code == 2
+    assert f"--seed: must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_64_bits_are_accepted(tmp_path, seed):
+    out = tmp_path / "out"
+    assert _main(tmp_path, "identities", "identities.samples = 20\n", out, "--seed", str(seed)) == 0
+    assert json.loads((out / "identities.json").read_text(encoding="utf-8"))["metadata"]["seed"] == seed
+
+
 def test_false_gates_named_by_dotted_path():
     report = {
         "study": "x",

@@ -197,13 +197,13 @@ def test_bump_samples_on_the_two_pi_grids(B, points, monkeypatch):
     u_extent, n = _two_pi_grid(B)
     grid = GridSpec(n=n, box_length=u_extent)
     _assert_bump_samples_exact(0.0, grid.dxi, 1.0, n // 2 + 1)  # the spectrum head
-    if points == "row":  # each row cutoff _two_pi_values asks for: 2p rows, p = 1 at B = 8 and 4 at B = 16
+    if points == "row":  # each row cutoff _two_pi_values asks for: p + 1 rows, p = 1 at B = 8 and 4 at B = 16
         calls = []
         bump_samples = oscillatory._bump_samples
         monkeypatch.setattr(oscillatory, "_bump_samples", lambda *args: calls.append(args) or bump_samples(*args))
         oscillatory._two_pi_values(B, u_extent, n)
         monkeypatch.undo()
-        assert len(calls) == 1 + {8.0: 2, 16.0: 8}[B]  # the head, then the rows
+        assert len(calls) == 1 + {8.0: 2, 16.0: 5}[B]  # the head, then the rows
         for args in calls[1:]:
             _assert_bump_samples_exact(*args)
     else:  # the u-side cutoff
@@ -250,6 +250,55 @@ def test_doubled_two_pi_value_is_the_2n_point_sum(B):
     u_extent, n = _two_pi_grid(B)
     doubled = oscillatory._two_pi_values(B, u_extent, n)[1]
     assert abs(doubled - _plain_two_pi_value(B, u_extent, 2 * n)) <= 1e-14
+
+
+def _every_phase_row(B, u_extent, n):
+    """(p, dx, rows): the integrand on each of the 2p phase rows, the rows'
+    loop as first written, before the mirrored rows were folded together."""
+    grid = GridSpec(n=n, box_length=u_extent)
+    support = math.ceil(lp.SUPPORT_EDGE / grid.dxi)
+    p = 1
+    while n % (2 * p) == 0 and n // (2 * p) >= max(4 * support, 4096):
+        p *= 2
+    m = n // p
+    head = oscillatory._bump_samples(0.0, grid.dxi, 1.0, support) * (m * grid.dxi)
+    head[1::2] *= -1.0
+    row_head = np.zeros(m // 2 + 1, dtype=np.complex128)
+    angle = math.pi / n * np.arange(support)
+    rows = []
+    for r in range(2 * p):
+        np.multiply(head, np.exp(1j * r * angle), out=row_head[:support])
+        row = np.fft.irfft(row_head, m)
+        cutoff = oscillatory._bump_samples(0.5 * r * grid.dx - 0.5 * u_extent, p * grid.dx, B**2, m)
+        rows.append(np.multiply(row, cutoff, out=row))
+    return p, grid.dx, rows
+
+
+@pytest.mark.parametrize("B", [16.0, 32.0, 64.0, 128.0])
+def test_mirrored_rows_give_the_sums_of_every_row(B):
+    # p + 1 rows, the inner ones counted twice, against all 2p rows summed as
+    # first written: equal up to the rounding of two sums
+    u_extent, n = _two_pi_grid(B)
+    p, dx, rows = _every_phase_row(B, u_extent, n)
+    sums = [sum(float(np.sum(row)) for row in rows[parity::2]) for parity in (0, 1)]
+    value, doubled = oscillatory._two_pi_values(B, u_extent, n)
+    assert abs(value - dx * sums[0]) <= 1e-14
+    assert abs(doubled - 0.5 * dx * (sums[0] + sums[1])) <= 1e-14
+
+
+@pytest.mark.parametrize("B", [16.0, 32.0])
+def test_row_2p_minus_r_is_row_r_mirrored(B):
+    # the premise of the fold: row 2p - r is row r reversed (q -> m - 1 - q),
+    # row p its own mirror and row 0 its own about q = 0 (u = -u_extent/2,
+    # where the period wraps), so each mirrored pair's sums agree to round-off
+    u_extent, n = _two_pi_grid(B)
+    p, _, rows = _every_phase_row(B, u_extent, n)
+    assert p == {16.0: 4, 32.0: 8}[B]
+    for r in range(p + 1):
+        row, mirror = rows[r], (np.roll(rows[0][::-1], 1) if r == 0 else rows[2 * p - r][::-1])
+        scale = float(np.max(np.abs(row)))
+        assert np.max(np.abs(row - mirror)) <= 1e-14 * scale, r
+        assert abs(float(np.sum(row)) - float(np.sum(mirror))) <= 1e-14 * float(np.sum(np.abs(row))), r
 
 
 def test_two_pi_values_refuse_a_head_reaching_the_band_edge():
