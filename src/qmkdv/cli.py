@@ -45,9 +45,9 @@ from .diagnostics import (
     theta_series,
 )
 from .integrator import SimConfig, distinct_times, gaussian_datum, run
-from .model import BootstrapConstants, CoefficientSpec, dyadic_symbol_bound
-from .oscillatory import (_envelope_times, _fit_window, gaussian_two_pi_selftest, nonresonant_decay_study,
-                          resonant_drift_measurement, stationary_phase_drift, two_pi_identity)
+from .model import BOOTSTRAP, CoefficientSpec, dyadic_symbol_bound
+from .oscillatory import (gaussian_two_pi_selftest, nonresonant_decay_study, resonant_drift_measurement,
+                          stationary_phase_drift, two_pi_identity)
 from .spectral_core import (
     GridSpec,
     SpectralField,
@@ -108,8 +108,8 @@ def _float_list(text: str) -> tuple:
 # a value below its floor, or one in _POSITIVE that is not > 0, is refused when the
 # config is read, before anything runs; decay.t_min's floor is dispersive_ratio's t >= 1
 _FLOORS = {"identities.samples": 1, "run.monitor_count": 0, "decay.samples": 0, "scattering.samples": 0,
-           "oscillatory.samples": 0, "scattering.fit_t_min": 0.0, "decay.t_min": 1.0}
-_POSITIVE = ("run.t_end", "oscillatory.t_min", "initial.width")  # a zero width makes a NaN datum
+           "scattering.fit_t_min": 0.0, "decay.t_min": 1.0}
+_POSITIVE = ("run.t_end", "initial.width")  # a zero width makes a NaN datum
 
 
 def parse_config(path: str) -> dict:
@@ -143,12 +143,12 @@ def parse_config(path: str) -> dict:
     return out
 
 
-def _metadata(grid: GridSpec, coeff: CoefficientSpec, bc: BootstrapConstants, seed: int) -> dict:
-    """The report header: every field of ``coeff`` (as coeff_<name>) and of ``bc``, and the derived p0."""
+def _metadata(grid: GridSpec, coeff: CoefficientSpec, seed: int) -> dict:
+    """The report header: every field of ``coeff`` (as coeff_<name>) and of ``BOOTSTRAP``, and the derived p0."""
     coeffs = {f"coeff_{k}": v if isinstance(v, str) else float(v) for k, v in asdict(coeff).items()}
-    constants = {k: float(v) for k, v in asdict(bc).items()}
+    constants = {k: float(v) for k, v in asdict(BOOTSTRAP).items()}
     return {"artifact_version": __version__, "seed": int(seed), "grid_n": int(grid.n),
-            "grid_box_length": float(grid.box_length), **coeffs, **constants, "p0": float(bc.p0)}
+            "grid_box_length": float(grid.box_length), **coeffs, **constants, "p0": float(BOOTSTRAP.p0)}
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,17 @@ def _require_samples(what: str, times, lo: float, hi: float, needed: int) -> Non
         raise ConfigError(f"{what} in [{lo}, {hi}]: {have} distinct planned, need >= {needed}")
 
 
+def _run_counts(state) -> dict:
+    """The step, rejected-step and right-hand-side counts of an integrator run."""
+    return {"steps": state.steps, "rejected_steps": state.rejected, "rhs_evals": state.rhs_evals}
+
+
+def _slope_gate(name: str, series, window: tuple, target: float, tol: float) -> dict:
+    """The decay exponent fitted to ``series`` in ``window``, its standard error, and whether it is target +- tol."""
+    slope, stderr = decay_fit(series, window)
+    return {f"{name}_slope": slope, f"{name}_slope_stderr": stderr, f"{name}_slope_ok": abs(slope - target) <= tol}
+
+
 def _snapshot_datum(path: str, grid: GridSpec, coeff: CoefficientSpec) -> SpectralField:
     """The snapshot at ``path``, its zero mode set to 0, if it is readable and on ``grid`` with ``coeff``."""
     try:
@@ -236,7 +247,6 @@ class _Context:
     outdir: Path
     grid: GridSpec
     coeff: CoefficientSpec
-    bc: BootstrapConstants
     meta: dict
 
     def path(self, name: str) -> Path:
@@ -286,9 +296,8 @@ class _Study:
 
 _STUDIES: dict = {}
 
-# each field of these dataclasses is the config key <prefix>.<field>, its default the field's
-_SECTIONS = {"coeff": CoefficientSpec, "constants": BootstrapConstants}
-_COMMON_DEFAULTS = {f"{p}.{f.name}": f.default for p, cls in _SECTIONS.items() for f in fields(cls)}
+# each field of CoefficientSpec is the config key coeff.<field>, its default the field's
+_COMMON_DEFAULTS = {f"coeff.{f.name}": f.default for f in fields(CoefficientSpec)}
 
 # keys with no default, read only by the studies that integrate (those with a run.t_end)
 _INTEGRATOR_KEYS = {"initial.snapshot": str}
@@ -329,10 +338,10 @@ def _run_study(study: _Study, args, cfg: dict, outdir: Path) -> int:
     try:
         n, box = study.grid or (cfg["grid.n"], cfg["grid.box_length"])
         grid = GridSpec(n=n, box_length=box)
-        coeff, bc = (cls(**{f.name: cfg[f"{p}.{f.name}"] for f in fields(cls)}) for p, cls in _SECTIONS.items())
+        coeff = CoefficientSpec(**{f.name: cfg[f"coeff.{f.name}"] for f in fields(CoefficientSpec)})
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    ctx = _Context(args, cfg, outdir, grid, coeff, bc, _metadata(grid, coeff, bc, args.seed))
+    ctx = _Context(args, cfg, outdir, grid, coeff, _metadata(grid, coeff, args.seed))
     entries = study.body(ctx)  # may add to ctx.meta
     report = {"study": args.study, "metadata": ctx.meta, **entries}
     write_json(ctx.path(study.report), report)
@@ -379,9 +388,7 @@ def _simulate(ctx: _Context) -> dict:
 
     m0, l0, h0 = records[0]["mass"], records[0]["l2"], records[0]["hamiltonian"]
     return {
-        "steps": state.steps,
-        "rejected_steps": state.rejected,
-        "rhs_evals": state.rhs_evals,
+        **_run_counts(state),
         "final_dt": state.dt,
         "mass_drift_abs": max(abs(r["mass"] - m0) for r in records),
         "l2_drift_rel": max(abs(r["l2"] - l0) for r in records) / l0,
@@ -401,13 +408,11 @@ def _simulate(ctx: _Context) -> dict:
         "decay.samples": 25,
         "decay.fit_t_min": 50.0,
         "decay.linear_n": 16384,
-        "decay.linear_box": 12000.0,
-        "decay.linear_width": 1.5,
     },
     gated=False,
 )
 def _decay(ctx: _Context) -> dict:
-    cfg, bc = ctx.cfg, ctx.bc
+    cfg = ctx.cfg
     t_min, t_max = cfg["decay.t_min"], cfg["decay.t_max"]
 
     # Free Airy evolution of a fixed Gaussian on its own wide box (exact
@@ -416,9 +421,9 @@ def _decay(ctx: _Context) -> dict:
     # cancels the |x|^{1/4} growth of the stationary-phase tail so that the
     # weighted sup decays at the interior rate t^{-2/3}.
     try:
-        lin_grid = GridSpec(cfg["decay.linear_n"], cfg["decay.linear_box"])
+        lin_grid = GridSpec(cfg["decay.linear_n"], 12000.0)
     except ValueError as e:
-        raise ConfigError(f"decay.linear_n/linear_box: {e}") from e
+        raise ConfigError(f"decay.linear_n: {e}") from e
     times = np.exp(np.linspace(math.log(t_min), math.log(t_max), cfg["decay.samples"]))
     _require_samples("decay.samples/t_min/t_max: samples", times, t_min, t_max, MIN_DECAY_FIT_SAMPLES)
     t_end = cfg["run.t_end"]
@@ -427,7 +432,7 @@ def _decay(ctx: _Context) -> dict:
                      t_end, MIN_DECAY_FIT_SAMPLES)
     sim = ctx.sim(monitor)
 
-    h = transform(lin_grid, np.exp(-((lin_grid.x / cfg["decay.linear_width"]) ** 2)))
+    h = transform(lin_grid, np.exp(-((lin_grid.x / 1.5) ** 2)))
     sizes = profile_sizes(h)
     h1 = fractional_abs_derivative(h, 1.0)
     rows = []
@@ -442,20 +447,14 @@ def _decay(ctx: _Context) -> dict:
                      dispersive_ratio(vals, lin_grid, t, 0.0, sizes),
                      dispersive_ratio(lhs1, lin_grid, t, 1.0, sizes)])
     ctx.csv("linear_decay.csv", ["t", "linf", "weighted_linf_dx", "ratio_beta0", "ratio_beta1"], rows)
-    slope0, err0 = decay_fit([(r[0], r[1]) for r in rows], (t_min, t_max))
-    slope1, err1 = decay_fit([(r[0], r[2]) for r in rows], (t_min, t_max))
     r0 = [r[3] for r in rows]
     r1 = [r[4] for r in rows]
     report = {
         "linear": {
-            "linf_slope": slope0,
-            "linf_slope_stderr": err0,
-            "weighted_linf_dx_slope": slope1,
-            "weighted_linf_dx_slope_stderr": err1,
+            **_slope_gate("linf", [(r[0], r[1]) for r in rows], (t_min, t_max), -1.0 / 3.0, 0.03),
+            **_slope_gate("weighted_linf_dx", [(r[0], r[2]) for r in rows], (t_min, t_max), -2.0 / 3.0, 0.05),
             "ratio_beta0_spread": max(r0) / min(r0),
             "ratio_beta1_spread": max(r1) / min(r1),
-            "linf_slope_ok": bool(abs(slope0 + 1.0 / 3.0) <= 0.03),
-            "weighted_linf_dx_slope_ok": bool(abs(slope1 + 2.0 / 3.0) <= 0.05),
             "ratios_ok": bool(max(r0) / min(r0) <= 2.0 and max(r1) / min(r1) <= 2.0),
         },
     }
@@ -465,7 +464,7 @@ def _decay(ctx: _Context) -> dict:
         rec["linf_dx"] = float(np.max(np.abs(d[1])))
         rec["linf_dxx"] = float(np.max(np.abs(d[2])))
         rec["sharp_product"] = sharp_decay_product(d)
-        eb = energy(phi, ctx.coeff, bc)
+        eb = energy(phi, ctx.coeff)
         rec["z_norm"] = eb.z_norm
         rec["energy_total"] = eb.total
         rec["h_mass_fraction"] = eb.h_mass_fraction
@@ -475,38 +474,22 @@ def _decay(ctx: _Context) -> dict:
               "energy_total", "h_mass_fraction"]
     ctx.csv("decay_monitor.csv", header, [[r[k] for k in header] for r in records])
 
-    def slope(key):
-        return decay_fit([(r["t"], r[key]) for r in records if r["t"] > 0], (cfg["decay.fit_t_min"], t_end))
+    def gate(key, target, tol):
+        series = [(r["t"], r[key]) for r in records if r["t"] > 0]
+        return _slope_gate(key, series, (cfg["decay.fit_t_min"], t_end), target, tol)
 
-    sdx, sdx_err = slope("linf_dx")
-    sdxx, sdxx_err = slope("linf_dxx")
-    sprod, sprod_err = slope("sharp_product")
-    e_ratio = [r["energy_total"] * (1.0 + r["t"]) ** (-2.0 * bc.p0) for r in records]
+    e_ratio = [r["energy_total"] * (1.0 + r["t"]) ** (-2.0 * BOOTSTRAP.p0) for r in records]
     z_vals = [r["z_norm"] for r in records]
+    ratios = {"energy_ratio_max": max(e_ratio) / e_ratio[0], "energy_ratio_min": min(e_ratio) / e_ratio[0],
+              "z_ratio_max": max(z_vals) / z_vals[0], "z_ratio_min": min(z_vals) / z_vals[0]}
     report["nonlinear"] = {
-        "steps": state.steps,
-        "rejected_steps": state.rejected,
-        "rhs_evals": state.rhs_evals,
-        "linf_dx_slope": sdx,
-        "linf_dx_slope_stderr": sdx_err,
-        "linf_dxx_slope": sdxx,
-        "linf_dxx_slope_stderr": sdxx_err,
-        "sharp_product_slope": sprod,
-        "sharp_product_slope_stderr": sprod_err,
-        "energy_ratio_max": max(e_ratio) / e_ratio[0],
-        "energy_ratio_min": min(e_ratio) / e_ratio[0],
-        "z_ratio_max": max(z_vals) / z_vals[0],
-        "z_ratio_min": min(z_vals) / z_vals[0],
+        **_run_counts(state),
+        **gate("linf_dx", -0.5, 0.07),
+        **gate("linf_dxx", -0.5, 0.07),
+        **gate("sharp_product", -1.0, 0.15),
+        **ratios,
         "h_mass_fraction_min": min(r["h_mass_fraction"] for r in records),
-        "linf_dx_slope_ok": bool(abs(sdx + 0.5) <= 0.07),
-        "linf_dxx_slope_ok": bool(abs(sdxx + 0.5) <= 0.07),
-        "sharp_product_slope_ok": bool(abs(sprod + 1.0) <= 0.15),
-        "bounded_ok": bool(
-            max(e_ratio) / e_ratio[0] <= 4.0
-            and min(e_ratio) / e_ratio[0] >= 0.25
-            and max(z_vals) / z_vals[0] <= 4.0
-            and min(z_vals) / z_vals[0] >= 0.25
-        ),
+        "bounded_ok": all(0.25 <= r <= 4.0 for r in ratios.values()),
     }
     return report
 
@@ -566,11 +549,9 @@ def _scattering(ctx: _Context) -> dict:
     ctx.csv("theta.csv", header, rows)
 
     return {
-        "steps": state.steps,
-        "rejected_steps": state.rejected,
-        "rhs_evals": state.rhs_evals,
+        **_run_counts(state),
         "probe_frequencies": frequencies,
-        "window_floor": min(float(np.min(frequency_window(t, probe_xi, ctx.bc))) for t in (fit_t_min, t_end)),
+        "window_floor": min(float(np.min(frequency_window(t, probe_xi))) for t in (fit_t_min, t_end)),
         "per_frequency": scattering_monitor(times, hhat, drift, theta, fit_t_min),
         "frozen_profile_drift": resonant_drift_measurement(
             frequencies, grid, alpha2=coeff.alpha2, amplitude=cfg["initial.amplitude"], width=cfg["initial.width"]
@@ -623,39 +604,30 @@ def _resonance(ctx: _Context) -> dict:
     return {"summary": summary}
 
 
+# each region's 45 geometric times from t = 3, to 96 (separated) and to 3 x 96 (resonant)
+_REGION_TIMES = {region: [float(t) for t in np.exp(np.linspace(math.log(3.0), math.log(hi), 45))]
+                 for region, hi in (("separated", 96.0), ("resonant", 3.0 * 96.0))}
+
+
 @_study(
     "oscillatory",
     "oscillatory_report.json",
-    {
-        "oscillatory.b_values": (8.0, 16.0, 32.0, 64.0, 128.0),
-        "oscillatory.t_min": 3.0,
-        "oscillatory.t_max": 96.0,
-        "oscillatory.samples": 45,
-    },
+    {"oscillatory.b_values": (8.0, 16.0, 32.0, 64.0, 128.0)},
     grid=_DESK_GRID,
 )
 def _oscillatory(ctx: _Context) -> dict:
-    t_min, t_max = ctx.cfg["oscillatory.t_min"], ctx.cfg["oscillatory.t_max"]
-    alpha2 = ctx.coeff.alpha2
     b_values = ctx.cfg["oscillatory.b_values"]
     if min(b_values) < 4.0:
         raise ConfigError(f"oscillatory.b_values must all be >= 4, got {b_values}")
     if any(a >= b for a, b in zip(b_values, b_values[1:])):  # the gates read the first and last B
         raise ConfigError(f"oscillatory.b_values must increase strictly, got {b_values}")
-    t_lists = {}
-    for region, hi in (("separated", t_max), ("resonant", 3.0 * t_max)):
-        ts = [float(t) for t in np.exp(np.linspace(math.log(t_min), math.log(hi), ctx.cfg["oscillatory.samples"]))]
-        env = _envelope_times(ts)
-        window = _fit_window(region, env or (t_min, hi))  # an empty envelope reports the planned range
-        _require_samples(f"oscillatory.samples: {region} envelope points", env, *window, MIN_DECAY_FIT_SAMPLES)
-        t_lists[region] = ts
     results = _map(two_pi_identity, b_values, ctx.args.threads)
     ctx.csv("two_pi.csv", ["parameter", "value_re", "value_im", "error"],
             [[r.parameter, r.value.real, r.value.imag, r.error] for r in results])
 
     self_tests = [gaussian_two_pi_selftest(b) for b in (8.0, 16.0)]
-    separated = nonresonant_decay_study(t_lists["separated"], region="separated", alpha2=alpha2)
-    resonant = nonresonant_decay_study(t_lists["resonant"], region="resonant", alpha2=alpha2)
+    separated, resonant = (nonresonant_decay_study(ts, region=region, alpha2=ctx.coeff.alpha2)
+                           for region, ts in _REGION_TIMES.items())
     for name, study in (("separated", separated), ("resonant", resonant)):
         ctx.csv(f"{name}.csv", ["t", "max_abs_i"], study["series"])  # the largest |I(t; xi)| over the sampled xi
 

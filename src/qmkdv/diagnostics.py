@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BootstrapConstants, CoefficientSpec, nonlinearity_full
+from .integrator import TIME_MERGE
+from .model import BOOTSTRAP, CoefficientSpec, nonlinearity_full
 from .littlewood_paley import _smooth_step
 from .spectral_core import (
     GridSpec,
@@ -98,10 +99,10 @@ class EnergyBreakdown:
     h_mass_fraction: float
 
 
-def z_norm(phi: SpectralField, bc: BootstrapConstants = BootstrapConstants()) -> float:
+def z_norm(phi: SpectralField) -> float:
     """sup_xi (|xi|^{gamma_l} + |xi|^{gamma_h}) |phihat(xi)|."""
     axi = np.abs(phi.grid.half_xi)
-    weight = axi**bc.gamma_l + axi**bc.gamma_h
+    weight = axi**BOOTSTRAP.gamma_l + axi**BOOTSTRAP.gamma_h
     return float(np.max(weight * np.abs(phi.coeffs)))
 
 
@@ -118,7 +119,7 @@ def _scaling_field(phi: SpectralField, spec: CoefficientSpec, dh: np.ndarray, ai
     return phi.with_coeffs(out)
 
 
-def energy(phi: SpectralField, spec: CoefficientSpec, bc: BootstrapConstants = BootstrapConstants()) -> EnergyBreakdown:
+def energy(phi: SpectralField, spec: CoefficientSpec) -> EnergyBreakdown:
     """The six-summand energy and the Z-norm at phi's time."""
     e1 = norm(antiderivative(phi), "L2") ** 2  # also the zero-mean check, before the costly terms
     xi = phi.grid.half_xi
@@ -127,7 +128,7 @@ def energy(phi: SpectralField, spec: CoefficientSpec, bc: BootstrapConstants = B
     h = phi.with_coeffs(np.conj(airy) * phi.coeffs)
     dh = xi_derivative_coefficients(h)
     s_phi = _scaling_field(phi, spec, dh, airy)
-    e2 = norm(phi, "Hs", s=bc.s) ** 2
+    e2 = norm(phi, "Hs", s=BOOTSTRAP.s) ** 2
     e3 = norm(antiderivative(s_phi), "L2") ** 2
     e4 = norm(s_phi, "L2") ** 2
     e5 = xi_l2_norm(xi * dh, phi.grid) ** 2
@@ -140,7 +141,7 @@ def energy(phi: SpectralField, spec: CoefficientSpec, bc: BootstrapConstants = B
         xi_dxi_profile_sq=e5,
         dxi_profile_sq=e6,
         total=e1 + e2 + e3 + e4 + e5 + e6,
-        z_norm=z_norm(phi, bc),
+        z_norm=z_norm(phi),
         h_mass_fraction=mass_fraction_inside(h),
     )
 
@@ -150,7 +151,7 @@ def energy(phi: SpectralField, spec: CoefficientSpec, bc: BootstrapConstants = B
 # ---------------------------------------------------------------------------
 
 
-def frequency_window(t: float, xi, bc: BootstrapConstants = BootstrapConstants()):
+def frequency_window(t: float, xi):
     """Smooth window equal to 1 for (t+1)^{-2 p0} <= |xi| <= (t+1)^{p1}.
 
     Rises smoothly from 0 across [a/2, a] with a = (t+1)^{-2 p0} and falls
@@ -158,8 +159,8 @@ def frequency_window(t: float, xi, bc: BootstrapConstants = BootstrapConstants()
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    a = (t + 1.0) ** (-2.0 * bc.p0)
-    b = (t + 1.0) ** bc.p1
+    a = (t + 1.0) ** (-2.0 * BOOTSTRAP.p0)
+    b = (t + 1.0) ** BOOTSTRAP.p1
     axi = np.abs(np.asarray(xi, dtype=np.float64))
     rising = _smooth_step((axi - 0.5 * a) / (0.5 * a))
     falling = _smooth_step(b + 1.0 - axi)
@@ -204,7 +205,7 @@ def _dyadic_sample_indices(times) -> list:
         if t < 1.0:
             continue
         m = round(math.log2(t))
-        if abs(t - 2.0**m) <= 1e-9 * t:
+        if abs(t - 2.0**m) <= TIME_MERGE * t:
             out.append(i)
     return out
 
@@ -221,11 +222,11 @@ def scattering_monitor(times, hhat, drift, theta, fit_t_min: float) -> list:
     """
     times = np.asarray(times, dtype=np.float64)
     dyadic = _dyadic_sample_indices(times)
-    if len(dyadic) < MIN_DYADIC_SAMPLES:
-        raise InsufficientData(f"need >= {MIN_DYADIC_SAMPLES} dyadic-time snapshots, have {len(dyadic)}")
+    if (have := len(set(times[dyadic]))) < MIN_DYADIC_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DYADIC_SAMPLES} distinct dyadic times, have {have}")
     fit_sel = times >= fit_t_min
-    if np.count_nonzero(fit_sel) < MIN_DRIFT_FIT_SAMPLES:
-        raise InsufficientData(f"need >= {MIN_DRIFT_FIT_SAMPLES} samples at t >= fit_t_min for the drift fit")
+    if (have := len(set(times[fit_sel]))) < MIN_DRIFT_FIT_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DRIFT_FIT_SAMPLES} distinct times at t >= fit_t_min, have {have}")
     hmat = np.asarray(hhat, dtype=np.complex128)
     logt = np.log(times[fit_sel])
     reports = []

@@ -117,7 +117,8 @@ class CoefficientSpec:
 
 @dataclass(frozen=True)
 class BootstrapConstants:
-    """The fixed small parameters every windowed diagnostic shares."""
+    """The fixed small parameters every windowed diagnostic shares.  The code
+    reads the single instance :data:`BOOTSTRAP`, which the refusals check at import."""
 
     delta: float = 1e-3
     p1: float = 1e-3
@@ -138,6 +139,9 @@ class BootstrapConstants:
     def p0(self) -> float:
         """Tied to delta: p0 = delta/10."""
         return self.delta / 10.0
+
+
+BOOTSTRAP = BootstrapConstants()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmkdv import cli, identities
+from qmkdv import cli, identities, oscillatory
+from qmkdv.diagnostics import MIN_DECAY_FIT_SAMPLES
 from qmkdv.model import CoefficientSpec
 from qmkdv.spectral_core import (GridSpec, derivative, fractional_abs_derivative, free_evolve, norm, save_snapshot,
                                  synthesize, transform)
@@ -62,11 +63,11 @@ HEADER_KEYS = {"artifact_version", "seed", "grid_n", "grid_box_length", "coeff_f
 
 
 def test_report_header_and_dataclass_keys_are_pinned(tmp_path):
-    """Each CoefficientSpec and BootstrapConstants field is a config key and a
-    header line: a new field changes both, and must change this test."""
+    """Each CoefficientSpec field is a config key and a header line, and each
+    field of the fixed BootstrapConstants a header line only: a new field
+    changes the header, and must change this test."""
     assert {k for k in cli._KEY_PARSERS if k.startswith(("coeff.", "constants."))} == {
-        "coeff.family", "coeff.a", "coeff.b", "coeff.c", "constants.delta", "constants.p1", "constants.gamma_l",
-        "constants.gamma_h", "constants.s", "constants.decay_exponent"}
+        "coeff.family", "coeff.a", "coeff.b", "coeff.c"}
     out = tmp_path / "out"
     assert _main(tmp_path, "simulate", SIMULATE_CONFIG, out) == 0
     meta = json.loads((out / "report.json").read_text(encoding="utf-8"))["metadata"]
@@ -124,8 +125,8 @@ def test_linear_decay_rows_equal_the_per_call_form(tmp_path, config):
     lines = (out / "linear_decay.csv").read_text(encoding="utf-8").splitlines()
     got = [[float(v) for v in line.split(",")] for line in [ln for ln in lines if not ln.startswith("#")][1:]]
     cfg = {**cli._STUDIES["decay"].defaults, **cli.parse_config(str(tmp_path / "decay.cfg"))}
-    grid = GridSpec(cfg["decay.linear_n"], cfg["decay.linear_box"])
-    h = transform(grid, np.exp(-((grid.x / cfg["decay.linear_width"]) ** 2)))
+    grid = GridSpec(cfg["decay.linear_n"], 12000.0)  # the Airy part's fixed box and Gaussian width
+    h = transform(grid, np.exp(-((grid.x / 1.5) ** 2)))
     want = []
     for t in np.exp(np.linspace(math.log(cfg["decay.t_min"]), math.log(cfg["decay.t_max"]), cfg["decay.samples"])):
         t = float(t)
@@ -408,6 +409,15 @@ def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("region", ["separated", "resonant"])
+def test_oscillatory_region_times_fill_their_fit_windows(region):
+    # the fixed times that stand in for the removed oscillatory.* keys give
+    # each region's envelope fit enough points
+    env = oscillatory._envelope_times(cli._REGION_TIMES[region])
+    lo, hi = oscillatory._fit_window(region, env)
+    assert len({t for t in env if lo <= t <= hi}) >= MIN_DECAY_FIT_SAMPLES
+
+
 def _write_snapshots(where: Path) -> None:
     """Snapshot files that SIMULATE_CONFIG's run refuses, each named for its fault."""
     grid = GridSpec(64, 20.0)
@@ -420,6 +430,26 @@ def _write_snapshots(where: Path) -> None:
     data = (where / "at_t_end.bin").read_bytes()
     (where / "truncated.bin").write_bytes(data[:-8])
     (where / "wrong_magic.bin").write_bytes(b"QMKDV1" + data[6:])
+
+
+# the keys that no longer exist, each at its last default, given to the study
+# that read it: the bootstrap constants are fixed, as are the Airy part's box
+# and width and the oscillatory region times
+REMOVED_KEYS = {
+    "constants.delta": ("resonance", "0.001"),
+    "constants.p1": ("resonance", "0.001"),
+    "constants.gamma_l": ("resonance", "0.0"),
+    "constants.gamma_h": ("resonance", "2.5"),
+    "constants.s": ("resonance", "12.0"),
+    "constants.decay_exponent": ("resonance", "0.48"),
+    "decay.linear_box": ("decay", "12000.0"),
+    "decay.linear_width": ("decay", "1.5"),
+    "oscillatory.t_min": ("oscillatory", "3.0"),
+    "oscillatory.t_max": ("oscillatory", "96.0"),
+    "oscillatory.samples": ("oscillatory", "45"),
+}
+STUDY_CONFIGS = {"resonance": RESONANCE_CONFIG, "decay": DECAY_CONFIG,
+                 "oscillatory": "oscillatory.b_values = 8.0\n"}
 
 
 SNAPSHOT_FAULTS = ("missing", "wrong_magic", "truncated", "other_grid", "other_coeff")
@@ -436,21 +466,24 @@ SNAPSHOT_FAULTS = ("missing", "wrong_magic", "truncated", "other_grid", "other_c
         ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = inf"), "run.t_end"),
         ("simulate", SIMULATE_CONFIG + "run.dt_init = nan\n", "run.dt_init"),
         ("simulate", SIMULATE_CONFIG + "initial.width = 0.0\n", "initial.width"),
-        ("oscillatory", "oscillatory.t_max = nan\n", "oscillatory.t_max"),
+        ("decay", DECAY_CONFIG.replace("decay.t_max = 20.0", "decay.t_max = nan"), "decay.t_max"),
         ("oscillatory", "oscillatory.b_values = 8.0, nan\n", "oscillatory.b_values"),
         ("decay", DECAY_CONFIG.replace("run.t_end = 3.0", "run.t_end = -1.0"), "run.t_end"),
         ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = -1.0"), "run.t_end"),
         ("decay", DECAY_CONFIG.replace("decay.t_min = 2.0", "decay.t_min = 0.0"), "decay.t_min"),
         ("decay", DECAY_CONFIG.replace("decay.t_min = 2.0", "decay.t_min = 0.5"), "decay.t_min"),
-        ("oscillatory", "oscillatory.t_min = 0.0\n", "oscillatory.t_min"),
+        ("oscillatory", "oscillatory.t_min = 0.0\n", "unknown key 'oscillatory.t_min'"),
         ("simulate", SIMULATE_CONFIG + "run.dt_init = -1.0\n", "dt_init"),
-        ("resonance", RESONANCE_CONFIG + "constants.s = 4.0\n", "s + 1 - 2 gamma_h"),
-        ("resonance", RESONANCE_CONFIG + "constants.s = 3.0\n", "s + 1 - 2 gamma_h"),
+        ("resonance", RESONANCE_CONFIG + "constants.s = 4.0\n", "unknown key 'constants.s'"),
+        ("resonance", RESONANCE_CONFIG + "constants.s = 3.0\n", "unknown key 'constants.s'"),
+        *[(study, STUDY_CONFIGS[study] + f"{key} = {value}\n", f"unknown key {key!r}")
+          for key, (study, value) in REMOVED_KEYS.items()],
     ],
     ids=[*(f"snapshot-{name}" for name in SNAPSHOT_FAULTS), "snapshot-at-t-end", "snapshot-after-t-end",
          "simulate-infinite-t-end", "scattering-infinite-t-end", "nan-dt-init", "zero-width", "nan-float", "nan-in-float-list",
          "decay-t-end", "scattering-t-end", "decay-t-min-zero", "decay-t-min-below-1", "oscillatory-t-min",
-         "negative-dt-init", "p1-bound-denominator-zero", "p1-bound-denominator-negative"],
+         "negative-dt-init", "p1-bound-denominator-zero", "p1-bound-denominator-negative",
+         *(f"removed-{key}" for key in REMOVED_KEYS)],
 )
 def test_out_of_range_values_exit_2_naming_them(tmp_path, capsys, study, config, named):
     """Each value would fail only once work had started (a math domain
@@ -458,8 +491,8 @@ def test_out_of_range_values_exit_2_naming_them(tmp_path, capsys, study, config,
     Airy sweep, an overflow at an infinite horizon) or be taken silently (a
     run of no steps to t = inf): each is refused before anything runs, by a
     message that names it.  A snapshot that cannot start the run is such a
-    value.  run.dt_init is no longer a key: any value of it is refused by
-    name, as every unknown key is."""
+    value.  run.dt_init and the REMOVED_KEYS are no longer keys: any value
+    of them, even the last default, is refused by name as an unknown key."""
     _write_snapshots(tmp_path)
     out = tmp_path / "out"
     assert _main(tmp_path, study, config.replace("{dir}", str(tmp_path)), out) == 2

@@ -15,7 +15,7 @@ from qmkdv.diagnostics import (
     theta_series,
     z_norm,
 )
-from qmkdv.model import BootstrapConstants, CoefficientSpec, scaling_field_direct
+from qmkdv.model import CoefficientSpec, scaling_field_direct
 from qmkdv.oscillatory import stationary_phase_drift
 from qmkdv.spectral_core import (
     GridSpec,
@@ -64,12 +64,11 @@ def test_direct_route_fails_once_the_profile_wraps():
 
 def test_energy_shares_the_scaling_field_and_z_norm():
     grid = GridSpec(1024, 240.0)
-    bc = BootstrapConstants()
     phi = concentrated_field(grid, 2.0)
-    eb = energy(phi, SPEC, bc)
+    eb = energy(phi, SPEC)
     s_phi = spectral_scaling_field(phi)
     assert eb.scaling_sq == norm(s_phi, "L2") ** 2
-    assert eb.z_norm == z_norm(phi, bc)
+    assert eb.z_norm == z_norm(phi)
     summands = (eb.antiderivative_sq, eb.sobolev_sq, eb.scaling_antiderivative_sq, eb.scaling_sq,
                 eb.xi_dxi_profile_sq, eb.dxi_profile_sq)
     assert eb.total == sum(summands)
@@ -167,6 +166,19 @@ def test_monitor_refuses_too_few_samples():
     monitor(TIMES, hhat, fit_t_min=23.0)
     with pytest.raises(InsufficientData, match="fit_t_min"):
         monitor(TIMES, hhat, fit_t_min=25.0)
+
+
+@pytest.mark.parametrize(
+    "times, fit_t_min, named",
+    [([1.0, 1.0, 1.0, 3.0, 5.0, 6.0, 7.0], 1.0, "dyadic"), ([1.0, 2.0, 4.0, 8.0, 8.0, 8.0, 8.0], 8.0, "fit_t_min")],
+    ids=["one-dyadic-time-thrice", "one-fit-time-four-times"],
+)
+def test_monitor_counts_distinct_times(times, fit_t_min, named):
+    # theta_series refuses a repeated time, so Theta is zero here; a time
+    # recorded more than once counts once in each check, as in decay_fit
+    hhat = AMP * np.exp(1j * np.log(times))[:, None]
+    with pytest.raises(InsufficientData, match=named):
+        scattering_monitor(times, hhat, DRIFT, np.zeros(hhat.shape), fit_t_min)
 
 
 @pytest.mark.parametrize("times", [[1.0, 2.0, 2.0, 4.0], [1.0, 4.0, 2.0, 8.0]], ids=["repeated", "decreasing"])
