@@ -27,10 +27,10 @@ frequencies (:func:`probe_indices`), against one drift law per probe, the
 d(arg hhat)/d(log t) / |hhat|^2 of ``oscillatory.stationary_phase_drift``.
 :func:`theta_series` integrates the phase correction Theta = -drift(xi)
 int |hhat|^2 dt/t by the trapezoid rule in log t, and
-:func:`scattering_monitor`, given that Theta, reports per frequency the
-Cauchy increments of vhat = e^{i Theta} hhat at dyadic times and the fitted
-drift against the law's prediction.  Both take the stacked arrays (times,
-hhat), so a synthetic series tests them directly.
+:func:`scattering_monitor`, from the Theta of its own series, reports per
+frequency the Cauchy increments of vhat = e^{i Theta} hhat at dyadic times
+and the fitted drift against the law's prediction.  Both take the stacked
+arrays (times, hhat), so a synthetic series tests them directly.
 """
 
 from __future__ import annotations
@@ -210,23 +210,24 @@ def _dyadic_sample_indices(times) -> list:
     return out
 
 
-def scattering_monitor(times, hhat, drift, theta, fit_t_min: float) -> list:
+def scattering_monitor(times, hhat, drift, fit_t_min: float) -> list:
     """Per-frequency convergence report against the drift law.
 
     For each probed frequency, with its law coefficient drift(xi) and its
-    column of theta = theta_series(times, hhat, drift): the Cauchy
-    increments |vhat(t_{m+1}) - vhat(t_m)| over recorded dyadic times with
-    vhat = e^{i Theta} hhat, the raw drift slope
-    d(arg hhat)/d(log t) fitted over t >= fit_t_min, and the law's
+    column of theta_series(times, hhat, drift), which refuses times that do
+    not strictly increase: the Cauchy increments |vhat(t_{m+1}) - vhat(t_m)|
+    over recorded dyadic times with vhat = e^{i Theta} hhat, the raw drift
+    slope d(arg hhat)/d(log t) fitted over t >= fit_t_min, and the law's
     prediction drift(xi) |hhat|^2.
     """
+    theta = theta_series(times, hhat, drift)
     times = np.asarray(times, dtype=np.float64)
     dyadic = _dyadic_sample_indices(times)
-    if (have := len(set(times[dyadic]))) < MIN_DYADIC_SAMPLES:
-        raise InsufficientData(f"need >= {MIN_DYADIC_SAMPLES} distinct dyadic times, have {have}")
+    if (have := len(dyadic)) < MIN_DYADIC_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DYADIC_SAMPLES} dyadic times, have {have}")
     fit_sel = times >= fit_t_min
-    if (have := len(set(times[fit_sel]))) < MIN_DRIFT_FIT_SAMPLES:
-        raise InsufficientData(f"need >= {MIN_DRIFT_FIT_SAMPLES} distinct times at t >= fit_t_min, have {have}")
+    if (have := np.count_nonzero(fit_sel)) < MIN_DRIFT_FIT_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_DRIFT_FIT_SAMPLES} times at t >= fit_t_min, have {have}")
     hmat = np.asarray(hhat, dtype=np.complex128)
     logt = np.log(times[fit_sel])
     reports = []

@@ -84,7 +84,11 @@ class SimState:
     dt: float
     steps: int = 0
     rejected: int = 0
-    rhs_evals: int = 0  # N(phi) evaluations, rejected attempts included
+
+    @property
+    def rhs_evals(self) -> int:
+        """N(phi) evaluations, rejected attempts included: 12 per attempt."""
+        return 12 * (self.steps + self.rejected)
 
 
 def gaussian_datum(grid: GridSpec, amplitude: float, width: float, modulation: float = 0.0) -> SpectralField:
@@ -111,14 +115,11 @@ def lawson_step(
     spec: CoefficientSpec,
     dt: float,
     factors: tuple[np.ndarray, np.ndarray] | None = None,
-    evals: list | None = None,
 ) -> SpectralField:
     """One integrating-factor RK4 step of length dt.
 
     `factors`, when given, are exp(i xi^3 dt) and exp(i xi^3 dt/2) as the
     step would compute them; a caller that holds them saves the exponentials.
-    `evals`, when given, is a one-item list whose item is raised by one at
-    each N(phi) evaluation.
 
     With E = e_full, e = e_half and h = dt/2 the step is
 
@@ -126,11 +127,11 @@ def lawson_step(
         y' = E y + (dt/6) (E a + (2 e) (b + c) + d),
 
     where G, the stage closure, calls `nonlinearity_full` by this module's
-    name (looked up at each call) on the stage's field, counts the call and
-    negates N's fresh spectrum in place.  The step is formed in one scratch
-    array for the stage inputs, with E y computed once and the stage outputs
-    a and b as accumulators.  Every product keeps the operand order of this
-    formula: numpy's complex product is not bitwise commutative.
+    name (looked up at each call) on the stage's field and negates N's fresh
+    spectrum in place.  The step is formed in one scratch array for the stage
+    inputs, with E y computed once and the stage outputs a and b as
+    accumulators.  Every product keeps the operand order of this formula:
+    numpy's complex product is not bitwise commutative.
     """
     e_full, e_half = factors or (airy_factor(phi.grid, dt), airy_factor(phi.grid, 0.5 * dt))
     y = phi.coeffs
@@ -139,8 +140,6 @@ def lawson_step(
 
     def G(coeffs, time):
         g = nonlinearity_full(SpectralField(phi.grid, coeffs, time), spec).coeffs
-        if evals is not None:
-            evals[0] += 1
         return np.negative(g, out=g)
 
     w = np.empty_like(y)  # each stage's input, then 2 e
@@ -170,7 +169,6 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
     phi = state.phi
     dt = state.dt
     rejected = state.rejected
-    evals = [state.rhs_evals]
     base = norm(phi, "L2")
     while True:
         capped = dt_cap is not None and dt_cap < dt
@@ -181,9 +179,9 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
         # exp(i xi^3 dt/2) and exp(i xi^3 dt/4), bit for bit
         h = 0.5 * dt_try
         e_full, e_half, e_quarter = (airy_factor(phi.grid, s) for s in (dt_try, h, 0.5 * h))
-        full = lawson_step(phi, cfg.coeff, dt_try, (e_full, e_half), evals)
-        half = lawson_step(phi, cfg.coeff, h, (e_half, e_quarter), evals)
-        pair = lawson_step(half, cfg.coeff, h, (e_half, e_quarter), evals)
+        full = lawson_step(phi, cfg.coeff, dt_try, (e_full, e_half))
+        half = lawson_step(phi, cfg.coeff, h, (e_half, e_quarter))
+        pair = lawson_step(half, cfg.coeff, h, (e_half, e_quarter))
         np.subtract(pair.coeffs, full.coeffs, out=full.coeffs)  # the defect, in the full step's array
         err = norm(full, "L2")
         tol = cfg.eps_tol * base
@@ -201,13 +199,7 @@ def step(state: SimState, cfg: SimConfig, dt_cap: float | None = None) -> SimSta
             if capped:
                 # a cap-shortened step must not erode the controller's length
                 next_dt = max(next_dt, dt)
-            return SimState(
-                phi=pair,
-                dt=next_dt,
-                steps=state.steps + 1,
-                rejected=rejected,
-                rhs_evals=evals[0],
-            )
+            return SimState(phi=pair, dt=next_dt, steps=state.steps + 1, rejected=rejected)
         rejected += 1
         dt = dt_try * factor
 

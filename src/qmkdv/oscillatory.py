@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import littlewood_paley as lp
-from .diagnostics import MIN_DECAY_FIT_SAMPLES, InsufficientData, decay_fit
+from .diagnostics import decay_fit
 from .model import CoefficientSpec, nonlinearity_full, phase_phi, resonance_points, symbol_t1
 from .spectral_core import GridSpec, SpectralField, free_evolve, synthesize, transform
 
@@ -120,14 +120,21 @@ def _two_pi_values(B: float, u_extent: float, n: int) -> tuple[complex, complex]
     return complex(grid.dx * sums[0]), complex(0.5 * grid.dx * (sums[0] + sums[1]))
 
 
+def _two_pi_grid(B: float) -> tuple[float, int]:
+    """two_pi_identity's (u_extent, n) for B."""
+    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25  # margin beyond the outer support
+    per_unit = 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi)  # 32 points per oscillation
+    return u_extent, int(2 ** math.ceil(math.log2(u_extent * per_unit)))
+
+
 def two_pi_identity(B: float) -> OscillatoryResult:
     """Quadratic-phase mass identity with a resolution-doubling gate.
 
-    The grid keeps at least 32 points per oscillation of psicheck (whose
-    fastest oscillation is the support edge 8/5) over the whole u-range.
-    Doubling the resolution must move the value by less than 10% of the
-    reported error; once both are at the round-off floor the gate is
-    considered satisfied (float64 cannot resolve below ~1e-12 here).  The
+    The grid (`_two_pi_grid`) keeps at least 32 points per oscillation of
+    psicheck (whose fastest oscillation is the support edge 8/5) over the
+    whole u-range.  Doubling the resolution must move the value by less than
+    10% of the reported error; once both are at the round-off floor the gate
+    is considered satisfied (float64 cannot resolve below ~1e-12 here).  The
     n-point sum T_n and the doubled value (T_n + M_n) / 2 come from the phase
     rows of `_two_pi_values`, exact since the head (up to 8/5) lies inside
     the n-point band (n/2 dxi >= 25.6 for every B >= 4) and each row's band,
@@ -135,10 +142,7 @@ def two_pi_identity(B: float) -> OscillatoryResult:
     """
     if B < 4.0:
         raise ValueError("B must be >= 4")
-    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25  # margin beyond the outer support
-    per_unit = 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi)  # 32 points per oscillation
-    n = int(2 ** math.ceil(math.log2(u_extent * per_unit)))
-    value, doubled = _two_pi_values(B, u_extent, n)
+    value, doubled = _two_pi_values(B, *_two_pi_grid(B))
     error = abs(value - 2.0 * math.pi)
     change = abs(doubled - value)
     if change >= 0.1 * error and max(change, error) > NOISE_FLOOR:
@@ -209,38 +213,43 @@ def _band(center: float, width: float):
     return f
 
 
-# h1, h2, h3 are the (center, width) of each profile's band
-SEPARATED_REGION = {
-    # disjoint bands placed so that on the whole support xi - eta2 >= 0.16
-    # and eta1 - eta3 >= 0.17: the first-argument phase gradient
-    # 3(xi - eta2)(eta3 - eta1) never vanishes, so repeated integration by
-    # parts applies and |I(t)| decays superpolynomially once t|Phi| >> 1.
-    # The eta-lattice (n=128 over box 480) keeps >= 4 samples across each
-    # bump transition and resolves the oscillation through t = 96: doubling
-    # the lattice reproduces the integral to round-off.
-    "h1": (0.55, 0.15),
-    "h2": (0.0, 0.15),
-    "h3": (-0.10, 0.15),
-    "xi": (0.40, 0.45, 0.50),
-    "n": 128,
-    "box": 480.0,
-    "window": (12.0, 96.0),
+# h1, h2, h3 are the (center, width) of each profile's band, t_max the last of its `_region_times`
+_REGIONS = {
+    "separated": {
+        # disjoint bands placed so that on the whole support xi - eta2 >= 0.16
+        # and eta1 - eta3 >= 0.17: the first-argument phase gradient
+        # 3(xi - eta2)(eta3 - eta1) never vanishes, so repeated integration by
+        # parts applies and |I(t)| decays superpolynomially once t|Phi| >> 1.
+        # The eta-lattice (n=128 over box 480) keeps >= 4 samples across each
+        # bump transition and resolves the oscillation through t = 96: doubling
+        # the lattice reproduces the integral to round-off.
+        "h1": (0.55, 0.15),
+        "h2": (0.0, 0.15),
+        "h3": (-0.10, 0.15),
+        "xi": (0.40, 0.45, 0.50),
+        "n": 128,
+        "box": 480.0,
+        "window": (12.0, 96.0),
+        "t_max": 96.0,
+    },
+    "resonant": {
+        # one broad band through all the (merged, nearly degenerate) stationary
+        # points of a near-zero output frequency: decay saturates near t^{-2/3}
+        "h1": (0.0, 1.0),
+        "h2": (0.0, 1.0),
+        "h3": (0.0, 1.0),
+        "xi": (0.02, 0.03),
+        "n": 96,
+        "box": 40.0,
+        "window": None,
+        "t_max": 3.0 * 96.0,
+    },
 }
 
-RESONANT_REGION = {
-    # one broad band through all the (merged, nearly degenerate) stationary
-    # points of a near-zero output frequency: decay saturates near t^{-2/3}
-    "h1": (0.0, 1.0),
-    "h2": (0.0, 1.0),
-    "h3": (0.0, 1.0),
-    "xi": (0.02, 0.03),
-    "n": 96,
-    "box": 40.0,
-    "window": None,
-}
 
-
-_REGIONS = {"separated": SEPARATED_REGION, "resonant": RESONANT_REGION}
+def _region_times(region: str) -> np.ndarray:
+    """The region's 45 geometric times from t = 3 to its t_max."""
+    return np.exp(np.linspace(math.log(3.0), math.log(_REGIONS[region]["t_max"]), 45))
 
 
 def _envelope_times(t_list) -> list:
@@ -249,28 +258,21 @@ def _envelope_times(t_list) -> list:
     return [math.exp(np.mean(np.log(t_list[i : i + 3]))) for i in range(0, len(t_list) - 2, 3)]
 
 
-def _fit_window(region: str, env_times) -> tuple:
-    """The region's fit window, or all of the envelope where it has none."""
-    window = _REGIONS[region]["window"]
-    return window if window is not None else (env_times[0], env_times[-1])
-
-
-def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1.0) -> dict:
+def nonresonant_decay_study(region: str, alpha2: float) -> dict:
     """Fitted envelope decay of |I(t)| for a named interaction region.
 
     region "separated": disjoint bands on which the phase gradient in the
     first argument is bounded below (integration by parts available
     everywhere; fast decay).  region "resonant": bands overlapping the
     stationary set at small output frequency (decay saturates around
-    t^{-2/3}).  The envelope takes the maximum of |I| over the sampled
-    output frequencies and over bins of three consecutive times,
-    then fits a log-log slope over the region's fit window (all of the
-    envelope when the region has none), on the region's calibrated lattice.
+    t^{-2/3}).  |I| is sampled at the region's own times (`_region_times`).
+    The envelope takes the maximum of |I| over the sampled output
+    frequencies and over bins of three consecutive times, then fits a
+    log-log slope over the region's fit window (all of the envelope when the
+    region has none), on the region's calibrated lattice.
     """
-    t_list = sorted(float(t) for t in t_list)
-    if len(t_list) < MIN_DECAY_FIT_SAMPLES:
-        raise InsufficientData(f"need at least {MIN_DECAY_FIT_SAMPLES} times")
     spec = _REGIONS[region]
+    t_list = _region_times(region)
     grid = GridSpec(n=spec["n"], box_length=spec["box"])
     h1, h2, h3 = (_band(*spec[k]) for k in ("h1", "h2", "h3"))
     mags = np.zeros(len(t_list))
@@ -279,8 +281,8 @@ def nonresonant_decay_study(t_list, region: str = "separated", alpha2: float = 1
         mags = np.maximum(mags, np.abs(vals))
     env_times = _envelope_times(t_list)
     env = [(t, float(np.max(mags[3 * k : 3 * k + 3]))) for k, t in enumerate(env_times)]
-    slope, stderr = decay_fit(env, _fit_window(region, env_times))
-    return {"slope": slope, "stderr": stderr, "series": [(t, float(v)) for t, v in zip(t_list, mags)]}
+    slope, stderr = decay_fit(env, spec["window"] or (env_times[0], env_times[-1]))
+    return {"slope": slope, "stderr": stderr, "series": [(float(t), float(v)) for t, v in zip(t_list, mags)]}
 
 
 # ---------------------------------------------------------------------------

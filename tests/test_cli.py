@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmkdv import cli, identities, oscillatory
-from qmkdv.diagnostics import MIN_DECAY_FIT_SAMPLES
+from qmkdv import cli, identities
 from qmkdv.model import CoefficientSpec
 from qmkdv.spectral_core import (GridSpec, derivative, fractional_abs_derivative, free_evolve, norm, save_snapshot,
                                  synthesize, transform)
@@ -208,8 +207,8 @@ OSCILLATORY_FILES = ["two_pi.csv", "separated.csv", "resonant.csv", "oscillatory
 def test_oscillatory_false_gate_exits_1(tmp_path, capsys, monkeypatch):
     real_study = cli.nonresonant_decay_study
 
-    def flat_separated(t_list, region, alpha2):
-        study = real_study(t_list, region=region, alpha2=alpha2)
+    def flat_separated(region, alpha2):
+        study = real_study(region, alpha2)
         return {**study, "slope": 0.0} if region == "separated" else study
 
     monkeypatch.setattr(cli, "nonresonant_decay_study", flat_separated)
@@ -343,26 +342,21 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         ("oscillatory", "oscillatory.b_values = 8.0, 2.0\n"),
         ("oscillatory", "oscillatory.b_values = 64.0, 4.0\n"),
         ("oscillatory", "oscillatory.b_values = 8.0, 16.0, 16.0\n"),
-        ("resonance", "constants.delta = -1.0\n"),
         ("resonance", "resonance.j_min = 0\nresonance.j_max = 0\nresonance.n_axis = 47\n"),
         ("decay", "decay.samples = 5\n"),
         ("decay", DECAY_CONFIG.replace("decay.fit_t_min = 1.2", "decay.fit_t_min = 2.9")),
         ("scattering", SCATTERING_CONFIG.replace("fit_t_min = 1.5", "fit_t_min = 3.5")),
         ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = 3.0")),
         ("scattering", SCATTERING_CONFIG.replace("fit_t_min = 1.5", "fit_t_min = -1.0")),
-        ("oscillatory", "oscillatory.samples = 20\n"),
-        ("oscillatory", "oscillatory.samples = 5\n"),
         ("identities", "identities.samples = 0\n"),
         ("identities", "identities.samples = -3\n"),
         ("decay", "decay.samples = -1\n"),
         ("scattering", "scattering.samples = -1\n"),
-        ("oscillatory", "oscillatory.samples = -1\n"),
         ("simulate", "run.monitor_count = -1\n"),
         ("resonance", "decay.t_min = 7.0\n"),
         ("identities", "initial.snapshot = /nonexistent\n"),
         ("simulate", SIMULATE_CONFIG.replace("initial.amplitude = 0.3", "initial.amplitude = 0.0")),
         ("decay", DECAY_CONFIG.replace("t_min = 2.0", "t_min = 4.0").replace("t_max = 20.0", "t_max = 4.0")),
-        ("oscillatory", "oscillatory.t_min = 20.0\noscillatory.t_max = 20.0\n"),
         ("resonance", RESONANCE_CONFIG + "coeff.a = 0.0\n"),
     ],
     ids=[
@@ -379,26 +373,21 @@ def test_identities_fault_exits_1_after_writing_its_report(tmp_path, capsys, mon
         "b-value-below-4",
         "b-values-decreasing",
         "b-values-repeated",
-        "negative-delta",
         "odd-n-axis",
         "linear-decay-window",
         "nonlinear-decay-window",
         "drift-fit-window",
         "dyadic-times",
         "negative-drift-fit-start",
-        "envelope-fit-window",
-        "too-few-envelope-times",
         "zero-identity-samples",
         "negative-identity-samples",
         "negative-decay-samples",
         "negative-scattering-samples",
-        "negative-oscillatory-samples",
         "negative-monitor-count",
         "key-of-another-study",
         "snapshot-outside-an-integrator-study",
         "zero-datum",
         "decay-fit-at-one-time",
-        "envelope-fit-at-one-time",
         "resonance-at-zero-alpha2",
     ],
 )
@@ -407,15 +396,6 @@ def test_configuration_errors_exit_2(tmp_path, capsys, study, config):
     assert _main(tmp_path, study, config, out) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
-
-
-@pytest.mark.parametrize("region", ["separated", "resonant"])
-def test_oscillatory_region_times_fill_their_fit_windows(region):
-    # the fixed times that stand in for the removed oscillatory.* keys give
-    # each region's envelope fit enough points
-    env = oscillatory._envelope_times(cli._REGION_TIMES[region])
-    lo, hi = oscillatory._fit_window(region, env)
-    assert len({t for t in env if lo <= t <= hi}) >= MIN_DECAY_FIT_SAMPLES
 
 
 def _write_snapshots(where: Path) -> None:
@@ -472,17 +452,14 @@ SNAPSHOT_FAULTS = ("missing", "wrong_magic", "truncated", "other_grid", "other_c
         ("scattering", SCATTERING_CONFIG.replace("run.t_end = 4.0", "run.t_end = -1.0"), "run.t_end"),
         ("decay", DECAY_CONFIG.replace("decay.t_min = 2.0", "decay.t_min = 0.0"), "decay.t_min"),
         ("decay", DECAY_CONFIG.replace("decay.t_min = 2.0", "decay.t_min = 0.5"), "decay.t_min"),
-        ("oscillatory", "oscillatory.t_min = 0.0\n", "unknown key 'oscillatory.t_min'"),
         ("simulate", SIMULATE_CONFIG + "run.dt_init = -1.0\n", "dt_init"),
-        ("resonance", RESONANCE_CONFIG + "constants.s = 4.0\n", "unknown key 'constants.s'"),
-        ("resonance", RESONANCE_CONFIG + "constants.s = 3.0\n", "unknown key 'constants.s'"),
         *[(study, STUDY_CONFIGS[study] + f"{key} = {value}\n", f"unknown key {key!r}")
           for key, (study, value) in REMOVED_KEYS.items()],
     ],
     ids=[*(f"snapshot-{name}" for name in SNAPSHOT_FAULTS), "snapshot-at-t-end", "snapshot-after-t-end",
          "simulate-infinite-t-end", "scattering-infinite-t-end", "nan-dt-init", "zero-width", "nan-float", "nan-in-float-list",
-         "decay-t-end", "scattering-t-end", "decay-t-min-zero", "decay-t-min-below-1", "oscillatory-t-min",
-         "negative-dt-init", "p1-bound-denominator-zero", "p1-bound-denominator-negative",
+         "decay-t-end", "scattering-t-end", "decay-t-min-zero", "decay-t-min-below-1",
+         "negative-dt-init",
          *(f"removed-{key}" for key in REMOVED_KEYS)],
 )
 def test_out_of_range_values_exit_2_naming_them(tmp_path, capsys, study, config, named):
@@ -498,6 +475,27 @@ def test_out_of_range_values_exit_2_naming_them(tmp_path, capsys, study, config,
     assert _main(tmp_path, study, config.replace("{dir}", str(tmp_path)), out) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "study, config, error",
+    [
+        ("resonance", "resonance.j_min = -2000\nresonance.j_max = -2000\n", "ZeroDivisionError"),
+        ("resonance", "resonance.j_min = 1100\nresonance.j_max = 1100\n", "OverflowError"),
+        ("resonance", "coeff.a = 1e200\n", "OverflowError"),
+        ("oscillatory", "oscillatory.b_values = 1e200\n", "OverflowError"),
+    ],
+    ids=["resonance-cell-underflow", "resonance-cell-overflow", "alpha2-overflow", "b-value-overflow"],
+)
+def test_arithmetic_errors_exit_1_in_one_line(tmp_path, capsys, study, config, error):
+    """2^j at j = -2000 divides by zero and at j = 1100 overflows, as do
+    alpha2 = a^2 and B^2 at 1e200: each is a numerical error of the study,
+    printed as one line naming it, with exit 1 and nothing written."""
+    out = tmp_path / "out"
+    assert _main(tmp_path, study, config, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
     assert not out.exists()
 
 

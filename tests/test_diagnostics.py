@@ -99,11 +99,6 @@ def log_phase_series(slope):
     return AMP * np.exp(1j * (0.3 + slope * np.log(TIMES)[:, None]))
 
 
-def monitor(times, hhat, fit_t_min):
-    """scattering_monitor given the Theta of the same series, as `scattering` hands it over."""
-    return scattering_monitor(times, hhat, DRIFT, theta_series(times, hhat, DRIFT), fit_t_min)
-
-
 @pytest.mark.parametrize("growth", [0.0, 0.02], ids=["constant-modulus", "modulus-squared-linear-in-log-t"])
 def test_theta_integrates_the_modulus_squared_in_log_time(growth):
     # |hhat|^2 = AMP^2 + growth * log t: the trapezoid rule in log t is exact,
@@ -118,7 +113,7 @@ def test_theta_integrates_the_modulus_squared_in_log_time(growth):
 
 def test_monitor_matches_the_law_whose_correction_cancels_the_drift():
     b = DRIFT * AMP**2
-    reports = monitor(TIMES, log_phase_series(b), fit_t_min=4.0)
+    reports = scattering_monitor(TIMES, log_phase_series(b), DRIFT, fit_t_min=4.0)
     assert len(reports) == XI.size
     for i, r in enumerate(reports):
         assert "xi" not in r and "variant" not in r
@@ -140,7 +135,7 @@ OLD_DRIFTS = {"one-sixth": DRIFT / 6.0, "two-xi-squared-minus-one": np.pi * (2.0
 
 @pytest.mark.parametrize("old", OLD_DRIFTS.values(), ids=OLD_DRIFTS.keys())
 def test_monitor_does_not_match_a_drift_off_the_law(old):
-    reports = monitor(TIMES, log_phase_series(old * AMP**2), fit_t_min=4.0)
+    reports = scattering_monitor(TIMES, log_phase_series(old * AMP**2), DRIFT, fit_t_min=4.0)
     for i, r in enumerate(reports):
         assert r["drift_slope"] == pytest.approx(old[i] * AMP[i] ** 2, rel=1e-10)
         assert not r["matched_ok"]
@@ -149,7 +144,7 @@ def test_monitor_does_not_match_a_drift_off_the_law(old):
 def test_false_monitor_flags_are_named_as_gates():
     # a growing modulus at a fixed phase: no drift slope, and increments
     # that double with each dyadic time
-    reports = monitor(TIMES, AMP * TIMES[:, None] + 0j, fit_t_min=4.0)
+    reports = scattering_monitor(TIMES, AMP * TIMES[:, None] + 0j, DRIFT, fit_t_min=4.0)
     assert cli._false_gates({"per_frequency": reports}) == [
         f"per_frequency.{i}.{flag}" for i in range(XI.size) for flag in ("matched_ok", "monotone_ok")
     ]
@@ -158,27 +153,28 @@ def test_false_monitor_flags_are_named_as_gates():
 def test_monitor_refuses_too_few_samples():
     hhat = log_phase_series(np.zeros(2))
     three_dyadic = TIMES < 5.0  # t = 1, 2 and 4
-    monitor(TIMES[three_dyadic], hhat[three_dyadic], fit_t_min=1.0)
+    scattering_monitor(TIMES[three_dyadic], hhat[three_dyadic], DRIFT, fit_t_min=1.0)
     two_dyadic = TIMES < 3.0
     with pytest.raises(InsufficientData, match="dyadic"):
-        monitor(TIMES[two_dyadic], hhat[two_dyadic], fit_t_min=1.0)
+        scattering_monitor(TIMES[two_dyadic], hhat[two_dyadic], DRIFT, fit_t_min=1.0)
     assert np.count_nonzero(TIMES >= 23.0) == 4 and np.count_nonzero(TIMES >= 25.0) == 3
-    monitor(TIMES, hhat, fit_t_min=23.0)
+    scattering_monitor(TIMES, hhat, DRIFT, fit_t_min=23.0)
     with pytest.raises(InsufficientData, match="fit_t_min"):
-        monitor(TIMES, hhat, fit_t_min=25.0)
+        scattering_monitor(TIMES, hhat, DRIFT, fit_t_min=25.0)
 
 
 @pytest.mark.parametrize(
-    "times, fit_t_min, named",
-    [([1.0, 1.0, 1.0, 3.0, 5.0, 6.0, 7.0], 1.0, "dyadic"), ([1.0, 2.0, 4.0, 8.0, 8.0, 8.0, 8.0], 8.0, "fit_t_min")],
-    ids=["one-dyadic-time-thrice", "one-fit-time-four-times"],
+    "times, fit_t_min",
+    [([1.0, 1.0, 1.0, 3.0, 5.0, 6.0, 7.0], 1.0), ([1.0, 2.0, 4.0, 8.0, 8.0, 8.0, 8.0], 8.0),
+     ([1.0, 2.0, 4.0, 4.0, 8.0, 16.0, 16.0, 32.0], 1.0)],
+    ids=["one-dyadic-time-thrice", "one-fit-time-four-times", "two-dyadic-times-twice"],
 )
-def test_monitor_counts_distinct_times(times, fit_t_min, named):
-    # theta_series refuses a repeated time, so Theta is zero here; a time
-    # recorded more than once counts once in each check, as in decay_fit
+def test_monitor_counts_distinct_times(times, fit_t_min):
+    # the monitor forms its Theta with theta_series, which refuses a repeated
+    # time: no time is counted twice in a check, nor gives a zero increment
     hhat = AMP * np.exp(1j * np.log(times))[:, None]
-    with pytest.raises(InsufficientData, match=named):
-        scattering_monitor(times, hhat, DRIFT, np.zeros(hhat.shape), fit_t_min)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        scattering_monitor(times, hhat, DRIFT, fit_t_min)
 
 
 @pytest.mark.parametrize("times", [[1.0, 2.0, 2.0, 4.0], [1.0, 4.0, 2.0, 8.0]], ids=["repeated", "decreasing"])

@@ -435,10 +435,10 @@ class TestRun:
         )
 
     def test_rhs_evals_count_every_nonlinearity_call(self, grid, monkeypatch):
-        """The counter is raised where N(phi) is called, rejected attempts
-        included, and so reads 12 per attempted step.  A first step of 0.05
-        is too long for eps_tol at amplitude 0.3, so the first attempts are
-        rejected."""
+        """rhs_evals, 12 per attempted step from the step counts, is the
+        number of N(phi) calls made, rejected attempts included.  A first
+        step of 0.05 is too long for eps_tol at amplitude 0.3, so the first
+        attempts are rejected."""
         calls = []
         real = integrator.nonlinearity_full
 

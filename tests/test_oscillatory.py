@@ -1,5 +1,5 @@
-"""Stationary-phase studies: the trilinear double sum, the drift law, and
-the refusal paths of the two-pi identity and the decay study."""
+"""Stationary-phase studies: the trilinear double sum, the drift law, the
+refusal paths of the two-pi identity, and the decay study's region times."""
 
 import math
 import tracemalloc
@@ -9,12 +9,11 @@ import pytest
 
 from qmkdv import cli, oscillatory
 from qmkdv import littlewood_paley as lp
-from qmkdv.diagnostics import InsufficientData
+from qmkdv.diagnostics import MIN_DECAY_FIT_SAMPLES
 from qmkdv.model import CoefficientSpec, phase_phi, symbol_t1
 from qmkdv.rng import SplitMix64
 from qmkdv.oscillatory import (
     UnresolvedOscillation,
-    nonresonant_decay_study,
     resonant_drift_measurement,
     stationary_phase_drift,
     trilinear_integral,
@@ -139,11 +138,6 @@ def test_two_pi_identity_refuses_an_unresolved_value(monkeypatch):
         two_pi_identity(8.0)
 
 
-def test_decay_study_needs_eight_times():
-    with pytest.raises(InsufficientData, match="at least 8 times"):
-        nonresonant_decay_study([3.0 + i for i in range(7)])
-
-
 def _complex_synthesis(spectrum, u_extent, n):
     """The inverse transform as first written: the spectrum at every FFT-order
     frequency, the Nyquist one included, synthesised by a complex inverse FFT
@@ -169,12 +163,6 @@ def test_real_even_transform_matches_complex_synthesis(spectrum, u_extent, n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _two_pi_grid(B):
-    """two_pi_identity's (u_extent, n) for B."""
-    u_extent = 2.0 * lp.SUPPORT_EDGE * B**2 * 1.25
-    return u_extent, int(2 ** math.ceil(math.log2(u_extent * 32.0 * lp.SUPPORT_EDGE / (2.0 * math.pi))))
-
-
 def _plain_two_pi_value(B, u_extent, n):
     """The 2 pi value as first written: the bump on the whole spectrum head
     and on the whole u-grid."""
@@ -194,7 +182,7 @@ def _assert_bump_samples_exact(start, step, scale, count):
 @pytest.mark.parametrize("B", [8.0, 16.0])
 @pytest.mark.parametrize("points", ["n", "midpoints", "row"])
 def test_bump_samples_on_the_two_pi_grids(B, points, monkeypatch):
-    u_extent, n = _two_pi_grid(B)
+    u_extent, n = oscillatory._two_pi_grid(B)
     grid = GridSpec(n=n, box_length=u_extent)
     _assert_bump_samples_exact(0.0, grid.dxi, 1.0, n // 2 + 1)  # the spectrum head
     if points == "row":  # each row cutoff _two_pi_values asks for: p + 1 rows, p = 1 at B = 8 and 4 at B = 16
@@ -239,7 +227,7 @@ def test_two_pi_value_matches_the_plain_form(B):
     # under 4096, p = 4 at B = 16, p = 8 from B = 32 on) and the plain n-point
     # sum add the same terms in different orders: equal up to the rounding of
     # two sums
-    u_extent, n = _two_pi_grid(B)
+    u_extent, n = oscillatory._two_pi_grid(B)
     assert abs(oscillatory._two_pi_values(B, u_extent, n)[0] - _plain_two_pi_value(B, u_extent, n)) <= 1e-14
 
 
@@ -247,7 +235,7 @@ def test_two_pi_value_matches_the_plain_form(B):
 def test_doubled_two_pi_value_is_the_2n_point_sum(B):
     # the mean of the n-point and the midpoint sums, against the plain form on
     # the 2n-point grid: equal up to the rounding of two different sums
-    u_extent, n = _two_pi_grid(B)
+    u_extent, n = oscillatory._two_pi_grid(B)
     doubled = oscillatory._two_pi_values(B, u_extent, n)[1]
     assert abs(doubled - _plain_two_pi_value(B, u_extent, 2 * n)) <= 1e-14
 
@@ -278,7 +266,7 @@ def _every_phase_row(B, u_extent, n):
 def test_mirrored_rows_give_the_sums_of_every_row(B):
     # p + 1 rows, the inner ones counted twice, against all 2p rows summed as
     # first written: equal up to the rounding of two sums
-    u_extent, n = _two_pi_grid(B)
+    u_extent, n = oscillatory._two_pi_grid(B)
     p, dx, rows = _every_phase_row(B, u_extent, n)
     sums = [sum(float(np.sum(row)) for row in rows[parity::2]) for parity in (0, 1)]
     value, doubled = oscillatory._two_pi_values(B, u_extent, n)
@@ -291,7 +279,7 @@ def test_row_2p_minus_r_is_row_r_mirrored(B):
     # the premise of the fold: row 2p - r is row r reversed (q -> m - 1 - q),
     # row p its own mirror and row 0 its own about q = 0 (u = -u_extent/2,
     # where the period wraps), so each mirrored pair's sums agree to round-off
-    u_extent, n = _two_pi_grid(B)
+    u_extent, n = oscillatory._two_pi_grid(B)
     p, _, rows = _every_phase_row(B, u_extent, n)
     assert p == {16.0: 4, 32.0: 8}[B]
     for r in range(p + 1):
@@ -304,7 +292,7 @@ def test_row_2p_minus_r_is_row_r_mirrored(B):
 def test_two_pi_values_refuse_a_head_reaching_the_band_edge():
     # the midpoint sum is the 2n-point one only while psi(k dxi) vanishes from
     # k = n/2 on; at B = 8 the head's support ends at k = ceil(1.6 / dxi) = 66
-    u_extent, _ = _two_pi_grid(8.0)
+    u_extent, _ = oscillatory._two_pi_grid(8.0)
     support = math.ceil(lp.SUPPORT_EDGE / GridSpec(n=16, box_length=u_extent).dxi)
     assert support == 66
     with pytest.raises(UnresolvedOscillation, match="band edge"):
@@ -317,7 +305,7 @@ def test_two_pi_values_peak_under_one_array(B):
     """tracemalloc sees numpy's data buffers: the phase rows peak at about
     0.6 arrays of n float64, a row of n/8 points with its head, FFT and
     cutoff.  The two n-point inverse FFTs they replaced peaked at 4.3."""
-    u_extent, n = _two_pi_grid(B)
+    u_extent, n = oscillatory._two_pi_grid(B)
     oscillatory._two_pi_values(B, u_extent, n)
     tracemalloc.start()
     try:
@@ -338,14 +326,23 @@ def _dense_trilinear(grid, h1, h2, h3, alpha2, xi, t_values):
     return np.array([1j * xi * grid.dxi**2 * np.sum(kernel * np.exp(-1j * t * phi)) for t in t_values])
 
 
-@pytest.mark.parametrize("region, t_max", [("separated", 96.0), ("resonant", 288.0)])
+@pytest.mark.parametrize("region, t_max", [(region, spec["t_max"]) for region, spec in oscillatory._REGIONS.items()])
 def test_sparse_trilinear_sum_matches_the_dense_sum(region, t_max):
     spec = oscillatory._REGIONS[region]
     grid = GridSpec(n=spec["n"], box_length=spec["box"])
     hs = [oscillatory._band(*spec[k]) for k in ("h1", "h2", "h3")]
-    t_values = [0.0, *np.exp(np.linspace(math.log(3.0), math.log(t_max), 45))]
+    t_values = [0.0, *oscillatory._region_times(region)]  # t = 0, then every time of the region's study
+    assert t_values[-1] == pytest.approx(t_max, rel=1e-14)
     for xi in spec["xi"]:
         got = trilinear_integral(grid, *hs, 1.0, xi, t_values)
         want = _dense_trilinear(grid, *hs, 1.0, xi, t_values)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+@pytest.mark.parametrize("region", oscillatory._REGIONS)
+def test_oscillatory_region_times_fill_their_fit_windows(region):
+    # each region's own times give its envelope fit enough points
+    env = oscillatory._envelope_times(oscillatory._region_times(region))
+    lo, hi = oscillatory._REGIONS[region]["window"] or (env[0], env[-1])
+    assert len({t for t in env if lo <= t <= hi}) >= MIN_DECAY_FIT_SAMPLES
