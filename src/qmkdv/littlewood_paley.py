@@ -25,6 +25,11 @@ axis and distinct power, contracted one axis at a time
 (y2, y3) pair columns are formed one y2 row at a time, over half the plane
 when exchange symmetric, and each row's block is summed in L2-sized tiles, so
 the memory taken is O(tile + m n), not O(m n^2) for m terms on n-point axes.
+A GEMM over the lead axis costs O(n) per (y2, y3) pair.  With at most two
+lead-axis powers (every dT1 cell; T1 has three) K = a0(y1) b0 + a1(y1) b1, and
+sum_y1 |K| = |b0| g(b1 / b0) with g convex and piecewise linear: one sort of
+its breakpoints, then O(log n) per pair by a line sweep, exact up to summation
+order (a tie takes the interval below, b0 = 0 an end interval; `_swept_sum`).
 """
 
 from __future__ import annotations
@@ -161,10 +166,14 @@ def s_infty_separable(axes, coeffs, powers, js) -> float:
     not O(m n^2).  When js[1] == js[2] on equal axes 2 and 3 and the terms
     map to themselves when powers 2 and 3 swap, |K(y1, y2, y3)| =
     |K(y1, y3, y2)|: only y2 < y3 (twice, row k from column k + 1 on) and
-    y2 = y3 (once, as one block left * right) are summed.
+    y2 = y3 (once, as one block left * right) are summed.  With at most two
+    distinct lead-axis powers (every dT1 cell), `_swept_sum` replaces this
+    GEMM, O(n) per (y2, y3) pair, by an exact line sweep, O(log n) per pair.
     """
-    lead, left, right, symmetric = _kernel_factors(axes, coeffs, powers, js)
-    n2 = right.shape[1]
+    signed, lead, left, right, symmetric = _kernel_factors(axes, coeffs, powers, js)
+    if len({p[0] for p in powers}) <= 2:
+        return _swept_sum(lead, signed, left, right, powers, symmetric)
+    lead, n2 = lead * signed, right.shape[1]
     if symmetric:
         upper = (left[:, k, None] * right[:, k + 1 :] for k in range(n2 - 1))
         return 2.0 * _abs_sum(lead, upper, n2) + _abs_sum(lead, [left * right], n2)
@@ -172,10 +181,11 @@ def s_infty_separable(axes, coeffs, powers, js) -> float:
 
 
 def _kernel_factors(axes, coeffs, powers, js):
-    """The contraction's inputs: the weighted lead-axis rows of the kernel as
-    an (n1/2 + 1, m) matrix, the real kernel rows of axes 2 and 3, and
-    whether |K| is symmetric under the exchange of y2 and y3.  Each axis
-    takes one inverse FFT per distinct power."""
+    """The contraction's inputs: the terms' signed coefficients, the weighted
+    lead-axis rows of their kernels as an (n1/2 + 1, m) matrix, the real
+    kernel rows of axes 2 and 3, and whether |K| is symmetric under the
+    exchange of y2 and y3.  Each axis takes one inverse FFT per distinct
+    power."""
     odd = np.sum(np.asarray(powers) % 2, axis=1)
     shift = odd - odd[0]
     if np.any(shift % 2):
@@ -194,10 +204,10 @@ def _kernel_factors(axes, coeffs, powers, js):
         ft.append(kernels[[distinct.index(p) for p in column]])
     half = axes[0].n // 2
     weights = np.where(np.arange(half + 1) % half, 2.0, 1.0)
-    lead = (ft[0][:, : half + 1] * signed[:, None] * weights).T
+    lead = (ft[0][:, : half + 1] * weights).T  # times signed: the bits of (ft[0] * signed) * weights
     terms = sorted(zip(coeffs, map(tuple, powers)))
     swapped = sorted((c, (p1, p3, p2)) for c, (p1, p2, p3) in terms)
-    return lead, ft[1], ft[2], js[1] == js[2] and axes[1] == axes[2] and terms == swapped
+    return signed, lead, ft[1], ft[2], js[1] == js[2] and axes[1] == axes[2] and terms == swapped
 
 
 def _cache_aligned(size: int) -> np.ndarray:
@@ -224,6 +234,51 @@ def _abs_sum(lead, blocks, width: int) -> float:
             block = buf[: rows.shape[0] * cols.shape[1]].reshape(rows.shape[0], -1)
             np.matmul(rows, cols, out=block)
             total += float(np.abs(block, out=block).sum())  # np.sum's reduction without its wrapper
+    return total
+
+
+def _line_sweep(a0, a1):
+    """The sorted breakpoints -a0_y/a1_y and (alpha_k, beta_k) such that
+    sum_y |a0_y + a1_y tau| = alpha_k + beta_k tau when k breakpoints lie
+    below tau: each line below adds sign(a1_y)(a0_y + a1_y tau), each line
+    above subtracts it, and a line with a1_y = 0 adds |a0_y| everywhere."""
+    moving = a1 != 0.0
+    breaks = -a0[moving] / a1[moving]
+    order = np.argsort(breaks, kind="stable")
+    lines = np.stack([np.sign(a1) * a0, np.abs(a1)])[:, moving][:, order]
+    below = np.cumsum(np.hstack([np.zeros((2, 1)), lines]), axis=1)
+    alpha, beta = 2.0 * below - below[:, -1:]  # the lines below less those above
+    return breaks[order], alpha + np.sum(np.abs(a0[~moving])), beta
+
+
+def _swept_sum(lead, signed, left, right, powers, symmetric) -> float:
+    """sum_y |a0_y b0 + a1_y b1| over the (y2, y3) pairs, with b_g the sum of
+    signed_t left_t x right_t over the terms t of lead power g and a_g its
+    lead row, formed in row blocks of at most max(_TILE / 4, n3) entries (a
+    block's b0, b1, tau and interval index take one GEMM tile).  When
+    exchange symmetric, rows r0..r0+h-1 start at column r0: their h x h
+    square once and the columns after it twice make up the whole plane."""
+    groups = ([[t for t, p in enumerate(powers) if p[0] == q] for q in sorted({p[0] for p in powers})] + [[]])[:2]
+    breaks, alpha, beta = _line_sweep(*(lead[:, g[0]] if g else np.zeros(lead.shape[0]) for g in groups))
+    factors = [(np.ascontiguousarray((left[g] * signed[g, None]).T), right[g]) for g in groups]
+    n2, n3 = left.shape[1], right.shape[1]
+    bufs = [_cache_aligned(max(_TILE // 4, n3)) for _ in range(3)]
+    total, r0 = 0.0, 0
+    while r0 < n2:
+        c0 = r0 if symmetric else 0
+        h = min(n2 - r0, max(1, _TILE // 4 // (n3 - c0)))
+        b0, b1, scratch = (buf[: h * (n3 - c0)].reshape(h, -1) for buf in bufs)
+        for (row, col), b in zip(factors, (b0, b1)):
+            np.matmul(row[r0 : r0 + h], col[:, c0:], out=b)
+        # |alpha_k b0 + beta_k b1| at k = searchsorted(breaks, b1 / b0): a tie takes the interval below
+        # (its lines add 0 there); b0 = 0 gives +-inf (an end interval, beta b1) or NaN (the last, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.searchsorted(breaks, np.divide(b1, b0, out=scratch))
+        np.multiply(np.take(alpha, k, out=scratch, mode="clip"), b0, out=b0)
+        np.multiply(np.take(beta, k, out=scratch, mode="clip"), b1, out=b1)
+        v = np.abs(np.add(b0, b1, out=b0), out=b0)
+        total += float(v[:, :h].sum() + 2.0 * v[:, h:].sum()) if symmetric else float(v.sum())
+        r0 += h
     return total
 
 

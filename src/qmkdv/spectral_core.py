@@ -435,7 +435,11 @@ def load_snapshot(path) -> tuple[SpectralField, str]:
         n, box_length, time, id_len = struct.unpack("<IddI", header)
         ident = fh.read(id_len).decode("utf-8")
         raw = np.frombuffer(fh.read(8 * n), dtype="<f8")
+        if fh.read(1):
+            raise ValueError("snapshot has trailing bytes after its coefficients")
     if raw.size != n:
         raise ValueError("snapshot truncated")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("snapshot has non-finite coefficients")
     grid = GridSpec(n=int(n), box_length=float(box_length))
     return SpectralField(grid, raw[0::2] + 1j * raw[1::2], float(time)), ident

@@ -410,6 +410,10 @@ def _write_snapshots(where: Path) -> None:
     data = (where / "at_t_end.bin").read_bytes()
     (where / "truncated.bin").write_bytes(data[:-8])
     (where / "wrong_magic.bin").write_bytes(b"QMKDV1" + data[6:])
+    (where / "trailing.bin").write_bytes(data + bytes(8))
+    coeffs = phi.coeffs.copy()
+    coeffs[5] = np.nan
+    save_snapshot(where / "non_finite.bin", phi.with_coeffs(coeffs), ident)
 
 
 # the keys that no longer exist, each at its last default, given to the study
@@ -432,7 +436,7 @@ STUDY_CONFIGS = {"resonance": RESONANCE_CONFIG, "decay": DECAY_CONFIG,
                  "oscillatory": "oscillatory.b_values = 8.0\n"}
 
 
-SNAPSHOT_FAULTS = ("missing", "wrong_magic", "truncated", "other_grid", "other_coeff")
+SNAPSHOT_FAULTS = ("missing", "wrong_magic", "truncated", "trailing", "non_finite", "other_grid", "other_coeff")
 
 
 @pytest.mark.parametrize(

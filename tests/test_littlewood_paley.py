@@ -10,10 +10,14 @@ the assembled symbol on the full tensor grid and take one n-dimensional
 inverse FFT (`dense_s_infty`).  The oracle for its bits is the contraction
 of slices of the whole (y2, y3) pair matrix, built first
 (`materialized_s_infty`); the package forms those columns one row at a time.
+Cells with at most two lead-axis powers (dT1) are summed by a line sweep
+instead, which adds in another order: they match that oracle to 1e-13, and
+the sweep itself matches the direct sum over the lead axis.
 """
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,8 +78,8 @@ def materialized_s_infty(axes, coeffs, powers, js):
     """`s_infty_separable` with every pair column built before the contraction:
     the whole (y2, y3) pair matrix, whose row slices go through `_abs_sum`,
     each from column k + 1 on and then the diagonal when exchange symmetric."""
-    lead, left, right, symmetric = littlewood_paley._kernel_factors(axes, coeffs, powers, js)
-    n1, n2 = left.shape[1], right.shape[1]
+    signed, lead, left, right, symmetric = littlewood_paley._kernel_factors(axes, coeffs, powers, js)
+    lead, n1, n2 = lead * signed, left.shape[1], right.shape[1]
     pair = (left[:, :, None] * right[:, None, :]).reshape(lead.shape[1], -1)
     if symmetric:
         upper = [pair[:, k * n2 + k + 1 : (k + 1) * n2] for k in range(n2 - 1)]
@@ -349,17 +353,49 @@ class TestSInftyNorm:
 
     @pytest.mark.parametrize("which", ["T1", "dT1"])
     def test_dyadic_cell_has_the_bits_of_materialized_pairs(self, monkeypatch, which):
+        """T1 (three lead powers) contracts through `_abs_sum` with the bits of
+        the materialized pairs; dT1 (two) is swept and never reaches
+        `_abs_sum`, and adds in another order, so it matches to 1e-13."""
         cells = [(0, 0, 0), (1, 1, 0)]  # the half plane and the full plane
-        streamed = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
-        monkeypatch.setattr(littlewood_paley, "s_infty_separable", materialized_s_infty)
-        assert streamed == [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
+        calls = []
+        real = littlewood_paley._abs_sum
 
-    def test_contraction_memory_is_tile_sized(self):
+        def counted(lead, blocks, width):
+            calls.append(lead.shape)
+            return real(lead, blocks, width)
+
+        monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
+        streamed = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
+        assert len(calls) == (3 if which == "T1" else 0)  # upper rows and diagonal, then the full plane
+        monkeypatch.setattr(littlewood_paley, "_abs_sum", real)
+        monkeypatch.setattr(littlewood_paley, "s_infty_separable", materialized_s_infty)
+        materialized = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
+        if which == "T1":
+            assert streamed == materialized
+        else:
+            assert streamed == pytest.approx(materialized, rel=1e-13)
+
+    @pytest.mark.parametrize("tile", [20000, 1000, 100])
+    @pytest.mark.parametrize("js", [(0, 0, 0), (1, 1, 0), (1, 0, 0)])
+    def test_swept_blocks_at_any_tile(self, monkeypatch, js, tile):
+        """dT1's row blocks hold a quarter tile: 39 rows of 128 at 20000, one
+        row while rows are wider and then squares of 2 and more rows on the
+        half plane at 1000, mostly one row at 100.  Each sums to the
+        materialized pairs' value."""
+        coeffs, powers = [2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        axes = cell_axes(js, 128)
+        monkeypatch.setattr(littlewood_paley, "_TILE", tile)
+        swept = s_infty_separable(axes, coeffs, powers, js)
+        assert swept == pytest.approx(materialized_s_infty(axes, coeffs, powers, js), rel=1e-13)
+
+    @pytest.mark.parametrize("which", ["T1", "dT1"])
+    def test_contraction_memory_is_tile_sized(self, which):
         """The (y2, y3) pair matrix of T1 at n_axis 768 would be 7 x 294,528
-        float64 (16.5 MB); formed block by block the call stays far below."""
+        float64 (16.5 MB), dT1's 3 x 294,528 (7.1 MB); formed block by block
+        either call stays far below."""
         tracemalloc.start()
         try:
-            model._dyadic_s_infty((0, 0, 0), 1.0, "T1", 768)
+            model._dyadic_s_infty((0, 0, 0), 1.0, which, 768)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -448,6 +484,56 @@ class TestSInftyNorm:
         # psi_0 is 1 at the edge xi = -1 of an axis spanning [-1, 1)
         with pytest.raises(UnresolvedSymbol):
             s_infty_separable(symbol_axes((2.0,) * 3, 64), [1.0], [(0, 0, 0)], (0, 0, 0))
+
+
+class TestLineSweep:
+    """`_line_sweep` and `_swept_sum` against the direct sum over the lead
+    axis, sum_y w_y |a0_y b0 + a1_y b1|, with every tie and infinity the
+    sweep can meet: no RuntimeWarning may escape."""
+
+    @staticmethod
+    def swept(lead, b0, b1):
+        """`_swept_sum` of one (y2, y3) pair whose b_g are b0 and b1."""
+        pair = np.array([[b0], [b1]])
+        return littlewood_paley._swept_sum(lead, np.ones(2), pair, np.ones((2, 1)), [(0, 0, 0), (1, 0, 0)], False)
+
+    def test_sweep_matches_the_direct_sum(self):
+        rng = SplitMix64(2305)
+        a0, a1 = rng.uniforms(40, -1.0, 1.0), rng.uniforms(40, -1.0, 1.0)
+        a0[5:10], a1[5:10] = a0[:5], a1[:5]  # repeated lead rows: coincident breakpoints
+        a0[10:13], a1[10:13] = -0.5 * a0[:3], -0.5 * a1[:3]  # the same breakpoints, other slopes
+        a1[13:16] = 0.0  # no breakpoint
+        a0[16], a1[16] = 0.0, 0.0
+        w = np.where(rng.uniforms(40) < 0.5, 1.0, 2.0)  # like the lead axis: exact, ties stay ties
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = littlewood_paley._line_sweep(w * a0, w * a1)
+        b0, b1 = rng.uniforms(300, -2.0, 2.0), rng.uniforms(300, -2.0, 2.0)
+        b0[:36], b1[:36] = 1.0, lines[0]  # tau on each breakpoint
+        b0[100:104], b1[100:104] = [0.0, -0.0, 0.0, -0.0], [1.5, 1.5, -0.5, -0.5]  # tau = +-inf
+        b0[104:106], b1[104:106] = 0.0, 0.0  # tau = NaN
+        b1[106:110] = 0.0  # tau = 0
+        direct = np.sum(w[:, None] * np.abs(a0[:, None] * b0 + a1[:, None] * b1), axis=0)
+        lead = np.stack([w * a0, w * a1], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([self.swept(lead, x0, x1) for x0, x1 in zip(b0, b1)])
+        assert np.all(np.diff(lines[0]) >= 0.0) and np.sum(np.diff(lines[0]) == 0.0) == 8
+        assert lines[0].size == 36 and lines[1].size == 37
+        np.testing.assert_array_equal(got[104:106], 0.0)
+        np.testing.assert_allclose(got, direct, rtol=1e-13, atol=0.0)
+
+    def test_one_lead_power(self):
+        """All a1_y = 0: one interval, alpha = sum |a0|, beta = 0, and a cell
+        of one lead power (no second group) sums sum |a0| * sum |b0|."""
+        a0 = np.array([0.5, -2.0, 0.0, 1.25])
+        breaks, alpha, beta = littlewood_paley._line_sweep(a0, np.zeros(4))
+        assert breaks.size == 0 and alpha.tolist() == [3.75] and beta.tolist() == [0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = littlewood_paley._swept_sum(a0[:, None], np.ones(1), np.array([[2.0, -1.0, 0.0]]), np.ones((1, 1)),
+                                              [(0, 0, 0)], False)
+        assert got == 3.75 * 3.0
 
 
 class TestInterpolationRatio:

@@ -453,3 +453,21 @@ class TestSnapshotFormat:
         path.write_bytes(path.read_bytes()[:16])  # magic and 10 of 24 header bytes
         with pytest.raises(ValueError, match="truncated"):
             load_snapshot(path)
+
+    @pytest.mark.parametrize("extra", [b"\0", bytes(8)], ids=["one-byte", "one-double"])
+    def test_trailing_bytes_are_refused(self, tmp_path, grid, extra):
+        path = tmp_path / "state.bin"
+        save_snapshot(path, random_real_field(grid, 36), "x")
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan], ids=["nan", "inf", "-inf", "imag-nan"])
+    def test_non_finite_coefficients_are_refused(self, tmp_path, grid, bad):
+        f = random_real_field(grid, 37)
+        coeffs = f.coeffs.copy()
+        coeffs[3] = bad
+        path = tmp_path / "state.bin"
+        save_snapshot(path, f.with_coeffs(coeffs), "x")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_snapshot(path)
