@@ -25,6 +25,11 @@ axis and distinct power, contracted one axis at a time
 (y2, y3) pair columns are formed one y2 row at a time, over half the plane
 when exchange symmetric, and each row's block is summed in L2-sized tiles, so
 the memory taken is O(tile + m n), not O(m n^2) for m terms on n-point axes.
+Every kernel has the joint parity |K(-y)| = |K(y)|.  When, besides, the js
+and the axes are equal and the terms map to themselves under every
+permutation of their three powers (T1 on every (j, j, j) cell), |K| is fixed
+by the 12 maps y -> +-(y permuted), and one point of each orbit is summed,
+about n^3/12 where the exchange alone leaves n^3/4 (`_orbit_sum`).
 A GEMM over the lead axis costs O(n) per (y2, y3) pair.  With at most two
 lead-axis powers (every dT1 cell; T1 has three) K = a0(y1) b0 + a1(y1) b1, and
 sum_y1 |K| = |b0| g(b1 / b0) with g convex and piecewise linear: one sort of
@@ -166,15 +171,22 @@ def s_infty_separable(axes, coeffs, powers, js) -> float:
     not O(m n^2).  When js[1] == js[2] on equal axes 2 and 3 and the terms
     map to themselves when powers 2 and 3 swap, |K(y1, y2, y3)| =
     |K(y1, y3, y2)|: only y2 < y3 (twice, row k from column k + 1 on) and
-    y2 = y3 (once, as one block left * right) are summed.  With at most two
-    distinct lead-axis powers (every dT1 cell), `_swept_sum` replaces this
-    GEMM, O(n) per (y2, y3) pair, by an exact line sweep, O(log n) per pair.
+    y2 = y3 (once, as one block left * right) are summed.  A cell takes one
+    of three paths: with at most two distinct lead-axis powers (every dT1
+    cell), `_swept_sum` replaces the GEMM, O(n) per (y2, y3) pair, by an
+    exact line sweep, O(log n) per pair; with equal js and axes and terms
+    closed under every permutation of their powers (T1 on (j, j, j)),
+    `_orbit_sum` sums one point of each orbit of the 12 symmetries; every
+    other cell takes the GEMM, over half the (y2, y3) plane when exchange
+    symmetric (T1 on j2 = j3 != j1) and the full plane otherwise.
     """
-    signed, lead, left, right, symmetric = _kernel_factors(axes, coeffs, powers, js)
+    signed, lead, left, right, symmetry = _kernel_factors(axes, coeffs, powers, js)
     if len({p[0] for p in powers}) <= 2:
-        return _swept_sum(lead, signed, left, right, powers, symmetric)
+        return _swept_sum(lead, signed, left, right, powers, symmetry > 1)
     lead, n2 = lead * signed, right.shape[1]
-    if symmetric:
+    if symmetry == 6:
+        return _orbit_sum(lead, left, right)
+    if symmetry == 2:
         upper = (left[:, k, None] * right[:, k + 1 :] for k in range(n2 - 1))
         return 2.0 * _abs_sum(lead, upper, n2) + _abs_sum(lead, [left * right], n2)
     return _abs_sum(lead, (left[:, k, None] * right for k in range(left.shape[1])), n2)
@@ -183,9 +195,9 @@ def s_infty_separable(axes, coeffs, powers, js) -> float:
 def _kernel_factors(axes, coeffs, powers, js):
     """The contraction's inputs: the terms' signed coefficients, the weighted
     lead-axis rows of their kernels as an (n1/2 + 1, m) matrix, the real
-    kernel rows of axes 2 and 3, and whether |K| is symmetric under the
-    exchange of y2 and y3.  Each axis takes one inverse FFT per distinct
-    power."""
+    kernel rows of axes 2 and 3, and the number of permutations of (y1, y2,
+    y3) that fix |K|: 6 for all, 2 for the exchange of y2 and y3 alone, else
+    1.  Each axis takes one inverse FFT per distinct power."""
     odd = np.sum(np.asarray(powers) % 2, axis=1)
     shift = odd - odd[0]
     if np.any(shift % 2):
@@ -206,8 +218,12 @@ def _kernel_factors(axes, coeffs, powers, js):
     weights = np.where(np.arange(half + 1) % half, 2.0, 1.0)
     lead = (ft[0][:, : half + 1] * weights).T  # times signed: the bits of (ft[0] * signed) * weights
     terms = sorted(zip(coeffs, map(tuple, powers)))
-    swapped = sorted((c, (p1, p3, p2)) for c, (p1, p2, p3) in terms)
-    return signed, lead, ft[1], ft[2], js[1] == js[2] and axes[1] == axes[2] and terms == swapped
+
+    def fixes(i, k):  # whether the exchange of y_i and y_k fixes |K|
+        o = [k if a == i else i if a == k else a for a in range(3)]
+        return js[i] == js[k] and axes[i] == axes[k] and terms == sorted((c, tuple(p[a] for a in o)) for c, p in terms)
+
+    return signed, lead, ft[1], ft[2], (6 if fixes(0, 1) else 2) if fixes(1, 2) else 1
 
 
 def _cache_aligned(size: int) -> np.ndarray:
@@ -235,6 +251,27 @@ def _abs_sum(lead, blocks, width: int) -> float:
             np.matmul(rows, cols, out=block)
             total += float(np.abs(block, out=block).sum())  # np.sum's reduction without its wrapper
     return total
+
+
+def _orbit_sum(lead, left, right) -> float:
+    """sum |K| over one point of each orbit of the 12 maps y -> +-(y permuted),
+    which fix |K| when the three axes, js and kernels agree.  Index i pairs
+    with n - i, which reverses 1..n-1 and fixes 0 and n/2, so the sorted
+    triples 1 <= a <= b <= c <= n-1 whose middle b <= n/2 lies on the lead
+    axis (its fold counts b < n/2 twice) and the slice a = 0 cover the
+    lattice.  A point counts 6, 3 or 1 times as a, b, c are distinct, two or
+    all equal: per b, 6 x (rows a <= b by columns c >= b) less 3 x (row a = b
+    and column c = b, both the row |K(b, b, .)|) plus the corner K(b, b, b);
+    on the slice, 3 x its plane less 3 x its row b = 0 plus K(0, 0, 0)."""
+    half, n = lead.shape[0] - 1, right.shape[1]
+    rows = np.ascontiguousarray(left.T)
+    main = sum(_abs_sum(rows[1 : b + 1] * lead[b], [right[:, b:]], n) for b in range(1, half + 1))
+    ties = lead[1:] * rows[1 : half + 1]  # K(b, b, c) = ties[b - 1] @ right[:, c]
+    corners = np.abs((ties * right[:, 1 : half + 1].T).sum(axis=1)).sum()
+    zero = rows * lead[0]  # K(0, b, c) = zero[b] @ right[:, c]
+    edge = np.abs(zero[0] @ right)  # |K(0, 0, c)|
+    slice0 = 3.0 * _abs_sum(zero, [right], n) - 3.0 * edge.sum() + edge[0]
+    return 6.0 * main - 3.0 * _abs_sum(ties, [right[:, 1:]], n) - 2.0 * corners + slice0
 
 
 def _line_sweep(a0, a1):

@@ -12,7 +12,11 @@ of slices of the whole (y2, y3) pair matrix, built first
 (`materialized_s_infty`); the package forms those columns one row at a time.
 Cells with at most two lead-axis powers (dT1) are summed by a line sweep
 instead, which adds in another order: they match that oracle to 1e-13, and
-the sweep itself matches the direct sum over the lead axis.
+the sweep itself matches the direct sum over the lead axis.  Cells with
+equal js and axes whose terms are closed under every permutation of their
+powers (T1 on (j, j, j)) are summed over one point of each orbit of the 12
+maps y -> +-(y permuted), also in another order: they match the dense route
+to 1e-12 and that oracle to 1e-13, whatever the tile.
 """
 
 import math
@@ -78,10 +82,10 @@ def materialized_s_infty(axes, coeffs, powers, js):
     """`s_infty_separable` with every pair column built before the contraction:
     the whole (y2, y3) pair matrix, whose row slices go through `_abs_sum`,
     each from column k + 1 on and then the diagonal when exchange symmetric."""
-    signed, lead, left, right, symmetric = littlewood_paley._kernel_factors(axes, coeffs, powers, js)
+    signed, lead, left, right, symmetry = littlewood_paley._kernel_factors(axes, coeffs, powers, js)
     lead, n1, n2 = lead * signed, left.shape[1], right.shape[1]
     pair = (left[:, :, None] * right[:, None, :]).reshape(lead.shape[1], -1)
-    if symmetric:
+    if symmetry > 1:
         upper = [pair[:, k * n2 + k + 1 : (k + 1) * n2] for k in range(n2 - 1)]
         diagonal = np.ascontiguousarray(pair[:, :: n2 + 1])
         return 2.0 * littlewood_paley._abs_sum(lead, upper, n2) + littlewood_paley._abs_sum(lead, [diagonal], n2)
@@ -353,10 +357,12 @@ class TestSInftyNorm:
 
     @pytest.mark.parametrize("which", ["T1", "dT1"])
     def test_dyadic_cell_has_the_bits_of_materialized_pairs(self, monkeypatch, which):
-        """T1 (three lead powers) contracts through `_abs_sum` with the bits of
-        the materialized pairs; dT1 (two) is swept and never reaches
-        `_abs_sum`, and adds in another order, so it matches to 1e-13."""
-        cells = [(0, 0, 0), (1, 1, 0)]  # the half plane and the full plane
+        """T1 (three lead powers) on the full plane of (1, 1, 0) contracts
+        through `_abs_sum` with the bits of the materialized pairs; on (0, 0, 0)
+        it is summed over one point of each orbit, and dT1 (two) is swept and
+        never reaches `_abs_sum`: both add in another order, so they match to
+        1e-13."""
+        cells = [(0, 0, 0), (1, 1, 0)]  # the orbit domain (T1) or the half plane (dT1), and the full plane
         calls = []
         real = littlewood_paley._abs_sum
 
@@ -366,12 +372,14 @@ class TestSInftyNorm:
 
         monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
         streamed = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
-        assert len(calls) == (3 if which == "T1" else 0)  # upper rows and diagonal, then the full plane
+        # T1: one block per lead row b = 1..192, the ties and the a = 0 slice, then the full plane
+        assert len(calls) == (384 // 2 + 2 + 1 if which == "T1" else 0)
         monkeypatch.setattr(littlewood_paley, "_abs_sum", real)
         monkeypatch.setattr(littlewood_paley, "s_infty_separable", materialized_s_infty)
         materialized = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
         if which == "T1":
-            assert streamed == materialized
+            assert streamed[0] == pytest.approx(materialized[0], rel=1e-13)
+            assert streamed[1] == materialized[1]
         else:
             assert streamed == pytest.approx(materialized, rel=1e-13)
 
@@ -484,6 +492,72 @@ class TestSInftyNorm:
         # psi_0 is 1 at the edge xi = -1 of an axis spanning [-1, 1)
         with pytest.raises(UnresolvedSymbol):
             s_infty_separable(symbol_axes((2.0,) * 3, 64), [1.0], [(0, 0, 0)], (0, 0, 0))
+
+
+class TestOrbitSum:
+    """`_orbit_sum`: T1 and a second permutation-closed set on diagonal cells,
+    against the dense route, the materialized pairs at any tile, and the
+    cells that keep the exchange or the full plane."""
+
+    T1 = ([1.0 / 3.0] * 6 + [-1.0], [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0)])
+    # another coefficient on each orbit of the powers under permutation
+    PERMUTATION_CLOSED = ([0.9] * 3 + [-0.4] * 3 + [-1.0], T1[1])
+
+    @pytest.mark.parametrize("n_axis", [16, 48])
+    @pytest.mark.parametrize("js", [(0, 0, 0), (-3, -3, -3), (2, 2, 2)])
+    @pytest.mark.parametrize("terms", ["T1", "PERMUTATION_CLOSED"])
+    def test_orbit_sum_matches_dense(self, terms, js, n_axis):
+        coeffs, powers = getattr(self, terms)
+        axes = cell_axes(js, n_axis)
+        assert littlewood_paley._kernel_factors(axes, coeffs, powers, js)[4] == 6
+        sep = s_infty_separable(axes, coeffs, powers, js)
+        assert sep == pytest.approx(dense_s_infty(cell_symbol(coeffs, powers, js), axes), rel=1e-12)
+
+    @pytest.mark.parametrize("tile", [None, 1000, 100])
+    @pytest.mark.parametrize("n_axis", [18, 128, 384])
+    @pytest.mark.parametrize("terms", ["T1", "PERMUTATION_CLOSED"])
+    def test_orbit_sum_matches_materialized_pairs(self, monkeypatch, terms, n_axis, tile):
+        """n/2 odd at 18; at tile 100 every block of the orbit domain, up to
+        n - 1 columns wide, is contracted one row at a time."""
+        coeffs, powers = getattr(self, terms)
+        js = (0, 0, 0)
+        axes = cell_axes(js, n_axis)
+        materialized = materialized_s_infty(axes, coeffs, powers, js)
+        if tile is not None:
+            monkeypatch.setattr(littlewood_paley, "_TILE", tile)
+        assert s_infty_separable(axes, coeffs, powers, js) == pytest.approx(materialized, rel=1e-13)
+
+    def test_orbit_sum_only_where_every_permutation_fixes_the_kernel(self, monkeypatch):
+        """T1 on (j, j, j) takes `_orbit_sum`; terms closed under y2 <-> y3
+        only, T1 on (1, 1, 0) and (1, 0, 0), and T1 with equal js on unequal
+        axes keep the exchange or the full plane, with the bits of the
+        materialized pairs."""
+        calls = []
+        real = littlewood_paley._orbit_sum
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(littlewood_paley, "_orbit_sum", counted)
+        t1 = self.T1
+        for js in [(0, 0, 0), (-3, -3, -3), (2, 2, 2)]:
+            s_infty_separable(cell_axes(js, 48), *t1, js)
+        assert calls == [(25, 7)] * 3
+        swap_closed = ([c for c, _ in TestSInftyNorm.SWAP_CLOSED], [p for _, p in TestSInftyNorm.SWAP_CLOSED])
+        # (terms, js, the cell whose axes are used, the permutations that fix |K|)
+        kept = [
+            (swap_closed, (0, 0, 0), (0, 0, 0), 2),
+            (t1, (1, 1, 0), (1, 1, 0), 1),
+            (t1, (1, 0, 0), (1, 0, 0), 2),
+            (t1, (0, 0, 0), (1, 0, 0), 2),
+            (t1, (0, 0, 0), (0, 0, -1), 1),
+        ]
+        for terms, js, grid, symmetry in kept:
+            axes = cell_axes(grid, 48)
+            assert littlewood_paley._kernel_factors(axes, *terms, js)[4] == symmetry
+            assert s_infty_separable(axes, *terms, js) == materialized_s_infty(axes, *terms, js)
+        assert len(calls) == 3
 
 
 class TestLineSweep:
