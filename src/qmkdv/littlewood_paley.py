@@ -308,8 +308,9 @@ def _swept_sum(lead, signed, left, right, powers, symmetric) -> float:
         for (row, col), b in zip(factors, (b0, b1)):
             np.matmul(row[r0 : r0 + h], col[:, c0:], out=b)
         # |alpha_k b0 + beta_k b1| at k = searchsorted(breaks, b1 / b0): a tie takes the interval below
-        # (its lines add 0 there); b0 = 0 gives +-inf (an end interval, beta b1) or NaN (the last, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # (its lines add 0 there); b0 = 0 gives +-inf (an end interval, beta b1) or NaN (the last, 0),
+        # and a subnormal b0 can overflow b1 / b0 to the same +-inf: past every breakpoint, so exact
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             k = np.searchsorted(breaks, np.divide(b1, b0, out=scratch))
         np.multiply(np.take(alpha, k, out=scratch, mode="clip"), b0, out=b0)
         np.multiply(np.take(beta, k, out=scratch, mode="clip"), b1, out=b1)

@@ -14,8 +14,8 @@ mode vanishes exactly; the flux by the product rule from the padded samples
 of phi, phi_x and phi_xx at the padding factor `CoefficientSpec.pad`, which
 the family of c sets), the trilinear and quadrilinear interaction
 symbols, the cubic phase with its resonance geometry, dyadic multiplier
-bounds for the cubic symbol and its first-argument derivative, the scaling
-vector field S = x d_x + 3t d_t, and the conserved mass and Hamiltonian.
+bounds for the cubic symbol and its first-argument derivative from one table
+of monomials, the field S = x d_x + 3t d_t, and the mass and Hamiltonian.
 """
 
 from __future__ import annotations
@@ -260,25 +260,24 @@ def resonance_points(xi: float) -> ResonanceSet:
     return ResonanceSet(xi=xi, points=pts)
 
 
-def _dyadic_s_infty(js: tuple[int, int, int], alpha2: float, which: str, n_axis: int) -> float:
-    """S_infty of which(eta)*psi_{j1}(eta1)psi_{j2}(eta2)psi_{j3}(eta3).
+# T1 = (alpha2/3) sum_m k_m eta^{p_m} - 1, by the integer weight k_m and the powers p_m of each monomial
+_T1 = ((1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2)), (1, (1, 1, 0)), (1, (1, 0, 1)), (1, (0, 1, 1)))
+# which: (monomials of the alpha2/3 part, constant, reference weight at j1); dT1's are T1's differentiated in eta1
+_SYMBOLS = {
+    "T1": (_T1, -1.0, lambda j1: 2.0 ** max(2 * j1, 0)),
+    "dT1": (tuple((k * p[0], (p[0] - 1, *p[1:])) for k, p in _T1 if p[0]), 0.0, lambda j1: 2.0**j1),
+}
 
-    Both T1 and its first-argument derivative are short sums of monomials,
-    passed to the separable evaluator as coefficients and powers; it then
-    reaches y-lattices far beyond what a dense 3D transform could hold in
-    memory.
-    """
-    if which == "T1":
-        coeffs = [alpha2 / 3.0] * 6 + [-1.0]
-        powers = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0)]
-    else:
-        coeffs = [2.0 * alpha2 / 3.0, alpha2 / 3.0, alpha2 / 3.0]
-        powers = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    extents = tuple(4.0 * 2.0 * lp.SUPPORT_EDGE * 2.0**j for j in js)
-    axes = tuple(
-        GridSpec(n=n_axis, box_length=2.0 * np.pi * n_axis / extent) for extent in extents
-    )
-    return lp.s_infty_separable(axes, coeffs, powers, js)
+
+def _terms(monomials, constant: float, alpha2: float):
+    """The coefficients (k_m alpha2) / 3 and a nonzero constant, and their powers, for `lp.s_infty_separable`."""
+    terms = [((k * alpha2) / 3.0, p) for k, p in monomials] + ([(constant, (0, 0, 0))] if constant else [])
+    return [c for c, _ in terms], [p for _, p in terms]
+
+
+def _cell_axes(js, n_axis: int):
+    """One n_axis-point axis per band j of the cell, spanning 4x the support of psi_j."""
+    return tuple(GridSpec(n=n_axis, box_length=2.0 * np.pi * n_axis / (4.0 * 2.0 * lp.SUPPORT_EDGE * 2.0**j)) for j in js)
 
 
 def dyadic_symbol_bound(
@@ -294,25 +293,24 @@ def dyadic_symbol_bound(
 
     Computes S_infty( which(eta) * psi_{j1}(eta1) psi_{j2}(eta2) psi_{j3}(eta3) )
     divided by the dyadic reference weight: 2^{max(2 j1, 0)} for the symbol
-    itself ("T1"), 2^{j1} for its first-argument derivative ("dT1").  The
-    tensor grid extends 4x each cutoff's support per axis, in n_axis points.
-    With refine=True a per-axis resolution-doubling report is returned
-    instead of the bare ratio.
+    itself ("T1"), 2^{j1} for its first-argument derivative ("dT1"), both
+    sums of `_SYMBOLS` monomials.  Each axis spans 4x its cutoff's support, in
+    n_axis points.  With refine=True a per-axis resolution-doubling report is
+    returned instead of the bare ratio.
     """
     if not (j1 >= j2 >= j3):
         raise ValueError("requires j1 >= j2 >= j3")
-    if which == "T1":
-        ref = 2.0 ** max(2 * j1, 0)
-    elif which == "dT1":
-        ref = 2.0**j1
-    else:
-        raise ValueError(f"which must be 'T1' or 'dT1', got {which!r}")
-
+    try:
+        monomials, constant, weight = _SYMBOLS[which]
+    except KeyError:
+        raise ValueError(f"which must be 'T1' or 'dT1', got {which!r}") from None
+    ref = weight(j1)
     js = (j1, j2, j3)
-    value = _dyadic_s_infty(js, alpha2, which, n_axis)
+    coeffs, powers = _terms(monomials, constant, alpha2)
+    value = lp.s_infty_separable(_cell_axes(js, n_axis), coeffs, powers, js)
     if not refine:
         return value / ref
-    fine = _dyadic_s_infty(js, alpha2, which, 2 * n_axis)
+    fine = lp.s_infty_separable(_cell_axes(js, 2 * n_axis), coeffs, powers, js)
     rel = abs(fine - value) / max(abs(fine), 1e-300)
     return {
         "ratio": value / ref,

@@ -92,9 +92,13 @@ def materialized_s_infty(axes, coeffs, powers, js):
     return littlewood_paley._abs_sum(lead, [pair[:, k * n2 : (k + 1) * n2] for k in range(n1)], n2)
 
 
-def cell_axes(js, n_axis):
-    """The axes `model` builds for the cell js: each spans 4x its cutoff's support."""
-    return symbol_axes(tuple(8.0 * SUPPORT_EDGE * 2.0**j for j in js), n_axis)
+cell_axes = model._cell_axes  # the model's axes for the cell js, which `dense_s_infty` refuses if too narrow
+
+
+def model_terms(which):
+    """The coefficients and powers of the model's symbol `which` at alpha2 = 1."""
+    monomials, constant, _ = model._SYMBOLS[which]
+    return model._terms(monomials, constant, 1.0)
 
 
 def cell_symbol(coeffs, powers, js):
@@ -353,7 +357,7 @@ class TestSInftyNorm:
             * psi_k(e3, js[2]),
             cell_axes(js, 48),
         )
-        assert model._dyadic_s_infty(js, alpha2, which, 48) == pytest.approx(dense, rel=1e-12)
+        assert s_infty_separable(cell_axes(js, 48), *model_terms(which), js) == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("which", ["T1", "dT1"])
     def test_dyadic_cell_has_the_bits_of_materialized_pairs(self, monkeypatch, which):
@@ -371,12 +375,12 @@ class TestSInftyNorm:
             return real(lead, blocks, width)
 
         monkeypatch.setattr(littlewood_paley, "_abs_sum", counted)
-        streamed = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
+        streamed = [model.dyadic_symbol_bound(*js, 1.0, n_axis=384, which=which) for js in cells]
         # T1: one block per lead row b = 1..192, the ties and the a = 0 slice, then the full plane
         assert len(calls) == (384 // 2 + 2 + 1 if which == "T1" else 0)
         monkeypatch.setattr(littlewood_paley, "_abs_sum", real)
         monkeypatch.setattr(littlewood_paley, "s_infty_separable", materialized_s_infty)
-        materialized = [model._dyadic_s_infty(js, 1.0, which, 384) for js in cells]
+        materialized = [model.dyadic_symbol_bound(*js, 1.0, n_axis=384, which=which) for js in cells]
         if which == "T1":
             assert streamed[0] == pytest.approx(materialized[0], rel=1e-13)
             assert streamed[1] == materialized[1]
@@ -390,7 +394,7 @@ class TestSInftyNorm:
         row while rows are wider and then squares of 2 and more rows on the
         half plane at 1000, mostly one row at 100.  Each sums to the
         materialized pairs' value."""
-        coeffs, powers = [2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        coeffs, powers = model_terms("dT1")
         axes = cell_axes(js, 128)
         monkeypatch.setattr(littlewood_paley, "_TILE", tile)
         swept = s_infty_separable(axes, coeffs, powers, js)
@@ -403,7 +407,7 @@ class TestSInftyNorm:
         either call stays far below."""
         tracemalloc.start()
         try:
-            model._dyadic_s_infty((0, 0, 0), 1.0, which, 768)
+            model.dyadic_symbol_bound(0, 0, 0, 1.0, n_axis=768, which=which)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,7 +503,7 @@ class TestOrbitSum:
     against the dense route, the materialized pairs at any tile, and the
     cells that keep the exchange or the full plane."""
 
-    T1 = ([1.0 / 3.0] * 6 + [-1.0], [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0)])
+    T1 = model_terms("T1")
     # another coefficient on each orbit of the powers under permutation
     PERMUTATION_CLOSED = ([0.9] * 3 + [-0.4] * 3 + [-1.0], T1[1])
 
@@ -587,6 +591,7 @@ class TestLineSweep:
         b0[100:104], b1[100:104] = [0.0, -0.0, 0.0, -0.0], [1.5, 1.5, -0.5, -0.5]  # tau = +-inf
         b0[104:106], b1[104:106] = 0.0, 0.0  # tau = NaN
         b1[106:110] = 0.0  # tau = 0
+        b0[110:114], b1[110:114] = [5e-324, -5e-324, 5e-324, -5e-324], [1.0, 1.0, -1.0, -1.0]  # b1 / b0 overflows
         direct = np.sum(w[:, None] * np.abs(a0[:, None] * b0 + a1[:, None] * b1), axis=0)
         lead = np.stack([w * a0, w * a1], axis=1)
         with warnings.catch_warnings():

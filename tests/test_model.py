@@ -7,11 +7,15 @@ m = (n/2)*dxi; on the 3n grid it wraps to d*m - 3*n*dxi, which stays outside
 just to a padding tolerance.
 """
 
+import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +28,11 @@ from qmkdv.integrator import SimConfig, gaussian_datum, run
 from qmkdv.identities import (commutator_errors, local_phase_residual, phase_factorization_error, resonance_errors,
                               t1_reduced_form_error, t1_symmetry_error, t2_spot_error)
 from qmkdv.model import (
+    _SYMBOLS,
     BootstrapConstants,
     CoefficientSpec,
     ZeroFrequency,
+    _terms,
     dyadic_symbol_bound,
     grad_phase_phi,
     hamiltonian,
@@ -692,6 +698,39 @@ class TestDyadicSymbolBound:
         report = dyadic_symbol_bound(1, 0, 0, alpha2=1.0, which="T1", n_axis=256, refine=True)
         assert set(report) == {"ratio", "refined_ratio", "rel_change"}
         assert report["rel_change"] <= 0.05
+
+    @pytest.mark.parametrize("which, oracle", [("T1", symbol_t1), ("dT1", symbol_t1_d1)])
+    def test_monomial_table_sums_to_its_symbol(self, which, oracle):
+        """The terms `dyadic_symbol_bound` contracts, T1's monomials and those
+        derived from them, sum to symbol_t1 and to the conftest's dT1/deta1.
+        Each side rounds a few times on terms of size at most S, the sum of
+        the terms' absolute values, so they agree to 1e-14 S at every point;
+        a dropped monomial, constant or factor k_m p_m1 moves the sum by a
+        sizeable part of S."""
+        eta = SplitMix64(36).uniforms(3 * 4000, -8.0, 8.0).reshape(3, -1)
+        monomials, constant, _ = _SYMBOLS[which]
+        coeffs, powers = _terms(monomials, constant, 1.7)
+        terms = np.array([c * eta[0] ** p[0] * eta[1] ** p[1] * eta[2] ** p[2] for c, p in zip(coeffs, powers)])
+        error = np.abs(terms.sum(axis=0) - oracle(*eta, 1.7))
+        assert np.all(error <= 1e-14 * np.abs(terms).sum(axis=0))
+
+    def test_benchmark_reference_reproduces(self):
+        """`perfbench/make_resonance_reference.py` calls `dyadic_symbol_bound`
+        by keyword; its rows still equal the committed reference to 1e-12
+        relative.  It runs in a subprocess, as its np.trapz alias must stay
+        out of this one, and writes no file."""
+        root = Path(__file__).resolve().parents[1]
+        code = ("import json; from make_resonance_reference import FINE_N_AXIS, WORKLOADS, reference_doc; "
+                "print(json.dumps(reference_doc(WORKLOADS['resonance-sweep'].base, FINE_N_AXIS)))")
+        env = {**os.environ, "PYTHONPATH": "perfbench"}
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
+                              check=True)
+        got = json.loads(done.stdout)["rows"]
+        want = json.loads((root / "perfbench" / "reference" / "resonance.json").read_text(encoding="utf-8"))["rows"]
+        assert [(r["which"], r["j"]) for r in got] == [(r["which"], r["j"]) for r in want]
+        for g, w in zip(got, want):
+            for key in ("ratio", "refined_ratio", "fine_ratio"):
+                assert g[key] == pytest.approx(w[key], rel=1e-12, abs=0.0), (g["which"], key)
 
 
 class TestScalingField:
